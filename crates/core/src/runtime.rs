@@ -391,10 +391,9 @@ pub fn run_gpu_program_traced(
     let m = CpuMachine::new(&cfg.host, data);
     let mut it = Interp::new(&compiled.program, m, ds);
     let mut hooks = GpuHooks::new(compiled, cfg, ds, sink);
-    let main = compiled.program.main.clone();
-    it.run_with(&main, &mut hooks);
+    it.run_with(&compiled.program.main, &mut hooks);
     // Sync program outputs back to the host.
-    for a in compiled.program.outputs.clone() {
+    for &a in &compiled.program.outputs {
         let r = hooks.ensure_host(&mut it, a);
         hooks.latch(r);
     }

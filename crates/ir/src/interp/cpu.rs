@@ -5,7 +5,7 @@
 use acceval_sim::{Buffer, Cache, Hierarchy, HostConfig};
 
 use crate::expr::Intrin;
-use crate::interp::{Interp, Machine, NoHooks};
+use crate::interp::Machine;
 use crate::program::{DataSet, HostData, Program};
 use crate::types::{ArrayId, SiteId, Value};
 
@@ -13,16 +13,16 @@ use crate::types::{ArrayId, SiteId, Value};
 pub struct CpuMachine {
     /// Host memory image (functional state).
     pub data: HostData,
-    hier: Hierarchy,
+    pub(super) hier: Hierarchy,
     /// Byte base address of each array in the simulated address space.
-    base: Vec<u64>,
+    pub(super) base: Vec<u64>,
     /// Accumulated cycles.
     pub cycles: f64,
     /// Retired simple ops.
     pub ops: u64,
     /// Loads + stores executed.
     pub accesses: u64,
-    ipc: f64,
+    pub(super) ipc: f64,
 }
 
 impl CpuMachine {
@@ -43,7 +43,7 @@ impl CpuMachine {
     }
 
     /// Cost in cycles of an intrinsic on this CPU (libm-style).
-    fn intrin_cycles(f: Intrin) -> f64 {
+    pub(super) fn intrin_cycles(f: Intrin) -> f64 {
         match f {
             Intrin::Sqrt => 15.0,
             Intrin::Exp | Intrin::Log => 30.0,
@@ -120,21 +120,12 @@ pub struct CpuRun {
 /// This executes the *original OpenMP* program with single-thread semantics
 /// (parallel regions run sequentially, critical sections are no-ops), which
 /// is exactly the paper's baseline: "sequential CPU versions without OpenMP".
+///
+/// The program is compiled once into closures (`interp::seq`); the result
+/// is bit-identical to tree-walking it through `Interp<CpuMachine>`, which
+/// stays the reference.
 pub fn run_cpu(prog: &Program, ds: &DataSet, cfg: &HostConfig) -> CpuRun {
-    let data = HostData::materialize(prog, ds);
-    let m = CpuMachine::new(cfg, data);
-    let mut it = Interp::new(prog, m, ds);
-    let main = prog.main.clone();
-    it.run_with(&main, &mut NoHooks);
-    let cycles = it.m.cycles;
-    CpuRun {
-        secs: cfg.cycles_to_secs(cycles),
-        cycles,
-        ops: it.m.ops,
-        accesses: it.m.accesses,
-        scalars: it.scal,
-        data: it.m.data,
-    }
+    super::seq::run(prog, ds, cfg)
 }
 
 /// Extract a named output buffer from a run (convenience for tests).

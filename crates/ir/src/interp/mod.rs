@@ -15,6 +15,7 @@ pub mod gpu;
 pub mod launch_cache;
 pub mod native;
 pub mod opt;
+mod seq;
 pub mod store;
 
 use crate::expr::{BinOp, Expr, Intrin, UnOp};
@@ -221,10 +222,10 @@ impl<'p, M: Machine> Interp<'p, M> {
         array_args: &[ArrayId],
         h: &mut H,
     ) {
-        // Clone the function out to avoid aliasing prog borrows cheaply; the
-        // bodies are shared Vecs so this clones only Arc-free nodes. This is
-        // on cold paths (calls per run are few).
-        let f = &self.prog.funcs[func.0 as usize];
+        // Borrow the callee through the program's own lifetime, not `self`,
+        // so its body can run while `self` is mutably borrowed.
+        let prog: &'p Program = self.prog;
+        let f = &prog.funcs[func.0 as usize];
         assert_eq!(f.scalar_params.len(), scalar_args.len(), "call arity ({})", f.name);
         assert_eq!(f.array_params.len(), array_args.len(), "call array arity ({})", f.name);
         let vals: Vec<Value> = scalar_args.iter().map(|e| self.eval(e)).collect();
@@ -238,8 +239,7 @@ impl<'p, M: Machine> Interp<'p, M> {
             saved.push((p.0 as usize, self.remap[p.0 as usize]));
             self.remap[p.0 as usize] = actual;
         }
-        let body = f.body.clone();
-        self.run_with(&body, h);
+        self.run_with(&f.body, h);
         for (idx, old) in saved {
             self.remap[idx] = old;
         }
@@ -379,9 +379,9 @@ impl<'p, M: Machine> Interp<'p, M> {
                 }
             }
             Expr::Intrin(f, args) => {
-                let vals: Vec<Value> = args.iter().map(|a| self.eval(a)).collect();
+                let vals = intrin_args(args, |a| self.eval(a));
                 self.m.intrin(*f);
-                eval_intrin(*f, &vals)
+                eval_intrin(*f, &vals[..args.len().min(2)])
             }
             Expr::CastI(a) => {
                 let x = self.eval(a);
@@ -475,6 +475,22 @@ pub fn eval_bin(op: BinOp, x: Value, y: Value) -> Value {
     }
 }
 
+/// Evaluate an intrinsic's arguments in order into a fixed two-slot array:
+/// no intrinsic takes more than two, and any extra argument is still
+/// evaluated (for its charges) but dropped. Pass `&vals[..args.len().min(2)]`
+/// to [`eval_intrin`].
+#[inline]
+pub(crate) fn intrin_args<T>(args: &[T], mut eval: impl FnMut(&T) -> Value) -> [Value; 2] {
+    let mut vals = [Value::I(0); 2];
+    for (k, a) in args.iter().enumerate() {
+        let x = eval(a);
+        if let Some(v) = vals.get_mut(k) {
+            *v = x;
+        }
+    }
+    vals
+}
+
 /// Evaluate an intrinsic.
 #[inline]
 pub fn eval_intrin(f: Intrin, args: &[Value]) -> Value {
@@ -521,8 +537,8 @@ pub fn eval_pure(e: &Expr, scal: &[Value]) -> Value {
             }
         }
         Expr::Intrin(f, args) => {
-            let vals: Vec<Value> = args.iter().map(|a| eval_pure(a, scal)).collect();
-            eval_intrin(*f, &vals)
+            let vals = intrin_args(args, |a| eval_pure(a, scal));
+            eval_intrin(*f, &vals[..args.len().min(2)])
         }
         Expr::CastI(a) => Value::I(eval_pure(a, scal).as_i()),
         Expr::CastF(a) => Value::F(eval_pure(a, scal).as_f()),

@@ -105,10 +105,27 @@ impl Stmt {
     /// before children.
     pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
         f(self);
-        for b in self.bodies() {
+        self.each_body(|b| {
             for s in b {
                 s.visit(f);
             }
+        });
+    }
+
+    /// Call `f` on each nested statement list, in [`Stmt::bodies`] order,
+    /// without allocating.
+    fn each_body<'a>(&'a self, mut f: impl FnMut(&'a [Stmt])) {
+        match self {
+            Stmt::If { then_b, else_b, .. } => {
+                f(then_b);
+                f(else_b);
+            }
+            Stmt::For { body, .. }
+            | Stmt::While { body, .. }
+            | Stmt::Critical { body }
+            | Stmt::DataRegion { body, .. } => f(body),
+            Stmt::Parallel(r) => f(&r.body),
+            _ => {}
         }
     }
 
@@ -176,12 +193,11 @@ impl Stmt {
     /// region, data region, or update directive (i.e. the GPU runtime must
     /// walk into it rather than treating it as a host leaf).
     pub fn contains_offload(&self) -> bool {
+        if matches!(self, Stmt::Parallel(_) | Stmt::DataRegion { .. } | Stmt::Update { .. }) {
+            return true;
+        }
         let mut found = false;
-        self.visit(&mut |s| {
-            if matches!(s, Stmt::Parallel(_) | Stmt::DataRegion { .. } | Stmt::Update { .. }) {
-                found = true;
-            }
-        });
+        self.each_body(|b| found = found || b.iter().any(Stmt::contains_offload));
         found
     }
 

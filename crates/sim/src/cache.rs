@@ -45,10 +45,14 @@ impl Cache {
         let line = addr >> self.set_shift;
         let set = (line & self.set_mask) as usize;
         let tags = &mut self.sets[set];
+        // A hit on the most-recently-used way leaves the order as it is.
+        if tags.first() == Some(&line) {
+            self.hits += 1;
+            return true;
+        }
         if let Some(pos) = tags.iter().position(|&t| t == line) {
             // move to MRU position
-            let t = tags.remove(pos);
-            tags.insert(0, t);
+            tags[..=pos].rotate_right(1);
             self.hits += 1;
             true
         } else {

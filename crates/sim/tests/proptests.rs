@@ -1,8 +1,8 @@
 //! Property-based tests for the simulator substrate.
 
 use acceval_sim::{
-    bank_conflict_slots, estimate_kernel, segments_touched, Cache, DeviceConfig, KernelFootprint, KernelTotals,
-    SiteWarpTrace,
+    bank_conflict_slots, estimate_kernel, segments_touched, Cache, DeviceConfig, HostConfig, KernelFootprint,
+    KernelTotals, SiteWarpTrace,
 };
 use proptest::prelude::*;
 
@@ -140,5 +140,125 @@ proptest! {
         prop_assert_eq!(s.lane_accesses, n);
         prop_assert!(s.transactions <= s.lane_accesses);
         prop_assert!(s.transactions >= s.requests);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// `Cache` against a naive LRU.
+// ---------------------------------------------------------------------------
+
+/// The reference for [`Cache`]: per set, a plain most-recent-first list of
+/// line numbers, updated by remove-and-reinsert on every access.
+struct ListLru {
+    sets: Vec<Vec<u64>>,
+    ways: usize,
+    line: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl ListLru {
+    /// Same geometry rule as `Cache::new`: `capacity / line / ways` sets,
+    /// rounded down to a power of two, at least one.
+    fn new(capacity: u32, ways: u32, line: u32) -> Self {
+        let wanted = ((capacity / line).max(1) / ways).max(1);
+        let mut sets = 1;
+        while sets * 2 <= wanted {
+            sets *= 2;
+        }
+        ListLru { sets: vec![Vec::new(); sets as usize], ways: ways as usize, line: line as u64, hits: 0, misses: 0 }
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        let line = addr / self.line;
+        let n = self.sets.len() as u64;
+        let list = &mut self.sets[(line % n) as usize];
+        let hit = match list.iter().position(|&t| t == line) {
+            Some(pos) => {
+                list.remove(pos);
+                true
+            }
+            None => {
+                if list.len() == self.ways {
+                    list.pop();
+                }
+                false
+            }
+        };
+        list.insert(0, line);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+}
+
+/// An address stream for a shape: mostly lines drawn from a few sets with
+/// more distinct tags than ways (so hits land at every LRU depth and sets
+/// evict), mixed with arbitrary addresses.
+fn lru_stream(capacity: u32, ways: u32, line: u32, picks: &[(u64, u64, u64, u64)]) -> Vec<u64> {
+    let sets = ListLru::new(capacity, ways, line).sets.len() as u64;
+    let line = line as u64;
+    picks
+        .iter()
+        .map(|&(kind, set, tag, off)| if kind == 0 { off } else { (tag * sets + set % sets) * line + off % line })
+        .collect()
+}
+
+/// `Cache` must report the naive model's hit/miss sequence and counters.
+fn check_against_list_lru(capacity: u32, ways: u32, line: u32, picks: &[(u64, u64, u64, u64)]) {
+    let mut cache = Cache::new(capacity, ways, line);
+    let mut naive = ListLru::new(capacity, ways, line);
+    for (i, a) in lru_stream(capacity, ways, line, picks).into_iter().enumerate() {
+        prop_assert_eq!(
+            cache.access(a),
+            naive.access(a),
+            "access {} to {:#x} ({}B/{}-way/{}B)",
+            i,
+            a,
+            capacity,
+            ways,
+            line
+        );
+    }
+    prop_assert_eq!((cache.hits, cache.misses), (naive.hits, naive.misses));
+}
+
+fn lru_picks() -> impl Strategy<Value = Vec<(u64, u64, u64, u64)>> {
+    prop::collection::vec((0u64..4, 0u64..4, 0u64..40, 0u64..1 << 32), 1..3000)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn cache_matches_list_lru_one_set(picks in lru_picks()) {
+        check_against_list_lru(256, 4, 64, &picks);
+    }
+
+    #[test]
+    fn cache_matches_list_lru_one_way(picks in lru_picks()) {
+        check_against_list_lru(4096, 1, 64, &picks);
+    }
+
+    #[test]
+    fn cache_matches_list_lru_xeon_l1(picks in lru_picks()) {
+        let h = HostConfig::xeon_x5660();
+        check_against_list_lru(h.l1_bytes, h.l1_ways, h.line_bytes, &picks);
+    }
+
+    #[test]
+    fn cache_matches_list_lru_xeon_l2(picks in lru_picks()) {
+        let h = HostConfig::xeon_x5660();
+        check_against_list_lru(h.l2_bytes, h.l2_ways, h.line_bytes, &picks);
+    }
+
+    #[test]
+    fn cache_matches_list_lru_texture(picks in lru_picks()) {
+        // The device texture cache, as `DeviceState::new` builds it.
+        let d = DeviceConfig::tesla_m2090();
+        check_against_list_lru(d.tex_cache_bytes * d.num_sms, 8, d.tex_line_bytes, &picks);
     }
 }

@@ -4,8 +4,13 @@
 
 use std::sync::Arc;
 
-use acceval::benchmarks::{benchmark_named, Scale};
+use acceval::benchmarks::{benchmark_named, BenchSpec, Benchmark, Port, Scale, Suite};
 use acceval::figures::{figure1, figure1_subset};
+use acceval::ir::builder::*;
+use acceval::ir::expr::v;
+use acceval::ir::program::{DataSet, Program};
+use acceval::ir::types::{ScalarId, Value};
+use acceval::models::lower::HintMap;
 use acceval::models::{model, ModelKind};
 use acceval::sim::MachineConfig;
 use acceval::sweep::{cached_compile, cached_oracle, run_sweep};
@@ -112,9 +117,88 @@ fn sweep_manifest_is_complete() {
     assert_eq!(manifest.by_benchmark.iter().map(|g| g.tasks).sum::<usize>(), manifest.tasks);
     assert_eq!(manifest.by_model.iter().map(|g| g.tasks).sum::<usize>(), manifest.tasks);
     assert!(!manifest.slowest_tasks.is_empty());
-    assert!(manifest.critical_path_secs <= manifest.task_wall_secs + manifest.oracle_wall_secs + 1e-9);
     // The manifest serializes (it is the JSON artifact written by `report`).
     let json = acceval::figures_json(&manifest);
     assert!(json.contains("\"records\""));
     assert!(json.contains("\"slowest_tasks\""));
+}
+
+/// A benchmark whose sequential oracle dwarfs its GPU runs: the original
+/// program spins a long host loop that feeds no output, and the ports drop
+/// it. The one task that computes the oracle then dominates the sweep, so
+/// counting the oracle twice shows up against the sweep's own wall time.
+struct OracleHeavy;
+
+impl OracleHeavy {
+    fn program(spin: bool) -> Program {
+        let mut pb = ProgramBuilder::new("oracle_heavy");
+        let n = pb.iscalar("n");
+        let i = pb.iscalar("i");
+        let k = pb.iscalar("k");
+        let acc = pb.fscalar("acc");
+        let out = pb.farray("out", vec![v(n)]);
+        let mut main = Vec::new();
+        if spin {
+            main.push(sfor(k, 0i64, 2_000_000i64, vec![assign(acc, v(acc) * 0.5 + 1.0)]));
+        }
+        main.push(parallel("fill", vec![pfor(i, 0i64, v(n), vec![store(out, vec![v(i)], v(i).to_f() * 2.0)])]));
+        pb.main(main);
+        pb.outputs(vec![out]);
+        pb.build()
+    }
+}
+
+impl Benchmark for OracleHeavy {
+    fn spec(&self) -> BenchSpec {
+        BenchSpec { name: "ORACLE_HEAVY", suite: Suite::Kernel, domain: "test", base_loc: 10, tolerance: 1e-12 }
+    }
+    fn original(&self) -> Program {
+        Self::program(true)
+    }
+    fn dataset(&self, _scale: Scale) -> DataSet {
+        DataSet { scalars: vec![(ScalarId(0), Value::I(64))], arrays: vec![], label: "n=64".into() }
+    }
+    fn port(&self, _model: ModelKind) -> Port {
+        Port { program: Self::program(false), hints: HintMap::new(), changes: vec![] }
+    }
+}
+
+/// A host model only `test` uses: the oracle memo and the store are keyed by
+/// the host config, so the test's first sweep computes its own oracle.
+fn private_host(test: &str) -> MachineConfig {
+    let mut cfg = MachineConfig::keeneland_node();
+    cfg.host.name = format!("{} ({test}, pid {})", cfg.host.name, std::process::id());
+    cfg
+}
+
+/// The critical path is a lower bound on the sweep's schedule, so it can
+/// never exceed the wall time the sweep actually took — which it did when
+/// the task that computed an oracle counted the oracle a second time.
+#[test]
+fn critical_path_never_exceeds_the_sweep() {
+    let cfg = private_host("critical path");
+    let manifest = run_sweep(&[&OracleHeavy], &cfg, Scale::Test, false);
+    assert!(manifest.records.iter().all(|r| r.valid.is_ok()), "{:?}", manifest.records[0].valid);
+    assert!(manifest.oracle_wall_secs > 0.0, "the sweep computed its oracle");
+    assert!(
+        manifest.critical_path_secs <= manifest.wall_secs,
+        "critical path {:.4}s exceeds the sweep's wall time {:.4}s (oracle {:.4}s)",
+        manifest.critical_path_secs,
+        manifest.wall_secs,
+        manifest.oracle_wall_secs
+    );
+}
+
+/// A repeated sweep is served its oracle from the in-process memo and spends
+/// no oracle time, so it must not report any.
+#[test]
+fn repeated_sweep_reports_no_oracle_time() {
+    let cfg = private_host("repeated sweep");
+    let first = run_sweep(&[&OracleHeavy], &cfg, Scale::Test, false);
+    assert!(first.oracle_wall_secs > 0.0, "the first sweep computed its oracle");
+    let second = run_sweep(&[&OracleHeavy], &cfg, Scale::Test, false);
+    assert!(second.records.iter().all(|r| r.oracle_cached));
+    assert_eq!(second.oracle_wall_secs, 0.0, "a memo hit costs the sweep no oracle time");
+    assert!(second.oracles.iter().all(|o| o.wall_secs == 0.0));
+    assert!(second.critical_path_secs <= second.wall_secs);
 }
