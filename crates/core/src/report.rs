@@ -260,7 +260,7 @@ pub fn figure1_csv(fig: &Figure1) -> String {
 pub struct BenchSweep {
     /// Schema tag, bumped on layout changes.
     pub schema: String,
-    /// Kernel engine the sweep ran on (`tree`/`bytecode`/`native`/`auto`).
+    /// Kernel engine the sweep ran on (`tree`/`bytecode`).
     pub engine: String,
     pub scale: String,
     pub with_tuning: bool,
@@ -300,8 +300,6 @@ pub struct BenchSweep {
     pub store_quarantined: u64,
     /// Store entries evicted under the disk byte cap.
     pub store_evicted: u64,
-    /// Bytecode-optimizer policy the sweep ran under (`auto`/`on`/`off`).
-    pub opt: String,
     /// Kernels the optimizer rewrote during the sweep (once per distinct
     /// plan; memoized plans don't recount).
     pub opt_kernels: u64,
@@ -311,18 +309,16 @@ pub struct BenchSweep {
     pub opt_ops_post: u64,
     /// CSE eliminations summed over those kernels.
     pub opt_cse_hits: u64,
-    /// Launches executed through the native closure tier.
+    /// Launches executed through the native closures.
     pub native_launches: u64,
-    /// Plans `auto` promoted to the native tier mid-sweep.
-    pub promotions: u64,
-    /// Native-tier launches that fell back to bytecode.
-    pub native_ineligible: u64,
+    /// Launches the default engine handed to the tree walker.
+    pub tree_fallbacks: u64,
 }
 
 /// Build the `results/BENCH_sweep.json` payload from a sweep manifest.
 pub fn bench_sweep_json(m: &SweepManifest, engine: &str) -> String {
     let payload = BenchSweep {
-        schema: "acceval-bench-sweep/7".to_string(),
+        schema: "acceval-bench-sweep/8".to_string(),
         engine: engine.to_string(),
         scale: m.scale.clone(),
         with_tuning: m.with_tuning,
@@ -344,14 +340,12 @@ pub fn bench_sweep_json(m: &SweepManifest, engine: &str) -> String {
         store_spill_bytes: m.store_spill_bytes,
         store_quarantined: m.store_quarantined,
         store_evicted: m.store_evicted,
-        opt: m.opt.clone(),
         opt_kernels: m.opt_kernels,
         opt_ops_pre: m.opt_ops_pre,
         opt_ops_post: m.opt_ops_post,
         opt_cse_hits: m.opt_cse_hits,
         native_launches: m.native_launches,
-        promotions: m.promotions,
-        native_ineligible: m.native_ineligible,
+        tree_fallbacks: m.tree_fallbacks,
     };
     serde_json::to_string_pretty(&payload).expect("bench sweep serializes")
 }

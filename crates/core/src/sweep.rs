@@ -24,7 +24,7 @@ use acceval_ir::interp::cpu::CpuRun;
 use acceval_ir::interp::gpu::{launch_par, set_launch_par_hint, LaunchPar};
 use acceval_ir::interp::launch_cache::{launch_cache_name, launch_cache_totals, thread_cache_counters};
 use acceval_ir::interp::native::thread_native_counters;
-use acceval_ir::interp::opt::{opt_name, thread_opt_counters};
+use acceval_ir::interp::opt::thread_opt_counters;
 use acceval_ir::interp::store::{self as launch_store, Dec, Enc};
 use acceval_ir::program::DataSet;
 use acceval_models::{model, ModelKind, TuningPoint};
@@ -344,15 +344,12 @@ pub struct RunRecord {
     pub opt_ops_post: u64,
     /// Redundant computations eliminated by CSE across those kernels.
     pub opt_cse_hits: u64,
-    /// Launches this task executed through the native closure tier.
+    /// Launches this task executed through the native closures.
     pub native_launches: u64,
-    /// Plans `ACCEVAL_ENGINE=auto` promoted to the native tier during this
-    /// task (0 under fixed engines, and for tasks whose plans were already
-    /// promoted).
-    pub promotions: u64,
-    /// Native-tier launches that fell back to bytecode (no typed lowering,
-    /// optimizer off, or incompatible warp width).
-    pub native_ineligible: u64,
+    /// Launches of this task the default engine handed to the tree walker
+    /// (no typed lowering, or a warp width the cached closures were not
+    /// built for). Replayed launches execute nothing and count in neither.
+    pub tree_fallbacks: u64,
 }
 
 /// The oracle cost entry of the manifest.
@@ -453,8 +450,6 @@ pub struct SweepManifest {
     pub store_quarantined: u64,
     /// Store entries evicted under the disk byte cap (process lifetime).
     pub store_evicted: u64,
-    /// The bytecode-optimizer policy the sweep ran under (`auto`/`on`/`off`).
-    pub opt: String,
     /// Kernels whose bytecode the optimizer rewrote, summed over tasks.
     pub opt_kernels: u64,
     /// Pre-optimization instruction count over those kernels.
@@ -463,15 +458,13 @@ pub struct SweepManifest {
     pub opt_ops_post: u64,
     /// CSE eliminations summed over those kernels.
     pub opt_cse_hits: u64,
-    /// The engine selection the sweep ran under
-    /// (`tree`/`bytecode`/`native`/`auto`).
+    /// The engine the sweep ran under (`tree`/`bytecode`).
     pub engine: String,
-    /// Native-tier launches summed over the sweep's tasks.
+    /// Native-closure launches summed over the sweep's tasks.
     pub native_launches: u64,
-    /// `auto` promotions to the native tier summed over tasks.
-    pub promotions: u64,
-    /// Native-tier launches that fell back to bytecode, summed over tasks.
-    pub native_ineligible: u64,
+    /// Launches the default engine handed to the tree walker, summed over
+    /// tasks.
+    pub tree_fallbacks: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -509,7 +502,7 @@ fn run_task(
     // migrate threads mid-run, so the before/after delta is this task's.
     let (h0, dh0, m0, d0) = thread_cache_counters();
     let (ok0, op0, oq0, oc0) = thread_opt_counters();
-    let (nl0, np0, ni0) = thread_native_counters();
+    let (nl0, tf0) = thread_native_counters();
     let ds = cached_dataset(bench, scale);
     let (oracle, oracle_cached) = cached_oracle_tracked(bench, scale, cfg);
     let (compiled, compile_cached) = cached_compile_tracked(bench, task.model, scale, task.tuning.as_ref());
@@ -532,7 +525,7 @@ fn run_task(
     };
     let (h1, dh1, m1, d1) = thread_cache_counters();
     let (ok1, op1, oq1, oc1) = thread_opt_counters();
-    let (nl1, np1, ni1) = thread_native_counters();
+    let (nl1, tf1) = thread_native_counters();
     RunRecord {
         task: index,
         benchmark: task.benchmark.clone(),
@@ -560,8 +553,7 @@ fn run_task(
         opt_ops_post: oq1 - oq0,
         opt_cse_hits: oc1 - oc0,
         native_launches: nl1 - nl0,
-        promotions: np1 - np0,
-        native_ineligible: ni1 - ni0,
+        tree_fallbacks: tf1 - tf0,
     }
 }
 
@@ -763,8 +755,7 @@ fn run_enumerated(
     let opt_ops_post: u64 = records.iter().map(|r| r.opt_ops_post).sum();
     let opt_cse_hits: u64 = records.iter().map(|r| r.opt_cse_hits).sum();
     let native_launches: u64 = records.iter().map(|r| r.native_launches).sum();
-    let promotions: u64 = records.iter().map(|r| r.promotions).sum();
-    let native_ineligible: u64 = records.iter().map(|r| r.native_ineligible).sum();
+    let tree_fallbacks: u64 = records.iter().map(|r| r.tree_fallbacks).sum();
 
     SweepManifest {
         scale: format!("{scale:?}"),
@@ -793,15 +784,13 @@ fn run_enumerated(
         store_spill_bytes: store_totals.spill_bytes,
         store_quarantined: store_totals.quarantined,
         store_evicted: store_totals.evicted,
-        opt: opt_name().to_string(),
         opt_kernels,
         opt_ops_pre,
         opt_ops_post,
         opt_cse_hits,
         engine: acceval_ir::interp::gpu::engine_name().to_string(),
         native_launches,
-        promotions,
-        native_ineligible,
+        tree_fallbacks,
     }
 }
 

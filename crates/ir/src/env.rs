@@ -1,10 +1,10 @@
 //! Typed parsing and up-front validation of the `ACCEVAL_*` environment
 //! knobs.
 //!
-//! Every runtime knob (`ACCEVAL_DEVICE`, `ACCEVAL_ENGINE`, `ACCEVAL_OPT`,
+//! Every runtime knob (`ACCEVAL_DEVICE`, `ACCEVAL_ENGINE`,
 //! `ACCEVAL_LAUNCH_PAR`, `ACCEVAL_LAUNCH_CACHE`,
-//! `ACCEVAL_LAUNCH_CACHE_CAP_MB`, `ACCEVAL_STORE`, `ACCEVAL_STORE_CAP_MB`)
-//! parses through this module. Parses are *typed*:
+//! `ACCEVAL_LAUNCH_CACHE_CAP_MB`, `ACCEVAL_STORE`, `ACCEVAL_STORE_CAP_MB`,
+//! `ACCEVAL_STORE_EPOCH`) parses through this module. Parses are *typed*:
 //! a malformed value is an [`EnvError`], never a panic. The lazy getters in
 //! [`crate::interp::gpu`], [`crate::interp::launch_cache`], and
 //! [`crate::interp::store`] fall back to their documented defaults on a
@@ -62,23 +62,14 @@ pub fn parse_toggle(var: &str, s: &str) -> Result<Toggle, EnvError> {
     }
 }
 
-/// Parse an engine name (`tree` | `bytecode` | `native` | `auto`). Returns
-/// the raw name; the executor maps it onto its `Engine` enum (`auto` is
-/// bytecode with hotness-driven promotion to the native tier).
+/// Parse an engine name (`tree` | `bytecode`). Returns the raw name; the
+/// executor maps it onto its `Engine` enum.
 pub fn parse_engine_name(s: &str) -> Result<&'static str, EnvError> {
     match s {
         "tree" => Ok("tree"),
         "bytecode" => Ok("bytecode"),
-        "native" => Ok("native"),
-        "auto" => Ok("auto"),
-        _ => Err(EnvError::new("ACCEVAL_ENGINE", s, "`tree`, `bytecode`, `native` or `auto`")),
+        _ => Err(EnvError::new("ACCEVAL_ENGINE", s, "`tree` or `bytecode`")),
     }
-}
-
-/// Parse an `ACCEVAL_NATIVE_THRESHOLD` value: the launch count past which
-/// `ACCEVAL_ENGINE=auto` promotes a plan to the native tier.
-pub fn parse_native_threshold(s: &str) -> Result<u64, EnvError> {
-    s.trim().parse::<u64>().map_err(|_| EnvError::new("ACCEVAL_NATIVE_THRESHOLD", s, "an integer launch count"))
 }
 
 /// Parse a mebibyte count into bytes.
@@ -136,10 +127,8 @@ pub fn parse_device_name(s: &str) -> Result<acceval_sim::DeviceConfig, EnvError>
 pub const KNOWN_VARS: &[&str] = &[
     "ACCEVAL_DEVICE",
     "ACCEVAL_ENGINE",
-    "ACCEVAL_NATIVE_THRESHOLD",
     "ACCEVAL_LAUNCH_PAR",
     "ACCEVAL_LAUNCH_CACHE",
-    "ACCEVAL_OPT",
     "ACCEVAL_LAUNCH_CACHE_CAP_MB",
     "ACCEVAL_STORE",
     "ACCEVAL_STORE_CAP_MB",
@@ -155,7 +144,12 @@ pub const KNOWN_VARS: &[&str] = &[
 /// still set their own variables through the process environment — as long
 /// as they don't squat the `ACCEVAL_` prefix.
 pub fn validate_env() -> Result<(), EnvError> {
-    for (k, v) in std::env::vars() {
+    validate_vars(std::env::vars())
+}
+
+/// [`validate_env`] over an explicit set of `(name, value)` pairs.
+fn validate_vars(vars: impl IntoIterator<Item = (String, String)>) -> Result<(), EnvError> {
+    for (k, v) in vars {
         if !k.starts_with("ACCEVAL_") {
             continue;
         }
@@ -166,10 +160,7 @@ pub fn validate_env() -> Result<(), EnvError> {
             "ACCEVAL_ENGINE" => {
                 parse_engine_name(&v)?;
             }
-            "ACCEVAL_NATIVE_THRESHOLD" => {
-                parse_native_threshold(&v)?;
-            }
-            "ACCEVAL_LAUNCH_PAR" | "ACCEVAL_LAUNCH_CACHE" | "ACCEVAL_OPT" => {
+            "ACCEVAL_LAUNCH_PAR" | "ACCEVAL_LAUNCH_CACHE" => {
                 parse_toggle(&k, &v)?;
             }
             "ACCEVAL_LAUNCH_CACHE_CAP_MB" | "ACCEVAL_STORE_CAP_MB" => {
@@ -201,32 +192,34 @@ mod tests {
     }
 
     #[test]
-    fn opt_knob_is_known_and_toggle_valued() {
-        assert!(KNOWN_VARS.contains(&"ACCEVAL_OPT"));
-        assert_eq!(parse_toggle("ACCEVAL_OPT", "auto"), Ok(Toggle::Auto));
-        let e = parse_toggle("ACCEVAL_OPT", "fast").unwrap_err();
-        assert_eq!(e.var, "ACCEVAL_OPT");
-    }
-
-    #[test]
     fn engine_name_parses() {
         assert_eq!(parse_engine_name("tree"), Ok("tree"));
         assert_eq!(parse_engine_name("bytecode"), Ok("bytecode"));
-        assert_eq!(parse_engine_name("native"), Ok("native"));
-        assert_eq!(parse_engine_name("auto"), Ok("auto"));
         let e = parse_engine_name("jit").unwrap_err();
         assert_eq!(e.var, "ACCEVAL_ENGINE");
-        assert!(e.to_string().contains("native"), "error must name the accepted engines: {e}");
+        assert!(e.to_string().contains("bytecode"), "error must name the accepted engines: {e}");
     }
 
+    /// The optimizer switch, the promotion threshold, and the `native` and
+    /// `auto` engine values were removed; setting any of them is a startup
+    /// error, not a silently ignored knob.
     #[test]
-    fn native_threshold_parses() {
-        assert!(KNOWN_VARS.contains(&"ACCEVAL_NATIVE_THRESHOLD"));
-        assert_eq!(parse_native_threshold("8"), Ok(8));
-        assert_eq!(parse_native_threshold(" 0 "), Ok(0));
-        assert!(parse_native_threshold("soon").is_err());
-        assert!(parse_native_threshold("-1").is_err());
-        assert_eq!(parse_native_threshold("nope").unwrap_err().var, "ACCEVAL_NATIVE_THRESHOLD");
+    fn removed_knobs_are_rejected() {
+        let one = |k: &str, v: &str| validate_vars([(k.to_string(), v.to_string())]);
+        for (k, v) in [
+            ("ACCEVAL_OPT", "off"),
+            ("ACCEVAL_NATIVE_THRESHOLD", "8"),
+            ("ACCEVAL_ENGINE", "native"),
+            ("ACCEVAL_ENGINE", "auto"),
+        ] {
+            let e = one(k, v).unwrap_err();
+            assert_eq!(e.var, k, "{k}={v} must be rejected under its own name");
+        }
+        assert!(!KNOWN_VARS.contains(&"ACCEVAL_OPT"));
+        assert!(!KNOWN_VARS.contains(&"ACCEVAL_NATIVE_THRESHOLD"));
+        assert_eq!(one("ACCEVAL_ENGINE", "bytecode"), Ok(()));
+        assert_eq!(one("ACCEVAL_STORE_EPOCH", "any label"), Ok(()));
+        assert_eq!(one("OTHER_VAR", "x"), Ok(()));
     }
 
     #[test]

@@ -1,40 +1,34 @@
-//! Bytecode kernel engine: compile a [`KernelPlan`] body once into a flat
-//! register-based instruction stream, then execute whole warps in lockstep
-//! over a 32-lane structure-of-arrays register file.
+//! Bytecode compiler: the first stage of the compiled kernel pipeline
+//! (compile, optimize, typed lowering, native closures; see
+//! [`super::native`]).
 //!
-//! The tree-walking interpreter in [`super`] re-walks boxed `Expr`/`Stmt`
-//! nodes for every simulated thread and clones a scalar environment per
-//! warp. This module removes both costs without changing any observable
-//! number:
+//! [`compile`] lowers a [`KernelPlan`] body once into a flat register-based
+//! instruction stream: scalar slots resolve to dense registers, literals pool
+//! into launch-time constant registers, and loop bounds that are plain
+//! variables or constants are hoisted out of the per-iteration stream. The
+//! result is cached on the plan (see `KernelPlan::engine_cache`), so the
+//! sweep's compile memoization amortizes it across tuning points, and
+//! geometry retargeting keeps it valid (nothing here depends on block
+//! shape). The stream is never executed as is: [`super::opt`] rewrites it
+//! and lowers it onto typed register banks, and [`super::native`] turns that
+//! into closures.
 //!
-//! * **Compile once.** [`compile`] lowers the body to a `Vec<Op>` with
-//!   scalar slots resolved to dense registers, literals pooled into
-//!   launch-time constant registers, and loop bounds that are plain
-//!   variables or constants hoisted out of the per-iteration stream. The
-//!   result is cached on the plan (see `KernelPlan::engine_cache`), so the
-//!   sweep's compile memoization amortizes it across tuning points and
-//!   geometry retargeting keeps it valid (nothing here depends on block
-//!   shape).
-//! * **Execute warps, not threads.** [`exec_warp`] advances all active
-//!   lanes of a warp through each instruction under an active-lane mask.
-//!   Divergence (If/Select/For/While) splits the mask exactly as the
-//!   per-lane tree walk would: each lane observes the same sequence of
-//!   evaluations, op charges, and trace records as under the reference
-//!   engine, so coalescing/divergence pricing is bit-identical.
-//! * **No per-warp allocation.** All mutable state (register file, per-lane
-//!   op counters, site traces, private-array scratch) lives in a
-//!   thread-local [`WarpScratch`] arena reset between warps.
+//! Accounting contract (every later stage keeps it, and it must mirror
+//! `Interp::exec_plain`/`eval` exactly): every `Bin`/`Un`/`CastI`/`CastF`/
+//! `Select` charges 1 op, `Assign` charges 1, a `For` iteration check
+//! charges 1 and the increment charges 1, a `While` iteration charges 1 only
+//! when the condition held, multi-dim index flattening charges `dims-1`,
+//! intrinsics charge the SFU cost table, barriers charge 4. Loads/stores
+//! record per-lane byte addresses into the same [`SiteWarpTrace`] streams the
+//! tree engine fills. Sites whose addresses are affine in the axis variables
+//! additionally support an analytic fast path: their single per-warp address
+//! row is captured directly and summarised through
+//! [`acceval_sim::AffineRowMemo`].
 //!
-//! Accounting contract (must mirror `Interp::exec_plain`/`eval` exactly):
-//! every `Bin`/`Un`/`CastI`/`CastF`/`Select` charges 1 op, `Assign` charges
-//! 1, a `For` iteration check charges 1 and the increment charges 1, a
-//! `While` iteration charges 1 only when the condition held, multi-dim
-//! index flattening charges `dims-1`, intrinsics charge the SFU cost table,
-//! barriers charge 4. Loads/stores record per-lane byte addresses into the
-//! same [`SiteWarpTrace`] streams the tree engine fills. Sites whose
-//! addresses are affine in the axis variables additionally support an
-//! analytic fast path: their single per-warp address row is captured
-//! directly and summarised through [`acceval_sim::AffineRowMemo`].
+//! The module also holds the execution state the closures run against: the
+//! per-launch [`WarpScratch`] arena (register file, per-lane op counters,
+//! site traces, private-array scratch; no per-warp allocation), the shared
+//! `RawBuf` buffer views, and the launch-wide `ExecCtx`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Mutex;
@@ -43,7 +37,6 @@ use acceval_sim::{AffineRowMemo, Buffer, ElemType, Payload, SiteWarpTrace};
 
 use crate::analysis::affine::expr_affine;
 use crate::expr::{BinOp, Expr, Intrin, UnOp};
-use crate::interp::{eval_bin, eval_intrin};
 use crate::kernel::{Expansion, KernelPlan, MemSpace};
 use crate::program::Program;
 use crate::stmt::{visit_exprs, visit_stmts, Stmt};
@@ -313,9 +306,9 @@ impl KernelBytecode {
 
 /// Compile a finalized kernel plan's body to bytecode.
 ///
-/// Returns `None` when the body uses a construct the bytecode engine does
+/// Returns `None` when the body uses a construct the compiled pipeline does
 /// not model (function calls, or a second axis whose bounds depend on the
-/// first axis variable); such kernels fall back to the tree engine.
+/// first axis variable); such kernels run on the tree walker.
 pub fn compile(prog: &Program, plan: &KernelPlan) -> Option<KernelBytecode> {
     if plan.body.iter().any(|s| s.contains_call()) {
         return None;
@@ -916,8 +909,8 @@ pub struct WarpScratch {
     pub(crate) memo: AffineRowMemo,
     pub(crate) warp: usize,
     priv_sig: Vec<(ElemType, usize)>,
-    /// Split typed register banks for the optimizer's specialized stream
-    /// (`interp::opt`); empty unless a typed kernel is active this launch.
+    /// Typed register banks the native closures execute against, sized per
+    /// launch by `native::begin_launch`.
     pub(crate) fregs: Vec<f64>,
     pub(crate) iregs: Vec<i64>,
     pub(crate) bregs: Vec<bool>,
@@ -996,8 +989,8 @@ impl WarpScratch {
     /// Per-warp reset for a warp whose pricing evidence will be discarded
     /// (its block's pricing replays from the representative-block cache):
     /// only the mutable scalar registers are re-broadcast. Legal only ahead
-    /// of the native tier's functional-only variant, which neither reads
-    /// nor writes the evidence arrays this skips resetting.
+    /// of the native functional-only sequence, which neither reads nor
+    /// writes the evidence arrays this skips resetting.
     pub(crate) fn begin_warp_functional(&mut self, bc: &KernelBytecode, base_env: &[Value]) {
         for &(slot, r) in &bc.scal_init_warp {
             let v = base_env[slot as usize];
@@ -1281,598 +1274,6 @@ pub(crate) struct ExecCtx<'a> {
     /// Per-array index into the private scratch rows, or -1.
     pub priv_slot: &'a [i32],
     pub total_threads: u64,
-}
-
-use super::gpu::PRIV_BASE;
-
-/// Execute the compiled body for one warp. `mask` holds the active lanes,
-/// `tid_base` is the linear thread id of lane 0. Returns the number of
-/// atomic accesses performed inside critical sections.
-pub(crate) fn exec_warp(bc: &KernelBytecode, s: &mut WarpScratch, ctx: &ExecCtx<'_>, mask: u64, tid_base: u64) -> u64 {
-    let warp = s.warp;
-    let mut vm = Vm {
-        code: &bc.code,
-        pool: &bc.pool,
-        w: warp,
-        regs: &mut s.regs,
-        lane_ops: &mut s.lane_ops,
-        traces: &mut s.traces,
-        touched: &mut s.site_touched,
-        fast_rows: &mut s.fast_rows,
-        ctx,
-        tid_base,
-        in_critical: false,
-        atomic: 0,
-        priv_bufs: &mut s.priv_bufs,
-    };
-    if bc.serial_lanes {
-        // Hazardous bodies: run each lane to completion in ascending lane
-        // order — the exact schedule the tree engine produces, so writes
-        // from earlier lanes are visible to later ones.
-        let mut m = mask;
-        while m != 0 {
-            let l = m.trailing_zeros();
-            m &= m - 1;
-            vm.run(0, bc.code.len(), 1u64 << l);
-        }
-    } else {
-        vm.run(0, bc.code.len(), mask);
-    }
-    vm.atomic
-}
-
-struct Vm<'a, 'b> {
-    code: &'a [Op],
-    pool: &'a [u16],
-    w: usize,
-    regs: &'a mut [Value],
-    lane_ops: &'a mut [u64],
-    traces: &'a mut [SiteWarpTrace],
-    touched: &'a mut [bool],
-    fast_rows: &'a mut [u64],
-    priv_bufs: &'a mut [Buffer],
-    ctx: &'a ExecCtx<'b>,
-    tid_base: u64,
-    in_critical: bool,
-    atomic: u64,
-}
-
-/// All-lanes-active mask for a `w`-lane warp.
-#[inline]
-pub(crate) fn full_mask(w: usize) -> u64 {
-    if w >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << w) - 1
-    }
-}
-
-/// Iterate the active lanes of `mask`. The all-active case (the common one
-/// on interior warps) runs as a plain `0..w` loop — no per-lane bit
-/// scanning, and the compiler can hoist the register-file bounds checks.
-macro_rules! lanes {
-    ($w:expr, $mask:expr, $l:ident, $body:block) => {
-        let w_ = $w;
-        let m_: u64 = $mask;
-        if m_ == full_mask(w_) {
-            for $l in 0..w_ {
-                $body
-            }
-        } else {
-            let mut m = m_;
-            while m != 0 {
-                let $l = m.trailing_zeros() as usize;
-                m &= m - 1;
-                $body
-            }
-        }
-    };
-}
-pub(crate) use lanes;
-
-impl Vm<'_, '_> {
-    #[inline]
-    fn get(&self, r: u16, l: usize) -> Value {
-        self.regs[r as usize * self.w + l]
-    }
-
-    #[inline]
-    fn set(&mut self, r: u16, l: usize, v: Value) {
-        self.regs[r as usize * self.w + l] = v;
-    }
-
-    fn run(&mut self, start: usize, end: usize, mask: u64) {
-        let mut pc = start;
-        while pc < end {
-            match self.code[pc] {
-                Op::ConstF { dst, v } => {
-                    let dof = dst as usize * self.w;
-                    lanes!(self.w, mask, l, {
-                        self.regs[dof + l] = Value::F(v);
-                    });
-                    pc += 1;
-                }
-                Op::ConstI { dst, v } => {
-                    let dof = dst as usize * self.w;
-                    lanes!(self.w, mask, l, {
-                        self.regs[dof + l] = Value::I(v);
-                    });
-                    pc += 1;
-                }
-                Op::ConstB { dst, v } => {
-                    let dof = dst as usize * self.w;
-                    lanes!(self.w, mask, l, {
-                        self.regs[dof + l] = Value::B(v);
-                    });
-                    pc += 1;
-                }
-                Op::Copy { dst, src } => {
-                    let so = src as usize * self.w;
-                    let dof = dst as usize * self.w;
-                    lanes!(self.w, mask, l, {
-                        self.regs[dof + l] = self.regs[so + l];
-                    });
-                    pc += 1;
-                }
-                Op::AsInt { dst, a } => {
-                    lanes!(self.w, mask, l, {
-                        let v = Value::I(self.get(a, l).as_i());
-                        self.set(dst, l, v);
-                    });
-                    pc += 1;
-                }
-                Op::Un { dst, op, a } => {
-                    lanes!(self.w, mask, l, {
-                        let x = self.get(a, l);
-                        let v = match op {
-                            UnOp::Neg => match x {
-                                Value::I(i) => Value::I(-i),
-                                v => Value::F(-v.as_f()),
-                            },
-                            UnOp::Not => Value::B(!x.as_b()),
-                        };
-                        self.set(dst, l, v);
-                    });
-                    pc += 1;
-                }
-                Op::Bin { dst, op, a, b } => {
-                    let ao = a as usize * self.w;
-                    let bo = b as usize * self.w;
-                    let dof = dst as usize * self.w;
-                    lanes!(self.w, mask, l, {
-                        let x = self.regs[ao + l];
-                        let y = self.regs[bo + l];
-                        self.regs[dof + l] = eval_bin(op, x, y);
-                    });
-                    pc += 1;
-                }
-                Op::CastI { dst, a } => {
-                    lanes!(self.w, mask, l, {
-                        let x = self.get(a, l);
-                        self.set(dst, l, Value::I(x.as_i()));
-                    });
-                    pc += 1;
-                }
-                Op::CastF { dst, a } => {
-                    lanes!(self.w, mask, l, {
-                        let x = self.get(a, l);
-                        self.set(dst, l, Value::F(x.as_f()));
-                    });
-                    pc += 1;
-                }
-                Op::Ops { n } => {
-                    if mask == full_mask(self.w) {
-                        for x in self.lane_ops.iter_mut() {
-                            *x += n;
-                        }
-                    } else {
-                        let mut m = mask;
-                        while m != 0 {
-                            let l = m.trailing_zeros() as usize;
-                            m &= m - 1;
-                            self.lane_ops[l] += n;
-                        }
-                    }
-                    pc += 1;
-                }
-                Op::Intrin { dst, f, args_off, args_len } => {
-                    lanes!(self.w, mask, l, {
-                        let mut vals = [Value::I(0); 4];
-                        for (k, v) in vals.iter_mut().enumerate().take(args_len as usize) {
-                            *v = self.get(self.pool[args_off as usize + k], l);
-                        }
-                        self.set(dst, l, eval_intrin(f, &vals[..args_len as usize]));
-                    });
-                    pc += 1;
-                }
-                Op::Load { dst, arr, site, idx_off, idx_len, fast } => {
-                    let a = arr as usize;
-                    if fast >= 0 {
-                        // Hot path — fast sites are depth-0, non-private,
-                        // global/shared-tiled: hoist every per-array lookup
-                        // out of the lane loop and write the address row
-                        // straight into the memo's staging buffer.
-                        let eb = self.ctx.elem_bytes[a] as u64;
-                        let base = self.ctx.base[a];
-                        let strides = &self.ctx.strides[a];
-                        let extents = &self.ctx.extents[a];
-                        let buf = self.ctx.bufs[a];
-                        if !buf.is_alloc() {
-                            panic!("kernel read of unallocated device array {a}");
-                        }
-                        let isf = buf.elem_is_float();
-                        let wu = self.w;
-                        let fo = fast as usize * wu;
-                        let dof = dst as usize * wu;
-                        let po = idx_off as usize;
-                        macro_rules! load_body {
-                            ($flat_of:expr) => {
-                                lanes!(wu, mask, l, {
-                                    let flat = $flat_of(l);
-                                    self.fast_rows[fo + l] = base + flat as u64 * eb;
-                                    self.regs[dof + l] =
-                                        if isf { Value::F(buf.get_f(flat)) } else { Value::I(buf.get_i(flat)) };
-                                });
-                            };
-                        }
-                        let oob = |i: i64, d: usize| -> usize {
-                            panic!(
-                                "index {} out of bounds (dim {} extent {}) on array {}",
-                                i,
-                                d,
-                                extents[d],
-                                self.ctx.prog.array_name(ArrayId(a as u32))
-                            )
-                        };
-                        if idx_len == 1 {
-                            let ro0 = self.pool[po] as usize * wu;
-                            let (e0, s0) = (extents[0], strides[0]);
-                            load_body!(|l: usize| {
-                                let i = self.regs[ro0 + l].as_i();
-                                if i < 0 || i as usize >= e0 {
-                                    oob(i, 0)
-                                } else {
-                                    i as usize * s0
-                                }
-                            });
-                        } else if idx_len == 2 {
-                            let ro0 = self.pool[po] as usize * wu;
-                            let ro1 = self.pool[po + 1] as usize * wu;
-                            let (e0, s0) = (extents[0], strides[0]);
-                            let (e1, s1) = (extents[1], strides[1]);
-                            load_body!(|l: usize| {
-                                let i = self.regs[ro0 + l].as_i();
-                                let j = self.regs[ro1 + l].as_i();
-                                if i < 0 || i as usize >= e0 {
-                                    oob(i, 0)
-                                } else if j < 0 || j as usize >= e1 {
-                                    oob(j, 1)
-                                } else {
-                                    i as usize * s0 + j as usize * s1
-                                }
-                            });
-                        } else {
-                            load_body!(|l: usize| {
-                                let mut flat = 0usize;
-                                for d in 0..idx_len as usize {
-                                    let i = self.regs[self.pool[po + d] as usize * wu + l].as_i();
-                                    if i < 0 || i as usize >= extents[d] {
-                                        oob(i, d);
-                                    }
-                                    flat += i as usize * strides[d];
-                                }
-                                flat
-                            });
-                        }
-                        if self.in_critical {
-                            self.atomic += mask.count_ones() as u64;
-                        }
-                    } else {
-                        lanes!(self.w, mask, l, {
-                            let flat = self.flat_index(a, idx_off, idx_len, l);
-                            self.account(a, flat, site, fast, l);
-                            let v = self.read(a, flat, l);
-                            self.set(dst, l, v);
-                        });
-                    }
-                    pc += 1;
-                }
-                Op::Store { src, arr, site, idx_off, idx_len, fast } => {
-                    let a = arr as usize;
-                    if fast >= 0 {
-                        let eb = self.ctx.elem_bytes[a] as u64;
-                        let base = self.ctx.base[a];
-                        let strides = &self.ctx.strides[a];
-                        let extents = &self.ctx.extents[a];
-                        let name = self.ctx.prog.array_name(ArrayId(a as u32));
-                        let buf = self.ctx.bufs[a];
-                        if !buf.is_alloc() {
-                            panic!("kernel write of unallocated device array {a}");
-                        }
-                        let isf = buf.elem_is_float();
-                        let wu = self.w;
-                        let fo = fast as usize * wu;
-                        let so = src as usize * wu;
-                        let po = idx_off as usize;
-                        macro_rules! store_body {
-                            ($flat_of:expr) => {
-                                lanes!(wu, mask, l, {
-                                    let flat = $flat_of(l);
-                                    self.fast_rows[fo + l] = base + flat as u64 * eb;
-                                    let v = self.regs[so + l];
-                                    if isf {
-                                        buf.set_f(flat, v.as_f());
-                                    } else {
-                                        buf.set_i(flat, v.as_i());
-                                    }
-                                });
-                            };
-                        }
-                        let oob = |i: i64, d: usize| -> usize {
-                            panic!("index {} out of bounds (dim {} extent {}) on array {}", i, d, extents[d], name)
-                        };
-                        if idx_len == 1 {
-                            let ro0 = self.pool[po] as usize * wu;
-                            let (e0, s0) = (extents[0], strides[0]);
-                            store_body!(|l: usize| {
-                                let i = self.regs[ro0 + l].as_i();
-                                if i < 0 || i as usize >= e0 {
-                                    oob(i, 0)
-                                } else {
-                                    i as usize * s0
-                                }
-                            });
-                        } else if idx_len == 2 {
-                            let ro0 = self.pool[po] as usize * wu;
-                            let ro1 = self.pool[po + 1] as usize * wu;
-                            let (e0, s0) = (extents[0], strides[0]);
-                            let (e1, s1) = (extents[1], strides[1]);
-                            store_body!(|l: usize| {
-                                let i = self.regs[ro0 + l].as_i();
-                                let j = self.regs[ro1 + l].as_i();
-                                if i < 0 || i as usize >= e0 {
-                                    oob(i, 0)
-                                } else if j < 0 || j as usize >= e1 {
-                                    oob(j, 1)
-                                } else {
-                                    i as usize * s0 + j as usize * s1
-                                }
-                            });
-                        } else {
-                            store_body!(|l: usize| {
-                                let mut flat = 0usize;
-                                for d in 0..idx_len as usize {
-                                    let i = self.regs[self.pool[po + d] as usize * wu + l].as_i();
-                                    if i < 0 || i as usize >= extents[d] {
-                                        oob(i, d);
-                                    }
-                                    flat += i as usize * strides[d];
-                                }
-                                flat
-                            });
-                        }
-                        if self.in_critical {
-                            self.atomic += mask.count_ones() as u64;
-                        }
-                    } else {
-                        lanes!(self.w, mask, l, {
-                            let flat = self.flat_index(a, idx_off, idx_len, l);
-                            self.account(a, flat, site, fast, l);
-                            let v = self.get(src, l);
-                            self.write(a, flat, v, l);
-                        });
-                    }
-                    pc += 1;
-                }
-                Op::If { cond, site, then_len, else_len } => {
-                    let t_start = pc + 1;
-                    let e_start = t_start + then_len as usize;
-                    let end_if = e_start + else_len as usize;
-                    let mut m_t = 0u64;
-                    self.touched[site as usize] = true;
-                    lanes!(self.w, mask, l, {
-                        let c = self.get(cond, l).as_b();
-                        self.traces[site as usize].record(l as u32, c as u64);
-                        if c {
-                            m_t |= 1 << l;
-                        }
-                    });
-                    let m_f = mask & !m_t;
-                    if m_t != 0 {
-                        self.run(t_start, e_start, m_t);
-                    }
-                    if m_f != 0 {
-                        self.run(e_start, end_if, m_f);
-                    }
-                    pc = end_if;
-                }
-                Op::Select { cond, dst, t_reg, f_reg, t_len, f_len } => {
-                    let t_start = pc + 1;
-                    let f_start = t_start + t_len as usize;
-                    let end_sel = f_start + f_len as usize;
-                    let mut m_t = 0u64;
-                    lanes!(self.w, mask, l, {
-                        if self.get(cond, l).as_b() {
-                            m_t |= 1 << l;
-                        }
-                    });
-                    let m_f = mask & !m_t;
-                    if m_t != 0 {
-                        self.run(t_start, f_start, m_t);
-                    }
-                    if m_f != 0 {
-                        self.run(f_start, end_sel, m_f);
-                    }
-                    lanes!(self.w, mask, l, {
-                        let v = if m_t >> l & 1 == 1 { self.get(t_reg, l) } else { self.get(f_reg, l) };
-                        self.set(dst, l, v);
-                    });
-                    pc = end_sel;
-                }
-                Op::For { var, hi_reg, step_reg, hi_len, step_len, body_len } => {
-                    let hi_start = pc + 1;
-                    let step_start = hi_start + hi_len as usize;
-                    let body_start = step_start + step_len as usize;
-                    let end_for = body_start + body_len as usize;
-                    let mut lm = mask;
-                    loop {
-                        if hi_len > 0 {
-                            self.run(hi_start, step_start, lm);
-                        }
-                        let mut next = 0u64;
-                        lanes!(self.w, lm, l, {
-                            self.lane_ops[l] += 1;
-                            if self.get(var, l).as_i() < self.get(hi_reg, l).as_i() {
-                                next |= 1 << l;
-                            }
-                        });
-                        lm = next;
-                        if lm == 0 {
-                            break;
-                        }
-                        self.run(body_start, end_for, lm);
-                        if step_len > 0 {
-                            self.run(step_start, body_start, lm);
-                        }
-                        lanes!(self.w, lm, l, {
-                            let cur = self.get(var, l).as_i();
-                            let st = self.get(step_reg, l).as_i();
-                            self.set(var, l, Value::I(cur + st));
-                            self.lane_ops[l] += 1;
-                        });
-                    }
-                    pc = end_for;
-                }
-                Op::While { cond, cond_len, body_len } => {
-                    let c_start = pc + 1;
-                    let b_start = c_start + cond_len as usize;
-                    let end_wh = b_start + body_len as usize;
-                    let mut lm = mask;
-                    loop {
-                        if cond_len > 0 {
-                            self.run(c_start, b_start, lm);
-                        }
-                        let mut take = 0u64;
-                        lanes!(self.w, lm, l, {
-                            if self.get(cond, l).as_b() {
-                                take |= 1 << l;
-                            }
-                        });
-                        if take == 0 {
-                            break;
-                        }
-                        lanes!(self.w, take, l, {
-                            self.lane_ops[l] += 1;
-                        });
-                        self.run(b_start, end_wh, take);
-                        lm = take;
-                    }
-                    pc = end_wh;
-                }
-                Op::CritEnter => {
-                    self.in_critical = true;
-                    pc += 1;
-                }
-                Op::CritExit => {
-                    self.in_critical = false;
-                    pc += 1;
-                }
-            }
-        }
-    }
-
-    fn flat_index(&self, a: usize, off: u32, len: u8, l: usize) -> usize {
-        let mut flat = 0usize;
-        for d in 0..len as usize {
-            let i = self.get(self.pool[off as usize + d], l).as_i();
-            let ext = self.ctx.extents[a][d];
-            assert!(
-                i >= 0 && (i as usize) < ext,
-                "index {} out of bounds (dim {} extent {}) on array {}",
-                i,
-                d,
-                ext,
-                self.ctx.prog.array_name(ArrayId(a as u32))
-            );
-            flat += i as usize * self.ctx.strides[a][d];
-        }
-        flat
-    }
-
-    fn account(&mut self, a: usize, flat: usize, site: u32, fast: i32, l: usize) {
-        let eb = self.ctx.elem_bytes[a] as u64;
-        if let Some(exp) = self.ctx.expansion[a] {
-            match exp {
-                Expansion::Register => {}
-                Expansion::RowWise => {
-                    let slot = self.ctx.priv_slot[a] as usize;
-                    let len = self.priv_bufs[slot * self.w + l].len() as u64;
-                    let tid = self.tid_base + l as u64;
-                    self.touched[site as usize] = true;
-                    self.traces[site as usize].record(l as u32, PRIV_BASE + (tid * len + flat as u64) * eb);
-                }
-                Expansion::ColumnWise => {
-                    let tid = self.tid_base + l as u64;
-                    self.touched[site as usize] = true;
-                    self.traces[site as usize]
-                        .record(l as u32, PRIV_BASE + (flat as u64 * self.ctx.total_threads + tid) * eb);
-                }
-            }
-            return;
-        }
-        let addr = self.ctx.base[a] + flat as u64 * eb;
-        if fast >= 0 {
-            self.fast_rows[fast as usize * self.w + l] = addr;
-        } else {
-            self.touched[site as usize] = true;
-            self.traces[site as usize].record(l as u32, addr);
-        }
-        if self.in_critical {
-            self.atomic += 1;
-        }
-    }
-
-    fn read(&self, a: usize, flat: usize, l: usize) -> Value {
-        if self.ctx.priv_slot[a] >= 0 {
-            let b = &self.priv_bufs[self.ctx.priv_slot[a] as usize * self.w + l];
-            if b.elem.is_float() {
-                Value::F(b.get_f(flat))
-            } else {
-                Value::I(b.get_i(flat))
-            }
-        } else {
-            let b = self.ctx.bufs[a];
-            if !b.is_alloc() {
-                panic!("kernel read of unallocated device array {a}");
-            }
-            if b.elem_is_float() {
-                Value::F(b.get_f(flat))
-            } else {
-                Value::I(b.get_i(flat))
-            }
-        }
-    }
-
-    fn write(&mut self, a: usize, flat: usize, v: Value, l: usize) {
-        if self.ctx.priv_slot[a] >= 0 {
-            let b = &mut self.priv_bufs[self.ctx.priv_slot[a] as usize * self.w + l];
-            if b.elem.is_float() {
-                b.set_f(flat, v.as_f());
-            } else {
-                b.set_i(flat, v.as_i());
-            }
-        } else {
-            let b = self.ctx.bufs[a];
-            if !b.is_alloc() {
-                panic!("kernel write of unallocated device array {a}");
-            }
-            if b.elem_is_float() {
-                b.set_f(flat, v.as_f());
-            } else {
-                b.set_i(flat, v.as_i());
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
-//! The GPU executor: runs a [`KernelPlan`] functionally, one simulated
-//! thread at a time, while collecting per-warp address traces that the
-//! simulator prices.
+//! The GPU executor: runs a [`KernelPlan`] functionally while collecting
+//! per-warp address traces that the simulator prices.
 //!
-//! Correctness: every thread executes the kernel body through the same
-//! evaluator as the CPU oracle, against device buffers; reductions are
-//! combined deterministically in (block, lane) order. Timing: per-warp
-//! traces are reduced to coalescing transactions, shared-memory slots,
-//! texture-cache misses, constant serialization and divergence penalties,
-//! then fed to [`acceval_sim::estimate_kernel`].
+//! Correctness: under [`Engine::Tree`] every thread executes the kernel body
+//! through the same evaluator as the CPU oracle, against device buffers;
+//! under the default engine whole warps run the plan's native closures
+//! ([`crate::interp::native`]), which reproduce that evaluator bit for bit.
+//! Reductions are combined deterministically in (block, lane) order.
+//! Timing: per-warp traces are reduced to coalescing transactions,
+//! shared-memory slots, texture-cache misses, constant serialization and
+//! divergence penalties, then fed to [`acceval_sim::estimate_kernel`].
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -25,7 +26,6 @@ use crate::expr::{Expr, Intrin};
 use crate::interp::bytecode::{self, intrin_cost};
 use crate::interp::launch_cache::{self, ArrayOut, LaunchEffect, LaunchKey};
 use crate::interp::native;
-use crate::interp::opt;
 use crate::interp::{eval_pure, row_major_strides, Interp, Machine};
 use crate::kernel::{Expansion, KernelPlan, MemSpace, ReduceStrategy};
 use crate::program::{eval_const, Program};
@@ -36,109 +36,66 @@ use crate::types::{ArrayId, ScalarId, SiteId, Value, VarRef};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// The reference tree-walking interpreter: one simulated thread at a
-    /// time through [`Interp`]. Always available; also the fallback for
-    /// bodies the bytecode compiler bails on (e.g. function calls).
+    /// time through [`Interp`]. Always available.
     Tree,
-    /// The compiled bytecode engine ([`crate::interp::bytecode`]): whole
-    /// warps in lockstep over a SoA register file. The default. All scores
-    /// and statistics are bit-identical to the tree engine.
+    /// The default: the plan's compiled native closures
+    /// ([`crate::interp::native`]), built through compile, optimize and
+    /// typed lowering, executing whole warps in lockstep. A launch without
+    /// closures (a body with calls, a body the typed lowering rejects, or a
+    /// warp width other than the one the closures were built for) runs on
+    /// the tree walker. All scores and statistics are bit-identical to
+    /// [`Engine::Tree`].
     Bytecode,
-    /// The native closure tier ([`crate::interp::native`]): the typed
-    /// optimized stream compiled into monomorphized Rust closures. Requires
-    /// the optimizer's typed lowering; plans without one fall back to
-    /// bytecode. Bit-identical to both lower tiers.
-    Native,
 }
 
-/// Engine selection as configured: a fixed engine for every launch, or
-/// `auto` — bytecode with per-plan hotness-driven promotion to the native
-/// tier (see [`native::native_threshold`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineSel {
-    /// Every launch runs this engine (modulo per-body fallbacks).
-    Fixed(Engine),
-    /// Bytecode until a plan's launch count or accumulated simulated cost
-    /// crosses the hotness threshold; native from then on.
-    Auto,
-}
-
-/// Process-wide override: 0 = unset (use env), 1 = tree, 2 = bytecode,
-/// 3 = native, 4 = auto.
+/// Process-wide override: 0 = unset (use env), 1 = tree, 2 = bytecode.
 static ENGINE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static ENGINE_FROM_ENV: OnceLock<EngineSel> = OnceLock::new();
+static ENGINE_FROM_ENV: OnceLock<Engine> = OnceLock::new();
 
-/// The engine selection for kernel execution: an override installed by
-/// [`set_engine_sel_override`]/[`set_engine_override`] wins, else the
-/// `ACCEVAL_ENGINE` environment variable (`tree` | `bytecode` | `native` |
-/// `auto`), else [`Engine::Bytecode`].
-pub fn engine_sel() -> EngineSel {
+/// The engine for kernel execution: an override installed by
+/// [`set_engine_override`] wins, else the `ACCEVAL_ENGINE` environment
+/// variable (`tree` | `bytecode`), else [`Engine::Bytecode`].
+pub fn engine() -> Engine {
     match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => return EngineSel::Fixed(Engine::Tree),
-        2 => return EngineSel::Fixed(Engine::Bytecode),
-        3 => return EngineSel::Fixed(Engine::Native),
-        4 => return EngineSel::Auto,
+        1 => return Engine::Tree,
+        2 => return Engine::Bytecode,
         _ => {}
     }
     *ENGINE_FROM_ENV.get_or_init(|| match std::env::var("ACCEVAL_ENGINE") {
-        // Fail soft to the default engine on a malformed value: all tiers
+        // Fail soft to the default engine on a malformed value: both engines
         // are bit-identical by contract, so the worst outcome of a typo is
         // the default's performance profile. Front-end binaries catch the
         // typo up front via `crate::env::validate_env`.
-        Ok(s) => match crate::env::parse_engine_name(&s) {
-            Ok("tree") => EngineSel::Fixed(Engine::Tree),
-            Ok("native") => EngineSel::Fixed(Engine::Native),
-            Ok("auto") => EngineSel::Auto,
-            _ => EngineSel::Fixed(Engine::Bytecode),
-        },
-        Err(_) => EngineSel::Fixed(Engine::Bytecode),
+        Ok(s) if crate::env::parse_engine_name(&s) == Ok("tree") => Engine::Tree,
+        _ => Engine::Bytecode,
     })
-}
-
-/// The fixed engine the current selection starts launches on (`auto`
-/// resolves to [`Engine::Bytecode`] — promotion is per plan, not global).
-pub fn engine() -> Engine {
-    match engine_sel() {
-        EngineSel::Fixed(e) => e,
-        EngineSel::Auto => Engine::Bytecode,
-    }
 }
 
 /// Force an engine for this process (tests/benches), overriding the
 /// environment. `None` returns control to `ACCEVAL_ENGINE`.
 pub fn set_engine_override(e: Option<Engine>) {
-    set_engine_sel_override(e.map(EngineSel::Fixed));
-}
-
-/// Force a full engine *selection* — including [`EngineSel::Auto`] — for
-/// this process, overriding the environment. `None` returns control to
-/// `ACCEVAL_ENGINE`.
-pub fn set_engine_sel_override(s: Option<EngineSel>) {
-    let v = match s {
+    let v = match e {
         None => 0,
-        Some(EngineSel::Fixed(Engine::Tree)) => 1,
-        Some(EngineSel::Fixed(Engine::Bytecode)) => 2,
-        Some(EngineSel::Fixed(Engine::Native)) => 3,
-        Some(EngineSel::Auto) => 4,
+        Some(Engine::Tree) => 1,
+        Some(Engine::Bytecode) => 2,
     };
     ENGINE_OVERRIDE.store(v, Ordering::Relaxed);
 }
 
-/// Short name of the active engine selection, for reports and manifests.
+/// Short name of the active engine, for reports and manifests.
 pub fn engine_name() -> &'static str {
-    match engine_sel() {
-        EngineSel::Fixed(Engine::Tree) => "tree",
-        EngineSel::Fixed(Engine::Bytecode) => "bytecode",
-        EngineSel::Fixed(Engine::Native) => "native",
-        EngineSel::Auto => "auto",
+    match engine() {
+        Engine::Tree => "tree",
+        Engine::Bytecode => "bytecode",
     }
 }
 
 /// Intra-launch block-parallelism policy (`ACCEVAL_LAUNCH_PAR`). Applies
-/// only to the bytecode engine and only to launches the hazard analysis
-/// proves block-independent ([`crate::interp::bytecode`]'s `par_blocks_ok`);
-/// everything else runs the serial block walk regardless of policy. Results
-/// are bit-identical either way — parallel chunks journal every
-/// order-sensitive accumulation and fold in block order.
+/// only to launches on the native closures, and only to those the hazard
+/// analysis proves block-independent ([`crate::interp::bytecode`]'s
+/// `par_blocks_ok`); everything else runs the serial block walk regardless
+/// of policy. Results are bit-identical either way — parallel chunks journal
+/// every order-sensitive accumulation and fold in block order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaunchPar {
     /// Parallel when eligible and the scheduling context asks for it: the
@@ -429,7 +386,7 @@ impl<'a> WarpMachine<'a> {
 }
 
 /// Base address for the expanded private-array segment (kept clear of real
-/// arrays so traces never alias). Shared with the bytecode engine.
+/// arrays so traces never alias). Shared with the native executor.
 pub(crate) const PRIV_BASE: u64 = 1 << 40;
 
 impl Machine for WarpMachine<'_> {
@@ -460,7 +417,7 @@ impl Machine for WarpMachine<'_> {
 
     fn intrin(&mut self, f: Intrin) {
         // GPUs have SFUs: transcendental ops are cheap relative to CPUs.
-        // (Cost table shared with the bytecode engine.)
+        // (Cost table shared with the bytecode compiler.)
         self.lane_ops[self.lane as usize] += intrin_cost(f);
     }
 
@@ -513,7 +470,7 @@ pub fn launch_with_engine(
     cfg: &DeviceConfig,
     eng: Engine,
 ) -> LaunchResult {
-    launch_impl(prog, plan, dev, scal, cfg, &mut NullSink, EngineSel::Fixed(eng))
+    launch_impl(prog, plan, dev, scal, cfg, &mut NullSink, eng)
 }
 
 /// [`launch_traced`] with an explicit engine choice.
@@ -526,7 +483,7 @@ pub fn launch_traced_with_engine(
     sink: &mut dyn TraceSink,
     eng: Engine,
 ) -> LaunchResult {
-    launch_impl(prog, plan, dev, scal, cfg, sink, EngineSel::Fixed(eng))
+    launch_impl(prog, plan, dev, scal, cfg, sink, eng)
 }
 
 /// [`launch`], emitting structured trace events into `sink`: one
@@ -543,7 +500,7 @@ pub fn launch_traced(
     cfg: &DeviceConfig,
     sink: &mut dyn TraceSink,
 ) -> LaunchResult {
-    launch_impl(prog, plan, dev, scal, cfg, sink, engine_sel())
+    launch_impl(prog, plan, dev, scal, cfg, sink, engine())
 }
 
 fn launch_impl(
@@ -553,20 +510,8 @@ fn launch_impl(
     scal: &mut [Value],
     cfg: &DeviceConfig,
     sink: &mut dyn TraceSink,
-    sel: EngineSel,
+    eng: Engine,
 ) -> LaunchResult {
-    // Hotness bookkeeping runs before the launch-cache probe so a plan's
-    // promotion point is identical with the cache on or off.
-    let n_launch = plan.engine_cache.note_launch();
-    let eng = match sel {
-        EngineSel::Fixed(e) => e,
-        EngineSel::Auto => Engine::Bytecode,
-    };
-    let native_want = match sel {
-        EngineSel::Fixed(Engine::Native) => true,
-        EngineSel::Auto => n_launch > native::native_threshold() || plan.engine_cache.sim_us() >= native::HOT_SIM_US,
-        EngineSel::Fixed(_) => false,
-    };
     assert!(
         plan.site_count > 0 || plan.body.iter().all(|s| !matches!(s, Stmt::Store { .. })),
         "plan must be finalized"
@@ -673,33 +618,11 @@ fn launch_impl(
     // scalars, readable array contents): probe the content-addressed cache
     // and replay the captured effect on a hit. Opaque bodies (calls into
     // program functions) have an unbounded effect set and always execute.
+    // The engine is not part of the key: both engines produce bit-identical
+    // effects, so a replay is valid whichever engine captured it.
     let arrays = body_arrays(plan, &red_arrays);
-    // Optimizer activation is part of the launch identity: effects are
-    // byte-identical by contract, but keying the mode keeps a cached effect
-    // from ever crossing an optimizer boundary.
-    let opt_on = matches!(eng, Engine::Bytecode | Engine::Native) && opt::opt_enabled();
-    // The native tier compiles from the optimizer's typed lowering; with the
-    // optimizer off or no typed stream (checked below), native launches fall
-    // back to bytecode.
-    let native_k =
-        if native_want && opt_on { plan.engine_cache.get_or_native(prog, plan, cfg.warp_size as usize) } else { None };
-    if native_want {
-        if native_k.is_some() {
-            // Under `auto`, the first launch past the threshold that also
-            // compiled is the promotion event.
-            if sel == EngineSel::Auto && plan.engine_cache.mark_promoted(n_launch) {
-                native::note_promotion();
-            }
-        } else {
-            native::note_ineligible();
-        }
-    }
-    // The effective tier is part of the launch identity (folded into the
-    // key): effects are byte-identical across tiers by contract, but keying
-    // the tier keeps a cached effect from ever crossing a tier boundary.
-    let eff_eng = if native_k.is_some() { Engine::Native } else { eng };
     let cache_key = if launch_cache::launch_cache_enabled() && !arrays.opaque && !has_tex {
-        Some(build_launch_key(plan, dev, cfg, scal, &extents, eff_eng, opt_on, traced, &arrays))
+        Some(build_launch_key(plan, dev, cfg, scal, &extents, traced, &arrays))
     } else {
         None
     };
@@ -709,11 +632,7 @@ fn launch_impl(
                 launch_cache::ProbeTier::Memory => launch_cache::note_hit(),
                 launch_cache::ProbeTier::Disk => launch_cache::note_disk_hit(),
             }
-            let result = replay_effect(&effect, dev, scal, sink, traced);
-            // Replays still feed the hotness cost signal — promotion points
-            // must not depend on whether the cache happened to hit.
-            plan.engine_cache.note_sim_cost(result.cost.time_secs);
-            return result;
+            return replay_effect(&effect, dev, scal, sink, traced);
         }
         launch_cache::note_miss();
     }
@@ -732,29 +651,24 @@ fn launch_impl(
     let mut active_threads = 0u64;
     let partials_in_shared = matches!(plan.reduce_strategy, ReduceStrategy::TwoLevelTree { partials_in_shared: true });
 
-    // Engine dispatch: the bytecode engine handles everything its compiler
-    // accepts; bodies out of scope (e.g. with calls) fall back to the tree
-    // walker even when the bytecode engine is selected.
-    let opt_k = if opt_on { plan.engine_cache.get_or_optimize(prog, plan) } else { None };
-    let bc = if matches!(eng, Engine::Bytecode | Engine::Native) {
-        plan.engine_cache.get_or_compile(prog, plan)
-    } else {
-        None
+    // Engine dispatch: the default engine runs the plan's native closures,
+    // built here on the first launch that executes (never on a replay).
+    // Launches without closures run on the tree walker.
+    let native_k = match eng {
+        Engine::Bytecode => {
+            let nk = plan.engine_cache.get_or_native(prog, plan, warp as usize);
+            if nk.is_some() {
+                native::note_native_launch();
+            } else {
+                native::note_tree_fallback();
+            }
+            nk
+        }
+        Engine::Tree => None,
     };
 
-    if let Some(bc) = bc {
-        if native_k.is_some() {
-            native::note_native_launch();
-            plan.engine_cache.note_native_launch();
-        }
-        // With the optimizer active, the executed stream is the optimized
-        // one; metadata (axis/reduction registers, fast sites, pricing
-        // flags) is identical between the two by construction.
-        let bc: &bytecode::KernelBytecode = match &opt_k {
-            Some(ok) => ok.bytecode(),
-            None => &bc,
-        };
-        assert!(warp as usize <= 64, "active-lane masks hold at most 64 lanes");
+    if let Some(nk) = &native_k {
+        let bc = &nk.opt.bc;
         let mut expansion: Vec<Option<Expansion>> = vec![None; prog.arrays.len()];
         let mut priv_slot: Vec<i32> = vec![-1; prog.arrays.len()];
         for (k, &(a, _, _)) in priv_shapes.iter().enumerate() {
@@ -841,9 +755,8 @@ fn launch_impl(
         let g = GridCtx {
             prog,
             plan,
+            nk,
             bc,
-            opt: opt_k.as_deref(),
-            native: native_k.as_deref(),
             cfg,
             site_kinds: &site_kinds,
             views: &views,
@@ -1191,7 +1104,6 @@ fn launch_impl(
     }
 
     let result = LaunchResult { cost, totals, footprint, active_threads };
-    plan.engine_cache.note_sim_cost(result.cost.time_secs);
     if let Some(key) = cache_key {
         // Capture the launch's complete effect: output deltas + digests
         // (which also prime the freshly bumped generation memos), scalar
@@ -1278,8 +1190,6 @@ fn build_launch_key(
     cfg: &DeviceConfig,
     scal: &[Value],
     extents: &[Vec<usize>],
-    eng: Engine,
-    opt: bool,
     traced: bool,
     arrays: &BodyArrays,
 ) -> LaunchKey {
@@ -1330,12 +1240,6 @@ fn build_launch_key(
             block: plan.block,
             shared_bytes: plan.shared_bytes_per_block,
             regs: plan.regs_per_thread,
-            engine: match eng {
-                Engine::Tree => 0,
-                Engine::Bytecode => 1,
-                Engine::Native => 2,
-            },
-            opt,
             traced,
             cfg_digest: (cfgd.finish() >> 64) as u64 ^ cfgd.finish() as u64,
             layout_digest: (lay.finish() >> 64) as u64 ^ lay.finish() as u64,
@@ -1451,18 +1355,15 @@ fn diff_and_digest(pre: Option<&Buffer>, post: &Buffer) -> (ArrayOut, u128) {
 }
 
 /// Launch-wide immutable context shared by every block-chunk executor of
-/// one bytecode launch. Everything is a plain borrow or `Copy` geometry, so
+/// one native launch. Everything is a plain borrow or `Copy` geometry, so
 /// a reference to it crosses scoped-thread boundaries.
 struct GridCtx<'a> {
     prog: &'a Program,
     plan: &'a KernelPlan,
+    nk: &'a native::NativeKernel,
+    /// The optimized stream the closures were built from (`nk.opt.bc`):
+    /// register layout, fast-site table and pricing flags.
     bc: &'a bytecode::KernelBytecode,
-    /// Optimized kernel when `ACCEVAL_OPT` resolved to enabled and the plan
-    /// optimized; `bc` then aliases its post-optimization stream.
-    opt: Option<&'a opt::OptKernel>,
-    /// Native closure kernel when this launch runs the native tier (forced
-    /// or hotness-promoted); `opt` is always `Some` alongside it.
-    native: Option<&'a native::NativeKernel>,
     cfg: &'a DeviceConfig,
     site_kinds: &'a [SiteKind],
     views: &'a [bytecode::RawBuf],
@@ -1779,18 +1680,7 @@ fn run_block_range(
 ) {
     let bc = g.bc;
     let wu = g.warp as usize;
-    match g.opt {
-        Some(ok) => opt::begin_launch_opt(
-            ok,
-            scratch,
-            wu,
-            g.plan.site_count as usize,
-            g.priv_elems,
-            g.base_env,
-            g.cfg.segment_bytes,
-        ),
-        None => scratch.begin_launch(bc, wu, g.plan.site_count as usize, g.priv_elems, g.base_env, g.cfg.segment_bytes),
-    }
+    native::begin_launch(g.nk, scratch, g.plan.site_count as usize, g.priv_elems, g.base_env, g.cfg.segment_bytes);
     let mut ax0 = vec![0i64; wu];
     let mut ax1 = vec![0i64; wu];
     let mut row: Vec<(u32, u64)> = Vec::with_capacity(wu);
@@ -1853,45 +1743,24 @@ fn run_block_range(
             }
             out.active_threads += mask.count_ones() as u64;
             // A pricing-cached block discards its warps' evidence; the
-            // native tier's functional-only variant neither reads nor
-            // writes it, so the evidence resets can be skipped with it.
-            let functional = cached && g.native.is_some() && g.opt.is_some();
-            if functional {
+            // functional-only closures neither read nor write it, so the
+            // evidence resets can be skipped with it.
+            if cached {
                 scratch.begin_warp_functional(bc, g.base_env);
             } else {
                 scratch.begin_warp(bc, g.base_env);
             }
-            // Per-lane prologue: axis variables, scalar-reduction
-            // identities, private-array scratch reset. Functional warps
-            // take their axis values through the typed I bank directly —
-            // the native kernel skips the axis import for them, and nothing
-            // else reads the Value axis rows of a discarded-evidence warp.
+            // Per-lane prologue: axis variables (straight into the typed I
+            // bank), scalar-reduction identities, private-array scratch reset.
             let a0 = bc.axis_regs[0] as usize;
             let a1 = if g.plan.axes.len() > 1 { Some(bc.axis_regs[1] as usize) } else { None };
-            if functional {
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    scratch.iregs[a0 * wu + l] = ax0[l];
-                    if let Some(a1) = a1 {
-                        scratch.iregs[a1 * wu + l] = ax1[l];
-                    }
-                }
-            } else {
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    scratch.regs[a0 * wu + l] = Value::I(ax0[l]);
-                }
+            let mut m = mask;
+            while m != 0 {
+                let l = m.trailing_zeros() as usize;
+                m &= m - 1;
+                scratch.iregs[a0 * wu + l] = ax0[l];
                 if let Some(a1) = a1 {
-                    let mut m = mask;
-                    while m != 0 {
-                        let l = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        scratch.regs[a1 * wu + l] = Value::I(ax1[l]);
-                    }
+                    scratch.iregs[a1 * wu + l] = ax1[l];
                 }
             }
             for (k, &(_, op, isf)) in g.red_scalar.iter().enumerate() {
@@ -1925,11 +1794,7 @@ fn run_block_range(
             }
             // Execute the warp in lockstep.
             let tid_base = blk * g.tpb as u64 + w * g.warp as u64;
-            let atomic = match (g.native, g.opt) {
-                (Some(nk), Some(ok)) => native::exec_warp_native(nk, ok, scratch, &ctx, mask, tid_base, !cached),
-                (_, Some(ok)) => opt::exec_warp_opt(ok, scratch, &ctx, mask, tid_base),
-                _ => bytecode::exec_warp(bc, scratch, &ctx, mask, tid_base),
-            };
+            let atomic = native::exec_warp_native(g.nk, scratch, &ctx, mask, tid_base, !cached);
             // Fold reductions in ascending lane order — the same combine
             // sequence the tree path produces (journaled chunks replay it
             // at fold time). With no reductions the lane scan is a no-op;
@@ -2045,7 +1910,7 @@ fn run_block_range(
 /// Price one warp's worth of execution evidence into `totals`.
 ///
 /// Shared by both engines: the tree walker feeds it from `WarpMachine`
-/// state, the bytecode engine from its thread-local `WarpScratch`. Keeping
+/// state, the native executor from its pooled `WarpScratch`. Keeping
 /// a single pricing routine is what makes the two engines bit-identical on
 /// everything downstream of the traces.
 #[allow(clippy::too_many_arguments)]
@@ -2070,7 +1935,7 @@ fn price_warp(
     let mut divergent_rows = 0u64;
     let mut extra_issue = 0.0f64;
     for (i, tr) in traces.iter().enumerate() {
-        // The bytecode engine tracks which sites recorded anything this
+        // The native executor tracks which sites recorded anything this
         // warp; skipping the rest changes nothing (empty traces price to
         // zero) but avoids scanning every lane stream of every site.
         if touched.is_some_and(|t| !t[i]) {

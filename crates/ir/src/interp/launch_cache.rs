@@ -244,15 +244,6 @@ pub struct LaunchKey {
     pub shared_bytes: u32,
     /// Registers per thread (occupancy input).
     pub regs: u32,
-    /// Effective executing tier (tree = 0, bytecode = 1, native = 2; an
-    /// `auto` launch keys the tier it resolved to). The tiers are
-    /// bit-identical by contract, but keeping entries separate costs one
-    /// duplicate capture and buys independence from that contract.
-    pub engine: u8,
-    /// Whether the bytecode optimizer was active for the launch. Optimized
-    /// and unoptimized streams are byte-identical by contract; like
-    /// `engine`, keying the mode buys independence from that contract.
-    pub opt: bool,
     /// Whether the launch was traced (traced entries carry an event slice).
     pub traced: bool,
     /// Digest of the device configuration.

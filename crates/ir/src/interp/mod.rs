@@ -1,13 +1,24 @@
-//! Tree-walking evaluator, generic over the executing machine.
+//! Tree-walking evaluator, generic over the executing machine, and the
+//! executors built around it.
 //!
 //! One evaluator serves three roles:
 //! * the **sequential CPU baseline** ([`cpu::CpuMachine`]) — the paper's
-//!   "serial on the CPU" reference that speedups are measured against;
+//!   "serial on the CPU" reference that speedups are measured against
+//!   (executed by its compiled form, `seq`, and checked against this
+//!   evaluator bit for bit);
 //! * **host portions** of GPU versions (same machine, driven by the runtime
 //!   in `acceval` with [`Hooks`] intercepting regions/directives);
-//! * **GPU thread bodies** ([`gpu`]) — each simulated thread runs the kernel
-//!   body through this evaluator against a warp-level machine that records
-//!   address traces.
+//! * **GPU thread bodies** ([`gpu`]) — under `ACCEVAL_ENGINE=tree` each
+//!   simulated thread runs the kernel body through this evaluator against a
+//!   warp-level machine that records address traces. This is the reference
+//!   the compiled executor must match, and its fallback.
+//!
+//! The default engine runs kernel bodies through one compiled pipeline
+//! instead: [`bytecode`] compiles the body, [`opt`] optimizes the stream and
+//! lowers it onto typed register banks, and [`native`] turns that into
+//! closures that execute whole warps in lockstep. A launch the pipeline does
+//! not cover runs on this evaluator. [`launch_cache`] and [`store`]
+//! memoize launch effects in memory and on disk.
 
 pub mod bytecode;
 pub mod cpu;

@@ -1,19 +1,18 @@
-//! Native engine tier: the typed/optimized stream of [`super::opt`]
-//! translated into composed, monomorphized Rust closures.
+//! Native closures: the compiled kernel executor, and the last stage of
+//! the pipeline compile ([`super::bytecode`]), optimize and lower onto typed
+//! register banks ([`super::opt`]), compile to closures (this module).
 //!
-//! Where the typed VM ([`super::opt`]'s `TVm`) still walks a `TOp` slice and
-//! dispatches on the instruction tag at every step, this tier resolves that
-//! dispatch — and every register-file offset, pool lookup, and operator
-//! selection — once at compile time, producing a tree of boxed closures that
-//! execute the warp directly:
+//! The typed stream becomes a tree of boxed, monomorphized Rust closures
+//! that execute a warp directly. Instruction dispatch, register-file
+//! offsets, pool lookups and operator selection are all resolved once, when
+//! the closures are built:
 //!
 //! * every SoA register row is addressed through a **fixed offset** captured
 //!   in the closure (`reg * warp`), so the hot loop performs no multiplies
 //!   and no pool indirections;
-//! * element ops on a **fully active warp** copy their operand rows into
-//!   stack buffers and run tight ascending-lane loops the compiler can
-//!   unroll and vectorize; partially masked warps fall back to the exact
-//!   bit-scan schedule of the VM;
+//! * element ops on a **fully active warp** run tight ascending-lane loops
+//!   over directly borrowed rows the compiler can unroll and vectorize;
+//!   partially masked warps walk the active lanes in ascending bit order;
 //! * **fast-path loads/stores** (the sites the affine-row analysis already
 //!   proved uniformly priced) specialize on index arity, hoist the extent
 //!   checks to a whole-row test, and only drop to the per-lane path when a
@@ -21,131 +20,60 @@
 //! * **inner `For` loops** whose bounds are warp-uniform, unwritten by the
 //!   body, and overflow-safe run as a counted loop with the trip count
 //!   computed once and the per-iteration check/increment charges bulk-added
-//!   (the charge total per lane is identical to the VM's);
-//! * the **uniform scalar prelude** is unchanged — it already runs once per
-//!   launch via [`super::opt::begin_launch_opt`].
+//!   (the per-lane charge total is unchanged);
+//! * the optimizer's **uniform scalar prelude** runs once per launch, in
+//!   `begin_launch`.
 //!
-//! **Cost transparency.** Like the optimizer, this tier changes no
-//! observable number: op charges land on the same lanes in the same totals,
-//! site traces record the same addresses in the same order, divergence
-//! records and panic messages are identical. The `native_equiv` suites
-//! assert figure/trace byte-identity against both lower tiers.
+//! **Cost transparency.** This executor changes no observable number: op
+//! charges land on the same lanes in the same totals as under the tree
+//! walker, site traces record the same addresses in the same order, and
+//! divergence records and panic messages are identical. The `engine_equiv`
+//! suites assert buffer, trace and figure byte-identity against the tree
+//! walker.
 //!
-//! **Promotion.** Plans reach this tier when `ACCEVAL_ENGINE=native` forces
-//! it, or under `ACCEVAL_ENGINE=auto` by hotness: once a plan's launch count
-//! crosses [`native_threshold`] (`ACCEVAL_NATIVE_THRESHOLD`, default 8) or
-//! its trace-attributed simulated cost crosses [`HOT_SIM_US`], subsequent
-//! launches compile (once, cached in `EngineCache`) and run natively.
-//! Bodies without a typed lowering fall back to the bytecode tier cleanly.
+//! **When it runs.** Under the default engine a launch runs here whenever
+//! its plan has a typed lowering. The closures are built once per plan, on
+//! the first launch that executes (a launch replayed from the launch cache
+//! builds nothing), and cached in `EngineCache`. Every other launch — a body
+//! with calls, a body the typed lowering rejects, or a warp width other
+//! than the one the cached closures were built for — runs on the tree
+//! walker and counts as a tree fallback.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 use crate::expr::{BinOp, Intrin};
 use crate::kernel::Expansion;
 use crate::types::{ArrayId, Value};
 
-use super::bytecode::{full_mask, lanes, ExecCtx, WarpScratch};
+use super::bytecode::{ExecCtx, WarpScratch};
 use super::gpu::PRIV_BASE;
-use super::opt::{Bank, OptKernel, TOp};
-
-// ---------------------------------------------------------------------------
-// Knobs
-// ---------------------------------------------------------------------------
-
-/// Accumulated trace-attributed launch cost (simulated microseconds) past
-/// which `ACCEVAL_ENGINE=auto` promotes a plan even before the launch-count
-/// threshold: a handful of expensive launches is as hot as many cheap ones.
-pub(crate) const HOT_SIM_US: u64 = 200_000;
-
-/// Process-wide threshold override: 0 = unset, else threshold + 1.
-static THRESH_OVERRIDE: AtomicU64 = AtomicU64::new(0);
-static THRESH_FROM_ENV: OnceLock<u64> = OnceLock::new();
-
-/// The launch count past which `auto` promotes a plan to the native tier.
-/// An override installed by [`set_native_threshold_override`] wins, else
-/// `ACCEVAL_NATIVE_THRESHOLD`, else 8. Malformed values fail soft to the
-/// default — results are bit-identical across tiers by contract, so the
-/// worst outcome of a typo is a performance profile; front-end binaries
-/// catch it up front via [`crate::env::validate_env`].
-pub fn native_threshold() -> u64 {
-    let o = THRESH_OVERRIDE.load(Ordering::Relaxed);
-    if o != 0 {
-        return o - 1;
-    }
-    *THRESH_FROM_ENV.get_or_init(|| match std::env::var("ACCEVAL_NATIVE_THRESHOLD") {
-        Ok(s) => crate::env::parse_native_threshold(&s).map(|t| t.min(u64::MAX - 1)).unwrap_or(8),
-        Err(_) => 8,
-    })
-}
-
-/// Force a promotion threshold for this process (tests/benches), overriding
-/// the environment. `None` returns control to `ACCEVAL_NATIVE_THRESHOLD`.
-pub fn set_native_threshold_override(t: Option<u64>) {
-    let v = match t {
-        None => 0,
-        Some(v) => v.min(u64::MAX - 1) + 1,
-    };
-    THRESH_OVERRIDE.store(v, Ordering::Relaxed);
-}
+use super::opt::{run_prelude, Bank, OptKernel, TOp, TypedKernel};
 
 // ---------------------------------------------------------------------------
 // Counters
 // ---------------------------------------------------------------------------
 
-static NATIVE_KERNELS: AtomicU64 = AtomicU64::new(0);
-static NATIVE_COMPILE_NANOS: AtomicU64 = AtomicU64::new(0);
-static NATIVE_LAUNCHES: AtomicU64 = AtomicU64::new(0);
-static NATIVE_PROMOTIONS: AtomicU64 = AtomicU64::new(0);
-static NATIVE_INELIGIBLE: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static TL_LAUNCHES: Cell<u64> = const { Cell::new(0) };
-    static TL_PROMOTIONS: Cell<u64> = const { Cell::new(0) };
-    static TL_INELIGIBLE: Cell<u64> = const { Cell::new(0) };
+    static TL_TREE_FALLBACKS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// A launch executed through the native tier (counted on the launching
+/// A launch executed through the native closures (counted on the launching
 /// thread, before any chunk workers fan out, so sweeps can attribute it).
 pub(crate) fn note_native_launch() {
-    NATIVE_LAUNCHES.fetch_add(1, Ordering::Relaxed);
     TL_LAUNCHES.with(|c| c.set(c.get() + 1));
 }
 
-/// A plan crossed the hotness threshold under `auto` and was promoted.
-pub(crate) fn note_promotion() {
-    NATIVE_PROMOTIONS.fetch_add(1, Ordering::Relaxed);
-    TL_PROMOTIONS.with(|c| c.set(c.get() + 1));
+/// A launch the default engine handed to the tree walker (no typed
+/// lowering, or a warp width the cached closures were not built for).
+pub(crate) fn note_tree_fallback() {
+    TL_TREE_FALLBACKS.with(|c| c.set(c.get() + 1));
 }
 
-/// A native-tier launch fell back to bytecode (no typed lowering, optimizer
-/// off, or an incompatible warp width).
-pub(crate) fn note_ineligible() {
-    NATIVE_INELIGIBLE.fetch_add(1, Ordering::Relaxed);
-    TL_INELIGIBLE.with(|c| c.set(c.get() + 1));
-}
-
-fn note_compile(nanos: u64) {
-    NATIVE_KERNELS.fetch_add(1, Ordering::Relaxed);
-    NATIVE_COMPILE_NANOS.fetch_add(nanos, Ordering::Relaxed);
-}
-
-/// This thread's `(native launches, promotions, ineligible fallbacks)`.
-pub fn thread_native_counters() -> (u64, u64, u64) {
-    (TL_LAUNCHES.with(Cell::get), TL_PROMOTIONS.with(Cell::get), TL_INELIGIBLE.with(Cell::get))
-}
-
-/// Process-wide `(kernels compiled, compile nanos, native launches,
-/// promotions, ineligible fallbacks)`.
-pub fn native_totals() -> (u64, u64, u64, u64, u64) {
-    (
-        NATIVE_KERNELS.load(Ordering::Relaxed),
-        NATIVE_COMPILE_NANOS.load(Ordering::Relaxed),
-        NATIVE_LAUNCHES.load(Ordering::Relaxed),
-        NATIVE_PROMOTIONS.load(Ordering::Relaxed),
-        NATIVE_INELIGIBLE.load(Ordering::Relaxed),
-    )
+/// This thread's `(native launches, tree fallbacks)`.
+pub fn thread_native_counters() -> (u64, u64) {
+    (TL_LAUNCHES.with(Cell::get), TL_TREE_FALLBACKS.with(Cell::get))
 }
 
 // ---------------------------------------------------------------------------
@@ -156,9 +84,40 @@ pub fn native_totals() -> (u64, u64, u64, u64, u64) {
 /// also the executor-wide ceiling).
 const MAX_W: usize = 64;
 
-/// Mutable warp state the compiled closures execute against: the same
-/// scratch views as the typed VM, minus the instruction stream (which now
-/// lives inside the closures).
+/// All-lanes-active mask for a `w`-lane warp.
+#[inline]
+pub(crate) fn full_mask(w: usize) -> u64 {
+    if w >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << w) - 1
+    }
+}
+
+/// Iterate the active lanes of `mask`. The all-active case (the common one
+/// on interior warps) runs as a plain `0..w` loop — no per-lane bit
+/// scanning, and the compiler can hoist the register-file bounds checks.
+macro_rules! lanes {
+    ($w:expr, $mask:expr, $l:ident, $body:block) => {
+        let w_ = $w;
+        let m_: u64 = $mask;
+        if m_ == full_mask(w_) {
+            for $l in 0..w_ {
+                $body
+            }
+        } else {
+            let mut m = m_;
+            while m != 0 {
+                let $l = m.trailing_zeros() as usize;
+                m &= m - 1;
+                $body
+            }
+        }
+    };
+}
+
+/// Mutable warp state the compiled closures execute against: the typed
+/// register banks and evidence arrays of the [`WarpScratch`] arena.
 pub(crate) struct NState<'a, 'b> {
     w: usize,
     f: &'a mut [f64],
@@ -176,7 +135,7 @@ pub(crate) struct NState<'a, 'b> {
 }
 
 impl NState<'_, '_> {
-    /// Slow-path flat index: identical checks and panic message to the VMs.
+    /// Slow-path flat index: the tree walker's checks and panic message.
     /// `offs` holds the pre-resolved register-row offsets of the index
     /// registers (pool lookups were done at compile time).
     fn flat_index(&self, a: usize, offs: &[usize], l: usize) -> usize {
@@ -197,7 +156,9 @@ impl NState<'_, '_> {
         flat
     }
 
-    /// Slow-path accounting: verbatim the typed VM's `account`.
+    /// Slow-path accounting: the address the tree walker's `WarpMachine`
+    /// records for this access, routed to the site trace or, for a fast
+    /// site, to its address row.
     fn account(&mut self, a: usize, flat: usize, site: u32, fast: i32, l: usize) {
         let eb = self.ctx.elem_bytes[a] as u64;
         if let Some(exp) = self.ctx.expansion[a] {
@@ -249,8 +210,8 @@ fn run_seq(seq: &[Thunk], st: &mut NState<'_, '_>, mask: u64) {
 
 /// A kernel body compiled to composed closures, specialized for one warp
 /// width (the register-file offsets are baked in). Cached per plan in
-/// `EngineCache`; a launch with a different warp width falls back to
-/// bytecode.
+/// `EngineCache`; a launch with a different warp width runs on the tree
+/// walker.
 ///
 /// Two sequences are compiled from the same stream:
 ///
@@ -266,20 +227,13 @@ fn run_seq(seq: &[Thunk], st: &mut NState<'_, '_>, mask: u64) {
 ///   number still comes out bit-identical — the evidence it skips was
 ///   already priced by the cached block's representative.
 pub struct NativeKernel {
+    /// The optimized kernel the closures were built from: launches read its
+    /// register layout, prelude, fast-site table and pricing flags.
+    pub(crate) opt: Arc<OptKernel>,
     thunks: Vec<Thunk>,
     fast_thunks: Vec<Thunk>,
-    /// Per-warp imports that are axis registers: the launch loop's prologue
-    /// writes these straight into the typed I bank for functional
-    /// (pricing-cached) warps, so only evidence warps convert them from the
-    /// `Value` file.
-    imp_axis: Vec<(u16, Bank)>,
-    /// Per-warp imports re-broadcast by `begin_warp` (mutable warp
-    /// scalars): converted on every warp, both variants.
-    imp_warp: Vec<(u16, Bank)>,
     /// The warp width the closure offsets were specialized for.
     pub(crate) warp: usize,
-    /// Host nanoseconds spent composing the closures.
-    pub compile_nanos: u64,
 }
 
 impl std::fmt::Debug for NativeKernel {
@@ -288,73 +242,90 @@ impl std::fmt::Debug for NativeKernel {
             .field("thunks", &self.thunks.len())
             .field("fast_thunks", &self.fast_thunks.len())
             .field("warp", &self.warp)
-            .field("compile_nanos", &self.compile_nanos)
             .finish()
+    }
+}
+
+impl NativeKernel {
+    fn typed(&self) -> &TypedKernel {
+        self.opt.typed.as_ref().expect("native kernels compile from the typed lowering")
     }
 }
 
 /// Compile the typed stream of an optimized kernel into a [`NativeKernel`]
 /// specialized for `warp` lanes. `None` when the plan has no typed lowering
-/// (the caller falls back to bytecode and counts the launch ineligible).
-pub(crate) fn compile_native(ok: &OptKernel, warp: usize) -> Option<NativeKernel> {
+/// or `warp` exceeds the mask width (the launch runs on the tree walker).
+pub(crate) fn compile_native(ok: &Arc<OptKernel>, warp: usize) -> Option<NativeKernel> {
     let t = ok.typed.as_ref()?;
     if warp == 0 || warp > MAX_W {
         return None;
     }
-    let t0 = std::time::Instant::now();
     let thunks = NCompiler { pool: &t.pool, w: warp, ev: true }.seq(&t.code);
     let fast_thunks = NCompiler { pool: &t.pool, w: warp, ev: false }.seq(&t.code);
-    // `warp_imports` is exactly the warp-scalar re-broadcasts plus the axis
-    // registers (launch-uniform registers already import once per launch).
-    // Axis values reach functional warps through the typed bank directly,
-    // so their import runs only for evidence warps.
-    let warp_scal: Vec<u16> = ok.bc.scal_init_warp.iter().map(|&(_, r)| r).collect();
-    let (imp_warp, imp_axis): (Vec<_>, Vec<_>) =
-        t.warp_imports.iter().copied().partition(|(r, _)| warp_scal.contains(r));
-    let nanos = t0.elapsed().as_nanos() as u64;
-    note_compile(nanos);
-    Some(NativeKernel { thunks, fast_thunks, imp_axis, imp_warp, warp, compile_nanos: nanos })
+    Some(NativeKernel { opt: Arc::clone(ok), thunks, fast_thunks, warp })
 }
 
-/// Execute one warp through the compiled closures. The counterpart of
-/// `exec_warp_opt`: same bank imports/exports, same hazardous-body
-/// serial-lane schedule, same return (the critical-section atomic count).
+/// Prepare the scratch arena for one launch: `WarpScratch::begin_launch`,
+/// the scalar prelude, and the typed banks sized and loaded with every
+/// launch-uniform register.
+pub(crate) fn begin_launch(
+    nk: &NativeKernel,
+    s: &mut WarpScratch,
+    site_count: usize,
+    priv_shapes: &[(acceval_sim::ElemType, usize)],
+    base_env: &[Value],
+    segment_bytes: u32,
+) {
+    let ok = &nk.opt;
+    let warp = nk.warp;
+    s.begin_launch(&ok.bc, warp, site_count, priv_shapes, base_env, segment_bytes);
+    run_prelude(ok, s);
+    let t = nk.typed();
+    let n = t.nregs as usize * warp;
+    s.fregs.clear();
+    s.fregs.resize(n, 0.0);
+    s.iregs.clear();
+    s.iregs.resize(n, 0);
+    s.bregs.clear();
+    s.bregs.resize(n, false);
+    import(s, warp, &t.launch_imports);
+}
+
+/// Convert `Value` register rows into their typed banks.
+fn import(s: &mut WarpScratch, warp: usize, list: &[(u16, Bank)]) {
+    for &(r, b) in list {
+        let ro = r as usize * warp;
+        for l in 0..warp {
+            let v = s.regs[ro + l];
+            match b {
+                Bank::F => s.fregs[ro + l] = v.as_f(),
+                Bank::I => s.iregs[ro + l] = v.as_i(),
+                Bank::B => s.bregs[ro + l] = v.as_b(),
+            }
+        }
+    }
+}
+
+/// Execute one warp through the compiled closures. Hazardous bodies run
+/// lane-serial (each active lane to completion, ascending), the tree
+/// walker's schedule. Returns the critical-section atomic count.
 ///
 /// `evidence: false` selects the functional-only sequence — legal exactly
 /// when the caller will discard this warp's pricing evidence (its block's
 /// pricing replays from the representative-block cache).
 pub(crate) fn exec_warp_native(
     nk: &NativeKernel,
-    ok: &OptKernel,
     s: &mut WarpScratch,
     ctx: &ExecCtx<'_>,
     mask: u64,
     tid_base: u64,
     evidence: bool,
 ) -> u64 {
-    let t = ok.typed.as_ref().expect("native kernels compile from the typed lowering");
     let warp = s.warp;
     debug_assert_eq!(nk.warp, warp, "native kernel compiled for a different warp width");
-    let mut import = |list: &[(u16, Bank)]| {
-        for &(r, b) in list {
-            let ro = r as usize * warp;
-            for l in 0..warp {
-                let v = s.regs[ro + l];
-                match b {
-                    Bank::F => s.fregs[ro + l] = v.as_f(),
-                    Bank::I => s.iregs[ro + l] = v.as_i(),
-                    Bank::B => s.bregs[ro + l] = v.as_b(),
-                }
-            }
-        }
-    };
-    import(&nk.imp_warp);
-    if evidence {
-        // Functional warps got their axis rows written into the typed bank
-        // by the launch-loop prologue; evidence warps convert them from the
-        // `Value` file like the typed VM does.
-        import(&nk.imp_axis);
-    }
+    // `begin_warp` re-broadcast the warp scalars into `regs`; the launch
+    // loop wrote this warp's axis values into the I bank directly.
+    import(s, warp, &nk.typed().warp_imports);
     let mut st = NState {
         w: warp,
         f: &mut s.fregs,
@@ -371,7 +342,7 @@ pub(crate) fn exec_warp_native(
         atomic: 0,
     };
     let seq = if evidence { &nk.thunks } else { &nk.fast_thunks };
-    if ok.bc.serial_lanes {
+    if nk.opt.bc.serial_lanes {
         let mut m = mask;
         while m != 0 {
             let l = m.trailing_zeros();
@@ -382,7 +353,9 @@ pub(crate) fn exec_warp_native(
         run_seq(seq, &mut st, mask);
     }
     let atomic = st.atomic;
-    for &(r, b) in &t.red_exports {
+    // The reduction fold reads `regs`; hand the typed results back for every
+    // lane (inactive lanes carry the warp-init broadcast).
+    for &(r, b) in &nk.typed().red_exports {
         let ro = r as usize * warp;
         for l in 0..warp {
             s.regs[ro + l] = match b {
@@ -550,7 +523,7 @@ macro_rules! un_same {
 /// Binary element op across banks (`$db != $sb`): disjoint struct fields,
 /// direct borrows, no staging. Lane order is ascending in both paths, so a
 /// trapping lane (e.g. integer division by zero) panics after exactly the
-/// same partial writes as the VM.
+/// same partial writes on either path.
 macro_rules! bin_x {
     ($w:expr, $dst:expr, $a:expr, $b:expr, $db:ident, $sb:ident, $f:expr) => {{
         let w = $w;
@@ -1011,9 +984,10 @@ impl NCompiler<'_> {
                         const LIM: i64 = 1 << 31;
                         if uni && s0 > 0 && v0.abs() < LIM && h0.abs() < LIM && s0 < LIM {
                             let trips = if v0 >= h0 { 0 } else { (h0 - v0 + s0 - 1) / s0 };
-                            // The VM charges one op per loop test (trips + 1
-                            // of them) and one per increment (trips): the
-                            // same per-lane total, added in one step.
+                            // The generic schedule below charges one op per
+                            // loop test (trips + 1 of them) and one per
+                            // increment (trips): the same per-lane total,
+                            // added in one step.
                             if ev {
                                 let charges = 2 * trips as u64 + 1;
                                 lanes!(w, mask, l, {
@@ -1121,7 +1095,7 @@ impl NCompiler<'_> {
     /// Fast-path (`fast >= 0`) loads specialize on index arity and check the
     /// whole row's extents up front: the all-in-range full-mask case runs
     /// ascending-lane copy loops; any out-of-range lane re-runs the exact
-    /// per-lane schedule so partial writes and the panic match the VM.
+    /// per-lane schedule so partial writes and the panic match it.
     #[allow(clippy::too_many_arguments)]
     fn emit_load(&self, dst: u16, dst_f: bool, arr: u16, site: u32, idx_off: u32, idx_len: u8, fast: i32) -> Thunk {
         let w = self.w;
@@ -1357,7 +1331,7 @@ impl NCompiler<'_> {
 
     /// Fast-path stores mirror [`Self::emit_load`]; lane order is ascending
     /// in both paths, so intra-warp write collisions resolve to the same
-    /// last writer as the VM.
+    /// last writer on either.
     #[allow(clippy::too_many_arguments)]
     fn emit_store(&self, src: u16, src_f: bool, arr: u16, site: u32, idx_off: u32, idx_len: u8, fast: i32) -> Thunk {
         let w = self.w;
@@ -1596,19 +1570,6 @@ impl NCompiler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn threshold_override_wins_and_resets() {
-        set_native_threshold_override(Some(3));
-        assert_eq!(native_threshold(), 3);
-        set_native_threshold_override(Some(0));
-        assert_eq!(native_threshold(), 0);
-        set_native_threshold_override(None);
-        // Back to env/default (8 unless the env var is set in this process).
-        let t = native_threshold();
-        assert!(t == 8 || std::env::var("ACCEVAL_NATIVE_THRESHOLD").is_ok(), "unexpected default {t}");
-        set_native_threshold_override(None);
-    }
 
     #[test]
     fn write_and_read_scans_cover_headers_and_pool() {

@@ -2,7 +2,8 @@
 //! warp execution that rewrites the compiled instruction stream for host
 //! speed without changing any observable number.
 //!
-//! Passes, in order:
+//! Passes (run as CSE and folding, strength reduction, hoisting,
+//! dead-register elimination, typed lowering):
 //!
 //! 1. **Uniformity-driven hoisting.** Top-level instructions whose operands
 //!    are launch-uniform (pooled constants, launch-broadcast scalars, and
@@ -23,12 +24,12 @@
 //!    are never observed (transitively from the reduction accumulators and
 //!    every memory/trace side effect) are deleted, back-to-front, to a
 //!    fixpoint.
-//! 5. **Typed-bank specialization.** When every register's `Value` tag can
-//!    be proven stable by a flow-sensitive bank inference, the stream is
-//!    lowered to a typed instruction set ([`TOp`]) over split `f64`/`i64`/
-//!    `bool` register banks, eliminating enum tag dispatch from the hot
-//!    loop. Any ambiguity aborts the lowering and the optimized untyped
-//!    stream runs instead.
+//! 5. **Typed-bank specialization.** A flow-sensitive bank inference
+//!    proves every register's `Value` tag stable and lowers the stream to a
+//!    typed instruction set ([`TOp`]) over split `f64`/`i64`/`bool`
+//!    register banks. [`super::native`] compiles that typed stream into
+//!    closures; a plan whose tags cannot be proven stable has no typed
+//!    lowering and its launches run on the tree walker.
 //!
 //! **Cost transparency.** All simulated charges live in `Op::Ops`
 //! instructions, site traces, and divergence records, and the optimizer
@@ -38,78 +39,20 @@
 //! hoisted or deleted pure instruction still *charges* what it always
 //! charged (its cost was folded into an `Ops` at compile time) — only the
 //! host-side work disappears. Every figure, trace and manifest is therefore
-//! byte-identical with the optimizer on or off, which the `opt_equiv`
-//! suites assert against both the unoptimized bytecode and tree engines.
+//! byte-identical to the tree walker's, which the `engine_equiv` suites
+//! assert.
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::analysis::affine::{Aff, AffBase};
-use crate::env::Toggle;
 use crate::expr::{BinOp, Intrin, UnOp};
 use crate::interp::{eval_bin, eval_intrin};
-use crate::kernel::Expansion;
 use crate::program::Program;
 use crate::types::{ArrayId, Value};
 
-use super::bytecode::{exec_warp, full_mask, lanes, ExecCtx, KernelBytecode, Op, WarpScratch};
-use super::gpu::PRIV_BASE;
-
-// ---------------------------------------------------------------------------
-// Knob
-// ---------------------------------------------------------------------------
-
-/// Process-wide override: 0 = unset (use env), 1 = auto, 2 = on, 3 = off.
-static OPT_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static OPT_FROM_ENV: OnceLock<Toggle> = OnceLock::new();
-
-/// The optimizer mode: an override installed by [`set_opt_override`] wins,
-/// else the `ACCEVAL_OPT` environment variable (`auto` | `on` | `off`),
-/// else [`Toggle::Auto`]. Malformed values fail soft to `Auto` — results
-/// are bit-identical either way by contract, so the worst outcome of a typo
-/// is a performance profile; front-end binaries catch it up front via
-/// [`crate::env::validate_env`].
-pub fn opt_mode() -> Toggle {
-    match OPT_OVERRIDE.load(Ordering::Relaxed) {
-        1 => return Toggle::Auto,
-        2 => return Toggle::On,
-        3 => return Toggle::Off,
-        _ => {}
-    }
-    *OPT_FROM_ENV.get_or_init(|| match std::env::var("ACCEVAL_OPT") {
-        Ok(s) => crate::env::parse_toggle("ACCEVAL_OPT", &s).unwrap_or(Toggle::Auto),
-        Err(_) => Toggle::Auto,
-    })
-}
-
-/// Force an optimizer mode for this process (tests/benches), overriding the
-/// environment. `None` returns control to `ACCEVAL_OPT`.
-pub fn set_opt_override(t: Option<Toggle>) {
-    let v = match t {
-        None => 0,
-        Some(Toggle::Auto) => 1,
-        Some(Toggle::On) => 2,
-        Some(Toggle::Off) => 3,
-    };
-    OPT_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// Whether launches should run the optimized stream (`auto` and `on` both
-/// enable it; they differ only in intent, like the launch cache's toggle).
-pub fn opt_enabled() -> bool {
-    !matches!(opt_mode(), Toggle::Off)
-}
-
-/// Short name of the active optimizer mode, for reports and manifests.
-pub fn opt_name() -> &'static str {
-    match opt_mode() {
-        Toggle::Auto => "auto",
-        Toggle::On => "on",
-        Toggle::Off => "off",
-    }
-}
+use super::bytecode::{KernelBytecode, Op, WarpScratch};
 
 // ---------------------------------------------------------------------------
 // Stats and counters
@@ -257,7 +200,7 @@ pub(crate) enum TOp {
         dst: u16,
         a: u16,
     },
-    /// `-i`, with the same debug-overflow behaviour as the untyped engine.
+    /// `-i`, with the same debug-overflow behaviour as the tree walker.
     NegI {
         dst: u16,
         a: u16,
@@ -383,22 +326,24 @@ pub(crate) struct TypedKernel {
     /// Registers imported from the `Value` file once per launch (constants,
     /// launch-broadcast scalars, prelude results).
     pub(crate) launch_imports: Vec<(u16, Bank)>,
-    /// Registers imported from the `Value` file at each warp (mutable
-    /// scalars re-broadcast by `begin_warp`, axis variables, reduction
-    /// identities written by the launch prologue).
+    /// Registers imported from the `Value` file at each warp: the mutable
+    /// scalars `begin_warp` re-broadcasts, reduction accumulators (whose
+    /// identities the launch prologue writes) included. Axis registers are
+    /// `i64` and the prologue writes them straight into the I bank.
     pub(crate) warp_imports: Vec<(u16, Bank)>,
     /// Registers exported back to the `Value` file after each warp so the
-    /// reduction fold observes exactly the tags the untyped engine leaves.
+    /// reduction fold observes exactly the tags the tree walker leaves.
     pub(crate) red_exports: Vec<(u16, Bank)>,
 }
 
-/// An optimized, executable kernel: the rewritten untyped stream, its
-/// once-per-launch scalar prelude, and (when bank inference succeeded) the
-/// typed specialization.
+/// An optimized kernel: the rewritten untyped stream, its once-per-launch
+/// scalar prelude, and (when bank inference succeeded) the typed
+/// specialization the native closures compile from.
 #[derive(Debug)]
 pub struct OptKernel {
-    /// The optimized untyped stream; also serves the pricing machinery
-    /// (fast-site table, flags) and the typed fallback.
+    /// The optimized untyped stream. Launches read the pricing machinery
+    /// (fast-site table, flags) and the register layout from it; the flags
+    /// and fast-site table are identical to the unoptimized compile's.
     pub(crate) bc: KernelBytecode,
     /// Launch-uniform instructions hoisted out of the per-warp stream; run
     /// once per launch on lane-0 values and splatted across the warp.
@@ -410,23 +355,15 @@ pub struct OptKernel {
     pub stats: OptStats,
 }
 
-impl OptKernel {
-    /// The optimized untyped stream (pricing and geometry metadata live
-    /// here; identical flags and fast-site table as the unoptimized
-    /// compile).
-    pub(crate) fn bytecode(&self) -> &KernelBytecode {
-        &self.bc
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Pipeline driver
 // ---------------------------------------------------------------------------
 
 /// Run the full optimization pipeline over a compiled stream.
 ///
-/// The returned kernel executes bit-identically to `bc` under
-/// [`exec_warp_opt`]: same values, same charges, same traces, same panics.
+/// The returned kernel's typed stream, compiled to closures, executes
+/// bit-identically to the tree walker: same values, same charges, same
+/// traces, same panics.
 pub fn optimize(prog: &Program, bc: &KernelBytecode) -> OptKernel {
     let mut stats = OptStats { ops_pre: bc.code.len() as u64, ..OptStats::default() };
 
@@ -482,7 +419,8 @@ pub fn optimize(prog: &Program, bc: &KernelBytecode) -> OptKernel {
         uniform_pricing: bc.uniform_pricing,
     };
 
-    // Typed-bank specialization (optional; any ambiguity falls back).
+    // Typed-bank specialization (any ambiguity leaves the plan to the tree
+    // walker).
     let typed = lower_typed(prog, &new_bc, &prelude, &root);
     stats.typed = typed.is_some();
 
@@ -1886,7 +1824,7 @@ fn livein_scan(nodes: &[Node], pool: &[u16], written: &mut HashSet<u16>, livein:
     }
 }
 
-/// Registers one `For` iteration reads before writing, in VM order: bound
+/// Registers one `For` iteration reads before writing, in execution order: bound
 /// block, bound check, body, step block, increment. These are the loop's
 /// carried dependencies; everything else written inside is rebound fresh
 /// each iteration and may change bank freely.
@@ -1947,12 +1885,12 @@ struct Lower<'a> {
 }
 
 /// Lower the optimized stream onto typed banks. `None` when any register's
-/// tag cannot be proven stable — the untyped optimized stream runs instead.
+/// tag cannot be proven stable — the plan's launches run on the tree walker.
 fn lower_typed(prog: &Program, bc: &KernelBytecode, prelude: &[Op], root: &[Node]) -> Option<TypedKernel> {
     let mut lw =
         Lower { prog, bc, ty: vec![Ty::Unset; bc.nregs as usize], code: Vec::new(), pool: Vec::new(), nregs: bc.nregs };
     // Seeds: constants by tag, scalars by declared type, axis registers
-    // (written `Value::I` by the launch prologue each warp) as integers.
+    // (written into the I bank by the launch prologue each warp) as integers.
     for &(r, v) in &bc.const_init {
         lw.ty[r as usize] = Ty::Known(match v {
             Value::F(_) => Bank::F,
@@ -1978,7 +1916,6 @@ fn lower_typed(prog: &Program, bc: &KernelBytecode, prelude: &[Op], root: &[Node
     for &r in &bc.axis_regs {
         if lw.ty[r as usize] == Ty::Unset {
             lw.ty[r as usize] = Ty::Known(Bank::I);
-            warp_imports.push((r, Bank::I));
         }
     }
     // The prelude computes on `Value`s once per launch; only its bank
@@ -2211,7 +2148,7 @@ impl Lower<'_> {
                     let snap = self.ty.clone();
                     // Bound blocks re-run per iteration; a non-integer bound
                     // register gets a conversion appended to its block (the
-                    // untyped engine re-converts via `as_i` per check too).
+                    // tree walker re-converts via `as_i` per check too).
                     let h0 = self.code.len();
                     self.block(hi)?;
                     let mut conv = Vec::new();
@@ -2465,7 +2402,7 @@ impl Lower<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Typed execution
+// Prelude execution
 // ---------------------------------------------------------------------------
 
 /// Run the scalar prelude once for this scratch: every op reads uniform
@@ -2515,795 +2452,6 @@ pub(crate) fn run_prelude(ok: &OptKernel, s: &mut WarpScratch) {
     }
 }
 
-/// `WarpScratch::begin_launch` plus the optimizer's launch-scope work: run
-/// the scalar prelude, and when a typed lowering exists, size the banks and
-/// import every launch-uniform register into them.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn begin_launch_opt(
-    ok: &OptKernel,
-    s: &mut WarpScratch,
-    warp: usize,
-    site_count: usize,
-    priv_shapes: &[(acceval_sim::ElemType, usize)],
-    base_env: &[Value],
-    segment_bytes: u32,
-) {
-    s.begin_launch(&ok.bc, warp, site_count, priv_shapes, base_env, segment_bytes);
-    run_prelude(ok, s);
-    if let Some(t) = &ok.typed {
-        let n = t.nregs as usize * warp;
-        s.fregs.clear();
-        s.fregs.resize(n, 0.0);
-        s.iregs.clear();
-        s.iregs.resize(n, 0);
-        s.bregs.clear();
-        s.bregs.resize(n, false);
-        for &(r, b) in &t.launch_imports {
-            let ro = r as usize * warp;
-            for l in 0..warp {
-                let v = s.regs[ro + l];
-                match b {
-                    Bank::F => s.fregs[ro + l] = v.as_f(),
-                    Bank::I => s.iregs[ro + l] = v.as_i(),
-                    Bank::B => s.bregs[ro + l] = v.as_b(),
-                }
-            }
-        }
-    }
-}
-
-/// Execute one warp through the optimized kernel: the typed VM when the
-/// lowering succeeded, the plain VM over the optimized untyped stream
-/// otherwise. Returns the critical-section atomic count, like `exec_warp`.
-pub(crate) fn exec_warp_opt(ok: &OptKernel, s: &mut WarpScratch, ctx: &ExecCtx<'_>, mask: u64, tid_base: u64) -> u64 {
-    let Some(t) = &ok.typed else {
-        return exec_warp(&ok.bc, s, ctx, mask, tid_base);
-    };
-    let warp = s.warp;
-    // Per-warp state enters the banks here: `begin_warp` re-broadcast the
-    // warp scalars and the launch loop wrote this warp's axis values into
-    // `regs` just before this call.
-    for &(r, b) in &t.warp_imports {
-        let ro = r as usize * warp;
-        for l in 0..warp {
-            let v = s.regs[ro + l];
-            match b {
-                Bank::F => s.fregs[ro + l] = v.as_f(),
-                Bank::I => s.iregs[ro + l] = v.as_i(),
-                Bank::B => s.bregs[ro + l] = v.as_b(),
-            }
-        }
-    }
-    let mut vm = TVm {
-        code: &t.code,
-        pool: &t.pool,
-        w: warp,
-        f: &mut s.fregs,
-        i: &mut s.iregs,
-        b: &mut s.bregs,
-        lane_ops: &mut s.lane_ops,
-        traces: &mut s.traces,
-        touched: &mut s.site_touched,
-        fast_rows: &mut s.fast_rows,
-        priv_bufs: &mut s.priv_bufs,
-        ctx,
-        tid_base,
-        in_critical: false,
-        atomic: 0,
-    };
-    if ok.bc.serial_lanes {
-        let mut m = mask;
-        while m != 0 {
-            let l = m.trailing_zeros();
-            m &= m - 1;
-            vm.run(0, t.code.len(), 1u64 << l);
-        }
-    } else {
-        vm.run(0, t.code.len(), mask);
-    }
-    let atomic = vm.atomic;
-    // The reduction fold reads `regs`; hand the typed results back for every
-    // lane (inactive lanes carry the warp-init broadcast, as untyped does).
-    for &(r, b) in &t.red_exports {
-        let ro = r as usize * warp;
-        for l in 0..warp {
-            s.regs[ro + l] = match b {
-                Bank::F => Value::F(s.fregs[ro + l]),
-                Bank::I => Value::I(s.iregs[ro + l]),
-                Bank::B => Value::B(s.bregs[ro + l]),
-            };
-        }
-    }
-    atomic
-}
-
-/// The typed register VM: `Vm::run` with the `Value` match moved to compile
-/// time. Control flow, masking, accounting, trace recording, and every
-/// panic message mirror the untyped VM instruction for instruction.
-struct TVm<'a, 'b> {
-    code: &'a [TOp],
-    pool: &'a [u16],
-    w: usize,
-    f: &'a mut [f64],
-    i: &'a mut [i64],
-    b: &'a mut [bool],
-    lane_ops: &'a mut [u64],
-    traces: &'a mut [acceval_sim::SiteWarpTrace],
-    touched: &'a mut [bool],
-    fast_rows: &'a mut [u64],
-    priv_bufs: &'a mut [acceval_sim::Buffer],
-    ctx: &'a ExecCtx<'b>,
-    tid_base: u64,
-    in_critical: bool,
-    atomic: u64,
-}
-
-impl TVm<'_, '_> {
-    fn run(&mut self, start: usize, end: usize, mask: u64) {
-        let w = self.w;
-        let mut pc = start;
-        while pc < end {
-            match self.code[pc] {
-                TOp::ConstF { dst, v } => {
-                    let dof = dst as usize * w;
-                    lanes!(w, mask, l, {
-                        self.f[dof + l] = v;
-                    });
-                    pc += 1;
-                }
-                TOp::ConstI { dst, v } => {
-                    let dof = dst as usize * w;
-                    lanes!(w, mask, l, {
-                        self.i[dof + l] = v;
-                    });
-                    pc += 1;
-                }
-                TOp::ConstB { dst, v } => {
-                    let dof = dst as usize * w;
-                    lanes!(w, mask, l, {
-                        self.b[dof + l] = v;
-                    });
-                    pc += 1;
-                }
-                TOp::CopyF { dst, src } => {
-                    let (dof, so) = (dst as usize * w, src as usize * w);
-                    lanes!(w, mask, l, {
-                        self.f[dof + l] = self.f[so + l];
-                    });
-                    pc += 1;
-                }
-                TOp::CopyI { dst, src } => {
-                    let (dof, so) = (dst as usize * w, src as usize * w);
-                    lanes!(w, mask, l, {
-                        self.i[dof + l] = self.i[so + l];
-                    });
-                    pc += 1;
-                }
-                TOp::CopyB { dst, src } => {
-                    let (dof, so) = (dst as usize * w, src as usize * w);
-                    lanes!(w, mask, l, {
-                        self.b[dof + l] = self.b[so + l];
-                    });
-                    pc += 1;
-                }
-                TOp::FtoI { dst, a } => {
-                    let (dof, ao) = (dst as usize * w, a as usize * w);
-                    lanes!(w, mask, l, {
-                        self.i[dof + l] = self.f[ao + l] as i64;
-                    });
-                    pc += 1;
-                }
-                TOp::ItoF { dst, a } => {
-                    let (dof, ao) = (dst as usize * w, a as usize * w);
-                    lanes!(w, mask, l, {
-                        self.f[dof + l] = self.i[ao + l] as f64;
-                    });
-                    pc += 1;
-                }
-                TOp::BtoI { dst, a } => {
-                    let (dof, ao) = (dst as usize * w, a as usize * w);
-                    lanes!(w, mask, l, {
-                        self.i[dof + l] = self.b[ao + l] as i64;
-                    });
-                    pc += 1;
-                }
-                TOp::BtoF { dst, a } => {
-                    let (dof, ao) = (dst as usize * w, a as usize * w);
-                    lanes!(w, mask, l, {
-                        self.f[dof + l] = self.b[ao + l] as i64 as f64;
-                    });
-                    pc += 1;
-                }
-                TOp::FtoB { dst, a } => {
-                    let (dof, ao) = (dst as usize * w, a as usize * w);
-                    lanes!(w, mask, l, {
-                        self.b[dof + l] = self.f[ao + l] != 0.0;
-                    });
-                    pc += 1;
-                }
-                TOp::ItoB { dst, a } => {
-                    let (dof, ao) = (dst as usize * w, a as usize * w);
-                    lanes!(w, mask, l, {
-                        self.b[dof + l] = self.i[ao + l] != 0;
-                    });
-                    pc += 1;
-                }
-                TOp::NegF { dst, a } => {
-                    let (dof, ao) = (dst as usize * w, a as usize * w);
-                    lanes!(w, mask, l, {
-                        self.f[dof + l] = -self.f[ao + l];
-                    });
-                    pc += 1;
-                }
-                TOp::NegI { dst, a } => {
-                    let (dof, ao) = (dst as usize * w, a as usize * w);
-                    lanes!(w, mask, l, {
-                        self.i[dof + l] = -self.i[ao + l];
-                    });
-                    pc += 1;
-                }
-                TOp::NotB { dst, a } => {
-                    let (dof, ao) = (dst as usize * w, a as usize * w);
-                    lanes!(w, mask, l, {
-                        self.b[dof + l] = !self.b[ao + l];
-                    });
-                    pc += 1;
-                }
-                TOp::AbsI { dst, a } => {
-                    let (dof, ao) = (dst as usize * w, a as usize * w);
-                    lanes!(w, mask, l, {
-                        self.i[dof + l] = self.i[ao + l].abs();
-                    });
-                    pc += 1;
-                }
-                TOp::ArithF { dst, op, a, b } => {
-                    let (dof, ao, bo) = (dst as usize * w, a as usize * w, b as usize * w);
-                    macro_rules! bf {
-                        ($e:expr) => {{
-                            lanes!(w, mask, l, {
-                                let x = self.f[ao + l];
-                                let y = self.f[bo + l];
-                                self.f[dof + l] = $e(x, y);
-                            });
-                        }};
-                    }
-                    match op {
-                        BinOp::Add => bf!(|x: f64, y: f64| x + y),
-                        BinOp::Sub => bf!(|x: f64, y: f64| x - y),
-                        BinOp::Mul => bf!(|x: f64, y: f64| x * y),
-                        BinOp::Div => bf!(|x: f64, y: f64| x / y),
-                        BinOp::Rem => bf!(|x: f64, y: f64| x % y),
-                        BinOp::Min => bf!(|x: f64, y: f64| x.min(y)),
-                        BinOp::Max => bf!(|x: f64, y: f64| x.max(y)),
-                        _ => unreachable!("non-arith op in ArithF"),
-                    }
-                    pc += 1;
-                }
-                TOp::ArithI { dst, op, a, b } => {
-                    let (dof, ao, bo) = (dst as usize * w, a as usize * w, b as usize * w);
-                    macro_rules! bi {
-                        ($e:expr) => {{
-                            lanes!(w, mask, l, {
-                                let x = self.i[ao + l];
-                                let y = self.i[bo + l];
-                                self.i[dof + l] = $e(x, y);
-                            });
-                        }};
-                    }
-                    match op {
-                        BinOp::Add => bi!(|x: i64, y: i64| x.wrapping_add(y)),
-                        BinOp::Sub => bi!(|x: i64, y: i64| x.wrapping_sub(y)),
-                        BinOp::Mul => bi!(|x: i64, y: i64| x.wrapping_mul(y)),
-                        BinOp::Div => bi!(|x: i64, y: i64| x / y),
-                        BinOp::Rem => bi!(|x: i64, y: i64| x % y),
-                        BinOp::Min => bi!(|x: i64, y: i64| x.min(y)),
-                        BinOp::Max => bi!(|x: i64, y: i64| x.max(y)),
-                        BinOp::Shl => bi!(|x: i64, y: i64| x << y),
-                        BinOp::Shr => bi!(|x: i64, y: i64| x >> y),
-                        BinOp::BitAnd => bi!(|x: i64, y: i64| x & y),
-                        BinOp::BitOr => bi!(|x: i64, y: i64| x | y),
-                        BinOp::BitXor => bi!(|x: i64, y: i64| x ^ y),
-                        _ => unreachable!("non-arith op in ArithI"),
-                    }
-                    pc += 1;
-                }
-                TOp::CmpF { dst, op, a, b } => {
-                    let (dof, ao, bo) = (dst as usize * w, a as usize * w, b as usize * w);
-                    macro_rules! cf {
-                        ($e:expr) => {{
-                            lanes!(w, mask, l, {
-                                let x = self.f[ao + l];
-                                let y = self.f[bo + l];
-                                self.b[dof + l] = $e(x, y);
-                            });
-                        }};
-                    }
-                    match op {
-                        BinOp::Lt => cf!(|x: f64, y: f64| x < y),
-                        BinOp::Le => cf!(|x: f64, y: f64| x <= y),
-                        BinOp::Gt => cf!(|x: f64, y: f64| x > y),
-                        BinOp::Ge => cf!(|x: f64, y: f64| x >= y),
-                        BinOp::Eq => cf!(|x: f64, y: f64| x == y),
-                        BinOp::Ne => cf!(|x: f64, y: f64| x != y),
-                        _ => unreachable!("non-cmp op in CmpF"),
-                    }
-                    pc += 1;
-                }
-                TOp::CmpI { dst, op, a, b } => {
-                    let (dof, ao, bo) = (dst as usize * w, a as usize * w, b as usize * w);
-                    macro_rules! ci {
-                        ($e:expr) => {{
-                            lanes!(w, mask, l, {
-                                let x = self.i[ao + l];
-                                let y = self.i[bo + l];
-                                self.b[dof + l] = $e(x, y);
-                            });
-                        }};
-                    }
-                    match op {
-                        BinOp::Lt => ci!(|x: i64, y: i64| x < y),
-                        BinOp::Le => ci!(|x: i64, y: i64| x <= y),
-                        BinOp::Gt => ci!(|x: i64, y: i64| x > y),
-                        BinOp::Ge => ci!(|x: i64, y: i64| x >= y),
-                        BinOp::Eq => ci!(|x: i64, y: i64| x == y),
-                        BinOp::Ne => ci!(|x: i64, y: i64| x != y),
-                        _ => unreachable!("non-cmp op in CmpI"),
-                    }
-                    pc += 1;
-                }
-                TOp::AndB { dst, a, b } => {
-                    let (dof, ao, bo) = (dst as usize * w, a as usize * w, b as usize * w);
-                    lanes!(w, mask, l, {
-                        self.b[dof + l] = self.b[ao + l] & self.b[bo + l];
-                    });
-                    pc += 1;
-                }
-                TOp::OrB { dst, a, b } => {
-                    let (dof, ao, bo) = (dst as usize * w, a as usize * w, b as usize * w);
-                    lanes!(w, mask, l, {
-                        self.b[dof + l] = self.b[ao + l] | self.b[bo + l];
-                    });
-                    pc += 1;
-                }
-                TOp::Ops { n } => {
-                    if mask == full_mask(w) {
-                        for x in self.lane_ops.iter_mut() {
-                            *x += n;
-                        }
-                    } else {
-                        let mut m = mask;
-                        while m != 0 {
-                            let l = m.trailing_zeros() as usize;
-                            m &= m - 1;
-                            self.lane_ops[l] += n;
-                        }
-                    }
-                    pc += 1;
-                }
-                TOp::IntrinF { dst, f, args_off, args_len } => {
-                    let dof = dst as usize * w;
-                    lanes!(w, mask, l, {
-                        let mut vals = [0.0f64; 4];
-                        for (k, v) in vals.iter_mut().enumerate().take(args_len as usize) {
-                            *v = self.f[self.pool[args_off as usize + k] as usize * w + l];
-                        }
-                        self.f[dof + l] = match f {
-                            Intrin::Sqrt => vals[0].sqrt(),
-                            Intrin::Exp => vals[0].exp(),
-                            Intrin::Log => vals[0].ln(),
-                            Intrin::Pow => vals[0].powf(vals[1]),
-                            Intrin::Sin => vals[0].sin(),
-                            Intrin::Cos => vals[0].cos(),
-                            Intrin::Floor => vals[0].floor(),
-                            Intrin::Abs => vals[0].abs(),
-                        };
-                    });
-                    pc += 1;
-                }
-                TOp::Load { dst, dst_f, arr, site, idx_off, idx_len, fast } => {
-                    let a = arr as usize;
-                    if fast >= 0 {
-                        let eb = self.ctx.elem_bytes[a] as u64;
-                        let base = self.ctx.base[a];
-                        let strides = &self.ctx.strides[a];
-                        let extents = &self.ctx.extents[a];
-                        let buf = self.ctx.bufs[a];
-                        if !buf.is_alloc() {
-                            panic!("kernel read of unallocated device array {a}");
-                        }
-                        debug_assert_eq!(buf.elem_is_float(), dst_f);
-                        let fo = fast as usize * w;
-                        let dof = dst as usize * w;
-                        let po = idx_off as usize;
-                        macro_rules! load_body {
-                            ($flat_of:expr) => {
-                                lanes!(w, mask, l, {
-                                    let flat = $flat_of(l);
-                                    self.fast_rows[fo + l] = base + flat as u64 * eb;
-                                    if dst_f {
-                                        self.f[dof + l] = buf.get_f(flat);
-                                    } else {
-                                        self.i[dof + l] = buf.get_i(flat);
-                                    }
-                                });
-                            };
-                        }
-                        let oob = |i: i64, d: usize| -> usize {
-                            panic!(
-                                "index {} out of bounds (dim {} extent {}) on array {}",
-                                i,
-                                d,
-                                extents[d],
-                                self.ctx.prog.array_name(ArrayId(a as u32))
-                            )
-                        };
-                        if idx_len == 1 {
-                            let ro0 = self.pool[po] as usize * w;
-                            let (e0, s0) = (extents[0], strides[0]);
-                            load_body!(|l: usize| {
-                                let i = self.i[ro0 + l];
-                                if i < 0 || i as usize >= e0 {
-                                    oob(i, 0)
-                                } else {
-                                    i as usize * s0
-                                }
-                            });
-                        } else if idx_len == 2 {
-                            let ro0 = self.pool[po] as usize * w;
-                            let ro1 = self.pool[po + 1] as usize * w;
-                            let (e0, s0) = (extents[0], strides[0]);
-                            let (e1, s1) = (extents[1], strides[1]);
-                            load_body!(|l: usize| {
-                                let i = self.i[ro0 + l];
-                                let j = self.i[ro1 + l];
-                                if i < 0 || i as usize >= e0 {
-                                    oob(i, 0)
-                                } else if j < 0 || j as usize >= e1 {
-                                    oob(j, 1)
-                                } else {
-                                    i as usize * s0 + j as usize * s1
-                                }
-                            });
-                        } else {
-                            load_body!(|l: usize| {
-                                let mut flat = 0usize;
-                                for d in 0..idx_len as usize {
-                                    let i = self.i[self.pool[po + d] as usize * w + l];
-                                    if i < 0 || i as usize >= extents[d] {
-                                        oob(i, d);
-                                    }
-                                    flat += i as usize * strides[d];
-                                }
-                                flat
-                            });
-                        }
-                        if self.in_critical {
-                            self.atomic += mask.count_ones() as u64;
-                        }
-                    } else {
-                        let dof = dst as usize * w;
-                        lanes!(w, mask, l, {
-                            let flat = self.flat_index(a, idx_off, idx_len, l);
-                            self.account(a, flat, site, fast, l);
-                            if self.ctx.priv_slot[a] >= 0 {
-                                let b = &self.priv_bufs[self.ctx.priv_slot[a] as usize * w + l];
-                                debug_assert_eq!(b.elem.is_float(), dst_f);
-                                if dst_f {
-                                    self.f[dof + l] = b.get_f(flat);
-                                } else {
-                                    self.i[dof + l] = b.get_i(flat);
-                                }
-                            } else {
-                                let b = self.ctx.bufs[a];
-                                if !b.is_alloc() {
-                                    panic!("kernel read of unallocated device array {a}");
-                                }
-                                debug_assert_eq!(b.elem_is_float(), dst_f);
-                                if dst_f {
-                                    self.f[dof + l] = b.get_f(flat);
-                                } else {
-                                    self.i[dof + l] = b.get_i(flat);
-                                }
-                            }
-                        });
-                    }
-                    pc += 1;
-                }
-                TOp::Store { src, src_f, arr, site, idx_off, idx_len, fast } => {
-                    let a = arr as usize;
-                    if fast >= 0 {
-                        let eb = self.ctx.elem_bytes[a] as u64;
-                        let base = self.ctx.base[a];
-                        let strides = &self.ctx.strides[a];
-                        let extents = &self.ctx.extents[a];
-                        let name = self.ctx.prog.array_name(ArrayId(a as u32));
-                        let buf = self.ctx.bufs[a];
-                        if !buf.is_alloc() {
-                            panic!("kernel write of unallocated device array {a}");
-                        }
-                        debug_assert_eq!(buf.elem_is_float(), src_f);
-                        let fo = fast as usize * w;
-                        let so = src as usize * w;
-                        let po = idx_off as usize;
-                        macro_rules! store_body {
-                            ($flat_of:expr) => {
-                                lanes!(w, mask, l, {
-                                    let flat = $flat_of(l);
-                                    self.fast_rows[fo + l] = base + flat as u64 * eb;
-                                    if src_f {
-                                        buf.set_f(flat, self.f[so + l]);
-                                    } else {
-                                        buf.set_i(flat, self.i[so + l]);
-                                    }
-                                });
-                            };
-                        }
-                        let oob = |i: i64, d: usize| -> usize {
-                            panic!("index {} out of bounds (dim {} extent {}) on array {}", i, d, extents[d], name)
-                        };
-                        if idx_len == 1 {
-                            let ro0 = self.pool[po] as usize * w;
-                            let (e0, s0) = (extents[0], strides[0]);
-                            store_body!(|l: usize| {
-                                let i = self.i[ro0 + l];
-                                if i < 0 || i as usize >= e0 {
-                                    oob(i, 0)
-                                } else {
-                                    i as usize * s0
-                                }
-                            });
-                        } else if idx_len == 2 {
-                            let ro0 = self.pool[po] as usize * w;
-                            let ro1 = self.pool[po + 1] as usize * w;
-                            let (e0, s0) = (extents[0], strides[0]);
-                            let (e1, s1) = (extents[1], strides[1]);
-                            store_body!(|l: usize| {
-                                let i = self.i[ro0 + l];
-                                let j = self.i[ro1 + l];
-                                if i < 0 || i as usize >= e0 {
-                                    oob(i, 0)
-                                } else if j < 0 || j as usize >= e1 {
-                                    oob(j, 1)
-                                } else {
-                                    i as usize * s0 + j as usize * s1
-                                }
-                            });
-                        } else {
-                            store_body!(|l: usize| {
-                                let mut flat = 0usize;
-                                for d in 0..idx_len as usize {
-                                    let i = self.i[self.pool[po + d] as usize * w + l];
-                                    if i < 0 || i as usize >= extents[d] {
-                                        oob(i, d);
-                                    }
-                                    flat += i as usize * strides[d];
-                                }
-                                flat
-                            });
-                        }
-                        if self.in_critical {
-                            self.atomic += mask.count_ones() as u64;
-                        }
-                    } else {
-                        let so = src as usize * w;
-                        lanes!(w, mask, l, {
-                            let flat = self.flat_index(a, idx_off, idx_len, l);
-                            self.account(a, flat, site, fast, l);
-                            if self.ctx.priv_slot[a] >= 0 {
-                                let b = &mut self.priv_bufs[self.ctx.priv_slot[a] as usize * w + l];
-                                debug_assert_eq!(b.elem.is_float(), src_f);
-                                if src_f {
-                                    b.set_f(flat, self.f[so + l]);
-                                } else {
-                                    b.set_i(flat, self.i[so + l]);
-                                }
-                            } else {
-                                let b = self.ctx.bufs[a];
-                                if !b.is_alloc() {
-                                    panic!("kernel write of unallocated device array {a}");
-                                }
-                                debug_assert_eq!(b.elem_is_float(), src_f);
-                                if src_f {
-                                    b.set_f(flat, self.f[so + l]);
-                                } else {
-                                    b.set_i(flat, self.i[so + l]);
-                                }
-                            }
-                        });
-                    }
-                    pc += 1;
-                }
-                TOp::If { cond, site, then_len, else_len } => {
-                    let t_start = pc + 1;
-                    let e_start = t_start + then_len as usize;
-                    let end_if = e_start + else_len as usize;
-                    let co = cond as usize * w;
-                    let mut m_t = 0u64;
-                    self.touched[site as usize] = true;
-                    lanes!(w, mask, l, {
-                        let c = self.b[co + l];
-                        self.traces[site as usize].record(l as u32, c as u64);
-                        if c {
-                            m_t |= 1 << l;
-                        }
-                    });
-                    let m_f = mask & !m_t;
-                    if m_t != 0 {
-                        self.run(t_start, e_start, m_t);
-                    }
-                    if m_f != 0 {
-                        self.run(e_start, end_if, m_f);
-                    }
-                    pc = end_if;
-                }
-                TOp::Select { cond, dst, t_reg, f_reg, bank, t_len, f_len } => {
-                    let t_start = pc + 1;
-                    let f_start = t_start + t_len as usize;
-                    let end_sel = f_start + f_len as usize;
-                    let co = cond as usize * w;
-                    let mut m_t = 0u64;
-                    lanes!(w, mask, l, {
-                        if self.b[co + l] {
-                            m_t |= 1 << l;
-                        }
-                    });
-                    let m_f = mask & !m_t;
-                    if m_t != 0 {
-                        self.run(t_start, f_start, m_t);
-                    }
-                    if m_f != 0 {
-                        self.run(f_start, end_sel, m_f);
-                    }
-                    let dof = dst as usize * w;
-                    let to = t_reg as usize * w;
-                    let fo2 = f_reg as usize * w;
-                    match bank {
-                        Bank::F => {
-                            lanes!(w, mask, l, {
-                                self.f[dof + l] = if m_t >> l & 1 == 1 { self.f[to + l] } else { self.f[fo2 + l] };
-                            });
-                        }
-                        Bank::I => {
-                            lanes!(w, mask, l, {
-                                self.i[dof + l] = if m_t >> l & 1 == 1 { self.i[to + l] } else { self.i[fo2 + l] };
-                            });
-                        }
-                        Bank::B => {
-                            lanes!(w, mask, l, {
-                                self.b[dof + l] = if m_t >> l & 1 == 1 { self.b[to + l] } else { self.b[fo2 + l] };
-                            });
-                        }
-                    }
-                    pc = end_sel;
-                }
-                TOp::For { var, hi_reg, step_reg, hi_len, step_len, body_len } => {
-                    let hi_start = pc + 1;
-                    let step_start = hi_start + hi_len as usize;
-                    let body_start = step_start + step_len as usize;
-                    let end_for = body_start + body_len as usize;
-                    let vo = var as usize * w;
-                    let ho = hi_reg as usize * w;
-                    let so = step_reg as usize * w;
-                    let mut lm = mask;
-                    loop {
-                        if hi_len > 0 {
-                            self.run(hi_start, step_start, lm);
-                        }
-                        let mut next = 0u64;
-                        lanes!(w, lm, l, {
-                            self.lane_ops[l] += 1;
-                            if self.i[vo + l] < self.i[ho + l] {
-                                next |= 1 << l;
-                            }
-                        });
-                        lm = next;
-                        if lm == 0 {
-                            break;
-                        }
-                        self.run(body_start, end_for, lm);
-                        if step_len > 0 {
-                            self.run(step_start, body_start, lm);
-                        }
-                        lanes!(w, lm, l, {
-                            let cur = self.i[vo + l];
-                            let st = self.i[so + l];
-                            self.i[vo + l] = cur + st;
-                            self.lane_ops[l] += 1;
-                        });
-                    }
-                    pc = end_for;
-                }
-                TOp::While { cond, cond_len, body_len } => {
-                    let c_start = pc + 1;
-                    let b_start = c_start + cond_len as usize;
-                    let end_wh = b_start + body_len as usize;
-                    let co = cond as usize * w;
-                    let mut lm = mask;
-                    loop {
-                        if cond_len > 0 {
-                            self.run(c_start, b_start, lm);
-                        }
-                        let mut take = 0u64;
-                        lanes!(w, lm, l, {
-                            if self.b[co + l] {
-                                take |= 1 << l;
-                            }
-                        });
-                        if take == 0 {
-                            break;
-                        }
-                        lanes!(w, take, l, {
-                            self.lane_ops[l] += 1;
-                        });
-                        self.run(b_start, end_wh, take);
-                        lm = take;
-                    }
-                    pc = end_wh;
-                }
-                TOp::CritEnter => {
-                    self.in_critical = true;
-                    pc += 1;
-                }
-                TOp::CritExit => {
-                    self.in_critical = false;
-                    pc += 1;
-                }
-            }
-        }
-    }
-
-    fn flat_index(&self, a: usize, off: u32, len: u8, l: usize) -> usize {
-        let mut flat = 0usize;
-        for d in 0..len as usize {
-            let i = self.i[self.pool[off as usize + d] as usize * self.w + l];
-            let ext = self.ctx.extents[a][d];
-            assert!(
-                i >= 0 && (i as usize) < ext,
-                "index {} out of bounds (dim {} extent {}) on array {}",
-                i,
-                d,
-                ext,
-                self.ctx.prog.array_name(ArrayId(a as u32))
-            );
-            flat += i as usize * self.ctx.strides[a][d];
-        }
-        flat
-    }
-
-    fn account(&mut self, a: usize, flat: usize, site: u32, fast: i32, l: usize) {
-        let eb = self.ctx.elem_bytes[a] as u64;
-        if let Some(exp) = self.ctx.expansion[a] {
-            match exp {
-                Expansion::Register => {}
-                Expansion::RowWise => {
-                    let slot = self.ctx.priv_slot[a] as usize;
-                    let len = self.priv_bufs[slot * self.w + l].len() as u64;
-                    let tid = self.tid_base + l as u64;
-                    self.touched[site as usize] = true;
-                    self.traces[site as usize].record(l as u32, PRIV_BASE + (tid * len + flat as u64) * eb);
-                }
-                Expansion::ColumnWise => {
-                    let tid = self.tid_base + l as u64;
-                    self.touched[site as usize] = true;
-                    self.traces[site as usize]
-                        .record(l as u32, PRIV_BASE + (flat as u64 * self.ctx.total_threads + tid) * eb);
-                }
-            }
-            return;
-        }
-        let addr = self.ctx.base[a] + flat as u64 * eb;
-        if fast >= 0 {
-            self.fast_rows[fast as usize * self.w + l] = addr;
-        } else {
-            self.touched[site as usize] = true;
-            self.traces[site as usize].record(l as u32, addr);
-        }
-        if self.in_critical {
-            self.atomic += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3315,18 +2463,6 @@ mod tests {
     fn opt_of(p: &Program, k: &KernelPlan) -> OptKernel {
         let bc = compile(p, k).expect("compiles");
         optimize(p, &bc)
-    }
-
-    #[test]
-    fn knob_override_controls_enablement() {
-        set_opt_override(Some(Toggle::Off));
-        assert!(!opt_enabled());
-        assert_eq!(opt_name(), "off");
-        set_opt_override(Some(Toggle::On));
-        assert!(opt_enabled());
-        set_opt_override(Some(Toggle::Auto));
-        assert!(opt_enabled());
-        set_opt_override(None);
     }
 
     #[test]

@@ -1151,8 +1151,6 @@ pub fn encode_launch_key(k: &LaunchKey) -> Vec<u8> {
     e.u32(k.block.1);
     e.u32(k.shared_bytes);
     e.u32(k.regs);
-    e.u8(k.engine);
-    e.u8(k.opt as u8);
     e.u8(k.traced as u8);
     e.u64(k.cfg_digest);
     e.u64(k.layout_digest);
@@ -1388,8 +1386,6 @@ mod tests {
             block: (128, 1),
             shared_bytes: 0,
             regs: 20,
-            engine: 1,
-            opt: false,
             traced: true,
             cfg_digest: 11,
             layout_digest: 22,
@@ -1420,7 +1416,7 @@ mod tests {
         k.traced = false;
         assert_ne!(a, encode_launch_key(&k));
         let mut k = sample_key();
-        k.opt = true;
+        k.regs += 1;
         assert_ne!(a, encode_launch_key(&k));
         assert_eq!(a, encode_launch_key(&sample_key()));
     }

@@ -6,7 +6,6 @@
 //! expansion layout, and memory-space placements. The GPU executor
 //! ([`crate::interp::gpu`]) runs plans functionally and prices them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
@@ -125,63 +124,55 @@ pub struct KernelPlan {
     /// footprint was derived from the tuning block geometry; `None` when
     /// `shared_bytes_per_block` is geometry-independent.
     pub tuned_shared_elem: Option<u32>,
-    /// Lazily compiled bytecode for the execution engine. Not part of the
-    /// plan's identity: compares equal, serializes as null, and is shared
-    /// (not recompiled) across clones — geometry retargeting keeps it valid
-    /// because the bytecode is block-shape-independent.
+    /// Lazily compiled kernel pipeline for the execution engine. Not part
+    /// of the plan's identity: compares equal, serializes as null, and is
+    /// shared (not recompiled) across clones — geometry retargeting keeps it
+    /// valid because every stage is block-shape-independent.
     pub engine_cache: EngineCache,
 }
 
 /// Outcome of the once-per-plan bytecode compilation attempt.
 ///
 /// The negative result is a first-class, explicitly memoized value — a body
-/// out of the bytecode engine's scope (e.g. one with calls) records
-/// `Ineligible` on the first launch, and every later launch reads that
-/// verdict instead of re-walking the body to rediscover the bail.
+/// out of the compiler's scope (e.g. one with calls) records `Ineligible` on
+/// the first launch, and every later launch reads that verdict instead of
+/// re-walking the body to rediscover the bail.
 #[derive(Clone)]
 pub enum CompileOutcome {
-    /// The body compiled; launches run the bytecode engine.
+    /// The body compiled; the optimizer and typed lowering take it from here.
     Compiled(Arc<KernelBytecode>),
-    /// The body is outside the bytecode engine's scope; launches fall back
-    /// to the tree engine. Memoized so the scope walk happens once.
+    /// The body is outside the compiler's scope; launches run on the tree
+    /// walker. Memoized so the scope walk happens once.
     Ineligible,
 }
 
-/// Shared once-per-plan bytecode cache (see [`KernelPlan::engine_cache`]).
+/// Shared once-per-plan cache of the compiled pipeline (see
+/// [`KernelPlan::engine_cache`]).
 ///
-/// Holds the memoized [`CompileOutcome`] (positive *and* negative), the
-/// memoized optimized stream layered on a successful compile, and the plan
+/// Holds each stage of the pipeline, memoized: the [`CompileOutcome`]
+/// (positive *and* negative), the optimized stream layered on a successful
+/// compile, the native closures built from its typed lowering, and the plan
 /// fingerprint.
 #[derive(Clone, Default)]
 pub struct EngineCache {
     slot: Arc<OnceLock<CompileOutcome>>,
     /// Optimized stream for a `Compiled` outcome (`None` after a compile
-    /// that bailed). Lazily built by [`EngineCache::get_or_optimize`], so
-    /// runs with the optimizer disabled never pay for it.
+    /// that bailed).
     opt: Arc<OnceLock<Option<Arc<OptKernel>>>>,
     /// Memoized geometry-invariant plan fingerprint (see
     /// [`EngineCache::fingerprint`]). Shares the engine cache's lifetime
     /// contract: valid across clones because geometry retargeting never
     /// touches the fingerprinted fields.
     fp: Arc<OnceLock<u128>>,
-    /// Native-tier compilation, layered on the optimized stream. `None`
-    /// inside the lock when the plan is ineligible (no typed lowering, or
-    /// the first native launch used an unsupported warp width).
+    /// Native closures, layered on the optimized stream. `None` inside the
+    /// lock when the plan has no typed lowering (or the first launch that
+    /// built them used an unsupported warp width).
     native: Arc<OnceLock<Option<Arc<NativeKernel>>>>,
-    /// Launches of this plan (all tiers) — the `auto` hotness launch count.
-    launches: Arc<AtomicU64>,
-    /// Accumulated trace-attributed simulated cost, in microseconds — the
-    /// `auto` hotness cost signal.
-    sim_us: Arc<AtomicU64>,
-    /// Launches of this plan that executed through the native tier.
-    native_launches: Arc<AtomicU64>,
-    /// The launch ordinal at which `auto` first promoted this plan.
-    promoted_at: Arc<OnceLock<u64>>,
 }
 
 impl EngineCache {
     /// The compiled bytecode for `plan`, compiling on first use. Returns
-    /// `None` when the body is out of the bytecode engine's scope.
+    /// `None` when the body is out of the compiler's scope.
     pub fn get_or_compile(&self, prog: &Program, plan: &KernelPlan) -> Option<Arc<KernelBytecode>> {
         match self.slot.get_or_init(|| match compile(prog, plan) {
             Some(bc) => CompileOutcome::Compiled(Arc::new(bc)),
@@ -198,7 +189,7 @@ impl EngineCache {
     }
 
     /// The optimized kernel for `plan`, compiling and optimizing on first
-    /// use. `None` when the body is out of the bytecode engine's scope.
+    /// use. `None` when the body is out of the compiler's scope.
     pub fn get_or_optimize(&self, prog: &Program, plan: &KernelPlan) -> Option<Arc<OptKernel>> {
         let bc = self.get_or_compile(prog, plan);
         self.opt
@@ -215,67 +206,21 @@ impl EngineCache {
         self.opt.get().and_then(|o| o.as_ref().map(|ok| ok.stats.clone()))
     }
 
-    /// The native-tier kernel for `plan` at warp width `warp`, compiling on
-    /// first use. `None` when the plan has no typed lowering (optimizer
-    /// bailed or body ineligible) or `warp` doesn't match the width the
-    /// first native launch compiled for — callers fall back to bytecode.
+    /// The native closures for `plan` at warp width `warp`, running every
+    /// pipeline stage still missing on first use. `None` when the plan has
+    /// no typed lowering or `warp` doesn't match the width the closures were
+    /// built for; the launch then runs on the tree walker.
     pub fn get_or_native(&self, prog: &Program, plan: &KernelPlan, warp: usize) -> Option<Arc<NativeKernel>> {
-        let ok = self.get_or_optimize(prog, plan);
-        let nk = self.native.get_or_init(|| compile_native(ok.as_ref()?, warp).map(Arc::new)).clone()?;
+        let nk = self
+            .native
+            .get_or_init(|| compile_native(&self.get_or_optimize(prog, plan)?, warp).map(Arc::new))
+            .clone()?;
         (nk.warp == warp).then_some(nk)
     }
 
-    /// The compiled native kernel, if the native tier has been entered.
+    /// The native closures, if a launch has built them.
     pub fn native_kernel(&self) -> Option<Arc<NativeKernel>> {
         self.native.get().and_then(Clone::clone)
-    }
-
-    /// Count a launch of this plan; returns the 1-based launch ordinal.
-    pub fn note_launch(&self) -> u64 {
-        self.launches.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Launches of this plan so far (all tiers).
-    pub fn launches(&self) -> u64 {
-        self.launches.load(Ordering::Relaxed)
-    }
-
-    /// Fold a launch's trace-attributed simulated cost into the hotness
-    /// accumulator.
-    pub fn note_sim_cost(&self, time_secs: f64) {
-        let us = (time_secs * 1e6) as u64;
-        self.sim_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Accumulated simulated cost of this plan's launches, in microseconds.
-    pub fn sim_us(&self) -> u64 {
-        self.sim_us.load(Ordering::Relaxed)
-    }
-
-    /// Count a launch that executed through the native tier.
-    pub fn note_native_launch(&self) {
-        self.native_launches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Launches of this plan that executed natively.
-    pub fn native_launches(&self) -> u64 {
-        self.native_launches.load(Ordering::Relaxed)
-    }
-
-    /// Record the launch ordinal of the first `auto` promotion. Returns
-    /// `true` exactly once — the caller counts that as the promotion event.
-    pub fn mark_promoted(&self, at_launch: u64) -> bool {
-        let mut first = false;
-        self.promoted_at.get_or_init(|| {
-            first = true;
-            at_launch
-        });
-        first
-    }
-
-    /// The launch ordinal at which `auto` promoted this plan, if it has.
-    pub fn promoted_at(&self) -> Option<u64> {
-        self.promoted_at.get().copied()
     }
 
     /// 128-bit fingerprint of `plan`'s geometry-*invariant* identity: name,
@@ -493,8 +438,8 @@ mod tests {
     fn engine_cache_memoizes_both_verdicts() {
         use crate::builder::{call, ProgramBuilder};
 
-        // A body with a call is outside the bytecode engine's scope: the
-        // negative verdict must be recorded, not rediscovered per launch.
+        // A body with a call is outside the compiler's scope: the negative
+        // verdict must be recorded, not rediscovered per launch.
         let mut pb = ProgramBuilder::new("neg");
         let n = pb.iscalar("n");
         let i = pb.iscalar("i");

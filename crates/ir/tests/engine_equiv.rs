@@ -1,102 +1,92 @@
-//! Engine equivalence: the bytecode kernel engine must be observationally
-//! identical to the reference tree-walker — same buffer bits, same scalar
-//! bits, same execution evidence (`KernelTotals`), same priced cost, on
-//! every kernel shape the lowering can produce.
+//! Engine equivalence: the default engine (the compiled pipeline's native
+//! closures) must be observationally identical to the reference tree
+//! walker — same buffer bits, same scalar bits, same execution evidence
+//! (`KernelTotals`), same priced cost, and the same trace events — on every
+//! kernel shape the lowering can produce.
 //!
 //! Handcrafted kernels pin down each feature (divergence, loops, private
 //! expansions, placements, reductions, critical sections, lane-serial
-//! hazard bodies); a property test then sweeps randomized race-free bodies.
+//! hazard bodies, geometry retargeting) and each asserts that it really ran
+//! on closures; a property test then sweeps randomized race-free bodies over
+//! multi-block grids.
+
+mod common;
+
+use std::sync::Mutex;
 
 use acceval_ir::builder::*;
 use acceval_ir::expr::{ld, v};
-use acceval_ir::interp::gpu::{env_from_dataset, launch_with_engine, upload_all, DeviceState, Engine, LaunchResult};
+use acceval_ir::interp::gpu::{
+    env_from_dataset, launch_traced_with_engine, upload_all, DeviceState, Engine, LaunchResult,
+};
+use acceval_ir::interp::launch_cache::{set_launch_cache_override, LaunchCache};
+use acceval_ir::interp::native::thread_native_counters;
 use acceval_ir::kernel::{axis, Expansion, KernelPlan, MemSpace, ReduceStrategy};
 use acceval_ir::program::{DataSet, HostData, Program};
 use acceval_ir::types::{ReduceOp, Value, VarRef};
-use acceval_sim::{Buffer, DeviceConfig, ElemType, Payload};
+use acceval_sim::{DeviceConfig, RecordingSink};
+use common::{assert_states_bit_equal, dna_kernel, finalized, fixture, GENES, UNIFORM_GENES};
 use proptest::prelude::*;
 
-/// Run `plan` under one engine from a fresh device/scalar state.
+/// The launch-cache override is process-global; hold this across each
+/// comparison so parallel tests can't flip it mid-run.
+static LOCK: Mutex<()> = Mutex::new(());
+
+type Run = ((DeviceState, Vec<Value>, LaunchResult), String);
+
+/// Run `plan` under one engine from a fresh device/scalar state, recording
+/// the trace.
 ///
 /// The device comes from `ACCEVAL_DEVICE` (the paper's M2090 when unset):
 /// CI's device-matrix job reruns this whole suite once per generation
 /// preset, so the equivalence guarantee covers post-Fermi coalescing, DP
 /// issue factors, and the unified-L1 read path, not just the default config.
-fn run_one(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine) -> (DeviceState, Vec<Value>, LaunchResult) {
+fn run_one(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine) -> Run {
     let cfg = DeviceConfig::from_env();
     let host = HostData::materialize(p, ds);
     let mut dev = DeviceState::new(p, &cfg);
     upload_all(p, &mut dev, &host);
     let mut scal = env_from_dataset(p, ds);
-    let r = launch_with_engine(p, plan, &mut dev, &mut scal, &cfg, eng);
-    (dev, scal, r)
+    let mut sink = RecordingSink::new();
+    let r = launch_traced_with_engine(p, plan, &mut dev, &mut scal, &cfg, &mut sink, eng);
+    ((dev, scal, r), format!("{:?}", sink.take()))
 }
 
-fn buffers_bit_equal(a: &Buffer, b: &Buffer) -> bool {
-    match (&a.data, &b.data) {
-        (Payload::F(x), Payload::F(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+/// `run_one` with the launch cache off, so the launch executes on the
+/// chosen engine instead of replaying (or capturing) an effect.
+fn run_uncached(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine) -> Run {
+    struct Reset;
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            set_launch_cache_override(None);
         }
-        (Payload::I(x), Payload::I(y)) => x == y,
-        _ => false,
     }
+    let _reset = Reset;
+    set_launch_cache_override(Some(LaunchCache::Off));
+    run_one(p, ds, plan, eng)
 }
 
-fn values_bit_equal(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::F(x), Value::F(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
-    }
+fn assert_runs_agree(tag: &str, (state_a, trace_a): &Run, (state_b, trace_b): &Run) {
+    assert_states_bit_equal(tag, state_a, state_b);
+    assert_eq!(trace_a, trace_b, "{tag}: trace events diverge");
 }
 
-/// Launch under both engines and assert every observable matches bit-exact.
+/// Launch under the tree walker and the default engine and assert every
+/// observable matches bit-exactly. The default engine runs twice: once with
+/// the launch cache off, which must execute on the plan's closures, and
+/// once under the ambient cache and store policy.
 fn assert_engines_agree(p: &Program, ds: &DataSet, plan: &KernelPlan) {
-    let (dt, st, rt) = run_one(p, ds, plan, Engine::Tree);
-    let (db, sb, rb) = run_one(p, ds, plan, Engine::Bytecode);
-    for (i, (ta, ba)) in dt.bufs.iter().zip(db.bufs.iter()).enumerate() {
-        match (ta, ba) {
-            (None, None) => {}
-            (Some(ta), Some(ba)) => {
-                assert!(buffers_bit_equal(ta, ba), "kernel {}: buffer {i} diverges between engines", plan.name)
-            }
-            _ => panic!("kernel {}: buffer {i} allocated under one engine only", plan.name),
-        }
-    }
-    for (i, (a, b)) in st.iter().zip(sb.iter()).enumerate() {
-        assert!(values_bit_equal(a, b), "kernel {}: scalar {i} diverges: {a:?} vs {b:?}", plan.name);
-    }
-    assert_eq!(rt.totals, rb.totals, "kernel {}: totals diverge", plan.name);
-    assert_eq!(rt.footprint, rb.footprint, "kernel {}: footprint diverges", plan.name);
-    assert_eq!(rt.active_threads, rb.active_threads, "kernel {}: active threads diverge", plan.name);
-    assert_eq!(rt.cost.time_secs.to_bits(), rb.cost.time_secs.to_bits(), "kernel {}: priced time diverges", plan.name);
-    assert_eq!(rt.cost, rb.cost, "kernel {}: cost breakdown diverges", plan.name);
-}
-
-/// n, x[n] (ramp), y[n] (zero), plus scratch scalars i/j/s/t.
-fn fixture(n: i64) -> (Program, DataSet) {
-    let mut pb = ProgramBuilder::new("eq");
-    let nn = pb.iscalar("n");
-    let _i = pb.iscalar("i");
-    let _j = pb.iscalar("j");
-    let _s = pb.fscalar("s");
-    let _t = pb.fscalar("t");
-    let x = pb.farray("x", vec![v(nn)]);
-    let _y = pb.farray("y", vec![v(nn)]);
-    let _q = pb.farray("q", vec![8i64.into()]);
-    let _a2 = pb.farray("a2", vec![v(nn), v(nn)]);
-    pb.main(vec![]);
-    let p = pb.build();
-    let ds = DataSet {
-        scalars: vec![(nn, Value::I(n))],
-        arrays: vec![(x, Buffer::from_f64(ElemType::F64, (0..n).map(|k| (k % 97) as f64 * 0.5 + 1.0).collect()))],
-        label: "eq".into(),
-    };
-    (p, ds)
-}
-
-fn finalized(mut k: KernelPlan) -> KernelPlan {
-    k.finalize();
-    k
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let reference = run_uncached(p, ds, plan, Engine::Tree);
+    let native = run_uncached(p, ds, plan, Engine::Bytecode);
+    assert!(
+        plan.engine_cache.native_kernel().is_some(),
+        "kernel {}: the default engine must run on closures",
+        plan.name
+    );
+    assert_runs_agree(&format!("kernel {} (closures)", plan.name), &reference, &native);
+    let ambient = run_one(p, ds, plan, Engine::Bytecode);
+    assert_runs_agree(&format!("kernel {} (ambient cache policy)", plan.name), &reference, &ambient);
 }
 
 #[test]
@@ -116,22 +106,36 @@ fn intrinsics_divergence_and_select_agree() {
         store(y, vec![v(i)], (v(i) % 5i64).lt(2i64).select(ld(y, vec![v(i)]) * 2.0, ld(y, vec![v(i)]) - 1.0)),
     ];
     assert_engines_agree(&p, &ds, &finalized(KernelPlan::new("intrin", vec![axis(i, v(n))], body)));
+    // Nested divergence over uniform subexpressions the optimizer hoists,
+    // folds and deduplicates: charges and branch-site traces must not move.
+    let body = vec![
+        if_else(
+            (v(i) % 3i64).eq_(0i64),
+            vec![store(y, vec![v(i)], e.clone().sqrt() + (v(n) - 1i64).to_f() * 0.5)],
+            vec![iff((v(i) % 5i64).lt(2i64), vec![store(y, vec![v(i)], e.clone() * 2.0 + (v(n) - 1i64).to_f() * 0.5)])],
+        ),
+        store(y, vec![v(i)], (v(i) % 2i64).eq_(0i64).select(ld(y, vec![v(i)]) + 1.0, ld(y, vec![v(i)]) - 1.0)),
+    ];
+    assert_engines_agree(&p, &ds, &finalized(KernelPlan::new("diverge", vec![axis(i, v(n))], body)));
 }
 
 #[test]
 fn sequential_and_while_loops_agree() {
-    let (p, ds) = fixture(700);
+    let (p, ds) = fixture(701);
     let n = p.scalar_named("n");
     let i = p.scalar_named("i");
     let j = p.scalar_named("j");
     let s = p.scalar_named("s");
     let x = p.array_named("x");
     let y = p.array_named("y");
-    // Per-thread accumulation with a data-dependent while: lanes exit at
-    // different trip counts, exercising mask churn in both loop forms.
+    // Per-thread accumulation: a divergent trip count over an affine chain
+    // the optimizer strength-reduces (the closures' generic `For`
+    // schedule), a uniform inner loop (their counted bulk path), and a
+    // data-dependent while whose lanes exit at different trip counts.
     let body = vec![
         assign(s, 0.0),
-        sfor(j, 0i64, (v(i) % 7i64) + 1i64, vec![assign(s, v(s) + ld(x, vec![(v(i) + v(j)) % v(n)]))]),
+        sfor(j, 0i64, (v(i) % 9i64) + 1i64, vec![assign(s, v(s) + ld(x, vec![(v(j) * 3i64 + v(i)) % v(n)]))]),
+        sfor(j, 0i64, 12i64, vec![assign(s, v(s) + ld(x, vec![(v(i) + v(j)) % v(n)]) * 0.25)]),
         wloop(v(s).lt(20.0), vec![assign(s, v(s) * 1.5 + 1.0)]),
         store(y, vec![v(i)], v(s)),
     ];
@@ -140,11 +144,14 @@ fn sequential_and_while_loops_agree() {
 
 #[test]
 fn two_d_grid_and_multi_dim_index_agree() {
-    let (p, ds) = fixture(60);
-    let n = p.scalar_named("n");
-    let i = p.scalar_named("i");
-    let j = p.scalar_named("j");
-    let a2 = p.array_named("a2");
+    let mut pb = ProgramBuilder::new("grid");
+    let n = pb.iscalar("n");
+    let i = pb.iscalar("i");
+    let j = pb.iscalar("j");
+    let a2 = pb.farray("a2", vec![v(n), v(n)]);
+    pb.main(vec![]);
+    let p = pb.build();
+    let ds = DataSet { scalars: vec![(n, Value::I(60))], arrays: vec![], label: "grid".into() };
     let body = vec![store(a2, vec![v(i), v(j)], (v(i) * 31i64 + v(j)).to_f() * 0.25)];
     let k = KernelPlan::new("fill2d", vec![axis(i, v(n)), axis(j, v(n))], body).with_block(16, 8);
     assert_engines_agree(&p, &ds, &finalized(k));
@@ -234,7 +241,7 @@ fn critical_section_and_barrier_agree() {
 #[test]
 fn lane_serial_hazard_body_agrees() {
     // A body that both loads and stores the same global array (a blocked
-    // in-place update, like LUD's panels) must trip the bytecode engine's
+    // in-place update, like LUD's panels) must trip the compiled path's
     // lane-serial hazard mode and still match the tree schedule exactly.
     let (p, ds) = fixture(256);
     let n = p.scalar_named("n");
@@ -248,7 +255,7 @@ fn lane_serial_hazard_body_agrees() {
 
 #[test]
 fn geometry_retarget_reuses_compiled_body() {
-    // with_geometry shares the engine cache; the retargeted plan must stay
+    // Clones share the engine cache; the retargeted plan must stay
     // bit-identical under both engines and across block shapes.
     let (p, ds) = fixture(999);
     let n = p.scalar_named("n");
@@ -258,67 +265,23 @@ fn geometry_retarget_reuses_compiled_body() {
     let body = vec![store(y, vec![v(i)], ld(x, vec![v(i)]) * 3.0)];
     let base = finalized(KernelPlan::new("geom", vec![axis(i, v(n))], body));
     assert_engines_agree(&p, &ds, &base);
+    let closures = base.engine_cache.native_kernel().expect("closures built");
     for bx in [32u32, 64, 256] {
         // Same re-pointing the sweep's `retarget_block_geometry` performs:
         // geometry changes, the cloned plan keeps the shared engine cache.
         let mut re = base.clone();
         re.block = (bx, 1);
         assert_engines_agree(&p, &ds, &re);
+        let shared = re.engine_cache.native_kernel().expect("closures shared");
+        assert!(std::sync::Arc::ptr_eq(&closures, &shared), "a retarget must not rebuild the closures");
     }
 }
-
-// ---- randomized race-free kernel bodies -----------------------------------
-
-/// Build a race-free kernel body from a DNA vector: each gene appends one
-/// statement reading `x` and writing only `y[i]` or thread-local scalars,
-/// so lockstep and lane-serial schedules must agree no matter the order.
-fn dna_kernel(p: &Program, dna: &[(u8, i64)]) -> KernelPlan {
-    let n = p.scalar_named("n");
-    let i = p.scalar_named("i");
-    let j = p.scalar_named("j");
-    let s = p.scalar_named("s");
-    let x = p.array_named("x");
-    let y = p.array_named("y");
-    let mut body: Vec<_> = vec![assign(s, ld(x, vec![v(i)]))];
-    for &(op, c) in dna {
-        let c = c.rem_euclid(13) + 1;
-        let stmt = match op % 6 {
-            0 => assign(s, v(s) + ld(x, vec![(v(i) * c) % v(n)])),
-            1 => assign(s, (v(s) * 0.75).max(v(i).to_f() / c as f64)),
-            2 => iff((v(i) % c).eq_(0i64), vec![assign(s, v(s).sqrt() + 1.0)]),
-            3 => sfor(j, 0i64, c, vec![assign(s, v(s) + ld(x, vec![(v(i) + v(j)) % v(n)]) * 0.125)]),
-            4 => if_else(
-                v(s).lt(c as f64),
-                vec![assign(s, v(s) + 2.0)],
-                vec![assign(s, v(s) - ld(x, vec![v(i) % v(n)]))],
-            ),
-            _ => assign(s, (v(i) % c).lt(c / 2 + 1).select(v(s) * 1.25, v(s).abs() + 0.5)),
-        };
-        body.push(stmt);
-    }
-    body.push(store(y, vec![v(i)], v(s)));
-    finalized(KernelPlan::new("dna", vec![axis(i, v(n))], body))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Randomized race-free bodies: both engines agree bit-for-bit on
-    /// buffers, scalars, evidence totals, and priced time.
-    #[test]
-    fn random_bodies_agree(dna in prop::collection::vec((0u8..6, 0i64..100), 1..10), n in 33i64..500) {
-        let (p, ds) = fixture(n);
-        let k = dna_kernel(&p, &dna);
-        assert_engines_agree(&p, &ds, &k);
-    }
-}
-
-// ---- unsupported-by-bytecode fallback --------------------------------------
 
 #[test]
 fn call_body_falls_back_to_tree() {
-    // Bodies with calls can't compile to bytecode; the bytecode engine must
-    // fall back to the tree walker transparently (same results, no panic).
+    // Bodies with calls have no compiled form; the default engine must hand
+    // them to the tree walker transparently (same results, no panic) and
+    // count the fallback.
     let mut pb = ProgramBuilder::new("fb");
     let n = pb.iscalar("n");
     let i = pb.iscalar("i");
@@ -331,5 +294,37 @@ fn call_body_falls_back_to_tree() {
     let ds = DataSet { scalars: vec![(n, Value::I(100))], arrays: vec![], label: "fb".into() };
     let body = vec![call(f, vec![v(i)], vec![]), store(y, vec![v(i)], v(t))];
     let k = finalized(KernelPlan::new("call", vec![axis(i, v(n))], body));
-    assert_engines_agree(&p, &ds, &k);
+
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let reference = run_uncached(&p, &ds, &k, Engine::Tree);
+    let (launches0, fallbacks0) = thread_native_counters();
+    let fallback = run_uncached(&p, &ds, &k, Engine::Bytecode);
+    let (launches1, fallbacks1) = thread_native_counters();
+    assert!(k.engine_cache.native_kernel().is_none(), "a body with calls has no closures");
+    assert_eq!((launches1 - launches0, fallbacks1 - fallbacks0), (0, 1), "the launch must count as a tree fallback");
+    assert_runs_agree("kernel call (tree fallback)", &reference, &fallback);
+}
+
+// ---- randomized race-free kernel bodies -----------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Randomized race-free bodies on grids of at least two blocks: both
+    /// engines agree bit-for-bit on buffers, scalars, evidence totals,
+    /// priced time and traces. Half the cases draw only genes that keep
+    /// representative-block pricing eligible, so the closures' functional-
+    /// only warps run too.
+    #[test]
+    fn random_bodies_agree(
+        dna in prop::collection::vec((0u8..GENES, 0i64..100), 1..10),
+        uniform in prop::sample::select(vec![false, true]),
+        block in prop::sample::select(vec![32u32, 64, 128]),
+        n in 129i64..500,
+    ) {
+        let dna: Vec<(u8, i64)> =
+            if uniform { dna.into_iter().map(|(op, c)| (op % UNIFORM_GENES, c)).collect() } else { dna };
+        let (p, ds) = fixture(n);
+        assert_engines_agree(&p, &ds, &dna_kernel(&p, &dna, block));
+    }
 }

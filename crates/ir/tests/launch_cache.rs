@@ -4,6 +4,8 @@
 //! writes to an input buffer must cleanly invalidate the memoized digest so
 //! iterative patterns re-execute.
 
+mod common;
+
 use std::sync::Mutex;
 
 use acceval_ir::builder::*;
@@ -15,7 +17,8 @@ use acceval_ir::interp::launch_cache::{
 use acceval_ir::kernel::{axis, KernelPlan};
 use acceval_ir::program::{DataSet, HostData, Program};
 use acceval_ir::types::{ReduceOp, Value, VarRef};
-use acceval_sim::{Buffer, DeviceConfig, ElemType, Payload};
+use acceval_sim::{Buffer, DeviceConfig, ElemType};
+use common::{assert_states_bit_equal, dna_kernel, finalized, fixture, GENES};
 use proptest::prelude::*;
 
 /// The cache policy, byte cap, and hit counters are process-global;
@@ -52,46 +55,6 @@ fn run_one(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine) -> (Device
     (dev, scal, r)
 }
 
-fn buffers_bit_equal(a: &Buffer, b: &Buffer) -> bool {
-    match (&a.data, &b.data) {
-        (Payload::F(x), Payload::F(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-        }
-        (Payload::I(x), Payload::I(y)) => x == y,
-        _ => false,
-    }
-}
-
-fn values_bit_equal(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::F(x), Value::F(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
-    }
-}
-
-fn assert_states_bit_equal(
-    tag: &str,
-    (da, sa, ra): &(DeviceState, Vec<Value>, LaunchResult),
-    (db, sb, rb): &(DeviceState, Vec<Value>, LaunchResult),
-) {
-    for (i, (x, y)) in da.bufs.iter().zip(db.bufs.iter()).enumerate() {
-        match (x, y) {
-            (None, None) => {}
-            (Some(x), Some(y)) => assert!(buffers_bit_equal(x, y), "{tag}: buffer {i} diverges"),
-            _ => panic!("{tag}: buffer {i} allocated on one path only"),
-        }
-    }
-    for (i, (x, y)) in sa.iter().zip(sb.iter()).enumerate() {
-        assert!(values_bit_equal(x, y), "{tag}: scalar {i} diverges: {x:?} vs {y:?}");
-    }
-    assert_eq!(ra.totals, rb.totals, "{tag}: totals diverge");
-    assert_eq!(ra.totals.issue_cycles.to_bits(), rb.totals.issue_cycles.to_bits(), "{tag}: issue cycles diverge");
-    assert_eq!(ra.footprint, rb.footprint, "{tag}: footprint diverges");
-    assert_eq!(ra.active_threads, rb.active_threads, "{tag}: active threads diverge");
-    assert_eq!(ra.cost.time_secs.to_bits(), rb.cost.time_secs.to_bits(), "{tag}: priced time diverges");
-    assert_eq!(ra.cost, rb.cost, "{tag}: cost breakdown diverges");
-}
-
 /// Cold (cache off), capture (first run, cache on), and replay (second run,
 /// cache on) must be indistinguishable bit-for-bit; the replay must score a
 /// real hit, the capture a real miss.
@@ -110,31 +73,6 @@ fn assert_cache_transparent(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: E
     assert_states_bit_equal(&format!("kernel {} replay vs cold", plan.name), &replay, &cold);
 }
 
-/// n, x[n] (ramp), y[n] (zero), plus scratch scalars i/j/s/t.
-fn fixture(n: i64) -> (Program, DataSet) {
-    let mut pb = ProgramBuilder::new("memo");
-    let nn = pb.iscalar("n");
-    let _i = pb.iscalar("i");
-    let _j = pb.iscalar("j");
-    let _s = pb.fscalar("s");
-    let _t = pb.fscalar("t");
-    let x = pb.farray("x", vec![v(nn)]);
-    let _y = pb.farray("y", vec![v(nn)]);
-    pb.main(vec![]);
-    let p = pb.build();
-    let ds = DataSet {
-        scalars: vec![(nn, Value::I(n))],
-        arrays: vec![(x, Buffer::from_f64(ElemType::F64, (0..n).map(|k| (k % 89) as f64 * 0.75 + 1.0).collect()))],
-        label: "memo".into(),
-    };
-    (p, ds)
-}
-
-fn finalized(mut k: KernelPlan) -> KernelPlan {
-    k.finalize();
-    k
-}
-
 fn stream_plan(p: &Program) -> KernelPlan {
     let n = p.scalar_named("n");
     let i = p.scalar_named("i");
@@ -151,6 +89,25 @@ fn streaming_kernel_replays_bit_exactly() {
     let plan = stream_plan(&p);
     assert_cache_transparent(&p, &ds, &plan, Engine::Bytecode);
     assert_cache_transparent(&p, &ds, &plan, Engine::Tree);
+}
+
+/// Keys carry no engine, and closures are built only by a launch that
+/// executes: a plan whose launch replays an effect the tree walker captured
+/// for an identical plan builds none and sees the same state.
+#[test]
+fn replay_builds_no_closures() {
+    let (p, ds) = fixture(1000);
+    let capturer = stream_plan(&p);
+    let replayer = stream_plan(&p);
+    let (captured, replayed, hits) = with_cache(LaunchCache::On, || {
+        let a = run_one(&p, &ds, &capturer, Engine::Tree);
+        let t0 = launch_cache_totals();
+        let b = run_one(&p, &ds, &replayer, Engine::Bytecode);
+        (a, b, launch_cache_totals().hits - t0.hits)
+    });
+    assert_eq!(hits, 1, "the second plan must replay the first plan's effect");
+    assert!(replayer.engine_cache.native_kernel().is_none(), "a replay must not build closures");
+    assert_states_bit_equal("tree capture vs default-engine replay", &captured, &replayed);
 }
 
 /// Scalar reductions write back through the journaled fold; the replayed
@@ -286,38 +243,6 @@ fn tiny_cap_evicts_lru() {
     assert_eq!(re_miss, 1, "the evicted entry must re-miss");
 }
 
-/// Build a race-free kernel body from a DNA vector (reads `x`, writes only
-/// `y[i]` and thread-local scalars) — the randomized transparency oracle.
-fn dna_kernel(p: &Program, dna: &[(u8, i64)], block: u32) -> KernelPlan {
-    let n = p.scalar_named("n");
-    let i = p.scalar_named("i");
-    let j = p.scalar_named("j");
-    let s = p.scalar_named("s");
-    let x = p.array_named("x");
-    let y = p.array_named("y");
-    let mut body: Vec<_> = vec![assign(s, ld(x, vec![v(i)]))];
-    for &(op, c) in dna {
-        let c = c.rem_euclid(13) + 1;
-        let stmt = match op % 6 {
-            0 => assign(s, v(s) + ld(x, vec![(v(i) * c) % v(n)])),
-            1 => assign(s, (v(s) * 0.75).max(v(i).to_f() / c as f64)),
-            2 => iff((v(i) % c).eq_(0i64), vec![assign(s, v(s).sqrt() + 1.0)]),
-            3 => sfor(j, 0i64, c, vec![assign(s, v(s) + ld(x, vec![(v(i) + v(j)) % v(n)]) * 0.125)]),
-            4 => if_else(
-                v(s).lt(c as f64),
-                vec![assign(s, v(s) + 2.0)],
-                vec![assign(s, v(s) - ld(x, vec![v(i) % v(n)]))],
-            ),
-            _ => assign(s, (v(i) % c).lt(c / 2 + 1).select(v(s) * 1.25, v(s).abs() + 0.5)),
-        };
-        body.push(stmt);
-    }
-    body.push(store(y, vec![v(i)], v(s)));
-    let mut k = KernelPlan::new("dna", vec![axis(i, v(n))], body);
-    k.block = (block, 1);
-    finalized(k)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -325,7 +250,7 @@ proptest! {
     /// agree with the cache-off execution bit-for-bit.
     #[test]
     fn random_bodies_replay_bit_exactly(
-        dna in prop::collection::vec((0u8..6, 0i64..100), 1..8),
+        dna in prop::collection::vec((0u8..GENES, 0i64..100), 1..8),
         n in 65i64..400,
         block in prop::sample::select(vec![32u32, 64, 128]),
     ) {

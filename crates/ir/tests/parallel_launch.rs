@@ -3,6 +3,8 @@
 //! order included), same evidence totals, same priced cost — at any worker
 //! count. `ACCEVAL_LAUNCH_PAR` is a speed knob, never a results knob.
 
+mod common;
+
 use std::sync::Mutex;
 
 use acceval_ir::builder::*;
@@ -11,24 +13,29 @@ use acceval_ir::interp::gpu::{
     env_from_dataset, launch_with_engine, set_launch_par_override, upload_all, DeviceState, Engine, LaunchPar,
     LaunchResult,
 };
+use acceval_ir::interp::launch_cache::{set_launch_cache_override, LaunchCache};
 use acceval_ir::kernel::{axis, KernelPlan};
 use acceval_ir::program::{DataSet, HostData, Program};
 use acceval_ir::types::{ReduceOp, Value, VarRef};
-use acceval_sim::{Buffer, DeviceConfig, ElemType, Payload};
+use acceval_sim::DeviceConfig;
+use common::{assert_states_bit_equal, dna_kernel, finalized, fixture, GENES};
 use proptest::prelude::*;
 
-/// The parallelism override and `RAYON_NUM_THREADS` are process-global;
-/// serialize every test that flips them.
+/// The parallelism and launch-cache overrides and `RAYON_NUM_THREADS` are
+/// process-global; serialize every test that flips them.
 static PAR_LOCK: Mutex<()> = Mutex::new(());
 
 /// Run `f` with intra-launch parallelism pinned to `par` and the worker
 /// count pinned to `threads`, restoring the defaults on exit (also on
 /// panic, so one failing test can't poison the setting for the others).
+/// The launch cache is off: the serial and chunked launches share a key,
+/// and a replay would compare the serial run with itself.
 fn with_par<T>(par: LaunchPar, threads: usize, f: impl FnOnce() -> T) -> T {
     struct Reset;
     impl Drop for Reset {
         fn drop(&mut self) {
             set_launch_par_override(None);
+            set_launch_cache_override(None);
             std::env::remove_var("RAYON_NUM_THREADS");
         }
     }
@@ -36,10 +43,11 @@ fn with_par<T>(par: LaunchPar, threads: usize, f: impl FnOnce() -> T) -> T {
     let _reset = Reset;
     std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
     set_launch_par_override(Some(par));
+    set_launch_cache_override(Some(LaunchCache::Off));
     f()
 }
 
-/// Launch `plan` on the bytecode engine from a fresh device/scalar state.
+/// Launch `plan` on the default engine from a fresh device/scalar state.
 fn run_one(p: &Program, ds: &DataSet, plan: &KernelPlan) -> (DeviceState, Vec<Value>, LaunchResult) {
     let cfg = DeviceConfig::tesla_m2090();
     let host = HostData::materialize(p, ds);
@@ -50,93 +58,14 @@ fn run_one(p: &Program, ds: &DataSet, plan: &KernelPlan) -> (DeviceState, Vec<Va
     (dev, scal, r)
 }
 
-fn buffers_bit_equal(a: &Buffer, b: &Buffer) -> bool {
-    match (&a.data, &b.data) {
-        (Payload::F(x), Payload::F(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-        }
-        (Payload::I(x), Payload::I(y)) => x == y,
-        _ => false,
-    }
-}
-
-fn values_bit_equal(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::F(x), Value::F(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
-    }
-}
-
 /// Launch serially and chunked at several worker counts; every observable
 /// must match bit-exact.
 fn assert_parallel_agrees(p: &Program, ds: &DataSet, plan: &KernelPlan) {
-    let (ds0, ss0, rs0) = with_par(LaunchPar::Off, 1, || run_one(p, ds, plan));
+    let serial = with_par(LaunchPar::Off, 1, || run_one(p, ds, plan));
     for threads in [2usize, 3, 8] {
-        let (dp, sp, rp) = with_par(LaunchPar::On, threads, || run_one(p, ds, plan));
-        for (i, (sa, pa)) in ds0.bufs.iter().zip(dp.bufs.iter()).enumerate() {
-            match (sa, pa) {
-                (None, None) => {}
-                (Some(sa), Some(pa)) => assert!(
-                    buffers_bit_equal(sa, pa),
-                    "kernel {} @ {threads} workers: buffer {i} diverges from serial",
-                    plan.name
-                ),
-                _ => panic!("kernel {} @ {threads} workers: buffer {i} allocated on one path only", plan.name),
-            }
-        }
-        for (i, (a, b)) in ss0.iter().zip(sp.iter()).enumerate() {
-            assert!(
-                values_bit_equal(a, b),
-                "kernel {} @ {threads} workers: scalar {i} diverges: {a:?} vs {b:?}",
-                plan.name
-            );
-        }
-        assert_eq!(rs0.totals, rp.totals, "kernel {} @ {threads} workers: totals diverge", plan.name);
-        assert_eq!(
-            rs0.totals.issue_cycles.to_bits(),
-            rp.totals.issue_cycles.to_bits(),
-            "kernel {} @ {threads} workers: issue cycles diverge bitwise",
-            plan.name
-        );
-        assert_eq!(rs0.footprint, rp.footprint, "kernel {} @ {threads} workers: footprint diverges", plan.name);
-        assert_eq!(
-            rs0.active_threads, rp.active_threads,
-            "kernel {} @ {threads} workers: active threads diverge",
-            plan.name
-        );
-        assert_eq!(
-            rs0.cost.time_secs.to_bits(),
-            rp.cost.time_secs.to_bits(),
-            "kernel {} @ {threads} workers: priced time diverges",
-            plan.name
-        );
-        assert_eq!(rs0.cost, rp.cost, "kernel {} @ {threads} workers: cost breakdown diverges", plan.name);
+        let chunked = with_par(LaunchPar::On, threads, || run_one(p, ds, plan));
+        assert_states_bit_equal(&format!("kernel {} @ {threads} workers vs serial", plan.name), &serial, &chunked);
     }
-}
-
-/// n, x[n] (ramp), y[n] (zero), plus scratch scalars i/j/s/t.
-fn fixture(n: i64) -> (Program, DataSet) {
-    let mut pb = ProgramBuilder::new("par");
-    let nn = pb.iscalar("n");
-    let _i = pb.iscalar("i");
-    let _j = pb.iscalar("j");
-    let _s = pb.fscalar("s");
-    let _t = pb.fscalar("t");
-    let x = pb.farray("x", vec![v(nn)]);
-    let _y = pb.farray("y", vec![v(nn)]);
-    pb.main(vec![]);
-    let p = pb.build();
-    let ds = DataSet {
-        scalars: vec![(nn, Value::I(n))],
-        arrays: vec![(x, Buffer::from_f64(ElemType::F64, (0..n).map(|k| (k % 89) as f64 * 0.75 + 1.0).collect()))],
-        label: "par".into(),
-    };
-    (p, ds)
-}
-
-fn finalized(mut k: KernelPlan) -> KernelPlan {
-    k.finalize();
-    k
 }
 
 /// An eligible streaming kernel: the chunked path must engage (and agree).
@@ -182,39 +111,6 @@ fn hazard_body_stays_serial_and_agrees() {
     assert_parallel_agrees(&p, &ds, &finalized(KernelPlan::new("hazard", vec![axis(i, v(n))], body)));
 }
 
-/// Build a race-free kernel body from a DNA vector: each gene appends one
-/// statement reading `x` and writing only `y[i]` or thread-local scalars,
-/// so serial and chunked schedules must agree no matter the partition.
-fn dna_kernel(p: &Program, dna: &[(u8, i64)], block: u32) -> KernelPlan {
-    let n = p.scalar_named("n");
-    let i = p.scalar_named("i");
-    let j = p.scalar_named("j");
-    let s = p.scalar_named("s");
-    let x = p.array_named("x");
-    let y = p.array_named("y");
-    let mut body: Vec<_> = vec![assign(s, ld(x, vec![v(i)]))];
-    for &(op, c) in dna {
-        let c = c.rem_euclid(13) + 1;
-        let stmt = match op % 6 {
-            0 => assign(s, v(s) + ld(x, vec![(v(i) * c) % v(n)])),
-            1 => assign(s, (v(s) * 0.75).max(v(i).to_f() / c as f64)),
-            2 => iff((v(i) % c).eq_(0i64), vec![assign(s, v(s).sqrt() + 1.0)]),
-            3 => sfor(j, 0i64, c, vec![assign(s, v(s) + ld(x, vec![(v(i) + v(j)) % v(n)]) * 0.125)]),
-            4 => if_else(
-                v(s).lt(c as f64),
-                vec![assign(s, v(s) + 2.0)],
-                vec![assign(s, v(s) - ld(x, vec![v(i) % v(n)]))],
-            ),
-            _ => assign(s, (v(i) % c).lt(c / 2 + 1).select(v(s) * 1.25, v(s).abs() + 0.5)),
-        };
-        body.push(stmt);
-    }
-    body.push(store(y, vec![v(i)], v(s)));
-    let mut k = KernelPlan::new("dna", vec![axis(i, v(n))], body);
-    k.block = (block, 1);
-    finalized(k)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -222,7 +118,7 @@ proptest! {
     /// executor agrees with the serial walk warp-for-warp on stats.
     #[test]
     fn random_bodies_agree_chunked(
-        dna in prop::collection::vec((0u8..6, 0i64..100), 1..8),
+        dna in prop::collection::vec((0u8..GENES, 0i64..100), 1..8),
         n in 65i64..400,
         block in prop::sample::select(vec![32u32, 64, 128]),
     ) {

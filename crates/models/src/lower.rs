@@ -342,20 +342,14 @@ fn lower_loop(
         plan = plan.with_placement(a, sp);
     }
     plan.finalize();
-    // Compile the body to bytecode eagerly while the plan is hot: the
+    // Compile and optimize the body eagerly while the plan is hot: the
     // sweep's compile memoization shares lowered plans (and this cache,
     // through its `Arc`) across tuning points, and `retarget_block_geometry`
     // re-points geometry without invalidating the geometry-independent
-    // bytecode.
+    // stream. The native closures depend on the warp width, so the first
+    // launch that executes builds them.
     if acceval_ir::interp::gpu::engine() != acceval_ir::interp::gpu::Engine::Tree {
-        if acceval_ir::interp::opt::opt_enabled() {
-            // Warm the optimized stream too: it is as geometry-independent
-            // as the bytecode it rewrites, so one optimization serves every
-            // tuning point sharing this plan.
-            let _ = plan.engine_cache.get_or_optimize(prog, &plan);
-        } else {
-            let _ = plan.engine_cache.get_or_compile(prog, &plan);
-        }
+        let _ = plan.engine_cache.get_or_optimize(prog, &plan);
     }
     Ok(plan)
 }

@@ -56,14 +56,10 @@ environment:
   ACCEVAL_STORE=auto|on|off|<path>   persistent launch-result store mode
   ACCEVAL_STORE_CAP_MB=<n>           disk cap for the store (default 2048)
   ACCEVAL_STORE_EPOCH=<label>        override the build-epoch invalidation tag
-  ACCEVAL_OPT=auto|on|off            bytecode optimizer (results are identical
-                                     either way; off is for perf comparison)
-  ACCEVAL_ENGINE=tree|bytecode|native|auto
-                                     kernel engine tier; auto starts on the
-                                     bytecode VM and promotes hot plans to
-                                     native closures (results are identical)
-  ACCEVAL_NATIVE_THRESHOLD=<n>       auto promotes a plan after n launches
-                                     (default 8)";
+  ACCEVAL_ENGINE=tree|bytecode       kernel engine: bytecode (default) runs
+                                     compiled native closures, tree the
+                                     reference interpreter (results are
+                                     identical)";
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}\n{USAGE}");
@@ -277,10 +273,10 @@ fn run_profile(positionals: &[&str], cfg: &MachineConfig, scale: Scale) {
     let profile = RunProfile::from_events(bench_name, model, &events);
     println!("{}", render_profile(&profile));
 
-    // Per-kernel optimizer attribution: the run above compiled (and, unless
-    // ACCEVAL_OPT=off, optimized) every launched plan, and the plans share
-    // their engine caches with the launch path.
-    println!("bytecode optimizer ({}):", acceval::ir::interp::opt::opt_name());
+    // Per-kernel optimizer attribution: the run above compiled and optimized
+    // every launched plan, and the plans share their engine caches with the
+    // launch path. `typed yes` marks the plans that run as native closures.
+    println!("bytecode optimizer:");
     let mut region_ids: Vec<u32> = compiled.kernels.keys().copied().collect();
     region_ids.sort_unstable();
     let mut any = false;
@@ -305,52 +301,8 @@ fn run_profile(positionals: &[&str], cfg: &MachineConfig, scale: Scale) {
         }
     }
     if !any {
-        println!("  (no optimized kernels: optimizer off, tree engine, or no bytecode-eligible plans)");
+        println!("  (no optimized kernels: tree engine, or no plan the compiler accepts)");
     }
-
-    // Per-kernel engine-tier attribution: which tier each plan's launches
-    // ran on, where `auto` promoted it, and what the one-time native
-    // compile cost. Reads the same shared engine caches as the table above.
-    println!("engine tiers ({}):", acceval::ir::interp::gpu::engine_name());
-    let mut region_ids: Vec<u32> = compiled.kernels.keys().copied().collect();
-    region_ids.sort_unstable();
-    let mut any = false;
-    for rid in region_ids {
-        for plan in &compiled.kernels[&rid] {
-            let launches = plan.engine_cache.launches();
-            if launches == 0 {
-                continue;
-            }
-            any = true;
-            let native = plan.engine_cache.native_launches();
-            let promoted = match plan.engine_cache.promoted_at() {
-                Some(n) => format!("promoted at launch {n}"),
-                None if native > 0 => "forced native".to_string(),
-                None => "never promoted".to_string(),
-            };
-            let compile = match plan.engine_cache.native_kernel() {
-                Some(nk) => format!("compile {:.1}us", nk.compile_nanos as f64 / 1e3),
-                None => "not compiled".to_string(),
-            };
-            println!(
-                "  {:<28} {:>4} launches  {:>4} native / {:<4} bytecode-or-tree  {:<22} {}",
-                plan.name,
-                launches,
-                native,
-                launches - native,
-                promoted,
-                compile,
-            );
-        }
-    }
-    if !any {
-        println!("  (no launches recorded)");
-    }
-    let (nk, nnanos, nl, np, ni) = acceval::ir::interp::native::native_totals();
-    println!(
-        "  totals: {nk} native kernel(s) compiled in {:.1}us, {nl} native launch(es), {np} promotion(s), {ni} ineligible",
-        nnanos as f64 / 1e3
-    );
     println!();
     println!(
         "speedup {:.2}x over serial CPU ({:.6}s / {:.6}s), validation {}",

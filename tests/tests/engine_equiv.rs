@@ -1,67 +1,98 @@
-//! Sweep-level engine equivalence: the bytecode kernel engine and the
-//! reference tree-walker must produce byte-identical artifacts — the
-//! Figure 1 CSV, sweep simulated quantities, and run profiles — so that
-//! `ACCEVAL_ENGINE=tree` is a pure speed knob, never a results knob.
+//! Sweep-level engine equivalence: the default engine (compiled native
+//! closures) and the reference tree walker must produce byte-identical
+//! artifacts — the Figure 1 CSV (tuning on) and the Chrome trace of a
+//! profiled run — at 1 and 8 workers, with the launch cache on and off, so
+//! that `ACCEVAL_ENGINE` is a pure speed knob, never a results knob.
+//!
+//! Launch-cache keys do not carry the engine, so every pass starts from an
+//! empty in-memory cache, and the tree reference runs with the persistent
+//! store off: no pass can replay an effect another engine captured in this
+//! process. Default-engine passes use whatever store the environment
+//! configures, which is how CI's store rerun covers store replays.
 
 use std::sync::Mutex;
 
 use acceval::benchmarks::{benchmark_named, Scale};
 use acceval::figures::figure1;
+use acceval::ir::env::StoreMode;
 use acceval::ir::interp::gpu::{set_engine_override, Engine};
+use acceval::ir::interp::launch_cache::{clear_launch_cache, set_launch_cache_override, LaunchCache};
+use acceval::ir::interp::store::set_store_override;
 use acceval::models::ModelKind;
 use acceval::profile::chrome_trace;
 use acceval::report::figure1_csv;
 use acceval::sim::{MachineConfig, RecordingSink};
 use acceval::sweep::{cached_compile, cached_dataset, cached_oracle};
 
-/// The engine override is process-global; serialize the tests that flip it.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
+/// The engine, cache and store overrides and `RAYON_NUM_THREADS` are
+/// process-global; serialize the tests that flip them.
+static LOCK: Mutex<()> = Mutex::new(());
 
-/// Run `f` with the engine pinned, restoring the default on exit (also on
-/// panic, so one failing test can't poison the engine for the others).
-fn with_engine<T>(eng: Engine, f: impl FnOnce() -> T) -> T {
+/// Run `f` on `eng` at `threads` workers under launch-cache policy `cache`,
+/// starting from an empty in-memory cache, and restore the defaults on exit
+/// (also on panic, so one failing test can't poison the others).
+fn with_config<T>(eng: Engine, threads: usize, cache: LaunchCache, f: impl FnOnce() -> T) -> T {
     struct Reset;
     impl Drop for Reset {
         fn drop(&mut self) {
             set_engine_override(None);
+            set_launch_cache_override(None);
+            set_store_override(None);
+            clear_launch_cache();
+            std::env::remove_var("RAYON_NUM_THREADS");
         }
     }
-    let _guard = ENGINE_LOCK.lock().unwrap();
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _reset = Reset;
+    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
     set_engine_override(Some(eng));
+    set_launch_cache_override(Some(cache));
+    if eng == Engine::Tree {
+        set_store_override(Some(StoreMode::Off));
+    }
+    clear_launch_cache();
     f()
 }
+
+/// The default-engine configurations every artifact is compared under.
+const CONFIGS: [(usize, LaunchCache); 4] =
+    [(1, LaunchCache::On), (8, LaunchCache::On), (1, LaunchCache::Off), (8, LaunchCache::Off)];
 
 /// The full Figure 1 sweep (tuning on) renders to a byte-identical CSV
 /// under both engines.
 #[test]
 fn figure1_csv_is_engine_independent() {
     let cfg = MachineConfig::keeneland_node();
-    let tree = with_engine(Engine::Tree, || figure1_csv(&figure1(&cfg, Scale::Test, true)));
-    let byte = with_engine(Engine::Bytecode, || figure1_csv(&figure1(&cfg, Scale::Test, true)));
-    assert_eq!(tree, byte, "figure1.csv must be byte-identical across engines");
+    let sweep = || figure1_csv(&figure1(&cfg, Scale::Test, true));
+    let tree = with_config(Engine::Tree, 1, LaunchCache::On, sweep);
+    for (threads, cache) in CONFIGS {
+        let csv = with_config(Engine::Bytecode, threads, cache, sweep);
+        assert_eq!(tree, csv, "figure1.csv must be byte-identical across engines ({threads} workers, cache {cache:?})");
+    }
 }
 
 /// A profiled single run emits the same Chrome trace (every span, transfer,
-/// kernel cost, and coalescing evidence event) under both engines.
+/// kernel cost, and coalescing evidence event) and bit-identical scores
+/// under both engines.
 #[test]
 fn run_profile_is_engine_independent() {
     let cfg = MachineConfig::keeneland_node();
     let b = benchmark_named("jacobi").expect("jacobi exists");
-    let trace_under = |eng: Engine| {
-        with_engine(eng, || {
-            let ds = cached_dataset(b.as_ref(), Scale::Test);
-            let oracle = cached_oracle(b.as_ref(), Scale::Test, &cfg);
-            let compiled = cached_compile(b.as_ref(), ModelKind::ManualCuda, Scale::Test, None);
-            let mut sink = RecordingSink::new();
-            let run = acceval::run_compiled_traced(b.as_ref(), &compiled, &ds, &cfg, &oracle.run, &mut sink);
-            assert!(run.valid.is_ok(), "jacobi must validate: {:?}", run.valid);
-            (chrome_trace(&sink.take()), run.secs.to_bits(), run.speedup.to_bits())
-        })
+    let profiled = || {
+        let ds = cached_dataset(b.as_ref(), Scale::Test);
+        let oracle = cached_oracle(b.as_ref(), Scale::Test, &cfg);
+        let compiled = cached_compile(b.as_ref(), ModelKind::ManualCuda, Scale::Test, None);
+        let mut sink = RecordingSink::new();
+        let run = acceval::run_compiled_traced(b.as_ref(), &compiled, &ds, &cfg, &oracle.run, &mut sink);
+        assert!(run.valid.is_ok(), "jacobi must validate: {:?}", run.valid);
+        (chrome_trace(&sink.take()), run.secs.to_bits(), run.speedup.to_bits())
     };
-    let (tt, ts, tsp) = trace_under(Engine::Tree);
-    let (bt, bs, bsp) = trace_under(Engine::Bytecode);
-    assert_eq!(ts, bs, "simulated seconds must be bit-identical across engines");
-    assert_eq!(tsp, bsp, "speedup must be bit-identical across engines");
-    assert_eq!(tt, bt, "chrome trace must be byte-identical across engines");
+    let (tt, ts, tsp) = with_config(Engine::Tree, 1, LaunchCache::On, profiled);
+    for (threads, cache) in CONFIGS {
+        let (bt, bs, bsp) = with_config(Engine::Bytecode, threads, cache, profiled);
+        let at = format!("({threads} workers, cache {cache:?})");
+        assert_eq!(ts, bs, "simulated seconds must be bit-identical across engines {at}");
+        assert_eq!(tsp, bsp, "speedup must be bit-identical across engines {at}");
+        assert_eq!(tt, bt, "chrome trace must be byte-identical across engines {at}");
+    }
 }
