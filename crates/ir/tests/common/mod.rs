@@ -1,17 +1,22 @@
-//! Shared fixture, random-body generator and bit-equality assertions for
-//! the kernel-level suites (`engine_equiv`, `launch_cache`,
-//! `parallel_launch`). Each suite uses a subset, hence the `dead_code`
-//! allowance.
+//! Shared fixture, random-body generator, traced launch helpers and
+//! bit-equality assertions for the kernel-level suites (`engine_equiv`,
+//! `native_equiv`, `opt_equiv`, `launch_cache`, `parallel_launch`). Each
+//! suite uses a subset, hence the `dead_code` allowance.
 #![allow(dead_code)]
+
+use std::sync::{Mutex, MutexGuard};
 
 use acceval_ir::builder::*;
 use acceval_ir::expr::{ld, v};
-use acceval_ir::interp::gpu::{DeviceState, LaunchResult};
+use acceval_ir::interp::gpu::{
+    env_from_dataset, launch_traced_with_engine, upload_all, DeviceState, Engine, LaunchResult,
+};
+use acceval_ir::interp::launch_cache::{set_launch_cache_override, LaunchCache};
 use acceval_ir::kernel::{axis, KernelPlan};
-use acceval_ir::program::{DataSet, Program};
+use acceval_ir::program::{DataSet, HostData, Program};
 use acceval_ir::stmt::Stmt;
 use acceval_ir::types::Value;
-use acceval_sim::{Buffer, ElemType, Payload};
+use acceval_sim::{Buffer, DeviceConfig, ElemType, Payload, RecordingSink};
 
 /// Scalars n/i/j/s/t, `x[n]` (a ramp), `y[n]` (zeroes) and an 8-element
 /// scratch array `q`.
@@ -126,4 +131,62 @@ pub fn assert_states_bit_equal(
     assert_eq!(ra.active_threads, rb.active_threads, "{tag}: active threads diverge");
     assert_eq!(ra.cost.time_secs.to_bits(), rb.cost.time_secs.to_bits(), "{tag}: priced time diverges");
     assert_eq!(ra.cost, rb.cost, "{tag}: cost breakdown diverges");
+}
+
+/// A launch's post-launch state and its trace events, rendered with `{:?}`.
+pub type Run = ((DeviceState, Vec<Value>, LaunchResult), String);
+
+static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+
+/// The launch-cache override is process-global; hold this guard across each
+/// comparison so parallel tests can't flip it mid-run.
+pub fn override_lock() -> MutexGuard<'static, ()> {
+    OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run `plan` on `eng` under `cfg` from a fresh device/scalar state,
+/// recording the trace.
+pub fn run_on(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine, cfg: &DeviceConfig) -> Run {
+    let host = HostData::materialize(p, ds);
+    let mut dev = DeviceState::new(p, cfg);
+    upload_all(p, &mut dev, &host);
+    let mut scal = env_from_dataset(p, ds);
+    let mut sink = RecordingSink::new();
+    let r = launch_traced_with_engine(p, plan, &mut dev, &mut scal, cfg, &mut sink, eng);
+    ((dev, scal, r), format!("{:?}", sink.take()))
+}
+
+/// [`run_on`] the device from `ACCEVAL_DEVICE` (the paper's M2090 when
+/// unset): CI's device-matrix job reruns the equivalence suites once per
+/// generation preset, so the guarantees cover post-Fermi coalescing, DP
+/// issue factors, and the unified-L1 read path, not just the default
+/// config.
+pub fn run_one(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine) -> Run {
+    run_on(p, ds, plan, eng, &DeviceConfig::from_env())
+}
+
+/// [`run_on`] with the launch cache off, so the launch executes on the
+/// chosen engine instead of replaying (or capturing) an effect. The caller
+/// holds [`override_lock`].
+pub fn run_uncached_on(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine, cfg: &DeviceConfig) -> Run {
+    struct Reset;
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            set_launch_cache_override(None);
+        }
+    }
+    let _reset = Reset;
+    set_launch_cache_override(Some(LaunchCache::Off));
+    run_on(p, ds, plan, eng, cfg)
+}
+
+/// [`run_uncached_on`] the device from `ACCEVAL_DEVICE`.
+pub fn run_uncached(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine) -> Run {
+    run_uncached_on(p, ds, plan, eng, &DeviceConfig::from_env())
+}
+
+/// Assert two runs are bit-identical, trace events included.
+pub fn assert_runs_agree(tag: &str, (state_a, trace_a): &Run, (state_b, trace_b): &Run) {
+    assert_states_bit_equal(tag, state_a, state_b);
+    assert_eq!(trace_a, trace_b, "{tag}: trace events diverge");
 }

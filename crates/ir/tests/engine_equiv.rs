@@ -12,71 +12,24 @@
 
 mod common;
 
-use std::sync::Mutex;
-
 use acceval_ir::builder::*;
 use acceval_ir::expr::{ld, v};
-use acceval_ir::interp::gpu::{
-    env_from_dataset, launch_traced_with_engine, upload_all, DeviceState, Engine, LaunchResult,
-};
-use acceval_ir::interp::launch_cache::{set_launch_cache_override, LaunchCache};
+use acceval_ir::interp::gpu::Engine;
 use acceval_ir::interp::native::thread_native_counters;
 use acceval_ir::kernel::{axis, Expansion, KernelPlan, MemSpace, ReduceStrategy};
-use acceval_ir::program::{DataSet, HostData, Program};
+use acceval_ir::program::{DataSet, Program};
 use acceval_ir::types::{ReduceOp, Value, VarRef};
-use acceval_sim::{DeviceConfig, RecordingSink};
-use common::{assert_states_bit_equal, dna_kernel, finalized, fixture, GENES, UNIFORM_GENES};
+use common::{
+    assert_runs_agree, dna_kernel, finalized, fixture, override_lock, run_one, run_uncached, GENES, UNIFORM_GENES,
+};
 use proptest::prelude::*;
-
-/// The launch-cache override is process-global; hold this across each
-/// comparison so parallel tests can't flip it mid-run.
-static LOCK: Mutex<()> = Mutex::new(());
-
-type Run = ((DeviceState, Vec<Value>, LaunchResult), String);
-
-/// Run `plan` under one engine from a fresh device/scalar state, recording
-/// the trace.
-///
-/// The device comes from `ACCEVAL_DEVICE` (the paper's M2090 when unset):
-/// CI's device-matrix job reruns this whole suite once per generation
-/// preset, so the equivalence guarantee covers post-Fermi coalescing, DP
-/// issue factors, and the unified-L1 read path, not just the default config.
-fn run_one(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine) -> Run {
-    let cfg = DeviceConfig::from_env();
-    let host = HostData::materialize(p, ds);
-    let mut dev = DeviceState::new(p, &cfg);
-    upload_all(p, &mut dev, &host);
-    let mut scal = env_from_dataset(p, ds);
-    let mut sink = RecordingSink::new();
-    let r = launch_traced_with_engine(p, plan, &mut dev, &mut scal, &cfg, &mut sink, eng);
-    ((dev, scal, r), format!("{:?}", sink.take()))
-}
-
-/// `run_one` with the launch cache off, so the launch executes on the
-/// chosen engine instead of replaying (or capturing) an effect.
-fn run_uncached(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine) -> Run {
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            set_launch_cache_override(None);
-        }
-    }
-    let _reset = Reset;
-    set_launch_cache_override(Some(LaunchCache::Off));
-    run_one(p, ds, plan, eng)
-}
-
-fn assert_runs_agree(tag: &str, (state_a, trace_a): &Run, (state_b, trace_b): &Run) {
-    assert_states_bit_equal(tag, state_a, state_b);
-    assert_eq!(trace_a, trace_b, "{tag}: trace events diverge");
-}
 
 /// Launch under the tree walker and the default engine and assert every
 /// observable matches bit-exactly. The default engine runs twice: once with
 /// the launch cache off, which must execute on the plan's closures, and
 /// once under the ambient cache and store policy.
 fn assert_engines_agree(p: &Program, ds: &DataSet, plan: &KernelPlan) {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = override_lock();
     let reference = run_uncached(p, ds, plan, Engine::Tree);
     let native = run_uncached(p, ds, plan, Engine::Bytecode);
     assert!(
@@ -295,7 +248,7 @@ fn call_body_falls_back_to_tree() {
     let body = vec![call(f, vec![v(i)], vec![]), store(y, vec![v(i)], v(t))];
     let k = finalized(KernelPlan::new("call", vec![axis(i, v(n))], body));
 
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = override_lock();
     let reference = run_uncached(&p, &ds, &k, Engine::Tree);
     let (launches0, fallbacks0) = thread_native_counters();
     let fallback = run_uncached(&p, &ds, &k, Engine::Bytecode);

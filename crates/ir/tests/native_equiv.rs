@@ -1,166 +1,68 @@
-//! Native-tier equivalence: `ACCEVAL_ENGINE=native` (and `auto` promotion)
-//! must be a pure speed knob. The native closure tier, the optimized
-//! bytecode stream, and the reference tree-walker must agree bit-for-bit on
-//! every observable — buffer bits, scalar bits, evidence totals, priced
+//! Native-tier equivalence: the native closures, the default engine's only
+//! compiled executor, must agree bit-for-bit with the reference tree walker
+//! on every observable — buffer bits, scalar bits, evidence totals, priced
 //! cost, and the full trace-event stream — over divergent masks, loops,
-//! both reduction strategies, private expansions, placements, and hazard
-//! bodies. A forced-native run with the optimizer disabled must fall back
-//! to raw bytecode cleanly and still match.
+//! both reduction strategies, private expansions, placements, critical
+//! sections and lane-serial hazard bodies.
+//!
+//! Where `engine_equiv` compares the two engines, this suite pins the tier
+//! itself: every launch here executes (launch cache off), must be counted as
+//! a native launch, and a second launch must reuse the closures the first
+//! one built. A counter test covers the tier's attribution: closures on the
+//! first executing launch, tree fallbacks for call bodies and foreign warp
+//! widths, neither for replays.
 //!
 //! Handcrafted kernels pin the feature corners; a property test sweeps
-//! randomized race-free bodies through all modes.
+//! randomized race-free bodies on single- and multi-block grids.
 
-use std::sync::Mutex;
+mod common;
+
+use std::sync::Arc;
 
 use acceval_ir::builder::*;
-use acceval_ir::env::Toggle;
+use acceval_ir::env::StoreMode;
 use acceval_ir::expr::{ld, v};
-use acceval_ir::interp::gpu::{
-    env_from_dataset, launch_traced, set_engine_sel_override, upload_all, DeviceState, Engine, EngineSel, LaunchResult,
-};
-use acceval_ir::interp::launch_cache::{set_launch_cache_override, LaunchCache};
-use acceval_ir::interp::native::{native_totals, set_native_threshold_override, thread_native_counters};
-use acceval_ir::interp::opt::set_opt_override;
+use acceval_ir::interp::gpu::Engine;
+use acceval_ir::interp::launch_cache::{clear_launch_cache, set_launch_cache_override, LaunchCache};
+use acceval_ir::interp::native::thread_native_counters;
+use acceval_ir::interp::store::set_store_override;
 use acceval_ir::kernel::{axis, Expansion, KernelPlan, MemSpace, ReduceStrategy};
-use acceval_ir::program::{DataSet, HostData, Program};
+use acceval_ir::program::{DataSet, Program};
 use acceval_ir::types::{ReduceOp, Value, VarRef};
-use acceval_sim::{Buffer, DeviceConfig, ElemType, Payload, RecordingSink};
+use acceval_sim::DeviceConfig;
+use common::{
+    assert_runs_agree, dna_kernel, finalized, fixture, override_lock, run_on, run_uncached, run_uncached_on, GENES,
+};
 use proptest::prelude::*;
 
-/// Engine/opt/threshold overrides are process-global; hold this across each
-/// multi-way comparison so parallel tests can't flip them mid-run.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-/// One execution mode of the comparison.
-#[derive(Clone, Copy, Debug)]
-enum Mode {
-    /// Reference tree walker.
-    Tree,
-    /// Bytecode with the optimizer on (the tier native compiles from).
-    BytecodeOpt,
-    /// Forced native tier.
-    Native,
-    /// Forced native with the optimizer off: no typed lowering exists, so
-    /// the launch must fall back to raw bytecode cleanly.
-    NativeOptOff,
-    /// `auto` with the promotion threshold forced to 0: every launch past
-    /// the first crosses the hotness bar, so this exercises the promotion
-    /// path rather than the forced one.
-    Auto,
+/// This thread's `(native launches, tree fallbacks)` since `before`.
+fn counted_since(before: (u64, u64)) -> (u64, u64) {
+    let (l, f) = thread_native_counters();
+    (l - before.0, f - before.1)
 }
 
-/// Run `plan` once under `mode` from a fresh device/scalar state, recording
-/// the trace. The caller holds [`ENGINE_LOCK`].
-fn run_one(
-    p: &Program,
-    ds: &DataSet,
-    plan: &KernelPlan,
-    mode: Mode,
-) -> (DeviceState, Vec<Value>, LaunchResult, String) {
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            set_opt_override(None);
-            set_engine_sel_override(None);
-            set_native_threshold_override(None);
-        }
-    }
-    let _reset = Reset;
-    let (sel, opt) = match mode {
-        Mode::Tree => (EngineSel::Fixed(Engine::Tree), Toggle::On),
-        Mode::BytecodeOpt => (EngineSel::Fixed(Engine::Bytecode), Toggle::On),
-        Mode::Native => (EngineSel::Fixed(Engine::Native), Toggle::On),
-        Mode::NativeOptOff => (EngineSel::Fixed(Engine::Native), Toggle::Off),
-        Mode::Auto => (EngineSel::Auto, Toggle::On),
-    };
-    set_engine_sel_override(Some(sel));
-    set_opt_override(Some(opt));
-    set_native_threshold_override(Some(0));
-    let cfg = DeviceConfig::from_env();
-    let host = HostData::materialize(p, ds);
-    let mut dev = DeviceState::new(p, &cfg);
-    upload_all(p, &mut dev, &host);
-    let mut scal = env_from_dataset(p, ds);
-    let mut sink = RecordingSink::new();
-    let r = launch_traced(p, plan, &mut dev, &mut scal, &cfg, &mut sink);
-    let trace = format!("{:?}", sink.take());
-    (dev, scal, r, trace)
-}
-
-fn buffers_bit_equal(a: &Buffer, b: &Buffer) -> bool {
-    match (&a.data, &b.data) {
-        (Payload::F(x), Payload::F(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-        }
-        (Payload::I(x), Payload::I(y)) => x == y,
-        _ => false,
-    }
-}
-
-fn values_bit_equal(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::F(x), Value::F(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
-    }
-}
-
-/// Launch under every mode and assert every observable matches bit-exactly,
-/// using the tree engine as the reference.
+/// Launch `plan` on the tree walker and twice on the default engine, all
+/// with the launch cache off, and assert: each default launch is counted as
+/// one native launch and no fallback, the second reuses the first one's
+/// closures, and both match the tree bit-for-bit.
 fn assert_native_transparent(p: &Program, ds: &DataSet, plan: &KernelPlan) {
-    let _guard = ENGINE_LOCK.lock().unwrap();
-    let (dt, st, rt, tt) = run_one(p, ds, plan, Mode::Tree);
-    for mode in [Mode::BytecodeOpt, Mode::Native, Mode::NativeOptOff, Mode::Auto] {
-        let (db, sb, rb, tb) = run_one(p, ds, plan, mode);
-        for (i, (ta, ba)) in dt.bufs.iter().zip(db.bufs.iter()).enumerate() {
-            match (ta, ba) {
-                (None, None) => {}
-                (Some(ta), Some(ba)) => {
-                    assert!(buffers_bit_equal(ta, ba), "kernel {} [{mode:?}]: buffer {i} diverges from tree", plan.name)
-                }
-                _ => panic!("kernel {} [{mode:?}]: buffer {i} allocated under one mode only", plan.name),
-            }
+    let _guard = override_lock();
+    let reference = run_uncached(p, ds, plan, Engine::Tree);
+    for launch in ["first", "second"] {
+        let before = thread_native_counters();
+        let built = plan.engine_cache.native_kernel();
+        let native = run_uncached(p, ds, plan, Engine::Bytecode);
+        assert_eq!(counted_since(before), (1, 0), "kernel {} ({launch} launch): must count as native", plan.name);
+        let closures = plan.engine_cache.native_kernel().expect("an executing launch builds the closures");
+        if let Some(built) = built {
+            assert!(
+                Arc::ptr_eq(&built, &closures),
+                "kernel {}: a later launch must not rebuild the closures",
+                plan.name
+            );
         }
-        for (i, (a, b)) in st.iter().zip(sb.iter()).enumerate() {
-            assert!(values_bit_equal(a, b), "kernel {} [{mode:?}]: scalar {i} diverges: {a:?} vs {b:?}", plan.name);
-        }
-        assert_eq!(rt.totals, rb.totals, "kernel {} [{mode:?}]: totals diverge", plan.name);
-        assert_eq!(rt.footprint, rb.footprint, "kernel {} [{mode:?}]: footprint diverges", plan.name);
-        assert_eq!(rt.active_threads, rb.active_threads, "kernel {} [{mode:?}]: active threads diverge", plan.name);
-        assert_eq!(
-            rt.cost.time_secs.to_bits(),
-            rb.cost.time_secs.to_bits(),
-            "kernel {} [{mode:?}]: priced time diverges",
-            plan.name
-        );
-        assert_eq!(rt.cost, rb.cost, "kernel {} [{mode:?}]: cost breakdown diverges", plan.name);
-        assert_eq!(tt, tb, "kernel {} [{mode:?}]: trace events diverge", plan.name);
+        assert_runs_agree(&format!("kernel {} ({launch} native launch)", plan.name), &reference, &native);
     }
-}
-
-/// n, x[n] (ramp), y[n] (zero), plus scratch scalars i/j/s/t.
-fn fixture(n: i64) -> (Program, DataSet) {
-    let mut pb = ProgramBuilder::new("neq");
-    let nn = pb.iscalar("n");
-    let _i = pb.iscalar("i");
-    let _j = pb.iscalar("j");
-    let _s = pb.fscalar("s");
-    let _t = pb.fscalar("t");
-    let x = pb.farray("x", vec![v(nn)]);
-    let _y = pb.farray("y", vec![v(nn)]);
-    let _q = pb.farray("q", vec![8i64.into()]);
-    pb.main(vec![]);
-    let p = pb.build();
-    let ds = DataSet {
-        scalars: vec![(nn, Value::I(n))],
-        arrays: vec![(x, Buffer::from_f64(ElemType::F64, (0..n).map(|k| (k % 89) as f64 * 0.75 + 1.0).collect()))],
-        label: "neq".into(),
-    };
-    (p, ds)
-}
-
-fn finalized(mut k: KernelPlan) -> KernelPlan {
-    k.finalize();
-    k
 }
 
 #[test]
@@ -191,8 +93,8 @@ fn loop_shapes_are_native_transparent() {
     let s = p.scalar_named("s");
     let x = p.array_named("x");
     let y = p.array_named("y");
-    // A divergent trip count (exercises the generic For schedule), a
-    // uniform inner loop (the counted bulk path), and a data-dependent
+    // A divergent trip count (the closures' generic `For` schedule), a
+    // uniform inner loop (their counted bulk path), and a data-dependent
     // while exit.
     let body = vec![
         assign(s, 0.0),
@@ -282,6 +184,12 @@ fn critical_sections_and_hazard_bodies_are_native_transparent() {
     assert_native_transparent(&p, &ds, &finalized(KernelPlan::new("hazard", vec![axis(i, v(n))], hazard)));
 }
 
+/// How the default engine attributes launches. There is no promotion step:
+/// a fresh plan has no closures, and the first launch that executes builds
+/// them and runs on them. A launch at a warp width the closures were not
+/// built for, and a body with calls (no typed lowering), run on the tree
+/// walker and count as tree fallbacks. A replay executes nothing and counts
+/// in neither.
 #[test]
 fn native_counters_attribute_launches_promotions_and_fallbacks() {
     let (p, ds) = fixture(512);
@@ -291,97 +199,82 @@ fn native_counters_attribute_launches_promotions_and_fallbacks() {
     let y = p.array_named("y");
     let body = vec![store(y, vec![v(i)], ld(x, vec![v(i)]) * 2.0)];
     let plan = finalized(KernelPlan::new("count", vec![axis(i, v(n))], body));
+    let cfg = DeviceConfig::from_env();
 
-    let _guard = ENGINE_LOCK.lock().unwrap();
-    // Replayed launches execute no tier; disable the cache so attribution
-    // is deterministic here.
-    struct CacheReset;
-    impl Drop for CacheReset {
+    let _guard = override_lock();
+    assert!(plan.engine_cache.native_kernel().is_none(), "a fresh plan has no closures");
+    let before = thread_native_counters();
+    let _ = run_uncached_on(&p, &ds, &plan, Engine::Bytecode, &cfg);
+    assert_eq!(counted_since(before), (1, 0), "the first executing launch runs on closures");
+    let closures = plan.engine_cache.native_kernel().expect("the first executing launch builds the closures");
+
+    // Half the warp width the closures were built for: the tree walker runs
+    // the launch, bit-identically, and the closures are kept.
+    let mut narrow = cfg.clone();
+    narrow.warp_size = cfg.warp_size / 2;
+    let reference = run_uncached_on(&p, &ds, &plan, Engine::Tree, &narrow);
+    let before = thread_native_counters();
+    let fallback = run_uncached_on(&p, &ds, &plan, Engine::Bytecode, &narrow);
+    assert_eq!(counted_since(before), (0, 1), "a foreign warp width counts as a tree fallback");
+    let kept = plan.engine_cache.native_kernel().expect("closures kept");
+    assert!(Arc::ptr_eq(&closures, &kept), "a fallback must not rebuild the closures");
+    assert_runs_agree("kernel count (foreign warp width)", &reference, &fallback);
+
+    // A body with calls has no typed lowering.
+    let mut pb = ProgramBuilder::new("fb");
+    let fn_n = pb.iscalar("n");
+    let fn_i = pb.iscalar("i");
+    let a = pb.iscalar("a");
+    let t = pb.fscalar("t");
+    let fy = pb.farray("y", vec![v(fn_n)]);
+    let f = pb.func("sq", vec![a], vec![], vec![assign(t, (v(a) * v(a)).to_f() + 0.5)]);
+    pb.main(vec![]);
+    let fp = pb.build();
+    let fds = DataSet { scalars: vec![(fn_n, Value::I(100))], arrays: vec![], label: "fb".into() };
+    let call_plan = finalized(KernelPlan::new(
+        "call",
+        vec![axis(fn_i, v(fn_n))],
+        vec![call(f, vec![v(fn_i)], vec![]), store(fy, vec![v(fn_i)], v(t))],
+    ));
+    let before = thread_native_counters();
+    let _ = run_uncached_on(&fp, &fds, &call_plan, Engine::Bytecode, &cfg);
+    assert_eq!(counted_since(before), (0, 1), "a body with calls counts as a tree fallback");
+    assert!(call_plan.engine_cache.native_kernel().is_none(), "a body with calls has no closures");
+
+    // Cache on, store off, empty cache: the capture executes on the
+    // closures, the replay executes nothing.
+    struct Reset;
+    impl Drop for Reset {
         fn drop(&mut self) {
             set_launch_cache_override(None);
+            set_store_override(None);
+            clear_launch_cache();
         }
     }
-    let _cache_reset = CacheReset;
-    set_launch_cache_override(Some(LaunchCache::Off));
-    let (l0, p0, i0) = thread_native_counters();
-
-    // Forced native on an eligible body: a native launch, no promotion.
-    let _ = run_one(&p, &ds, &plan, Mode::Native);
-    let (l1, p1, i1) = thread_native_counters();
-    assert_eq!(l1 - l0, 1, "forced native launch must count");
-    assert_eq!(p1 - p0, 0, "forced native is not a promotion");
-    assert_eq!(i1 - i0, 0, "eligible body must not count ineligible");
-    assert_eq!(plan.engine_cache.native_launches(), 1);
-    assert!(plan.engine_cache.native_kernel().is_some(), "native compilation must be cached");
-
-    // Auto with threshold 0: promotes exactly once, then keeps launching
-    // natively.
-    let _ = run_one(&p, &ds, &plan, Mode::Auto);
-    let _ = run_one(&p, &ds, &plan, Mode::Auto);
-    let (l2, p2, _) = thread_native_counters();
-    assert_eq!(l2 - l1, 2, "auto past the threshold launches natively");
-    assert_eq!(p2 - p1, 1, "promotion counts once per plan");
-    assert_eq!(plan.engine_cache.promoted_at(), Some(2), "promotion point is the first auto launch past the bar");
-
-    // Forced native with the optimizer off: no typed stream, clean bytecode
-    // fallback, counted ineligible.
-    let plan2 =
-        finalized(KernelPlan::new("count2", vec![axis(i, v(n))], vec![store(y, vec![v(i)], ld(x, vec![v(i)]) + 1.0)]));
-    let _ = run_one(&p, &ds, &plan2, Mode::NativeOptOff);
-    let (l3, _, i3) = thread_native_counters();
-    assert_eq!(l3 - l2, 0, "opt-off native must not launch natively");
-    assert_eq!(i3 - i1, 1, "opt-off native fallback counts ineligible");
-    assert_eq!(plan2.engine_cache.native_launches(), 0);
-
-    // Process totals move with the thread counters (same process).
-    let (kernels, nanos, launches, promotions, ineligible) = native_totals();
-    assert!(kernels >= 1 && launches >= 3 && promotions >= 1 && ineligible >= 1);
-    assert!(nanos > 0, "compile time must be attributed");
+    let _reset = Reset;
+    set_launch_cache_override(Some(LaunchCache::On));
+    set_store_override(Some(StoreMode::Off));
+    clear_launch_cache();
+    let before = thread_native_counters();
+    let capture = run_on(&p, &ds, &plan, Engine::Bytecode, &cfg);
+    assert_eq!(counted_since(before), (1, 0), "a capturing launch executes on the closures");
+    let before = thread_native_counters();
+    let replay = run_on(&p, &ds, &plan, Engine::Bytecode, &cfg);
+    assert_eq!(counted_since(before), (0, 0), "a replay counts in neither");
+    assert_runs_agree("kernel count (capture vs replay)", &capture, &replay);
 }
 
 // ---- randomized race-free kernel bodies -----------------------------------
 
-/// Build a race-free kernel body from a DNA vector (see `engine_equiv.rs`):
-/// every statement reads `x` and writes only `y[i]` or thread-local
-/// scalars, with divergence, loops and selects mixed in.
-fn dna_kernel(p: &Program, dna: &[(u8, i64)]) -> KernelPlan {
-    let n = p.scalar_named("n");
-    let i = p.scalar_named("i");
-    let j = p.scalar_named("j");
-    let s = p.scalar_named("s");
-    let x = p.array_named("x");
-    let y = p.array_named("y");
-    let mut body: Vec<_> = vec![assign(s, ld(x, vec![v(i)]))];
-    for &(op, c) in dna {
-        let c = c.rem_euclid(13) + 1;
-        let stmt = match op % 6 {
-            0 => assign(s, v(s) + ld(x, vec![(v(i) * c) % v(n)])),
-            1 => assign(s, (v(s) * 0.75).max(v(i).to_f() / c as f64)),
-            2 => iff((v(i) % c).eq_(0i64), vec![assign(s, v(s).sqrt() + 1.0)]),
-            3 => sfor(j, 0i64, c, vec![assign(s, v(s) + ld(x, vec![(v(i) + v(j)) % v(n)]) * 0.125)]),
-            4 => if_else(
-                v(s).lt(c as f64),
-                vec![assign(s, v(s) + 2.0)],
-                vec![assign(s, v(s) - ld(x, vec![v(i) % v(n)]))],
-            ),
-            _ => assign(s, (v(i) % c).lt(c / 2 + 1).select(v(s) * 1.25, v(s).abs() + 0.5)),
-        };
-        body.push(stmt);
-    }
-    body.push(store(y, vec![v(i)], v(s)));
-    finalized(KernelPlan::new("dna", vec![axis(i, v(n))], body))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Randomized race-free bodies: native, auto-promoted, optimizer-off
-    /// fallback, bytecode-opt, and tree execution agree bit-for-bit on
-    /// buffers, scalars, totals, cost, and traces.
+    /// Randomized race-free bodies on the default 256-thread blocks, so
+    /// small sizes give single-block grids: both native launches match the
+    /// tree bit-for-bit on buffers, scalars, totals, cost, and traces.
     #[test]
-    fn random_bodies_are_native_transparent(dna in prop::collection::vec((0u8..6, 0i64..100), 1..10), n in 33i64..400) {
+    fn random_bodies_are_native_transparent(dna in prop::collection::vec((0u8..GENES, 0i64..100), 1..10), n in 33i64..400) {
         let (p, ds) = fixture(n);
-        let k = dna_kernel(&p, &dna);
-        assert_native_transparent(&p, &ds, &k);
+        assert_native_transparent(&p, &ds, &dna_kernel(&p, &dna, 256));
     }
 }

@@ -1,145 +1,42 @@
-//! Optimizer equivalence: `ACCEVAL_OPT` must be a pure speed knob. The
-//! optimized bytecode stream (typed or untyped), the unoptimized bytecode
-//! stream, and the reference tree-walker must agree bit-for-bit on every
-//! observable — buffer bits, scalar bits, evidence totals, priced cost, and
-//! the full trace-event stream — over divergent masks, loops, reductions,
-//! private expansions, and texture/shared placements.
+//! Optimizer equivalence: the optimizer runs on every compiled kernel, as
+//! the pipeline stage between bytecode compilation and typed lowering, and
+//! must never change an observable. The tree walker never sees the
+//! optimizer, so it is the unoptimized reference: closures compiled from
+//! the optimized stream must agree with it bit-for-bit on buffer bits,
+//! scalar bits, evidence totals, priced cost, and the full trace-event
+//! stream, over divergent masks, loops, reductions, private expansions, and
+//! texture/constant/shared placements.
 //!
-//! Handcrafted kernels pin the feature corners; a property test sweeps
-//! randomized race-free bodies through all three execution modes.
+//! Every kernel must reach the typed lowering the closures compile from.
+//! Where the passes rewrite the stream (constant folding in the loop and
+//! private-expansion bodies), the test asserts that they did, so those
+//! comparisons cover a rewritten stream. A property test sweeps randomized
+//! race-free bodies.
 
-use std::sync::Mutex;
+mod common;
 
 use acceval_ir::builder::*;
-use acceval_ir::env::Toggle;
 use acceval_ir::expr::{ld, v};
-use acceval_ir::interp::gpu::{
-    env_from_dataset, launch_traced_with_engine, upload_all, DeviceState, Engine, LaunchResult,
-};
-use acceval_ir::interp::opt::set_opt_override;
+use acceval_ir::interp::gpu::Engine;
+use acceval_ir::interp::opt::OptStats;
 use acceval_ir::kernel::{axis, Expansion, KernelPlan, MemSpace, ReduceStrategy};
-use acceval_ir::program::{DataSet, HostData, Program};
-use acceval_ir::types::{ReduceOp, Value, VarRef};
-use acceval_sim::{Buffer, DeviceConfig, ElemType, Payload, RecordingSink};
+use acceval_ir::program::{DataSet, Program};
+use acceval_ir::types::{ReduceOp, VarRef};
+use common::{assert_runs_agree, dna_kernel, finalized, fixture, override_lock, run_uncached, GENES};
 use proptest::prelude::*;
 
-/// The optimizer override is process-global; hold this across each
-/// three-way comparison so parallel tests can't flip it mid-run.
-static OPT_LOCK: Mutex<()> = Mutex::new(());
-
-/// One execution mode of the three-way comparison.
-#[derive(Clone, Copy, Debug)]
-enum Mode {
-    Tree,
-    BytecodeRaw,
-    BytecodeOpt,
-}
-
-/// Run `plan` once under `mode` from a fresh device/scalar state, recording
-/// the trace. The caller holds [`OPT_LOCK`].
-fn run_one(
-    p: &Program,
-    ds: &DataSet,
-    plan: &KernelPlan,
-    mode: Mode,
-) -> (DeviceState, Vec<Value>, LaunchResult, String) {
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            set_opt_override(None);
-        }
-    }
-    let _reset = Reset;
-    let eng = match mode {
-        Mode::Tree => Engine::Tree,
-        Mode::BytecodeRaw | Mode::BytecodeOpt => Engine::Bytecode,
-    };
-    set_opt_override(Some(if matches!(mode, Mode::BytecodeOpt) { Toggle::On } else { Toggle::Off }));
-    let cfg = DeviceConfig::from_env();
-    let host = HostData::materialize(p, ds);
-    let mut dev = DeviceState::new(p, &cfg);
-    upload_all(p, &mut dev, &host);
-    let mut scal = env_from_dataset(p, ds);
-    let mut sink = RecordingSink::new();
-    let r = launch_traced_with_engine(p, plan, &mut dev, &mut scal, &cfg, &mut sink, eng);
-    let trace = format!("{:?}", sink.take());
-    (dev, scal, r, trace)
-}
-
-fn buffers_bit_equal(a: &Buffer, b: &Buffer) -> bool {
-    match (&a.data, &b.data) {
-        (Payload::F(x), Payload::F(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-        }
-        (Payload::I(x), Payload::I(y)) => x == y,
-        _ => false,
-    }
-}
-
-fn values_bit_equal(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::F(x), Value::F(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
-    }
-}
-
-/// Launch under all three modes and assert every observable matches
-/// bit-exactly, using the tree engine as the reference.
-fn assert_opt_transparent(p: &Program, ds: &DataSet, plan: &KernelPlan) {
-    let _guard = OPT_LOCK.lock().unwrap();
-    let (dt, st, rt, tt) = run_one(p, ds, plan, Mode::Tree);
-    for mode in [Mode::BytecodeRaw, Mode::BytecodeOpt] {
-        let (db, sb, rb, tb) = run_one(p, ds, plan, mode);
-        for (i, (ta, ba)) in dt.bufs.iter().zip(db.bufs.iter()).enumerate() {
-            match (ta, ba) {
-                (None, None) => {}
-                (Some(ta), Some(ba)) => {
-                    assert!(buffers_bit_equal(ta, ba), "kernel {} [{mode:?}]: buffer {i} diverges from tree", plan.name)
-                }
-                _ => panic!("kernel {} [{mode:?}]: buffer {i} allocated under one mode only", plan.name),
-            }
-        }
-        for (i, (a, b)) in st.iter().zip(sb.iter()).enumerate() {
-            assert!(values_bit_equal(a, b), "kernel {} [{mode:?}]: scalar {i} diverges: {a:?} vs {b:?}", plan.name);
-        }
-        assert_eq!(rt.totals, rb.totals, "kernel {} [{mode:?}]: totals diverge", plan.name);
-        assert_eq!(rt.footprint, rb.footprint, "kernel {} [{mode:?}]: footprint diverges", plan.name);
-        assert_eq!(rt.active_threads, rb.active_threads, "kernel {} [{mode:?}]: active threads diverge", plan.name);
-        assert_eq!(
-            rt.cost.time_secs.to_bits(),
-            rb.cost.time_secs.to_bits(),
-            "kernel {} [{mode:?}]: priced time diverges",
-            plan.name
-        );
-        assert_eq!(rt.cost, rb.cost, "kernel {} [{mode:?}]: cost breakdown diverges", plan.name);
-        assert_eq!(tt, tb, "kernel {} [{mode:?}]: trace events diverge", plan.name);
-    }
-}
-
-/// n, x[n] (ramp), y[n] (zero), plus scratch scalars i/j/s/t.
-fn fixture(n: i64) -> (Program, DataSet) {
-    let mut pb = ProgramBuilder::new("oeq");
-    let nn = pb.iscalar("n");
-    let _i = pb.iscalar("i");
-    let _j = pb.iscalar("j");
-    let _s = pb.fscalar("s");
-    let _t = pb.fscalar("t");
-    let x = pb.farray("x", vec![v(nn)]);
-    let _y = pb.farray("y", vec![v(nn)]);
-    let _q = pb.farray("q", vec![8i64.into()]);
-    pb.main(vec![]);
-    let p = pb.build();
-    let ds = DataSet {
-        scalars: vec![(nn, Value::I(n))],
-        arrays: vec![(x, Buffer::from_f64(ElemType::F64, (0..n).map(|k| (k % 89) as f64 * 0.75 + 1.0).collect()))],
-        label: "oeq".into(),
-    };
-    (p, ds)
-}
-
-fn finalized(mut k: KernelPlan) -> KernelPlan {
-    k.finalize();
-    k
+/// Launch `plan` on the tree walker and on the optimized pipeline's
+/// closures (launch cache off), assert every observable matches
+/// bit-exactly, and return what the optimizer did to the kernel.
+fn assert_opt_transparent(p: &Program, ds: &DataSet, plan: &KernelPlan) -> OptStats {
+    let _guard = override_lock();
+    let reference = run_uncached(p, ds, plan, Engine::Tree);
+    let optimized = run_uncached(p, ds, plan, Engine::Bytecode);
+    assert!(plan.engine_cache.native_kernel().is_some(), "kernel {}: must run on the optimized closures", plan.name);
+    assert_runs_agree(&format!("kernel {} (optimized)", plan.name), &reference, &optimized);
+    let stats = plan.engine_cache.opt_stats().expect("an executing launch optimizes the kernel");
+    assert!(stats.typed, "kernel {}: the optimized stream must have a typed lowering", plan.name);
+    stats
 }
 
 #[test]
@@ -150,8 +47,8 @@ fn divergent_masks_and_selects_are_opt_transparent() {
     let x = p.array_named("x");
     let y = p.array_named("y");
     let e = ld(x, vec![v(i)]);
-    // Nested divergence over uniform subexpressions the optimizer will
-    // hoist, fold, and CSE — charges and If-site traces must not move.
+    // Nested divergence over repeated uniform subexpressions: charges and
+    // If-site traces must not move.
     let body = vec![
         if_else(
             (v(i) % 3i64).eq_(0i64),
@@ -172,7 +69,7 @@ fn loop_shapes_are_opt_transparent() {
     let s = p.scalar_named("s");
     let x = p.array_named("x");
     let y = p.array_named("y");
-    // Affine chains for strength reduction, a divergent trip count, and a
+    // An affine index chain under a divergent trip count, and a
     // data-dependent while exit.
     let body = vec![
         assign(s, 0.0),
@@ -180,7 +77,8 @@ fn loop_shapes_are_opt_transparent() {
         wloop(v(s).lt(15.0), vec![assign(s, v(s) * 1.25 + 1.0)]),
         store(y, vec![v(i)], v(s)),
     ];
-    assert_opt_transparent(&p, &ds, &finalized(KernelPlan::new("loops", vec![axis(i, v(n))], body)));
+    let stats = assert_opt_transparent(&p, &ds, &finalized(KernelPlan::new("loops", vec![axis(i, v(n))], body)));
+    assert!(stats.folded > 0, "the loop body's constants must be folded: {stats:?}");
 }
 
 #[test]
@@ -223,7 +121,8 @@ fn array_reduction_and_private_expansions_are_opt_transparent() {
     ];
     for exp in [Expansion::RowWise, Expansion::ColumnWise, Expansion::Register] {
         let k = KernelPlan::new("priv", vec![axis(i, v(n))], body.clone()).with_private(q, exp);
-        assert_opt_transparent(&p, &ds, &finalized(k));
+        let stats = assert_opt_transparent(&p, &ds, &finalized(k));
+        assert!(stats.folded > 0, "{exp:?}: the private-array loops' constants must be folded: {stats:?}");
     }
 }
 
@@ -263,47 +162,15 @@ fn critical_sections_and_hazard_bodies_are_opt_transparent() {
 
 // ---- randomized race-free kernel bodies -----------------------------------
 
-/// Build a race-free kernel body from a DNA vector (see `engine_equiv.rs`):
-/// every statement reads `x` and writes only `y[i]` or thread-local
-/// scalars, with divergence, loops and selects mixed in.
-fn dna_kernel(p: &Program, dna: &[(u8, i64)]) -> KernelPlan {
-    let n = p.scalar_named("n");
-    let i = p.scalar_named("i");
-    let j = p.scalar_named("j");
-    let s = p.scalar_named("s");
-    let x = p.array_named("x");
-    let y = p.array_named("y");
-    let mut body: Vec<_> = vec![assign(s, ld(x, vec![v(i)]))];
-    for &(op, c) in dna {
-        let c = c.rem_euclid(13) + 1;
-        let stmt = match op % 6 {
-            0 => assign(s, v(s) + ld(x, vec![(v(i) * c) % v(n)])),
-            1 => assign(s, (v(s) * 0.75).max(v(i).to_f() / c as f64)),
-            2 => iff((v(i) % c).eq_(0i64), vec![assign(s, v(s).sqrt() + 1.0)]),
-            3 => sfor(j, 0i64, c, vec![assign(s, v(s) + ld(x, vec![(v(i) + v(j)) % v(n)]) * 0.125)]),
-            4 => if_else(
-                v(s).lt(c as f64),
-                vec![assign(s, v(s) + 2.0)],
-                vec![assign(s, v(s) - ld(x, vec![v(i) % v(n)]))],
-            ),
-            _ => assign(s, (v(i) % c).lt(c / 2 + 1).select(v(s) * 1.25, v(s).abs() + 0.5)),
-        };
-        body.push(stmt);
-    }
-    body.push(store(y, vec![v(i)], v(s)));
-    finalized(KernelPlan::new("dna", vec![axis(i, v(n))], body))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Randomized race-free bodies: optimized, unoptimized, and tree
-    /// execution agree bit-for-bit on buffers, scalars, totals, cost, and
+    /// Randomized race-free bodies: the optimized closures and the tree
+    /// walker agree bit-for-bit on buffers, scalars, totals, cost, and
     /// traces.
     #[test]
-    fn random_bodies_are_opt_transparent(dna in prop::collection::vec((0u8..6, 0i64..100), 1..10), n in 33i64..400) {
+    fn random_bodies_are_opt_transparent(dna in prop::collection::vec((0u8..GENES, 0i64..100), 1..10), n in 33i64..400) {
         let (p, ds) = fixture(n);
-        let k = dna_kernel(&p, &dna);
-        assert_opt_transparent(&p, &ds, &k);
+        assert_opt_transparent(&p, &ds, &dna_kernel(&p, &dna, 256));
     }
 }

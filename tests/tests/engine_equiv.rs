@@ -4,55 +4,20 @@
 //! profiled run — at 1 and 8 workers, with the launch cache on and off, so
 //! that `ACCEVAL_ENGINE` is a pure speed knob, never a results knob.
 //!
-//! Launch-cache keys do not carry the engine, so every pass starts from an
-//! empty in-memory cache, and the tree reference runs with the persistent
-//! store off: no pass can replay an effect another engine captured in this
-//! process. Default-engine passes use whatever store the environment
-//! configures, which is how CI's store rerun covers store replays.
+//! Every pass starts from an empty in-memory cache, and the tree reference
+//! runs with the persistent store off (see `common::with_config`).
+//! Default-engine passes use whatever store the environment configures,
+//! which is how CI's store rerun covers store replays.
 
-use std::sync::Mutex;
+mod common;
 
-use acceval::benchmarks::{benchmark_named, Scale};
+use acceval::benchmarks::Scale;
 use acceval::figures::figure1;
-use acceval::ir::env::StoreMode;
-use acceval::ir::interp::gpu::{set_engine_override, Engine};
-use acceval::ir::interp::launch_cache::{clear_launch_cache, set_launch_cache_override, LaunchCache};
-use acceval::ir::interp::store::set_store_override;
-use acceval::models::ModelKind;
-use acceval::profile::chrome_trace;
+use acceval::ir::interp::gpu::Engine;
+use acceval::ir::interp::launch_cache::LaunchCache;
 use acceval::report::figure1_csv;
-use acceval::sim::{MachineConfig, RecordingSink};
-use acceval::sweep::{cached_compile, cached_dataset, cached_oracle};
-
-/// The engine, cache and store overrides and `RAYON_NUM_THREADS` are
-/// process-global; serialize the tests that flip them.
-static LOCK: Mutex<()> = Mutex::new(());
-
-/// Run `f` on `eng` at `threads` workers under launch-cache policy `cache`,
-/// starting from an empty in-memory cache, and restore the defaults on exit
-/// (also on panic, so one failing test can't poison the others).
-fn with_config<T>(eng: Engine, threads: usize, cache: LaunchCache, f: impl FnOnce() -> T) -> T {
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            set_engine_override(None);
-            set_launch_cache_override(None);
-            set_store_override(None);
-            clear_launch_cache();
-            std::env::remove_var("RAYON_NUM_THREADS");
-        }
-    }
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _reset = Reset;
-    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    set_engine_override(Some(eng));
-    set_launch_cache_override(Some(cache));
-    if eng == Engine::Tree {
-        set_store_override(Some(StoreMode::Off));
-    }
-    clear_launch_cache();
-    f()
-}
+use acceval::sim::MachineConfig;
+use common::{profile_jacobi, with_config};
 
 /// The default-engine configurations every artifact is compared under.
 const CONFIGS: [(usize, LaunchCache); 4] =
@@ -77,16 +42,7 @@ fn figure1_csv_is_engine_independent() {
 #[test]
 fn run_profile_is_engine_independent() {
     let cfg = MachineConfig::keeneland_node();
-    let b = benchmark_named("jacobi").expect("jacobi exists");
-    let profiled = || {
-        let ds = cached_dataset(b.as_ref(), Scale::Test);
-        let oracle = cached_oracle(b.as_ref(), Scale::Test, &cfg);
-        let compiled = cached_compile(b.as_ref(), ModelKind::ManualCuda, Scale::Test, None);
-        let mut sink = RecordingSink::new();
-        let run = acceval::run_compiled_traced(b.as_ref(), &compiled, &ds, &cfg, &oracle.run, &mut sink);
-        assert!(run.valid.is_ok(), "jacobi must validate: {:?}", run.valid);
-        (chrome_trace(&sink.take()), run.secs.to_bits(), run.speedup.to_bits())
-    };
+    let profiled = || profile_jacobi(&cfg);
     let (tt, ts, tsp) = with_config(Engine::Tree, 1, LaunchCache::On, profiled);
     for (threads, cache) in CONFIGS {
         let (bt, bs, bsp) = with_config(Engine::Bytecode, threads, cache, profiled);

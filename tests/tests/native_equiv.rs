@@ -1,88 +1,85 @@
-//! Sweep-level determinism for the native engine tier: with
-//! `ACCEVAL_ENGINE=native` (or `auto` with an aggressive promotion
-//! threshold), every artifact — the Figure 1 CSV and the Chrome trace behind
-//! `results/profile_*.json` — must be byte-identical to the tree and
-//! bytecode runs, at any worker count. The engine tier is a speed knob,
-//! never a results knob.
+//! Sweep-level tier attribution for the native closures: the default
+//! engine must run every launch of the Test-scale Figure 1 sweep that
+//! executes (every launch not replayed from the launch cache) on the
+//! closures, with no tree fallbacks, and every artifact — the Figure 1 CSV
+//! and the Chrome trace behind `results/profile_*.json` — must stay
+//! byte-identical to the tree walker's at 1 and 8 workers. The tree walker
+//! counts in neither column.
 
-use std::sync::Mutex;
+mod common;
 
-use acceval::benchmarks::{benchmark_named, Scale};
-use acceval::figures::figure1;
-use acceval::ir::interp::gpu::{set_engine_sel_override, Engine, EngineSel};
-use acceval::ir::interp::native::set_native_threshold_override;
-use acceval::models::ModelKind;
-use acceval::profile::chrome_trace;
+use acceval::benchmarks::Scale;
+use acceval::figures::figure1_with_manifest;
+use acceval::ir::interp::gpu::Engine;
+use acceval::ir::interp::launch_cache::LaunchCache;
+use acceval::ir::interp::native::thread_native_counters;
 use acceval::report::figure1_csv;
-use acceval::sim::{MachineConfig, RecordingSink};
-use acceval::sweep::{cached_compile, cached_dataset, cached_oracle};
+use acceval::sim::MachineConfig;
+use acceval::sweep::SweepManifest;
+use common::{profile_jacobi, with_config};
 
-/// The engine/threshold overrides and `RAYON_NUM_THREADS` are
-/// process-global; serialize the tests that flip them.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Run `f` with the engine selection pinned at `threads` workers, restoring
-/// the defaults on exit (also on panic, so one failing test can't poison
-/// the setting for the others). `auto` promotes after two launches so the
-/// sweep crosses the bytecode→native boundary mid-run.
-fn with_sel<T>(sel: EngineSel, threads: usize, f: impl FnOnce() -> T) -> T {
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            set_engine_sel_override(None);
-            set_native_threshold_override(None);
-            std::env::remove_var("RAYON_NUM_THREADS");
-        }
+/// Assert every task of `m` attributed each launch it executed to `eng`'s
+/// tier: all to the closures under the default engine, none under the tree.
+/// Replays execute nothing and count in neither column.
+fn assert_attributed(m: &SweepManifest, eng: Engine, at: &str) {
+    for r in &m.records {
+        let executed = r.summary.kernels_launched - r.launch_cache_hits - r.launch_cache_disk_hits;
+        let expect = if eng == Engine::Tree { (0, 0) } else { (executed, 0) };
+        assert_eq!(
+            (r.native_launches, r.tree_fallbacks),
+            expect,
+            "{} / {:?}: (native launches, tree fallbacks) of {executed} executed launches under {eng:?} {at}",
+            r.benchmark,
+            r.model
+        );
     }
-    let _guard = ENGINE_LOCK.lock().unwrap();
-    let _reset = Reset;
-    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    set_engine_sel_override(Some(sel));
-    set_native_threshold_override(Some(2));
-    f()
+    assert!(eng == Engine::Tree || m.native_launches > 0, "the default engine must launch natively {at}");
 }
 
-/// The full Figure 1 sweep (tuning on) renders to a byte-identical CSV
-/// under every engine tier and under mid-sweep `auto` promotion, at 1 and 8
-/// workers. Launch-cache keys carry the effective tier, so the passes never
-/// share memoized results across a tier boundary.
+/// The full Figure 1 sweep (tuning on) renders to a byte-identical CSV on
+/// the tree walker and on the closures, and each task's launches are
+/// attributed to the tier that ran them: with the launch cache off at one
+/// worker (every launch executes) and on at eight.
 #[test]
 fn figure1_csv_is_tier_independent() {
     let cfg = MachineConfig::keeneland_node();
-    let baseline = with_sel(EngineSel::Fixed(Engine::Tree), 1, || figure1_csv(&figure1(&cfg, Scale::Test, true)));
-    for sel in [EngineSel::Fixed(Engine::Bytecode), EngineSel::Fixed(Engine::Native), EngineSel::Auto] {
-        for threads in [1usize, 8] {
-            let csv = with_sel(sel, threads, || figure1_csv(&figure1(&cfg, Scale::Test, true)));
-            assert_eq!(baseline, csv, "figure1.csv must be byte-identical under {sel:?} at {threads} workers");
-        }
+    let sweep = || {
+        let (fig, manifest) = figure1_with_manifest(&cfg, Scale::Test, true);
+        (figure1_csv(&fig), manifest)
+    };
+    let (tree, manifest) = with_config(Engine::Tree, 1, LaunchCache::On, sweep);
+    assert_attributed(&manifest, Engine::Tree, "(1 worker, cache on)");
+    for (threads, cache) in [(1usize, LaunchCache::Off), (8, LaunchCache::On)] {
+        let (csv, manifest) = with_config(Engine::Bytecode, threads, cache, sweep);
+        let at = format!("({threads} workers, cache {cache:?})");
+        assert_attributed(&manifest, Engine::Bytecode, &at);
+        assert_eq!(tree, csv, "figure1.csv must be byte-identical on both tiers {at}");
     }
 }
 
 /// A profiled single run emits the same Chrome trace (every span, transfer,
-/// kernel cost, and coalescing evidence event) and bit-identical scores
-/// under every tier, including an `auto` run that promotes mid-iteration.
+/// kernel cost, and coalescing evidence event) and bit-identical scores on
+/// both tiers, and its launches run on the closures.
 #[test]
 fn run_profile_is_tier_independent() {
     let cfg = MachineConfig::keeneland_node();
-    let b = benchmark_named("jacobi").expect("jacobi exists");
-    let trace_under = |sel: EngineSel, threads: usize| {
-        with_sel(sel, threads, || {
-            let ds = cached_dataset(b.as_ref(), Scale::Test);
-            let oracle = cached_oracle(b.as_ref(), Scale::Test, &cfg);
-            let compiled = cached_compile(b.as_ref(), ModelKind::ManualCuda, Scale::Test, None);
-            let mut sink = RecordingSink::new();
-            let run = acceval::run_compiled_traced(b.as_ref(), &compiled, &ds, &cfg, &oracle.run, &mut sink);
-            assert!(run.valid.is_ok(), "jacobi must validate: {:?}", run.valid);
-            (chrome_trace(&sink.take()), run.secs.to_bits(), run.speedup.to_bits())
+    let counted = |eng: Engine, threads: usize| {
+        with_config(eng, threads, LaunchCache::Off, || {
+            let (l0, f0) = thread_native_counters();
+            let run = profile_jacobi(&cfg);
+            let (l1, f1) = thread_native_counters();
+            (run, (l1 - l0, f1 - f0))
         })
     };
-    let (tt, ts, tsp) = trace_under(EngineSel::Fixed(Engine::Tree), 1);
-    for sel in [EngineSel::Fixed(Engine::Bytecode), EngineSel::Fixed(Engine::Native), EngineSel::Auto] {
-        for threads in [1usize, 8] {
-            let (nt, ns, nsp) = trace_under(sel, threads);
-            assert_eq!(ts, ns, "simulated seconds must be bit-identical under {sel:?} at {threads} workers");
-            assert_eq!(tsp, nsp, "speedup must be bit-identical under {sel:?} at {threads} workers");
-            assert_eq!(tt, nt, "chrome trace must be byte-identical under {sel:?} at {threads} workers");
-        }
+    let ((tt, ts, tsp), tree_counts) = counted(Engine::Tree, 1);
+    assert_eq!(tree_counts, (0, 0), "the tree walker counts as neither tier");
+    for threads in [1usize, 8] {
+        let ((nt, ns, nsp), (launches, fallbacks)) = counted(Engine::Bytecode, threads);
+        let at = format!("at {threads} workers");
+        assert!(launches > 0, "jacobi must launch natively {at}");
+        assert_eq!(fallbacks, 0, "jacobi must not fall back to the tree walker {at}");
+        assert_eq!(ts, ns, "simulated seconds must be bit-identical on both tiers {at}");
+        assert_eq!(tsp, nsp, "speedup must be bit-identical on both tiers {at}");
+        assert_eq!(tt, nt, "chrome trace must be byte-identical on both tiers {at}");
     }
 }

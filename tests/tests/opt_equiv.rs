@@ -1,80 +1,68 @@
-//! Sweep-level determinism for the bytecode optimizer: with
-//! `ACCEVAL_OPT=on`, every artifact — the Figure 1 CSV and the Chrome trace
-//! behind `results/profile_*.json` — must be byte-identical to the opt-off
-//! run, at any worker count. The optimizer is a speed knob, never a results
-//! knob.
+//! Sweep-level determinism for the optimizer: it runs on every kernel the
+//! default engine executes, as the pipeline stage between bytecode
+//! compilation and typed lowering, while the tree walker never sees it. So
+//! every artifact — the Figure 1 CSV and the Chrome trace behind
+//! `results/profile_*.json` — must be byte-identical between the two at 1
+//! and 8 workers, and the comparison must cover kernels that really went
+//! through the optimizer. The optimizer is a speed stage, never a results
+//! stage.
 
-use std::sync::Mutex;
+mod common;
 
 use acceval::benchmarks::{benchmark_named, Scale};
-use acceval::figures::figure1;
-use acceval::ir::env::Toggle;
-use acceval::ir::interp::opt::set_opt_override;
+use acceval::figures::figure1_with_manifest;
+use acceval::ir::interp::gpu::Engine;
+use acceval::ir::interp::launch_cache::LaunchCache;
 use acceval::models::ModelKind;
-use acceval::profile::chrome_trace;
 use acceval::report::figure1_csv;
-use acceval::sim::{MachineConfig, RecordingSink};
-use acceval::sweep::{cached_compile, cached_dataset, cached_oracle};
+use acceval::sim::MachineConfig;
+use acceval::sweep::cached_compile;
+use common::{profile_jacobi, with_config};
 
-/// The optimizer override and `RAYON_NUM_THREADS` are process-global;
-/// serialize the tests that flip them.
-static OPT_LOCK: Mutex<()> = Mutex::new(());
-
-/// Run `f` with the optimizer pinned to `mode` at `threads` workers,
-/// restoring the defaults on exit (also on panic, so one failing test can't
-/// poison the setting for the others).
-fn with_opt<T>(mode: Toggle, threads: usize, f: impl FnOnce() -> T) -> T {
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            set_opt_override(None);
-            std::env::remove_var("RAYON_NUM_THREADS");
-        }
-    }
-    let _guard = OPT_LOCK.lock().unwrap();
-    let _reset = Reset;
-    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    set_opt_override(Some(mode));
-    f()
-}
-
-/// The full Figure 1 sweep (tuning on) renders to a byte-identical CSV with
-/// the optimizer off and on at 1 and 8 workers. Launch-cache keys carry the
-/// opt flag, so the on/off passes never share memoized results — each CSV is
-/// genuinely recomputed under its own mode.
+/// The full Figure 1 sweep (tuning on) renders to a byte-identical CSV on
+/// the unoptimized reference and on the optimized pipeline. The one-worker
+/// pass runs with the launch cache off, so every kernel it touches executes
+/// and is optimized (once per plan per process).
 #[test]
 fn figure1_csv_is_opt_independent() {
     let cfg = MachineConfig::keeneland_node();
-    let baseline = with_opt(Toggle::Off, 1, || figure1_csv(&figure1(&cfg, Scale::Test, true)));
-    for threads in [1usize, 8] {
-        let opted = with_opt(Toggle::On, threads, || figure1_csv(&figure1(&cfg, Scale::Test, true)));
-        assert_eq!(baseline, opted, "figure1.csv must be byte-identical under ACCEVAL_OPT=on at {threads} workers");
+    let sweep = || {
+        let (fig, manifest) = figure1_with_manifest(&cfg, Scale::Test, true);
+        (figure1_csv(&fig), manifest)
+    };
+    let (reference, manifest) = with_config(Engine::Tree, 1, LaunchCache::On, sweep);
+    assert_eq!(manifest.opt_kernels, 0, "the tree walker must not run the optimizer");
+    let mut optimized_kernels = 0;
+    for (threads, cache) in [(1usize, LaunchCache::Off), (8, LaunchCache::On)] {
+        let (csv, manifest) = with_config(Engine::Bytecode, threads, cache, sweep);
+        assert_eq!(
+            reference, csv,
+            "figure1.csv must be byte-identical with and without the optimizer ({threads} workers, cache {cache:?})"
+        );
+        optimized_kernels += manifest.opt_kernels;
     }
+    assert!(optimized_kernels > 0, "the optimized passes must optimize the sweep's kernels");
 }
 
 /// A profiled single run emits the same Chrome trace (every span, transfer,
-/// kernel cost, and coalescing evidence event) and bit-identical scores with
-/// the optimizer off and on.
+/// kernel cost, and coalescing evidence event) and bit-identical scores
+/// with and without the optimizer, and the JACOBI kernels it optimized all
+/// reached the typed lowering.
 #[test]
 fn run_profile_is_opt_independent() {
     let cfg = MachineConfig::keeneland_node();
-    let b = benchmark_named("jacobi").expect("jacobi exists");
-    let trace_under = |mode: Toggle, threads: usize| {
-        with_opt(mode, threads, || {
-            let ds = cached_dataset(b.as_ref(), Scale::Test);
-            let oracle = cached_oracle(b.as_ref(), Scale::Test, &cfg);
-            let compiled = cached_compile(b.as_ref(), ModelKind::ManualCuda, Scale::Test, None);
-            let mut sink = RecordingSink::new();
-            let run = acceval::run_compiled_traced(b.as_ref(), &compiled, &ds, &cfg, &oracle.run, &mut sink);
-            assert!(run.valid.is_ok(), "jacobi must validate: {:?}", run.valid);
-            (chrome_trace(&sink.take()), run.secs.to_bits(), run.speedup.to_bits())
-        })
-    };
-    let (bt, bs, bsp) = trace_under(Toggle::Off, 1);
+    let profiled = || profile_jacobi(&cfg);
+    let (tt, ts, tsp) = with_config(Engine::Tree, 1, LaunchCache::On, profiled);
     for threads in [1usize, 8] {
-        let (ot, os, osp) = trace_under(Toggle::On, threads);
-        assert_eq!(bs, os, "simulated seconds must be bit-identical under the optimizer at {threads} workers");
-        assert_eq!(bsp, osp, "speedup must be bit-identical under the optimizer at {threads} workers");
-        assert_eq!(bt, ot, "chrome trace must be byte-identical under the optimizer at {threads} workers");
+        let (ot, os, osp) = with_config(Engine::Bytecode, threads, LaunchCache::Off, profiled);
+        let at = format!("at {threads} workers");
+        assert_eq!(ts, os, "simulated seconds must be bit-identical with and without the optimizer {at}");
+        assert_eq!(tsp, osp, "speedup must be bit-identical with and without the optimizer {at}");
+        assert_eq!(tt, ot, "chrome trace must be byte-identical with and without the optimizer {at}");
     }
+    let b = benchmark_named("jacobi").expect("jacobi exists");
+    let compiled = cached_compile(b.as_ref(), ModelKind::ManualCuda, Scale::Test, None);
+    let stats: Vec<_> = compiled.kernels.values().flatten().filter_map(|k| k.engine_cache.opt_stats()).collect();
+    assert!(!stats.is_empty(), "the optimized runs must optimize jacobi's kernels");
+    assert!(stats.iter().all(|s| s.typed), "every optimized jacobi kernel must reach the typed lowering: {stats:?}");
 }
