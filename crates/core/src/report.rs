@@ -300,15 +300,12 @@ pub struct BenchSweep {
     pub store_quarantined: u64,
     /// Store entries evicted under the disk byte cap.
     pub store_evicted: u64,
-    /// Kernels the optimizer rewrote during the sweep (once per distinct
-    /// plan; memoized plans don't recount).
+    /// Kernels whose compiled stream went through the typed lowering
+    /// during the sweep (once per distinct plan; memoized plans don't
+    /// recount).
     pub opt_kernels: u64,
-    /// Instruction count of those kernels before optimization.
+    /// Instruction count of those kernels' compiled streams.
     pub opt_ops_pre: u64,
-    /// Instruction count after optimization (launch preludes excluded).
-    pub opt_ops_post: u64,
-    /// CSE eliminations summed over those kernels.
-    pub opt_cse_hits: u64,
     /// Launches executed through the native closures.
     pub native_launches: u64,
     /// Launches the default engine handed to the tree walker.
@@ -318,7 +315,7 @@ pub struct BenchSweep {
 /// Build the `results/BENCH_sweep.json` payload from a sweep manifest.
 pub fn bench_sweep_json(m: &SweepManifest, engine: &str) -> String {
     let payload = BenchSweep {
-        schema: "acceval-bench-sweep/8".to_string(),
+        schema: "acceval-bench-sweep/9".to_string(),
         engine: engine.to_string(),
         scale: m.scale.clone(),
         with_tuning: m.with_tuning,
@@ -342,8 +339,6 @@ pub fn bench_sweep_json(m: &SweepManifest, engine: &str) -> String {
         store_evicted: m.store_evicted,
         opt_kernels: m.opt_kernels,
         opt_ops_pre: m.opt_ops_pre,
-        opt_ops_post: m.opt_ops_post,
-        opt_cse_hits: m.opt_cse_hits,
         native_launches: m.native_launches,
         tree_fallbacks: m.tree_fallbacks,
     };

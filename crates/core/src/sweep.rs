@@ -334,16 +334,12 @@ pub struct RunRecord {
     /// Wall seconds this task spent hashing buffer contents for cache keys
     /// and captures (harness time; nondeterministic).
     pub launch_cache_digest_secs: f64,
-    /// Kernels whose bytecode the optimizer rewrote during this task (0 for
-    /// tasks served entirely by memoized plans — optimization runs once per
-    /// plan, like compilation).
+    /// Kernels whose compiled stream went through the typed lowering during
+    /// this task (0 for tasks served entirely by memoized plans — lowering
+    /// runs once per plan, like compilation).
     pub opt_kernels: u64,
-    /// Instruction count of those kernels before optimization.
+    /// Instruction count of those kernels' compiled streams.
     pub opt_ops_pre: u64,
-    /// Instruction count after optimization (prelude excluded).
-    pub opt_ops_post: u64,
-    /// Redundant computations eliminated by CSE across those kernels.
-    pub opt_cse_hits: u64,
     /// Launches this task executed through the native closures.
     pub native_launches: u64,
     /// Launches of this task the default engine handed to the tree walker
@@ -450,14 +446,11 @@ pub struct SweepManifest {
     pub store_quarantined: u64,
     /// Store entries evicted under the disk byte cap (process lifetime).
     pub store_evicted: u64,
-    /// Kernels whose bytecode the optimizer rewrote, summed over tasks.
+    /// Kernels whose compiled stream went through the typed lowering,
+    /// summed over tasks.
     pub opt_kernels: u64,
-    /// Pre-optimization instruction count over those kernels.
+    /// Instruction count of those kernels' compiled streams.
     pub opt_ops_pre: u64,
-    /// Post-optimization instruction count (preludes excluded).
-    pub opt_ops_post: u64,
-    /// CSE eliminations summed over those kernels.
-    pub opt_cse_hits: u64,
     /// The engine the sweep ran under (`tree`/`bytecode`).
     pub engine: String,
     /// Native-closure launches summed over the sweep's tasks.
@@ -501,7 +494,7 @@ fn run_task(
     // Launch-cache accounting: the counters are thread-local and tasks never
     // migrate threads mid-run, so the before/after delta is this task's.
     let (h0, dh0, m0, d0) = thread_cache_counters();
-    let (ok0, op0, oq0, oc0) = thread_opt_counters();
+    let (ok0, op0) = thread_opt_counters();
     let (nl0, tf0) = thread_native_counters();
     let ds = cached_dataset(bench, scale);
     let (oracle, oracle_cached) = cached_oracle_tracked(bench, scale, cfg);
@@ -524,7 +517,7 @@ fn run_task(
         (run_compiled(bench, &compiled, &ds, cfg, &oracle.run), None)
     };
     let (h1, dh1, m1, d1) = thread_cache_counters();
-    let (ok1, op1, oq1, oc1) = thread_opt_counters();
+    let (ok1, op1) = thread_opt_counters();
     let (nl1, tf1) = thread_native_counters();
     RunRecord {
         task: index,
@@ -550,8 +543,6 @@ fn run_task(
         launch_cache_digest_secs: (d1 - d0) as f64 * 1e-9,
         opt_kernels: ok1 - ok0,
         opt_ops_pre: op1 - op0,
-        opt_ops_post: oq1 - oq0,
-        opt_cse_hits: oc1 - oc0,
         native_launches: nl1 - nl0,
         tree_fallbacks: tf1 - tf0,
     }
@@ -752,8 +743,6 @@ fn run_enumerated(
     let store_totals = launch_store::store_totals();
     let opt_kernels: u64 = records.iter().map(|r| r.opt_kernels).sum();
     let opt_ops_pre: u64 = records.iter().map(|r| r.opt_ops_pre).sum();
-    let opt_ops_post: u64 = records.iter().map(|r| r.opt_ops_post).sum();
-    let opt_cse_hits: u64 = records.iter().map(|r| r.opt_cse_hits).sum();
     let native_launches: u64 = records.iter().map(|r| r.native_launches).sum();
     let tree_fallbacks: u64 = records.iter().map(|r| r.tree_fallbacks).sum();
 
@@ -786,8 +775,6 @@ fn run_enumerated(
         store_evicted: store_totals.evicted,
         opt_kernels,
         opt_ops_pre,
-        opt_ops_post,
-        opt_cse_hits,
         engine: acceval_ir::interp::gpu::engine_name().to_string(),
         native_launches,
         tree_fallbacks,

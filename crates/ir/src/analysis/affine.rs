@@ -66,100 +66,6 @@ pub fn expr_affine(e: &Expr, loop_vars: &HashSet<ScalarId>) -> bool {
     go(e, loop_vars)
 }
 
-/// Closed affine form `c1 * iv + base` of an integer register value in one
-/// loop's induction variable `iv`.
-///
-/// This is the value-level counterpart of [`expr_affine`]: where that test
-/// classifies *expression trees* structurally, `Aff` carries the actual
-/// coefficients so the bytecode optimizer (`crate::interp::opt`) can rewrite
-/// a per-iteration recomputation into one incremental add. The composition
-/// rules mirror `expr_affine` exactly — `+`/`-` of affine parts, `*` only
-/// when one factor is a literal constant — and all arithmetic is wrapping
-/// `i64`, matching the interpreter's integer semantics bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Aff {
-    /// Coefficient of the induction variable.
-    pub c1: i64,
-    /// Loop-invariant remainder.
-    pub base: AffBase,
-}
-
-/// The loop-invariant part of an [`Aff`]: at most one symbolic register plus
-/// a literal offset (two symbolic terms fall out of the representable set,
-/// exactly like a two-loop-variable product falls out of [`expr_affine`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AffBase {
-    /// Literal offset (0 for none).
-    Const(i64),
-    /// `reg + literal` where `reg` is a loop-invariant integer register.
-    RegConst(u16, i64),
-}
-
-impl Aff {
-    /// The induction variable itself.
-    pub fn var() -> Aff {
-        Aff { c1: 1, base: AffBase::Const(0) }
-    }
-
-    /// A literal integer constant.
-    pub fn konst(k: i64) -> Aff {
-        Aff { c1: 0, base: AffBase::Const(k) }
-    }
-
-    /// A loop-invariant register treated as a symbolic parameter.
-    pub fn reg(r: u16) -> Aff {
-        Aff { c1: 0, base: AffBase::RegConst(r, 0) }
-    }
-
-    /// My literal value, if I am a pure constant.
-    fn as_const(&self) -> Option<i64> {
-        match (self.c1, self.base) {
-            (0, AffBase::Const(k)) => Some(k),
-            _ => None,
-        }
-    }
-
-    /// Affine addition (wrapping, like the interpreter's integer `+`).
-    pub fn add(self, o: Aff) -> Option<Aff> {
-        let base = match (self.base, o.base) {
-            (AffBase::Const(a), AffBase::Const(b)) => AffBase::Const(a.wrapping_add(b)),
-            (AffBase::RegConst(r, a), AffBase::Const(b)) | (AffBase::Const(b), AffBase::RegConst(r, a)) => {
-                AffBase::RegConst(r, a.wrapping_add(b))
-            }
-            // Two symbolic registers: not representable.
-            (AffBase::RegConst(..), AffBase::RegConst(..)) => return None,
-        };
-        Some(Aff { c1: self.c1.wrapping_add(o.c1), base })
-    }
-
-    /// Affine subtraction. The subtrahend's symbolic part cannot be negated
-    /// (we hold no `-reg` form), so it must be constant-only.
-    pub fn sub(self, o: Aff) -> Option<Aff> {
-        let AffBase::Const(ob) = o.base else { return None };
-        let base = match self.base {
-            AffBase::Const(a) => AffBase::Const(a.wrapping_sub(ob)),
-            AffBase::RegConst(r, a) => AffBase::RegConst(r, a.wrapping_sub(ob)),
-        };
-        Some(Aff { c1: self.c1.wrapping_sub(o.c1), base })
-    }
-
-    /// Affine multiplication: one factor must be a literal constant (the
-    /// `expr_affine` one-factor rule), and a symbolic base scales only by 1.
-    pub fn mul(self, o: Aff) -> Option<Aff> {
-        let (a, k) = match (self.as_const(), o.as_const()) {
-            (_, Some(k)) => (self, k),
-            (Some(k), _) => (o, k),
-            (None, None) => return None,
-        };
-        let base = match (a.base, k) {
-            (AffBase::Const(c), _) => AffBase::Const(c.wrapping_mul(k)),
-            (b @ AffBase::RegConst(..), 1) => b,
-            (AffBase::RegConst(..), _) => return None,
-        };
-        Some(Aff { c1: a.c1.wrapping_mul(k), base })
-    }
-}
-
 /// Scalars assigned anywhere within `stmts` (excluding loop headers).
 fn assigned_scalars(stmts: &[Stmt], out: &mut HashSet<ScalarId>) {
     crate::stmt::visit_stmts(stmts, &mut |s| {

@@ -1,6 +1,5 @@
 //! Bytecode compiler: the first stage of the compiled kernel pipeline
-//! (compile, optimize, typed lowering, native closures; see
-//! [`super::native`]).
+//! (compile, typed lowering, native closures; see [`super::native`]).
 //!
 //! [`compile`] lowers a [`KernelPlan`] body once into a flat register-based
 //! instruction stream: scalar slots resolve to dense registers, literals pool
@@ -9,9 +8,9 @@
 //! result is cached on the plan (see `KernelPlan::engine_cache`), so the
 //! sweep's compile memoization amortizes it across tuning points, and
 //! geometry retargeting keeps it valid (nothing here depends on block
-//! shape). The stream is never executed as is: [`super::opt`] rewrites it
-//! and lowers it onto typed register banks, and [`super::native`] turns that
-//! into closures.
+//! shape). The stream is never executed as is: [`super::opt`] lowers it
+//! onto typed register banks, and [`super::native`] turns that into
+//! closures.
 //!
 //! Accounting contract (every later stage keeps it, and it must mirror
 //! `Interp::exec_plain`/`eval` exactly): every `Bin`/`Un`/`CastI`/`CastF`/
@@ -247,10 +246,6 @@ pub struct KernelBytecode {
     pub(crate) pool: Vec<u16>,
     /// Total registers (scalar slots + constants + temporaries).
     pub(crate) nregs: u16,
-    /// First temporary register: scalar slots and pooled constants live
-    /// below, expression temporaries at and above. The optimizer uses the
-    /// boundary to tell rewritable temporaries from named state.
-    pub(crate) temp_base: u16,
     /// `(scalar slot, register)` for scalars the body never writes:
     /// broadcast once per launch.
     pub(crate) scal_init_launch: Vec<(u32, u16)>,
@@ -491,7 +486,6 @@ pub fn compile(prog: &Program, plan: &KernelPlan) -> Option<KernelBytecode> {
         code: c.code,
         pool: c.pool,
         nregs: c.nregs,
-        temp_base,
         scal_init_launch,
         scal_init_warp,
         const_init: c.const_init,

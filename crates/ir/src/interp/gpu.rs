@@ -39,8 +39,8 @@ pub enum Engine {
     /// time through [`Interp`]. Always available.
     Tree,
     /// The default: the plan's compiled native closures
-    /// ([`crate::interp::native`]), built through compile, optimize and
-    /// typed lowering, executing whole warps in lockstep. A launch without
+    /// ([`crate::interp::native`]), built through compile and typed
+    /// lowering, executing whole warps in lockstep. A launch without
     /// closures (a body with calls, a body the typed lowering rejects, or a
     /// warp width other than the one the closures were built for) runs on
     /// the tree walker. All scores and statistics are bit-identical to
@@ -337,7 +337,6 @@ struct WarpMachine<'a> {
     priv_bufs: HashMap<ArrayId, Buffer>,
     tid_linear: u64,
     total_threads: u64,
-    warp_size: u32,
 }
 
 impl<'a> WarpMachine<'a> {
@@ -870,9 +869,7 @@ fn launch_impl(
                     priv_bufs: HashMap::new(),
                     tid_linear: 0,
                     total_threads,
-                    warp_size: warp,
                 };
-                let _ = wm.warp_size;
                 let mut it = Interp::with_env(prog, wm, base_env.clone());
                 let mut any_active = false;
                 for lane in 0..warp as u64 {
@@ -919,8 +916,7 @@ fn launch_impl(
                         it.scal[plan.axes[1].var.0 as usize] = Value::I(v1);
                     }
                     // Scalar reduction identities.
-                    for (k, &(slot, op, isf)) in red_scalar.iter().enumerate() {
-                        let _ = k;
+                    for &(slot, op, isf) in &red_scalar {
                         it.scal[slot] = if isf { Value::F(op.identity_f()) } else { Value::I(op.identity_i()) };
                     }
                     // Execute the body.
@@ -1361,7 +1357,7 @@ struct GridCtx<'a> {
     prog: &'a Program,
     plan: &'a KernelPlan,
     nk: &'a native::NativeKernel,
-    /// The optimized stream the closures were built from (`nk.opt.bc`):
+    /// The compiled stream the closures were built from (`nk.opt.bc`):
     /// register layout, fast-site table and pricing flags.
     bc: &'a bytecode::KernelBytecode,
     cfg: &'a DeviceConfig,

@@ -14,9 +14,9 @@
 //!   the compiled executor must match, and its fallback.
 //!
 //! The default engine runs kernel bodies through one compiled pipeline
-//! instead: [`bytecode`] compiles the body, [`opt`] optimizes the stream and
-//! lowers it onto typed register banks, and [`native`] turns that into
-//! closures that execute whole warps in lockstep. A launch the pipeline does
+//! instead: [`bytecode`] compiles the body, [`opt`] lowers the stream onto
+//! typed register banks, and [`native`] turns that into closures that
+//! execute whole warps in lockstep. A launch the pipeline does
 //! not cover runs on this evaluator. [`launch_cache`] and [`store`]
 //! memoize launch effects in memory and on disk.
 

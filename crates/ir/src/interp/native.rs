@@ -1,6 +1,6 @@
 //! Native closures: the compiled kernel executor, and the last stage of
-//! the pipeline compile ([`super::bytecode`]), optimize and lower onto typed
-//! register banks ([`super::opt`]), compile to closures (this module).
+//! the pipeline compile ([`super::bytecode`]), lower onto typed register
+//! banks ([`super::opt`]), compile to closures (this module).
 //!
 //! The typed stream becomes a tree of boxed, monomorphized Rust closures
 //! that execute a warp directly. Instruction dispatch, register-file
@@ -20,9 +20,7 @@
 //! * **inner `For` loops** whose bounds are warp-uniform, unwritten by the
 //!   body, and overflow-safe run as a counted loop with the trip count
 //!   computed once and the per-iteration check/increment charges bulk-added
-//!   (the per-lane charge total is unchanged);
-//! * the optimizer's **uniform scalar prelude** runs once per launch, in
-//!   `begin_launch`.
+//!   (the per-lane charge total is unchanged).
 //!
 //! **Cost transparency.** This executor changes no observable number: op
 //! charges land on the same lanes in the same totals as under the tree
@@ -48,7 +46,7 @@ use crate::types::{ArrayId, Value};
 
 use super::bytecode::{ExecCtx, WarpScratch};
 use super::gpu::PRIV_BASE;
-use super::opt::{run_prelude, Bank, OptKernel, TOp, TypedKernel};
+use super::opt::{Bank, OptKernel, TOp, TypedKernel};
 
 // ---------------------------------------------------------------------------
 // Counters
@@ -227,8 +225,8 @@ fn run_seq(seq: &[Thunk], st: &mut NState<'_, '_>, mask: u64) {
 ///   number still comes out bit-identical — the evidence it skips was
 ///   already priced by the cached block's representative.
 pub struct NativeKernel {
-    /// The optimized kernel the closures were built from: launches read its
-    /// register layout, prelude, fast-site table and pricing flags.
+    /// The lowered kernel the closures were built from: launches read its
+    /// register layout, fast-site table and pricing flags.
     pub(crate) opt: Arc<OptKernel>,
     thunks: Vec<Thunk>,
     fast_thunks: Vec<Thunk>,
@@ -252,7 +250,7 @@ impl NativeKernel {
     }
 }
 
-/// Compile the typed stream of an optimized kernel into a [`NativeKernel`]
+/// Compile the typed stream of a lowered kernel into a [`NativeKernel`]
 /// specialized for `warp` lanes. `None` when the plan has no typed lowering
 /// or `warp` exceeds the mask width (the launch runs on the tree walker).
 pub(crate) fn compile_native(ok: &Arc<OptKernel>, warp: usize) -> Option<NativeKernel> {
@@ -266,8 +264,7 @@ pub(crate) fn compile_native(ok: &Arc<OptKernel>, warp: usize) -> Option<NativeK
 }
 
 /// Prepare the scratch arena for one launch: `WarpScratch::begin_launch`,
-/// the scalar prelude, and the typed banks sized and loaded with every
-/// launch-uniform register.
+/// and the typed banks sized and loaded with every launch-uniform register.
 pub(crate) fn begin_launch(
     nk: &NativeKernel,
     s: &mut WarpScratch,
@@ -276,10 +273,8 @@ pub(crate) fn begin_launch(
     base_env: &[Value],
     segment_bytes: u32,
 ) {
-    let ok = &nk.opt;
     let warp = nk.warp;
-    s.begin_launch(&ok.bc, warp, site_count, priv_shapes, base_env, segment_bytes);
-    run_prelude(ok, s);
+    s.begin_launch(&nk.opt.bc, warp, site_count, priv_shapes, base_env, segment_bytes);
     let t = nk.typed();
     let n = t.nregs as usize * warp;
     s.fregs.clear();

@@ -139,7 +139,7 @@ pub struct KernelPlan {
 /// re-walking the body to rediscover the bail.
 #[derive(Clone)]
 pub enum CompileOutcome {
-    /// The body compiled; the optimizer and typed lowering take it from here.
+    /// The body compiled; the typed lowering takes it from here.
     Compiled(Arc<KernelBytecode>),
     /// The body is outside the compiler's scope; launches run on the tree
     /// walker. Memoized so the scope walk happens once.
@@ -150,21 +150,20 @@ pub enum CompileOutcome {
 /// [`KernelPlan::engine_cache`]).
 ///
 /// Holds each stage of the pipeline, memoized: the [`CompileOutcome`]
-/// (positive *and* negative), the optimized stream layered on a successful
-/// compile, the native closures built from its typed lowering, and the plan
-/// fingerprint.
+/// (positive *and* negative), the typed lowering layered on a successful
+/// compile, the native closures built from it, and the plan fingerprint.
 #[derive(Clone, Default)]
 pub struct EngineCache {
     slot: Arc<OnceLock<CompileOutcome>>,
-    /// Optimized stream for a `Compiled` outcome (`None` after a compile
-    /// that bailed).
+    /// Typed lowering for a `Compiled` outcome (`None` after a compile that
+    /// bailed).
     opt: Arc<OnceLock<Option<Arc<OptKernel>>>>,
     /// Memoized geometry-invariant plan fingerprint (see
     /// [`EngineCache::fingerprint`]). Shares the engine cache's lifetime
     /// contract: valid across clones because geometry retargeting never
     /// touches the fingerprinted fields.
     fp: Arc<OnceLock<u128>>,
-    /// Native closures, layered on the optimized stream. `None` inside the
+    /// Native closures, layered on the typed lowering. `None` inside the
     /// lock when the plan has no typed lowering (or the first launch that
     /// built them used an unsupported warp width).
     native: Arc<OnceLock<Option<Arc<NativeKernel>>>>,
@@ -188,20 +187,20 @@ impl EngineCache {
         self.slot.get()
     }
 
-    /// The optimized kernel for `plan`, compiling and optimizing on first
-    /// use. `None` when the body is out of the compiler's scope.
+    /// The lowered kernel for `plan`, compiling and lowering on first use.
+    /// `None` when the body is out of the compiler's scope.
     pub fn get_or_optimize(&self, prog: &Program, plan: &KernelPlan) -> Option<Arc<OptKernel>> {
         let bc = self.get_or_compile(prog, plan);
         self.opt
             .get_or_init(|| {
-                let ok = optimize(prog, &*bc?);
+                let ok = optimize(prog, &bc?);
                 note_opt(&ok.stats);
                 Some(Arc::new(ok))
             })
             .clone()
     }
 
-    /// Optimizer statistics, if the optimized stream has been built.
+    /// Lowering statistics, if the typed lowering has been attempted.
     pub fn opt_stats(&self) -> Option<OptStats> {
         self.opt.get().and_then(|o| o.as_ref().map(|ok| ok.stats.clone()))
     }
@@ -262,9 +261,7 @@ impl std::fmt::Debug for EngineCache {
             None => write!(f, "EngineCache(empty)"),
             Some(CompileOutcome::Ineligible) => write!(f, "EngineCache(tree-fallback)"),
             Some(CompileOutcome::Compiled(bc)) => match self.opt.get() {
-                Some(Some(ok)) => {
-                    write!(f, "EngineCache({} ops, opt {} ops)", bc.op_count(), ok.stats.ops_post)
-                }
+                Some(Some(ok)) => write!(f, "EngineCache({} ops, typed {})", bc.op_count(), ok.stats.typed),
                 _ => write!(f, "EngineCache({} ops)", bc.op_count()),
             },
         }
@@ -458,11 +455,11 @@ mod tests {
         // body).
         assert!(k.engine_cache.get_or_compile(&p, &k).is_none());
         assert!(k.clone().engine_cache.get_or_compile(&p, &k).is_none());
-        // Optimizing an ineligible plan is also a memoized no-op.
+        // Lowering an ineligible plan is also a memoized no-op.
         assert!(k.engine_cache.get_or_optimize(&p, &k).is_none());
         assert!(k.engine_cache.opt_stats().is_none());
 
-        // Positive verdict: compiled once, optimizer layered on top.
+        // Positive verdict: compiled once, typed lowering layered on top.
         let mut pb = ProgramBuilder::new("pos");
         let n = pb.iscalar("n");
         let i = pb.iscalar("i");
@@ -473,7 +470,7 @@ mod tests {
         k.finalize();
         assert!(k.engine_cache.get_or_compile(&p, &k).is_some());
         assert!(matches!(k.engine_cache.outcome(), Some(CompileOutcome::Compiled(_))));
-        assert!(k.engine_cache.opt_stats().is_none(), "optimizer must be lazy");
+        assert!(k.engine_cache.opt_stats().is_none(), "the lowering must be lazy");
         assert!(k.engine_cache.get_or_optimize(&p, &k).is_some());
         assert!(k.engine_cache.opt_stats().is_some());
     }

@@ -59,8 +59,8 @@ fn intrinsics_divergence_and_select_agree() {
         store(y, vec![v(i)], (v(i) % 5i64).lt(2i64).select(ld(y, vec![v(i)]) * 2.0, ld(y, vec![v(i)]) - 1.0)),
     ];
     assert_engines_agree(&p, &ds, &finalized(KernelPlan::new("intrin", vec![axis(i, v(n))], body)));
-    // Nested divergence over uniform subexpressions the optimizer hoists,
-    // folds and deduplicates: charges and branch-site traces must not move.
+    // Nested divergence over repeated launch-uniform subexpressions: charges
+    // and branch-site traces must not move.
     let body = vec![
         if_else(
             (v(i) % 3i64).eq_(0i64),
@@ -81,9 +81,9 @@ fn sequential_and_while_loops_agree() {
     let s = p.scalar_named("s");
     let x = p.array_named("x");
     let y = p.array_named("y");
-    // Per-thread accumulation: a divergent trip count over an affine chain
-    // the optimizer strength-reduces (the closures' generic `For`
-    // schedule), a uniform inner loop (their counted bulk path), and a
+    // Per-thread accumulation: a divergent trip count over an affine index
+    // chain (the closures' generic `For` schedule), a uniform inner loop
+    // (their counted bulk path), and a
     // data-dependent while whose lanes exit at different trip counts.
     let body = vec![
         assign(s, 0.0),

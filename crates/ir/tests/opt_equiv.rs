@@ -1,42 +1,39 @@
-//! Optimizer equivalence: the optimizer runs on every compiled kernel, as
-//! the pipeline stage between bytecode compilation and typed lowering, and
-//! must never change an observable. The tree walker never sees the
-//! optimizer, so it is the unoptimized reference: closures compiled from
-//! the optimized stream must agree with it bit-for-bit on buffer bits,
-//! scalar bits, evidence totals, priced cost, and the full trace-event
-//! stream, over divergent masks, loops, reductions, private expansions, and
+//! Lowering equivalence: the typed lowering runs on every compiled kernel,
+//! as the pipeline stage between bytecode compilation and the native
+//! closures, and must never change an observable. The tree walker never
+//! sees it, so it is the reference: closures compiled from the typed stream
+//! must agree with it bit-for-bit on buffer bits, scalar bits, evidence
+//! totals, priced cost, and the full trace-event stream, over divergent
+//! masks, loops, reductions, private expansions, and
 //! texture/constant/shared placements.
 //!
-//! Every kernel must reach the typed lowering the closures compile from.
-//! Where the passes rewrite the stream (constant folding in the loop and
-//! private-expansion bodies), the test asserts that they did, so those
-//! comparisons cover a rewritten stream. A property test sweeps randomized
-//! race-free bodies.
+//! Every kernel must reach the typed lowering the closures compile from,
+//! including bodies with redundant, constant, launch-uniform, dead and
+//! affine-chained subexpressions, which the lowering takes as compiled. A
+//! property test sweeps randomized race-free bodies.
 
 mod common;
 
 use acceval_ir::builder::*;
-use acceval_ir::expr::{ld, v};
+use acceval_ir::expr::{fc, ld, v};
 use acceval_ir::interp::gpu::Engine;
-use acceval_ir::interp::opt::OptStats;
 use acceval_ir::kernel::{axis, Expansion, KernelPlan, MemSpace, ReduceStrategy};
 use acceval_ir::program::{DataSet, Program};
 use acceval_ir::types::{ReduceOp, VarRef};
 use common::{assert_runs_agree, dna_kernel, finalized, fixture, override_lock, run_uncached, GENES};
 use proptest::prelude::*;
 
-/// Launch `plan` on the tree walker and on the optimized pipeline's
-/// closures (launch cache off), assert every observable matches
-/// bit-exactly, and return what the optimizer did to the kernel.
-fn assert_opt_transparent(p: &Program, ds: &DataSet, plan: &KernelPlan) -> OptStats {
+/// Launch `plan` on the tree walker and on the pipeline's closures (launch
+/// cache off), assert every observable matches bit-exactly, and that the
+/// kernel reached the typed lowering.
+fn assert_opt_transparent(p: &Program, ds: &DataSet, plan: &KernelPlan) {
     let _guard = override_lock();
     let reference = run_uncached(p, ds, plan, Engine::Tree);
-    let optimized = run_uncached(p, ds, plan, Engine::Bytecode);
-    assert!(plan.engine_cache.native_kernel().is_some(), "kernel {}: must run on the optimized closures", plan.name);
-    assert_runs_agree(&format!("kernel {} (optimized)", plan.name), &reference, &optimized);
-    let stats = plan.engine_cache.opt_stats().expect("an executing launch optimizes the kernel");
-    assert!(stats.typed, "kernel {}: the optimized stream must have a typed lowering", plan.name);
-    stats
+    let lowered = run_uncached(p, ds, plan, Engine::Bytecode);
+    assert!(plan.engine_cache.native_kernel().is_some(), "kernel {}: must run on the compiled closures", plan.name);
+    assert_runs_agree(&format!("kernel {} (typed)", plan.name), &reference, &lowered);
+    let stats = plan.engine_cache.opt_stats().expect("an executing launch lowers the kernel");
+    assert!(stats.typed, "kernel {}: the compiled stream must have a typed lowering: {stats:?}", plan.name);
 }
 
 #[test]
@@ -77,8 +74,30 @@ fn loop_shapes_are_opt_transparent() {
         wloop(v(s).lt(15.0), vec![assign(s, v(s) * 1.25 + 1.0)]),
         store(y, vec![v(i)], v(s)),
     ];
-    let stats = assert_opt_transparent(&p, &ds, &finalized(KernelPlan::new("loops", vec![axis(i, v(n))], body)));
-    assert!(stats.folded > 0, "the loop body's constants must be folded: {stats:?}");
+    assert_opt_transparent(&p, &ds, &finalized(KernelPlan::new("loops", vec![axis(i, v(n))], body)));
+}
+
+/// Bodies with a repeated subexpression, a dead scalar write, a constant
+/// subexpression, launch-uniform index math, and an affine index chain in a
+/// loop reach the typed lowering as compiled and agree with the tree walker.
+#[test]
+fn unsimplified_shapes_are_opt_transparent() {
+    let (p, ds) = fixture(640);
+    let n = p.scalar_named("n");
+    let i = p.scalar_named("i");
+    let j = p.scalar_named("j");
+    let x = p.array_named("x");
+    let y = p.array_named("y");
+    let shapes = [
+        ("repeated", vec![store(y, vec![v(i)], ld(x, vec![((v(i) + 1i64) * (v(i) + 1i64)) % v(n)]))]),
+        ("dead", vec![assign(j, v(n) + 1i64), store(y, vec![v(i)], ld(x, vec![v(i)]))]),
+        ("constant", vec![store(y, vec![v(i)], ld(x, vec![v(i)]) + fc(2.0) * fc(3.0))]),
+        ("uniform", vec![store(y, vec![v(i)], ld(x, vec![v(i)]) + (v(n) - 1i64))]),
+        ("affine", vec![sfor(j, 0i64, v(n) / 3i64, vec![store(y, vec![v(j) * 3i64], 1.0)])]),
+    ];
+    for (name, body) in shapes {
+        assert_opt_transparent(&p, &ds, &finalized(KernelPlan::new(name, vec![axis(i, v(n))], body)));
+    }
 }
 
 #[test]
@@ -121,8 +140,7 @@ fn array_reduction_and_private_expansions_are_opt_transparent() {
     ];
     for exp in [Expansion::RowWise, Expansion::ColumnWise, Expansion::Register] {
         let k = KernelPlan::new("priv", vec![axis(i, v(n))], body.clone()).with_private(q, exp);
-        let stats = assert_opt_transparent(&p, &ds, &finalized(k));
-        assert!(stats.folded > 0, "{exp:?}: the private-array loops' constants must be folded: {stats:?}");
+        assert_opt_transparent(&p, &ds, &finalized(k));
     }
 }
 

@@ -273,10 +273,10 @@ fn run_profile(positionals: &[&str], cfg: &MachineConfig, scale: Scale) {
     let profile = RunProfile::from_events(bench_name, model, &events);
     println!("{}", render_profile(&profile));
 
-    // Per-kernel optimizer attribution: the run above compiled and optimized
-    // every launched plan, and the plans share their engine caches with the
-    // launch path. `typed yes` marks the plans that run as native closures.
-    println!("bytecode optimizer:");
+    // Per-kernel lowering: the run above compiled and lowered every launched
+    // plan, and the plans share their engine caches with the launch path.
+    // `typed yes` marks the plans that run as native closures.
+    println!("compiled kernels:");
     let mut region_ids: Vec<u32> = compiled.kernels.keys().copied().collect();
     region_ids.sort_unstable();
     let mut any = false;
@@ -284,24 +284,11 @@ fn run_profile(positionals: &[&str], cfg: &MachineConfig, scale: Scale) {
         for plan in &compiled.kernels[&rid] {
             let Some(st) = plan.engine_cache.opt_stats() else { continue };
             any = true;
-            let frac = if st.ops_pre > 0 { st.prelude_ops as f64 / st.ops_pre as f64 * 100.0 } else { 0.0 };
-            println!(
-                "  {:<28} {:>4} -> {:<4} ops  prelude {:>2} ({:>4.1}%)  cse {:<3} folded {:<3} sr {:<2} dce {:<2} typed {}",
-                plan.name,
-                st.ops_pre,
-                st.ops_post,
-                st.prelude_ops,
-                frac,
-                st.cse_hits,
-                st.folded,
-                st.strength_reduced,
-                st.dce_removed,
-                if st.typed { "yes" } else { "no" },
-            );
+            println!("  {:<28} {:>4} ops  typed {}", plan.name, st.ops_pre, if st.typed { "yes" } else { "no" });
         }
     }
     if !any {
-        println!("  (no optimized kernels: tree engine, or no plan the compiler accepts)");
+        println!("  (no compiled kernels: tree engine, or no plan the compiler accepts)");
     }
     println!();
     println!(
