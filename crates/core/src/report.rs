@@ -274,7 +274,7 @@ pub struct BenchSweep {
     /// Sum of per-task wall seconds (serial-equivalent cost).
     pub task_wall_secs: f64,
     /// The longest oracle-then-slowest-task chain in wall seconds: the
-    /// floor any schedule (and intra-launch parallelism) is chipping at.
+    /// floor no task schedule can go below.
     pub critical_path_secs: f64,
     /// Per-benchmark wall/sim accounting, one entry per benchmark.
     pub benchmarks: Vec<crate::sweep::GroupTotals>,

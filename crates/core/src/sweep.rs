@@ -15,13 +15,11 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use acceval_benchmarks::{Benchmark, Scale};
 use acceval_ir::interp::cpu::CpuRun;
-use acceval_ir::interp::gpu::{launch_par, set_launch_par_hint, LaunchPar};
 use acceval_ir::interp::launch_cache::{launch_cache_name, launch_cache_totals, thread_cache_counters};
 use acceval_ir::interp::native::thread_native_counters;
 use acceval_ir::interp::opt::thread_opt_counters;
@@ -315,10 +313,6 @@ pub struct RunRecord {
     pub compile_cached: bool,
     /// The folded run profile (only when the sweep ran with profiling).
     pub profile: Option<crate::profile::RunProfile>,
-    /// Whether the scheduler enabled intra-launch (block-chunk) parallelism
-    /// for this task — true on the sweep tail, where finished workers would
-    /// otherwise idle. Scheduling metadata only; never affects results.
-    pub launch_parallel: bool,
     /// The costliest kernel of this task's simulated timeline.
     pub kernel_hotspot: Option<crate::eval::KernelHotspot>,
     /// Wall-clock seconds this task spent simulating (harness time, not
@@ -477,20 +471,8 @@ fn run_task(
     cfg: &MachineConfig,
     scale: Scale,
     with_profile: bool,
-    launch_parallel: bool,
 ) -> RunRecord {
     let t0 = Instant::now();
-    // Two-level parallelism policy: hint the launch executor (thread-local,
-    // so it only affects this task's launches) and reset on every exit path
-    // — the worker thread is reused for later tasks.
-    struct HintReset;
-    impl Drop for HintReset {
-        fn drop(&mut self) {
-            set_launch_par_hint(None);
-        }
-    }
-    set_launch_par_hint(Some(launch_parallel));
-    let _reset = HintReset;
     // Launch-cache accounting: the counters are thread-local and tasks never
     // migrate threads mid-run, so the before/after delta is this task's.
     let (h0, dh0, m0, d0) = thread_cache_counters();
@@ -534,7 +516,6 @@ fn run_task(
         oracle_cached,
         compile_cached,
         profile,
-        launch_parallel,
         kernel_hotspot: r.kernel_hotspot,
         wall_secs: t0.elapsed().as_secs_f64(),
         launch_cache_hits: h1 - h0,
@@ -624,26 +605,12 @@ fn run_enumerated(
     // shim caps its pool at the task count) — computed up front so the
     // manifest records what ran, not what a later env read would claim.
     let workers = rayon::current_num_threads().min(tasks.len().max(1)).max(1);
-    // Two-level parallelism: while every worker has queued tasks, each task
-    // runs its launches serially (task-level parallelism already saturates
-    // the pool). Once the not-yet-started tail is at most one task per
-    // worker, finishing workers start idling — from there each task may
-    // also chunk its kernel launches across blocks. `launch_par()` On/Off
-    // overrides the policy in both directions.
-    let started = AtomicUsize::new(0);
-    let tail_from = tasks.len().saturating_sub(workers);
     let indexed: Vec<(usize, &SweepTask)> = tasks.iter().enumerate().collect();
     let records: Vec<RunRecord> = indexed
         .par_iter()
         .map(|(i, t)| {
-            let tail = started.fetch_add(1, Ordering::Relaxed) >= tail_from;
-            let launch_parallel = match launch_par() {
-                LaunchPar::On => true,
-                LaunchPar::Off => false,
-                LaunchPar::Auto => tail,
-            };
             let task_cfg = t.device.as_deref().map_or(cfg, |s| &device_cfgs[s]);
-            run_task(by_name[t.benchmark.as_str()], t, *i, task_cfg, scale, with_profile, launch_parallel)
+            run_task(by_name[t.benchmark.as_str()], t, *i, task_cfg, scale, with_profile)
         })
         .collect();
     let wall_secs = t0.elapsed().as_secs_f64();

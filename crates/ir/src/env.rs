@@ -2,9 +2,9 @@
 //! knobs.
 //!
 //! Every runtime knob (`ACCEVAL_DEVICE`, `ACCEVAL_ENGINE`,
-//! `ACCEVAL_LAUNCH_PAR`, `ACCEVAL_LAUNCH_CACHE`,
-//! `ACCEVAL_LAUNCH_CACHE_CAP_MB`, `ACCEVAL_STORE`, `ACCEVAL_STORE_CAP_MB`,
-//! `ACCEVAL_STORE_EPOCH`) parses through this module. Parses are *typed*:
+//! `ACCEVAL_LAUNCH_CACHE`, `ACCEVAL_LAUNCH_CACHE_CAP_MB`, `ACCEVAL_STORE`,
+//! `ACCEVAL_STORE_CAP_MB`, `ACCEVAL_STORE_EPOCH`) parses through this
+//! module. Parses are *typed*:
 //! a malformed value is an [`EnvError`], never a panic. The lazy getters in
 //! [`crate::interp::gpu`], [`crate::interp::launch_cache`], and
 //! [`crate::interp::store`] fall back to their documented defaults on a
@@ -40,8 +40,8 @@ impl EnvError {
     }
 }
 
-/// `auto` / `on` / `off` knob value, shared by the launch cache and the
-/// launch-parallelism policy.
+/// `auto` / `on` / `off` knob value of the launch cache
+/// (`ACCEVAL_LAUNCH_CACHE`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Toggle {
     /// Enabled by default (the knob was not asked for explicitly).
@@ -127,7 +127,6 @@ pub fn parse_device_name(s: &str) -> Result<acceval_sim::DeviceConfig, EnvError>
 pub const KNOWN_VARS: &[&str] = &[
     "ACCEVAL_DEVICE",
     "ACCEVAL_ENGINE",
-    "ACCEVAL_LAUNCH_PAR",
     "ACCEVAL_LAUNCH_CACHE",
     "ACCEVAL_LAUNCH_CACHE_CAP_MB",
     "ACCEVAL_STORE",
@@ -160,7 +159,7 @@ fn validate_vars(vars: impl IntoIterator<Item = (String, String)>) -> Result<(),
             "ACCEVAL_ENGINE" => {
                 parse_engine_name(&v)?;
             }
-            "ACCEVAL_LAUNCH_PAR" | "ACCEVAL_LAUNCH_CACHE" => {
+            "ACCEVAL_LAUNCH_CACHE" => {
                 parse_toggle(&k, &v)?;
             }
             "ACCEVAL_LAUNCH_CACHE_CAP_MB" | "ACCEVAL_STORE_CAP_MB" => {
@@ -200,9 +199,10 @@ mod tests {
         assert!(e.to_string().contains("bytecode"), "error must name the accepted engines: {e}");
     }
 
-    /// The optimizer switch, the promotion threshold, and the `native` and
-    /// `auto` engine values were removed; setting any of them is a startup
-    /// error, not a silently ignored knob.
+    /// The optimizer switch, the promotion threshold, the `native` and
+    /// `auto` engine values, and the intra-launch parallelism policy were
+    /// removed; setting any of them is a startup error, not a silently
+    /// ignored knob.
     #[test]
     fn removed_knobs_are_rejected() {
         let one = |k: &str, v: &str| validate_vars([(k.to_string(), v.to_string())]);
@@ -211,12 +211,14 @@ mod tests {
             ("ACCEVAL_NATIVE_THRESHOLD", "8"),
             ("ACCEVAL_ENGINE", "native"),
             ("ACCEVAL_ENGINE", "auto"),
+            ("ACCEVAL_LAUNCH_PAR", "on"),
         ] {
             let e = one(k, v).unwrap_err();
             assert_eq!(e.var, k, "{k}={v} must be rejected under its own name");
         }
         assert!(!KNOWN_VARS.contains(&"ACCEVAL_OPT"));
         assert!(!KNOWN_VARS.contains(&"ACCEVAL_NATIVE_THRESHOLD"));
+        assert!(!KNOWN_VARS.contains(&"ACCEVAL_LAUNCH_PAR"));
         assert_eq!(one("ACCEVAL_ENGINE", "bytecode"), Ok(()));
         assert_eq!(one("ACCEVAL_STORE_EPOCH", "any label"), Ok(()));
         assert_eq!(one("OTHER_VAR", "x"), Ok(()));

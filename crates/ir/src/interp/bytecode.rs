@@ -268,15 +268,6 @@ pub struct KernelBytecode {
     /// reproduces that ordering exactly while keeping the compiled
     /// dispatch and the allocation-free register file.
     pub(crate) serial_lanes: bool,
-    /// Blocks of this kernel may execute concurrently: every store to a
-    /// shared (non-private) array is lane-disjoint, and so is every load of
-    /// a stored array, so no simulated thread can observe another thread's
-    /// writes through device memory. Any block partition then produces the
-    /// functional outcome of the serial block walk. One tangled access to a
-    /// stored array (even when lane-serial execution would still be sound
-    /// within a warp) makes the outcome depend on block execution order and
-    /// disqualifies the launch.
-    pub(crate) par_blocks_ok: bool,
     /// Every block with the same active-lane shape prices identically up to
     /// address translation: all memory accesses ride the affine fast path,
     /// there is no data-dependent control flow (`If`/`While`/`Select`) or
@@ -409,11 +400,6 @@ pub fn compile(prog: &Program, plan: &KernelPlan) -> Option<KernelBytecode> {
         }
     });
     let serial_lanes = store_sites.iter().any(|(a, &n)| (n > 1 || loaded.contains(a)) && tangled.contains(a));
-    // Block-level parallelism needs the stronger form of the same analysis:
-    // every stored array must be untangled outright (`tangled` already folds
-    // in the load indexings), so each thread touches only elements owned by
-    // its unique global id and block order cannot matter.
-    let par_blocks_ok = store_sites.keys().all(|a| !tangled.contains(a));
 
     let scal_reg: BTreeMap<u32, u16> = scal_ids.iter().enumerate().map(|(k, &s)| (s, k as u16)).collect();
     let temp_base = (scal_reg.len() + const_count) as u16;
@@ -493,7 +479,6 @@ pub fn compile(prog: &Program, plan: &KernelPlan) -> Option<KernelBytecode> {
         red_scalar_regs,
         fast_sites: c.fast_sites,
         serial_lanes,
-        par_blocks_ok,
         uniform_pricing,
     })
 }
@@ -1012,11 +997,11 @@ impl WarpScratch {
 }
 
 /// Pool of warp-scratch arenas. A checkout pops an arena (or builds a fresh
-/// one) and returns it when done, which — unlike the previous single
-/// thread-local slot — is re-entrant: a nested launch on the same thread
-/// simply checks out a second arena instead of aliasing the first, and the
-/// short-lived block-chunk workers of a parallel launch share warmed arenas
-/// instead of rebuilding one behind each new thread's thread-local.
+/// one) and returns it when done, which — unlike a single thread-local slot
+/// — is re-entrant: a nested launch on the same thread simply checks out a
+/// second arena instead of aliasing the first, and the short-lived scoped
+/// workers of a parallel sweep share warmed arenas instead of rebuilding
+/// one behind each new thread's thread-local.
 static SCRATCH_POOL: Mutex<Vec<WarpScratch>> = Mutex::new(Vec::new());
 
 /// Arenas kept warm across launches; enough for a large worker pool plus
@@ -1039,19 +1024,17 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut WarpScratch) -> R) -> R {
     r
 }
 
-/// Raw view of one device buffer, shared by every warp executor of a
-/// launch. Exactly one of `f`/`i` is non-null for an allocated buffer;
-/// accessors bounds-check against `len` so out-of-range indices still panic
-/// (never UB), matching the `Vec`-indexing discipline of [`Buffer`].
+/// Raw view of one device buffer, shared by every warp of a launch.
+/// Exactly one of `f`/`i` is non-null for an allocated buffer; accessors
+/// bounds-check against `len` so out-of-range indices still panic (never
+/// UB), matching the `Vec`-indexing discipline of [`Buffer`].
 ///
 /// # Safety
-/// `RawBuf` is `Send + Sync` so block chunks can execute on scoped worker
-/// threads while all viewing the same buffers. That is sound only under the
-/// launch eligibility rule enforced in `gpu.rs`: a launch runs
-/// block-parallel only when [`KernelBytecode::par_blocks_ok`] proved every
-/// access to every stored array lane-disjoint, so no element is ever
-/// touched by two threads with at least one writing it. The serial path
-/// uses the same views with a single executor, where aliasing is moot.
+/// The views of a launch are built from exclusive borrows of its device
+/// buffers and used by one thread only: the launch's serial block walk
+/// runs every warp in turn, so no two accesses through them ever overlap
+/// in time. The raw pointers make `RawBuf` neither `Send` nor `Sync`, so
+/// the compiler rejects any attempt to share the views across threads.
 #[derive(Clone, Copy)]
 pub(crate) struct RawBuf {
     f: *mut f64,
@@ -1060,11 +1043,6 @@ pub(crate) struct RawBuf {
     is_f: bool,
     alloc: bool,
 }
-
-#[allow(unsafe_code)]
-unsafe impl Send for RawBuf {}
-#[allow(unsafe_code)]
-unsafe impl Sync for RawBuf {}
 
 #[allow(unsafe_code)]
 impl RawBuf {
@@ -1220,8 +1198,8 @@ impl RawBuf {
             return false;
         }
         // SAFETY: `f` points at `len` elements and every index was just
-        // range-checked above; concurrent use is covered by the
-        // lane-disjointness rule documented on [`RawBuf`].
+        // range-checked above; only one thread uses the views (see
+        // [`RawBuf`]).
         unsafe {
             for (&v, &fl) in row.iter().zip(flats) {
                 *self.f.add(fl) = v;
@@ -1244,8 +1222,8 @@ impl RawBuf {
             return false;
         }
         // SAFETY: `i` points at `len` elements and every index was just
-        // range-checked above; concurrent use is covered by the
-        // lane-disjointness rule documented on [`RawBuf`].
+        // range-checked above; only one thread uses the views (see
+        // [`RawBuf`]).
         unsafe {
             for (&v, &fl) in row.iter().zip(flats) {
                 *self.i.add(fl) = v;

@@ -10,7 +10,6 @@
 //! shared-memory slots, texture-cache misses, constant serialization and
 //! divergence penalties, then fed to [`acceval_sim::estimate_kernel`].
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -90,106 +89,24 @@ pub fn engine_name() -> &'static str {
     }
 }
 
-/// Intra-launch block-parallelism policy (`ACCEVAL_LAUNCH_PAR`). Applies
-/// only to launches on the native closures, and only to those the hazard
-/// analysis proves block-independent ([`crate::interp::bytecode`]'s
-/// `par_blocks_ok`); everything else runs the serial block walk regardless
-/// of policy. Results are bit-identical either way — parallel chunks journal
-/// every order-sensitive accumulation and fold in block order.
+/// Retired intra-launch block-parallelism policy, kept only so callers
+/// written against it still compile: every launch now takes the one serial
+/// block walk, so [`launch_par`] always answers [`LaunchPar::Off`] and
+/// [`set_launch_par_hint`] does nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaunchPar {
-    /// Parallel when eligible and the scheduling context asks for it: the
-    /// sweep flips the [`set_launch_par_hint`] hint on its task tail; with
-    /// no hint installed (standalone runs), eligible launches go parallel.
     Auto,
-    /// Parallel whenever the launch is eligible.
     On,
-    /// Always serial.
     Off,
 }
 
-/// Process-wide override: 0 = unset (use env), 1 = auto, 2 = on, 3 = off.
-static LAUNCH_PAR_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static LAUNCH_PAR_FROM_ENV: OnceLock<LaunchPar> = OnceLock::new();
-
-thread_local! {
-    static LAUNCH_PAR_HINT: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// The intra-launch parallelism policy: an override installed by
-/// [`set_launch_par_override`] wins, else the `ACCEVAL_LAUNCH_PAR`
-/// environment variable (`auto` | `on` | `off`), else [`LaunchPar::Auto`].
+/// Always [`LaunchPar::Off`]; see [`LaunchPar`].
 pub fn launch_par() -> LaunchPar {
-    match LAUNCH_PAR_OVERRIDE.load(Ordering::Relaxed) {
-        1 => return LaunchPar::Auto,
-        2 => return LaunchPar::On,
-        3 => return LaunchPar::Off,
-        _ => {}
-    }
-    *LAUNCH_PAR_FROM_ENV.get_or_init(|| match std::env::var("ACCEVAL_LAUNCH_PAR") {
-        // Fail soft to Auto on a malformed value; see `engine()`.
-        Ok(s) => match crate::env::parse_toggle("ACCEVAL_LAUNCH_PAR", &s) {
-            Ok(crate::env::Toggle::On) => LaunchPar::On,
-            Ok(crate::env::Toggle::Off) => LaunchPar::Off,
-            _ => LaunchPar::Auto,
-        },
-        Err(_) => LaunchPar::Auto,
-    })
+    LaunchPar::Off
 }
 
-/// Force a launch-parallelism policy for this process (tests/benches),
-/// overriding the environment. `None` returns control to
-/// `ACCEVAL_LAUNCH_PAR`.
-pub fn set_launch_par_override(p: Option<LaunchPar>) {
-    let v = match p {
-        None => 0,
-        Some(LaunchPar::Auto) => 1,
-        Some(LaunchPar::On) => 2,
-        Some(LaunchPar::Off) => 3,
-    };
-    LAUNCH_PAR_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// Scheduler hint consumed by [`LaunchPar::Auto`]: the sweep sets
-/// `Some(false)` while its task queue is deeper than the worker pool (task
-/// parallelism already saturates the machine) and `Some(true)` on the tail,
-/// where workers would otherwise idle. Thread-local, so each sweep worker
-/// steers only the launches of the task it is running.
-pub fn set_launch_par_hint(h: Option<bool>) {
-    LAUNCH_PAR_HINT.with(|c| c.set(h));
-}
-
-fn launch_par_hint() -> Option<bool> {
-    LAUNCH_PAR_HINT.with(|c| c.get())
-}
-
-/// Worker threads available to one launch: `RAYON_NUM_THREADS` when set
-/// (the same knob the sweep's thread pool honors, re-read per call so tests
-/// can vary it), else the machine's available parallelism.
-pub fn launch_par_workers() -> usize {
-    if let Ok(s) = std::env::var("RAYON_NUM_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Short name of the active launch-parallelism policy, for manifests.
-pub fn launch_par_name() -> &'static str {
-    match launch_par() {
-        LaunchPar::Auto => "auto",
-        LaunchPar::On => "on",
-        LaunchPar::Off => "off",
-    }
-}
-
-/// Cap on scalar-reduction journal entries a parallel launch may buffer
-/// (per-lane values replayed in block order at fold time); launches that
-/// would exceed it run serially instead of ballooning memory.
-const RED_JOURNAL_CAP: u64 = 1 << 23;
+/// No-op; see [`LaunchPar`].
+pub fn set_launch_par_hint(_hint: Option<bool>) {}
 
 /// Device memory image: one optional buffer per program array, plus the
 /// simulated texture cache.
@@ -517,11 +434,6 @@ fn launch_impl(
     );
     let site_kinds = classify_sites(plan);
     let traced = sink.enabled();
-    // Per-site evidence accumulated across all warps (trace-only).
-    let mut site_global: Vec<AccessSummary> =
-        if traced { vec![AccessSummary::default(); plan.site_count as usize] } else { Vec::new() };
-    let mut site_shared: Vec<SharedSummary> =
-        if traced { vec![SharedSummary::default(); plan.site_count as usize] } else { Vec::new() };
     let tex_hits0 = dev.tex_cache.hits;
     let tex_misses0 = dev.tex_cache.misses;
 
@@ -604,9 +516,8 @@ fn launch_impl(
         arr_acc.insert(a, b);
     }
 
-    // Texture sites mutate the cross-launch texture cache, which makes the
-    // launch both ineligible for memoization (state the key cannot cover)
-    // and for intra-launch parallelism (shared mutable cache).
+    // Texture sites mutate the cross-launch texture cache, which the launch
+    // key cannot cover, so a launch that has one is never memoized.
     let has_tex = site_kinds.iter().any(|k| {
         matches!(k, SiteKind::Mem(a)
             if plan.expansion_of(*a).is_none() && matches!(plan.space_of(*a), MemSpace::Texture))
@@ -646,8 +557,7 @@ fn launch_impl(
 
     let warp = cfg.warp_size;
     let warps_per_block = (tpb as u64).div_ceil(warp as u64);
-    let mut totals = KernelTotals::default();
-    let mut active_threads = 0u64;
+    let mut tally = Tally::new(plan.site_count as usize, traced);
     let partials_in_shared = matches!(plan.reduce_strategy, ReduceStrategy::TwoLevelTree { partials_in_shared: true });
 
     // Engine dispatch: the default engine runs the plan's native closures,
@@ -738,19 +648,6 @@ fn launch_impl(
         } else {
             None
         };
-        // Parallel eligibility: block-independent stores, no accumulator
-        // that cannot be journaled cheaply (array reductions fold per
-        // element; texture sites mutate a shared cache), a grid worth
-        // splitting, and a bounded scalar-reduction journal.
-        let journal_ok = total_threads.saturating_mul(red_scalar.len() as u64) <= RED_JOURNAL_CAP;
-        let eligible = bc.par_blocks_ok && red_arrays.is_empty() && !has_tex && total_blocks >= 2 && journal_ok;
-        let want = match launch_par() {
-            LaunchPar::Off => false,
-            LaunchPar::On => true,
-            LaunchPar::Auto => launch_par_hint().unwrap_or(true),
-        };
-        let workers = if want && eligible { launch_par_workers().min(total_blocks as usize) } else { 1 };
-
         let g = GridCtx {
             prog,
             plan,
@@ -789,67 +686,9 @@ fn launch_impl(
             lo1,
             st1,
         };
-        if workers <= 1 {
-            // Serial block walk (also the reference for the parallel fold).
-            let mut out = ChunkOut::new(plan.site_count as usize, traced);
-            bytecode::with_scratch(|scratch| {
-                let mut sink = RedSink::Direct { scal: &mut scal_acc, arrs: &mut arr_acc };
-                run_block_range(&g, 0..total_blocks, scratch, tex_cache, &mut sink, &mut out);
-            });
-            fold_chunk(
-                out,
-                &mut totals,
-                &mut active_threads,
-                &mut site_global,
-                &mut site_shared,
-                &mut scal_acc,
-                &red_scalar,
-            );
-        } else {
-            // Deterministic contiguous chunks, one scoped worker each. The
-            // join collects chunk outputs in block order and `fold_chunk`
-            // replays every order-sensitive accumulation in that order, so
-            // the result is bit-identical to `workers == 1`.
-            let mut ranges: Vec<Range<u64>> = Vec::with_capacity(workers);
-            let per = total_blocks / workers as u64;
-            let rem = total_blocks % workers as u64;
-            let mut at = 0u64;
-            for k in 0..workers as u64 {
-                let len = per + u64::from(k < rem);
-                ranges.push(at..at + len);
-                at += len;
-            }
-            let outs: Vec<ChunkOut> = std::thread::scope(|scope| {
-                let g = &g;
-                let handles: Vec<_> = ranges
-                    .into_iter()
-                    .map(|r| {
-                        scope.spawn(move || {
-                            // Texture sites are ineligible for parallel
-                            // launches, so this cache is never consulted.
-                            let mut tex = Cache::new(g.cfg.tex_line_bytes, 1, g.cfg.tex_line_bytes);
-                            let mut out = ChunkOut::new(g.plan.site_count as usize, g.traced);
-                            bytecode::with_scratch(|scratch| {
-                                run_block_range(g, r, scratch, &mut tex, &mut RedSink::Journal, &mut out);
-                            });
-                            out
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))).collect()
-            });
-            for out in outs {
-                fold_chunk(
-                    out,
-                    &mut totals,
-                    &mut active_threads,
-                    &mut site_global,
-                    &mut site_shared,
-                    &mut scal_acc,
-                    &red_scalar,
-                );
-            }
-        }
+        bytecode::with_scratch(|scratch| {
+            run_block_range(&g, 0..total_blocks, scratch, tex_cache, &mut tally, &mut scal_acc, &mut arr_acc);
+        });
     } else {
         // Reference tree-walking engine: one `Interp` per warp, one pass per lane.
         for blk in 0..total_blocks {
@@ -885,7 +724,7 @@ fn launch_impl(
                         continue;
                     }
                     any_active = true;
-                    active_threads += 1;
+                    tally.active_threads += 1;
                     it.m.lane = lane as u32;
                     it.m.tid_linear = blk * tpb as u64 + t;
                     it.m.in_critical = false;
@@ -963,16 +802,18 @@ fn launch_impl(
                         &wm.lane_ops,
                         wm.atomic_accesses,
                         &mut wm.dev.tex_cache,
-                        &mut totals,
+                        &mut tally.totals,
                         traced,
-                        &mut site_global,
-                        &mut site_shared,
+                        &mut tally.site_global,
+                        &mut tally.site_shared,
                     );
-                    totals.issue_cycles += issue;
+                    tally.totals.issue_cycles += issue;
                 }
             }
         }
     }
+
+    let Tally { mut totals, active_threads, site_global, site_shared } = tally;
 
     // Apply reductions.
     for (k, &(slot, op, _)) in red_scalar.iter().enumerate() {
@@ -1350,9 +1191,8 @@ fn diff_and_digest(pre: Option<&Buffer>, post: &Buffer) -> (ArrayOut, u128) {
     (out, d.finish())
 }
 
-/// Launch-wide immutable context shared by every block-chunk executor of
-/// one native launch. Everything is a plain borrow or `Copy` geometry, so
-/// a reference to it crosses scoped-thread boundaries.
+/// Launch-wide immutable context of one native launch's block walk: the
+/// plan, the compiled closures, the buffer views and the grid geometry.
 struct GridCtx<'a> {
     prog: &'a Program,
     plan: &'a KernelPlan,
@@ -1396,39 +1236,23 @@ struct GridCtx<'a> {
     st1: i64,
 }
 
-/// Where scalar/array reduction partials go during block execution.
-enum RedSink<'a> {
-    /// Serial path: fold straight into the launch accumulators in
-    /// (block, warp, lane) order, exactly as the tree engine does.
-    Direct { scal: &'a mut [Value], arrs: &'a mut HashMap<ArrayId, Buffer> },
-    /// Parallel chunks: journal per-lane values in (block, warp, lane)
-    /// order; [`fold_chunk`] replays them serially so the combine sequence
-    /// is identical to the serial path. (Array reductions are ineligible
-    /// for parallel launches, so only scalars journal.)
-    Journal,
-}
-
-/// One chunk's accumulated results, foldable in block order.
-struct ChunkOut {
+/// The launch's pricing accumulators, filled warp by warp in (block, warp)
+/// order by either engine.
+struct Tally {
+    /// Issue cycles are added one warp increment at a time, in warp order,
+    /// so the f64 sum is the same whichever engine priced the warps.
     totals: KernelTotals,
     active_threads: u64,
-    /// Per-priced-warp issue-cycle increments, in block order. Folded into
-    /// `KernelTotals::issue_cycles` by serial left-to-right addition at
-    /// merge time, so the f64 sum is independent of the chunking.
-    issue: Vec<f64>,
-    /// Scalar-reduction journal (see [`RedSink::Journal`]).
-    red_journal: Vec<Value>,
+    /// Per-site evidence (trace-only; empty when untraced).
     site_global: Vec<AccessSummary>,
     site_shared: Vec<SharedSummary>,
 }
 
-impl ChunkOut {
-    fn new(site_count: usize, traced: bool) -> ChunkOut {
-        ChunkOut {
+impl Tally {
+    fn new(site_count: usize, traced: bool) -> Tally {
+        Tally {
             totals: KernelTotals::default(),
             active_threads: 0,
-            issue: Vec::new(),
-            red_journal: Vec::new(),
             site_global: if traced { vec![AccessSummary::default(); site_count] } else { Vec::new() },
             site_shared: if traced { vec![SharedSummary::default(); site_count] } else { Vec::new() },
         }
@@ -1514,9 +1338,9 @@ fn site_affine_probe(
         .collect()
 }
 
-/// Pre-block snapshot of a chunk's pricing accumulators; [`PriceSnap::diff`]
-/// turns it into the block's pricing delta once the representative block
-/// has been priced.
+/// Pre-block snapshot of the launch's pricing accumulators;
+/// [`PriceSnap::diff`] turns it into the block's pricing delta once the
+/// representative block has been priced.
 struct PriceSnap {
     warps: u64,
     greq: u64,
@@ -1526,12 +1350,11 @@ struct PriceSnap {
     aslots: u64,
     treq: u64,
     tmiss: u64,
-    issue_len: usize,
     sites: Vec<(u32, AccessSummary, SharedSummary)>,
 }
 
 impl PriceSnap {
-    fn take(out: &ChunkOut, g: &GridCtx<'_>) -> PriceSnap {
+    fn take(out: &Tally, g: &GridCtx<'_>) -> PriceSnap {
         let t = &out.totals;
         PriceSnap {
             warps: t.warps,
@@ -1542,7 +1365,6 @@ impl PriceSnap {
             aslots: t.atomic_slots,
             treq: t.tex_requests,
             tmiss: t.tex_miss_lines,
-            issue_len: out.issue.len(),
             sites: if g.traced {
                 g.bc.fast_sites.iter().map(|&s| (s, out.site_global[s as usize], out.site_shared[s as usize])).collect()
             } else {
@@ -1551,7 +1373,9 @@ impl PriceSnap {
         }
     }
 
-    fn diff(self, out: &ChunkOut) -> BlockPricing {
+    /// `issue` holds the block's per-warp issue-cycle increments, in warp
+    /// order.
+    fn diff(self, out: &Tally, issue: Vec<f64>) -> BlockPricing {
         let t = &out.totals;
         BlockPricing {
             warps: t.warps - self.warps,
@@ -1562,7 +1386,7 @@ impl PriceSnap {
             aslots: t.atomic_slots - self.aslots,
             treq: t.tex_requests - self.treq,
             tmiss: t.tex_miss_lines - self.tmiss,
-            issue: out.issue[self.issue_len..].to_vec(),
+            issue,
             sites: self
                 .sites
                 .into_iter()
@@ -1599,7 +1423,7 @@ struct BlockPricing {
 }
 
 impl BlockPricing {
-    fn replay(&self, out: &mut ChunkOut, traced: bool) {
+    fn replay(&self, out: &mut Tally, traced: bool) {
         let t = &mut out.totals;
         t.warps += self.warps;
         t.global_requests += self.greq;
@@ -1609,7 +1433,9 @@ impl BlockPricing {
         t.atomic_slots += self.aslots;
         t.tex_requests += self.treq;
         t.tex_miss_lines += self.tmiss;
-        out.issue.extend_from_slice(&self.issue);
+        for x in &self.issue {
+            t.issue_cycles += *x;
+        }
         if traced {
             for &(s, ga, sh) in &self.sites {
                 out.site_global[s as usize].merge(&ga);
@@ -1619,60 +1445,17 @@ impl BlockPricing {
     }
 }
 
-/// Fold one chunk's results into the launch accumulators. Called in block
-/// (chunk) order: u64 counters and per-site summaries merge associatively,
-/// while the f64 issue-cycle increments and the scalar-reduction journal
-/// replay serially so every order-sensitive fold reproduces the serial
-/// path bit-for-bit.
-#[allow(clippy::too_many_arguments)]
-fn fold_chunk(
-    out: ChunkOut,
-    totals: &mut KernelTotals,
-    active_threads: &mut u64,
-    site_global: &mut [AccessSummary],
-    site_shared: &mut [SharedSummary],
-    scal_acc: &mut [Value],
-    red_scalar: &[(usize, crate::types::ReduceOp, bool)],
-) {
-    debug_assert!(out.totals.issue_cycles == 0.0, "issue cycles travel via the per-warp journal");
-    totals.warps += out.totals.warps;
-    totals.global_requests += out.totals.global_requests;
-    totals.global_transactions += out.totals.global_transactions;
-    totals.useful_bytes += out.totals.useful_bytes;
-    totals.shared_slots += out.totals.shared_slots;
-    totals.atomic_slots += out.totals.atomic_slots;
-    totals.tex_requests += out.totals.tex_requests;
-    totals.tex_miss_lines += out.totals.tex_miss_lines;
-    for x in &out.issue {
-        totals.issue_cycles += *x;
-    }
-    *active_threads += out.active_threads;
-    for (d, s) in site_global.iter_mut().zip(&out.site_global) {
-        d.merge(s);
-    }
-    for (d, s) in site_shared.iter_mut().zip(&out.site_shared) {
-        d.merge(s);
-    }
-    if !red_scalar.is_empty() {
-        for lane_vals in out.red_journal.chunks_exact(red_scalar.len()) {
-            for (k, &(_, op, _)) in red_scalar.iter().enumerate() {
-                scal_acc[k] = op.combine(scal_acc[k], lane_vals[k]);
-            }
-        }
-    }
-}
-
-/// Execute a contiguous range of blocks against shared buffer views,
-/// accumulating pricing into `out` and reduction partials into `sink`.
-/// Both the serial path (one call covering the whole grid) and every
-/// parallel chunk run exactly this code, so the paths cannot drift.
+/// Execute a contiguous range of blocks in block order, accumulating
+/// pricing into `out` and reduction partials into `scal_acc`/`arr_acc` in
+/// (block, warp, lane) order, exactly as the tree engine does.
 fn run_block_range(
     g: &GridCtx<'_>,
     blocks: Range<u64>,
     scratch: &mut bytecode::WarpScratch,
     tex_cache: &mut Cache,
-    sink: &mut RedSink<'_>,
-    out: &mut ChunkOut,
+    out: &mut Tally,
+    scal_acc: &mut [Value],
+    arr_acc: &mut HashMap<ArrayId, Buffer>,
 ) {
     let bc = g.bc;
     let wu = g.warp as usize;
@@ -1682,6 +1465,8 @@ fn run_block_range(
     let mut row: Vec<(u32, u64)> = Vec::with_capacity(wu);
     let mut price_cache: HashMap<Vec<u64>, BlockPricing> = HashMap::new();
     let mut key: Vec<u64> = Vec::new();
+    // The representative block's per-warp issue increments, for its class.
+    let mut block_issue: Vec<f64> = Vec::new();
     let ctx = bytecode::ExecCtx {
         prog: g.prog,
         bufs: g.views,
@@ -1716,6 +1501,7 @@ fn run_block_range(
             }
         }
         let snap = if g.dedup.is_some() && !cached { Some(PriceSnap::take(out, g)) } else { None };
+        block_issue.clear();
         for w in 0..g.warps_per_block {
             let mut mask = 0u64;
             for lane in 0..g.warp as u64 {
@@ -1792,9 +1578,8 @@ fn run_block_range(
             let tid_base = blk * g.tpb as u64 + w * g.warp as u64;
             let atomic = native::exec_warp_native(g.nk, scratch, &ctx, mask, tid_base, !cached);
             // Fold reductions in ascending lane order — the same combine
-            // sequence the tree path produces (journaled chunks replay it
-            // at fold time). With no reductions the lane scan is a no-op;
-            // skip it.
+            // sequence the tree path produces. With no reductions the lane
+            // scan is a no-op; skip it.
             let mut extra_atomic = 0u64;
             let mut m = if g.red_scalar.is_empty() && g.red_arrays.is_empty() { 0 } else { mask };
             while m != 0 {
@@ -1802,18 +1587,12 @@ fn run_block_range(
                 m &= m - 1;
                 for (k, &(_, op, _)) in g.red_scalar.iter().enumerate() {
                     let v = scratch.regs[bc.red_scalar_regs[k] as usize * wu + l];
-                    match sink {
-                        RedSink::Direct { scal, .. } => scal[k] = op.combine(scal[k], v),
-                        RedSink::Journal => out.red_journal.push(v),
-                    }
+                    scal_acc[k] = op.combine(scal_acc[k], v);
                 }
                 for &(a, op) in g.red_arrays {
                     let slot = g.priv_slot[a.0 as usize] as usize;
                     let src = &scratch.priv_bufs[slot * wu + l];
-                    let RedSink::Direct { arrs, .. } = &mut *sink else {
-                        unreachable!("array reductions are ineligible for parallel launches")
-                    };
-                    let acc = arrs.get_mut(&a).expect("acc");
+                    let acc = arr_acc.get_mut(&a).expect("acc");
                     for i in 0..src.len() {
                         let cur = if acc.elem.is_float() { Value::F(acc.get_f(i)) } else { Value::I(acc.get_i(i)) };
                         let nv = if src.elem.is_float() { Value::F(src.get_f(i)) } else { Value::I(src.get_i(i)) };
@@ -1835,8 +1614,7 @@ fn run_block_range(
             if cached {
                 continue;
             }
-            // Price the warp's evidence; the issue-cycle increment is
-            // journaled so chunk folding replays the serial f64 left-fold.
+            // Price the warp's evidence.
             let issue = price_warp(
                 g.plan,
                 g.cfg,
@@ -1854,7 +1632,10 @@ fn run_block_range(
                 &mut out.site_global,
                 &mut out.site_shared,
             );
-            out.issue.push(issue);
+            out.totals.issue_cycles += issue;
+            if snap.is_some() {
+                block_issue.push(issue);
+            }
             // Affine fast-path sites: one address row per site, summarised
             // through the memo instead of a trace.
             for (fidx, &site) in bc.fast_sites.iter().enumerate() {
@@ -1898,7 +1679,7 @@ fn run_block_range(
             }
         }
         if let Some(sn) = snap {
-            price_cache.insert(key.clone(), sn.diff(out));
+            price_cache.insert(key.clone(), sn.diff(out, std::mem::take(&mut block_issue)));
         }
     }
 }
@@ -2050,8 +1831,8 @@ fn price_warp(
         }
     }
     totals.atomic_slots += atomic_accesses;
-    // Returned, not accumulated: callers journal the increment so parallel
-    // chunk folding can replay the serial f64 left-fold exactly.
+    // Returned, not accumulated: the native walk also keeps a representative
+    // block's increments, so its class replays the same f64 additions.
     warp_issue_cycles(lane_ops, divergent_rows) + extra_issue
 }
 

@@ -58,7 +58,7 @@ thread_local! {
 }
 
 /// A launch executed through the native closures (counted on the launching
-/// thread, before any chunk workers fan out, so sweeps can attribute it).
+/// thread, so a sweep attributes it to the task that ran it).
 pub(crate) fn note_native_launch() {
     TL_LAUNCHES.with(|c| c.set(c.get() + 1));
 }

@@ -15,9 +15,10 @@
 //! * the compiled **kernel plan** representation ([`kernel`]) and the GPU
 //!   executor ([`interp::gpu`]).
 
-// `deny`, not `forbid`: the one sanctioned exception is the `RawBuf`
-// shared-buffer view in `interp::bytecode` that block-parallel kernel
-// launches need (see its safety comment); everything else stays safe.
+// `deny`, not `forbid`: the sanctioned exceptions are the `RawBuf`
+// buffer view in `interp::bytecode` that lets a launch's warps share its
+// device buffers (see its safety comment) and the register-row split in
+// `interp::native`; everything else stays safe.
 #![deny(unsafe_code)]
 
 pub mod analysis;

@@ -1,7 +1,7 @@
 //! Shared fixture, random-body generator, traced launch helpers and
 //! bit-equality assertions for the kernel-level suites (`engine_equiv`,
-//! `native_equiv`, `opt_equiv`, `launch_cache`, `parallel_launch`). Each
-//! suite uses a subset, hence the `dead_code` allowance.
+//! `native_equiv`, `opt_equiv`, `launch_cache`). Each suite uses a subset,
+//! hence the `dead_code` allowance.
 #![allow(dead_code)]
 
 use std::sync::{Mutex, MutexGuard};
@@ -56,8 +56,7 @@ pub const GENES: u8 = 8;
 /// Build a race-free kernel body on [`fixture`]'s program from a DNA
 /// vector, with `block` threads per block: each gene appends one statement
 /// that reads `x` and writes only `y[i]` or thread-local scalars, so no
-/// schedule (lockstep, lane-serial, chunked, replayed) can change the
-/// outcome.
+/// schedule (lockstep, lane-serial, replayed) can change the outcome.
 pub fn dna_kernel(p: &Program, dna: &[(u8, i64)], block: u32) -> KernelPlan {
     let n = p.scalar_named("n");
     let i = p.scalar_named("i");
