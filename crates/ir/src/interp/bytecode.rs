@@ -25,14 +25,14 @@
 //! [`acceval_sim::AffineRowMemo`].
 //!
 //! The module also holds the execution state the closures run against: the
-//! per-launch [`WarpScratch`] arena (register file, per-lane op counters,
-//! site traces, private-array scratch; no per-warp allocation), the shared
-//! `RawBuf` buffer views, and the launch-wide `ExecCtx`.
+//! pooled [`WarpScratch`] arena (typed register banks, per-lane op counters,
+//! site traces, private-array scratch; no per-warp allocation) and the
+//! launch-wide `ExecCtx` (array layout and address map).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Mutex;
 
-use acceval_sim::{AffineRowMemo, Buffer, ElemType, Payload, SiteWarpTrace};
+use acceval_sim::{AffineRowMemo, Buffer, ElemType, SiteWarpTrace};
 
 use crate::analysis::affine::expr_affine;
 use crate::expr::{BinOp, Expr, Intrin, UnOp};
@@ -52,8 +52,9 @@ pub(crate) fn intrin_cost(f: Intrin) -> u64 {
     }
 }
 
-/// One bytecode instruction. Registers are indices into a lane-major SoA
-/// register file (`regs[r * warp + lane]`). Structured ops (`If`, `Select`,
+/// One bytecode instruction. Registers are dense numbers; the typed lowering
+/// gives each one a bank, where lane `l` of register `r` lives at
+/// `r * warp + l`. Structured ops (`If`, `Select`,
 /// `For`, `While`) are headers followed by length-delimited sub-blocks laid
 /// out inline; the executor derives block offsets from the recorded lengths.
 #[derive(Debug, Clone, Copy)]
@@ -266,7 +267,7 @@ pub struct KernelBytecode {
     /// reference tree engine runs each lane to completion before the next,
     /// so such bodies observe earlier lanes' writes — lane-serial execution
     /// reproduces that ordering exactly while keeping the compiled
-    /// dispatch and the allocation-free register file.
+    /// dispatch and the allocation-free register banks.
     pub(crate) serial_lanes: bool,
     /// Every block with the same active-lane shape prices identically up to
     /// address translation: all memory accesses ride the affine fast path,
@@ -873,11 +874,10 @@ impl Compiler<'_> {
     }
 }
 
-/// Reusable per-worker-thread execution arena. One lives in a thread-local
-/// and is reshaped (cheaply) at each launch, then reset between warps — no
-/// per-warp allocation survives in steady state.
+/// Reusable execution arena. Launches check one out of `SCRATCH_POOL`,
+/// reshape it (cheaply) for their kernel, and reset its evidence between
+/// warps — no per-warp allocation survives in steady state.
 pub struct WarpScratch {
-    pub(crate) regs: Vec<Value>,
     pub(crate) lane_ops: Vec<u64>,
     pub(crate) traces: Vec<SiteWarpTrace>,
     /// Per-site "this warp recorded into `traces[i]`" flags, so pricing can
@@ -888,8 +888,8 @@ pub struct WarpScratch {
     pub(crate) memo: AffineRowMemo,
     pub(crate) warp: usize,
     priv_sig: Vec<(ElemType, usize)>,
-    /// Typed register banks the native closures execute against, sized per
-    /// launch by `native::begin_launch`.
+    /// Typed register banks the native closures execute against, sized and
+    /// loaded per launch by `native::begin_launch`.
     pub(crate) fregs: Vec<f64>,
     pub(crate) iregs: Vec<i64>,
     pub(crate) bregs: Vec<bool>,
@@ -898,7 +898,6 @@ pub struct WarpScratch {
 impl WarpScratch {
     fn new() -> Self {
         WarpScratch {
-            regs: Vec::new(),
             lane_ops: Vec::new(),
             traces: Vec::new(),
             site_touched: Vec::new(),
@@ -913,9 +912,8 @@ impl WarpScratch {
         }
     }
 
-    /// Reshape for a new launch: size the register file, per-site traces and
-    /// private scratch, load constant registers, broadcast launch-invariant
-    /// scalars, and reset the affine-row memo (site numbering is
+    /// Reshape for a new launch: size the per-lane counters, per-site traces
+    /// and private scratch, and reset the affine-row memo (site numbering is
     /// launch-local).
     pub(crate) fn begin_launch(
         &mut self,
@@ -923,12 +921,9 @@ impl WarpScratch {
         warp: usize,
         site_count: usize,
         priv_shapes: &[(ElemType, usize)],
-        base_env: &[Value],
         segment_bytes: u32,
     ) {
         self.warp = warp;
-        self.regs.clear();
-        self.regs.resize(bc.nregs as usize * warp, Value::I(0));
         self.lane_ops.clear();
         self.lane_ops.resize(warp, 0);
         if self.traces.len() != site_count || self.traces.iter().any(|t| t.lanes() != warp) {
@@ -952,47 +947,18 @@ impl WarpScratch {
             self.priv_sig = priv_shapes.to_vec();
         }
         self.memo.reset(segment_bytes);
-        for &(r, v) in &bc.const_init {
-            for lane in 0..warp {
-                self.regs[r as usize * warp + lane] = v;
-            }
-        }
-        for &(slot, r) in &bc.scal_init_launch {
-            let v = base_env[slot as usize];
-            for lane in 0..warp {
-                self.regs[r as usize * warp + lane] = v;
-            }
-        }
     }
 
-    /// Per-warp reset for a warp whose pricing evidence will be discarded
-    /// (its block's pricing replays from the representative-block cache):
-    /// only the mutable scalar registers are re-broadcast. Legal only ahead
-    /// of the native functional-only sequence, which neither reads nor
-    /// writes the evidence arrays this skips resetting.
-    pub(crate) fn begin_warp_functional(&mut self, bc: &KernelBytecode, base_env: &[Value]) {
-        for &(slot, r) in &bc.scal_init_warp {
-            let v = base_env[slot as usize];
-            for lane in 0..self.warp {
-                self.regs[r as usize * self.warp + lane] = v;
-            }
-        }
-    }
-
-    /// Reset per-warp state: op counters, traces, and mutable scalar
-    /// registers re-broadcast from the base environment.
-    pub(crate) fn begin_warp(&mut self, bc: &KernelBytecode, base_env: &[Value]) {
+    /// Reset the per-warp pricing evidence: op counters and traces. A warp
+    /// whose block replays its pricing from the representative-block cache
+    /// skips this: the functional-only closures it runs neither read nor
+    /// write the evidence.
+    pub(crate) fn begin_warp(&mut self) {
         self.lane_ops.iter_mut().for_each(|x| *x = 0);
         for t in &mut self.traces {
             t.clear();
         }
         self.site_touched.iter_mut().for_each(|x| *x = false);
-        for &(slot, r) in &bc.scal_init_warp {
-            let v = base_env[slot as usize];
-            for lane in 0..self.warp {
-                self.regs[r as usize * self.warp + lane] = v;
-            }
-        }
     }
 }
 
@@ -1024,219 +990,10 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut WarpScratch) -> R) -> R {
     r
 }
 
-/// Raw view of one device buffer, shared by every warp of a launch.
-/// Exactly one of `f`/`i` is non-null for an allocated buffer; accessors
-/// bounds-check against `len` so out-of-range indices still panic (never
-/// UB), matching the `Vec`-indexing discipline of [`Buffer`].
-///
-/// # Safety
-/// The views of a launch are built from exclusive borrows of its device
-/// buffers and used by one thread only: the launch's serial block walk
-/// runs every warp in turn, so no two accesses through them ever overlap
-/// in time. The raw pointers make `RawBuf` neither `Send` nor `Sync`, so
-/// the compiler rejects any attempt to share the views across threads.
-#[derive(Clone, Copy)]
-pub(crate) struct RawBuf {
-    f: *mut f64,
-    i: *mut i64,
-    len: usize,
-    is_f: bool,
-    alloc: bool,
-}
-
-#[allow(unsafe_code)]
-impl RawBuf {
-    /// View an optional device buffer slot.
-    pub(crate) fn of(slot: &mut Option<Buffer>) -> RawBuf {
-        match slot {
-            None => RawBuf { f: std::ptr::null_mut(), i: std::ptr::null_mut(), len: 0, is_f: false, alloc: false },
-            Some(b) => {
-                let is_f = b.elem.is_float();
-                match &mut b.data {
-                    Payload::F(v) => {
-                        RawBuf { f: v.as_mut_ptr(), i: std::ptr::null_mut(), len: v.len(), is_f, alloc: true }
-                    }
-                    Payload::I(v) => {
-                        RawBuf { f: std::ptr::null_mut(), i: v.as_mut_ptr(), len: v.len(), is_f, alloc: true }
-                    }
-                }
-            }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn is_alloc(&self) -> bool {
-        self.alloc
-    }
-
-    /// Element type is float (drives `Value` wrapping, like `Buffer::elem`).
-    #[inline]
-    pub(crate) fn elem_is_float(&self) -> bool {
-        self.is_f
-    }
-
-    #[inline]
-    fn check(&self, idx: usize) {
-        assert!(idx < self.len, "buffer index {idx} out of range (len {})", self.len);
-    }
-
-    /// Read as f64 (integer payloads cast, mirroring [`Buffer::get_f`]).
-    #[inline]
-    pub(crate) fn get_f(&self, idx: usize) -> f64 {
-        self.check(idx);
-        unsafe {
-            if self.f.is_null() {
-                *self.i.add(idx) as f64
-            } else {
-                *self.f.add(idx)
-            }
-        }
-    }
-
-    /// Read as i64 (float payloads cast, mirroring [`Buffer::get_i`]).
-    #[inline]
-    pub(crate) fn get_i(&self, idx: usize) -> i64 {
-        self.check(idx);
-        unsafe {
-            if self.f.is_null() {
-                *self.i.add(idx)
-            } else {
-                *self.f.add(idx) as i64
-            }
-        }
-    }
-
-    /// Write an f64 (integer payloads cast, mirroring [`Buffer::set_f`]).
-    #[inline]
-    pub(crate) fn set_f(&self, idx: usize, x: f64) {
-        self.check(idx);
-        unsafe {
-            if self.f.is_null() {
-                *self.i.add(idx) = x as i64;
-            } else {
-                *self.f.add(idx) = x;
-            }
-        }
-    }
-
-    /// Write an i64 (float payloads cast, mirroring [`Buffer::set_i`]).
-    #[inline]
-    pub(crate) fn set_i(&self, idx: usize, x: i64) {
-        self.check(idx);
-        unsafe {
-            if self.f.is_null() {
-                *self.i.add(idx) = x;
-            } else {
-                *self.f.add(idx) = x as f64;
-            }
-        }
-    }
-
-    /// Whole-row gather `row[k] = self[flats[k]]` with the range check and
-    /// the payload-kind branch hoisted out of the element loop. Returns
-    /// `false` (writing nothing) unless the payload is f64-backed and every
-    /// index is in range — the caller then takes its per-element path.
-    #[inline]
-    pub(crate) fn gather_f(&self, flats: &[usize], row: &mut [f64]) -> bool {
-        if self.f.is_null() {
-            return false;
-        }
-        let mut ok = true;
-        for &fl in flats {
-            ok &= fl < self.len;
-        }
-        if !ok {
-            return false;
-        }
-        // SAFETY: `f` points at `len` elements and every index was just
-        // range-checked above.
-        unsafe {
-            for (d, &fl) in row.iter_mut().zip(flats) {
-                *d = *self.f.add(fl);
-            }
-        }
-        true
-    }
-
-    /// Whole-row i64 gather; see [`Self::gather_f`].
-    #[inline]
-    pub(crate) fn gather_i(&self, flats: &[usize], row: &mut [i64]) -> bool {
-        if self.i.is_null() {
-            return false;
-        }
-        let mut ok = true;
-        for &fl in flats {
-            ok &= fl < self.len;
-        }
-        if !ok {
-            return false;
-        }
-        // SAFETY: `i` points at `len` elements and every index was just
-        // range-checked above.
-        unsafe {
-            for (d, &fl) in row.iter_mut().zip(flats) {
-                *d = *self.i.add(fl);
-            }
-        }
-        true
-    }
-
-    /// Whole-row scatter `self[flats[k]] = row[k]`, ascending lane order
-    /// (intra-row index collisions resolve to the last writer, like the
-    /// per-element path). Returns `false` (writing nothing) unless the
-    /// payload is f64-backed and every index is in range.
-    #[inline]
-    pub(crate) fn scatter_f(&self, flats: &[usize], row: &[f64]) -> bool {
-        if self.f.is_null() {
-            return false;
-        }
-        let mut ok = true;
-        for &fl in flats {
-            ok &= fl < self.len;
-        }
-        if !ok {
-            return false;
-        }
-        // SAFETY: `f` points at `len` elements and every index was just
-        // range-checked above; only one thread uses the views (see
-        // [`RawBuf`]).
-        unsafe {
-            for (&v, &fl) in row.iter().zip(flats) {
-                *self.f.add(fl) = v;
-            }
-        }
-        true
-    }
-
-    /// Whole-row i64 scatter; see [`Self::scatter_f`].
-    #[inline]
-    pub(crate) fn scatter_i(&self, flats: &[usize], row: &[i64]) -> bool {
-        if self.i.is_null() {
-            return false;
-        }
-        let mut ok = true;
-        for &fl in flats {
-            ok &= fl < self.len;
-        }
-        if !ok {
-            return false;
-        }
-        // SAFETY: `i` points at `len` elements and every index was just
-        // range-checked above; only one thread uses the views (see
-        // [`RawBuf`]).
-        unsafe {
-            for (&v, &fl) in row.iter().zip(flats) {
-                *self.i.add(fl) = v;
-            }
-        }
-        true
-    }
-}
-
-/// Launch-wide immutable context the executor needs besides the scratch.
+/// Launch-wide layout the closures address device and private arrays
+/// through (device buffers themselves travel separately, as `&mut`).
 pub(crate) struct ExecCtx<'a> {
     pub prog: &'a Program,
-    pub bufs: &'a [RawBuf],
     pub base: &'a [u64],
     pub elem_bytes: &'a [u32],
     pub extents: &'a [Vec<usize>],

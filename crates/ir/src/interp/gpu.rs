@@ -11,7 +11,6 @@
 //! divergence penalties, then fed to [`acceval_sim::estimate_kernel`].
 
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -493,10 +492,13 @@ fn launch_impl(
             VarRef::Scalar(_) => None,
         })
         .collect();
-    let mut scal_acc: Vec<Value> = red_scalar
+    // Scalar-reduction identities: each thread's accumulator starts from
+    // its operator's, and so does the launch's fold.
+    let red_init: Vec<Value> = red_scalar
         .iter()
         .map(|&(_, op, isf)| if isf { Value::F(op.identity_f()) } else { Value::I(op.identity_i()) })
         .collect();
+    let mut scal_acc = red_init.clone();
     let mut arr_acc: HashMap<ArrayId, Buffer> = HashMap::new();
     for &(a, op) in &red_arrays {
         let (_, len, isf) = priv_shapes
@@ -616,10 +618,9 @@ fn launch_impl(
                 }
             })
             .collect();
-        let views: Vec<bytecode::RawBuf> = bufs.iter_mut().map(bytecode::RawBuf::of).collect();
         // Representative-block pricing dedup: under `uniform_pricing` a
-        // block's entire pricing (totals deltas, per-warp issue cycles,
-        // per-site evidence) is a pure function of its active-lane shape
+        // block's entire pricing (totals deltas, issue cycles, per-site
+        // evidence) is a pure function of its active-lane shape
         // and each fast site's block-base address modulo the site's
         // translation modulus — the coalescing segment for global sites,
         // the bank cycle for shared-tiled ones. Addresses are affine in the
@@ -649,23 +650,26 @@ fn launch_impl(
             None
         };
         let g = GridCtx {
-            prog,
             plan,
             nk,
             bc,
             cfg,
             site_kinds: &site_kinds,
-            views: &views,
-            base: &base,
-            elem_bytes: &elem_bytes,
-            extents: &extents,
-            strides: &strides,
-            expansion: &expansion,
-            priv_slot: &priv_slot,
+            ctx: bytecode::ExecCtx {
+                prog,
+                base: &base,
+                elem_bytes: &elem_bytes,
+                extents: &extents,
+                strides: &strides,
+                expansion: &expansion,
+                priv_slot: &priv_slot,
+                total_threads,
+            },
             priv_elems: &priv_elems,
             priv_shapes: &priv_shapes,
             base_env: &base_env,
             red_scalar: &red_scalar,
+            red_init: &red_init,
             red_arrays: &red_arrays,
             fast_pricing: &fast_pricing,
             dedup,
@@ -680,14 +684,14 @@ fn launch_impl(
             tpb,
             warp,
             warps_per_block,
-            total_threads,
+            total_blocks,
             lo0,
             st0,
             lo1,
             st1,
         };
         bytecode::with_scratch(|scratch| {
-            run_block_range(&g, 0..total_blocks, scratch, tex_cache, &mut tally, &mut scal_acc, &mut arr_acc);
+            run_block_range(&g, scratch, bufs, tex_cache, &mut tally, &mut scal_acc, &mut arr_acc);
         });
     } else {
         // Reference tree-walking engine: one `Interp` per warp, one pass per lane.
@@ -790,7 +794,7 @@ fn launch_impl(
                 // Reduce the warp's traces into totals.
                 let wm = it.m;
                 if any_active {
-                    let issue = price_warp(
+                    price_warp(
                         plan,
                         cfg,
                         &site_kinds,
@@ -807,7 +811,6 @@ fn launch_impl(
                         &mut tally.site_global,
                         &mut tally.site_shared,
                     );
-                    tally.totals.issue_cycles += issue;
                 }
             }
         }
@@ -1192,9 +1195,8 @@ fn diff_and_digest(pre: Option<&Buffer>, post: &Buffer) -> (ArrayOut, u128) {
 }
 
 /// Launch-wide immutable context of one native launch's block walk: the
-/// plan, the compiled closures, the buffer views and the grid geometry.
+/// plan, the compiled closures, the array layout and the grid geometry.
 struct GridCtx<'a> {
-    prog: &'a Program,
     plan: &'a KernelPlan,
     nk: &'a native::NativeKernel,
     /// The compiled stream the closures were built from (`nk.opt.bc`):
@@ -1202,17 +1204,14 @@ struct GridCtx<'a> {
     bc: &'a bytecode::KernelBytecode,
     cfg: &'a DeviceConfig,
     site_kinds: &'a [SiteKind],
-    views: &'a [bytecode::RawBuf],
-    base: &'a [u64],
-    elem_bytes: &'a [u32],
-    extents: &'a [Vec<usize>],
-    strides: &'a [Vec<usize>],
-    expansion: &'a [Option<Expansion>],
-    priv_slot: &'a [i32],
+    /// The array layout the closures address through.
+    ctx: bytecode::ExecCtx<'a>,
     priv_elems: &'a [(ElemType, usize)],
     priv_shapes: &'a [(ArrayId, usize, bool)],
     base_env: &'a [Value],
     red_scalar: &'a [(usize, crate::types::ReduceOp, bool)],
+    /// Each scalar reduction's identity, in reduction order.
+    red_init: &'a [Value],
     red_arrays: &'a [(ArrayId, crate::types::ReduceOp)],
     fast_pricing: &'a [(u64, Option<f64>)],
     /// Per-fast-site affine address steps for representative-block pricing
@@ -1229,7 +1228,7 @@ struct GridCtx<'a> {
     tpb: u32,
     warp: u32,
     warps_per_block: u64,
-    total_threads: u64,
+    total_blocks: u64,
     lo0: i64,
     st0: i64,
     lo1: i64,
@@ -1239,8 +1238,9 @@ struct GridCtx<'a> {
 /// The launch's pricing accumulators, filled warp by warp in (block, warp)
 /// order by either engine.
 struct Tally {
-    /// Issue cycles are added one warp increment at a time, in warp order,
-    /// so the f64 sum is the same whichever engine priced the warps.
+    /// Every warp's issue-cycle increment is a whole number, so the f64
+    /// issue sum is exact (below 2^53) in any order: the same bits whichever
+    /// engine priced the warps and however many blocks replayed a class sum.
     totals: KernelTotals,
     active_threads: u64,
     /// Per-site evidence (trace-only; empty when untraced).
@@ -1343,6 +1343,7 @@ fn site_affine_probe(
 /// representative block has been priced.
 struct PriceSnap {
     warps: u64,
+    issue: f64,
     greq: u64,
     gtx: u64,
     ubytes: u64,
@@ -1358,6 +1359,7 @@ impl PriceSnap {
         let t = &out.totals;
         PriceSnap {
             warps: t.warps,
+            issue: t.issue_cycles,
             greq: t.global_requests,
             gtx: t.global_transactions,
             ubytes: t.useful_bytes,
@@ -1373,12 +1375,11 @@ impl PriceSnap {
         }
     }
 
-    /// `issue` holds the block's per-warp issue-cycle increments, in warp
-    /// order.
-    fn diff(self, out: &Tally, issue: Vec<f64>) -> BlockPricing {
+    fn diff(self, out: &Tally) -> BlockPricing {
         let t = &out.totals;
         BlockPricing {
             warps: t.warps - self.warps,
+            issue: t.issue_cycles - self.issue,
             greq: t.global_requests - self.greq,
             gtx: t.global_transactions - self.gtx,
             ubytes: t.useful_bytes - self.ubytes,
@@ -1386,7 +1387,6 @@ impl PriceSnap {
             aslots: t.atomic_slots - self.aslots,
             treq: t.tex_requests - self.treq,
             tmiss: t.tex_miss_lines - self.tmiss,
-            issue,
             sites: self
                 .sites
                 .into_iter()
@@ -1411,6 +1411,7 @@ impl PriceSnap {
 /// Cached pricing delta of one block equivalence class.
 struct BlockPricing {
     warps: u64,
+    issue: f64,
     greq: u64,
     gtx: u64,
     ubytes: u64,
@@ -1418,7 +1419,6 @@ struct BlockPricing {
     aslots: u64,
     treq: u64,
     tmiss: u64,
-    issue: Vec<f64>,
     sites: Vec<(u32, AccessSummary, SharedSummary)>,
 }
 
@@ -1426,6 +1426,7 @@ impl BlockPricing {
     fn replay(&self, out: &mut Tally, traced: bool) {
         let t = &mut out.totals;
         t.warps += self.warps;
+        t.issue_cycles += self.issue;
         t.global_requests += self.greq;
         t.global_transactions += self.gtx;
         t.useful_bytes += self.ubytes;
@@ -1433,9 +1434,6 @@ impl BlockPricing {
         t.atomic_slots += self.aslots;
         t.tex_requests += self.treq;
         t.tex_miss_lines += self.tmiss;
-        for x in &self.issue {
-            t.issue_cycles += *x;
-        }
         if traced {
             for &(s, ga, sh) in &self.sites {
                 out.site_global[s as usize].merge(&ga);
@@ -1445,13 +1443,14 @@ impl BlockPricing {
     }
 }
 
-/// Execute a contiguous range of blocks in block order, accumulating
-/// pricing into `out` and reduction partials into `scal_acc`/`arr_acc` in
-/// (block, warp, lane) order, exactly as the tree engine does.
+/// Execute every block of the grid in block order against the device
+/// buffers `bufs`, accumulating pricing into `out` and reduction partials
+/// into `scal_acc`/`arr_acc` in (block, warp, lane) order, exactly as the
+/// tree engine does.
 fn run_block_range(
     g: &GridCtx<'_>,
-    blocks: Range<u64>,
     scratch: &mut bytecode::WarpScratch,
+    bufs: &mut [Option<Buffer>],
     tex_cache: &mut Cache,
     out: &mut Tally,
     scal_acc: &mut [Value],
@@ -1465,20 +1464,7 @@ fn run_block_range(
     let mut row: Vec<(u32, u64)> = Vec::with_capacity(wu);
     let mut price_cache: HashMap<Vec<u64>, BlockPricing> = HashMap::new();
     let mut key: Vec<u64> = Vec::new();
-    // The representative block's per-warp issue increments, for its class.
-    let mut block_issue: Vec<f64> = Vec::new();
-    let ctx = bytecode::ExecCtx {
-        prog: g.prog,
-        bufs: g.views,
-        base: g.base,
-        elem_bytes: g.elem_bytes,
-        extents: g.extents,
-        strides: g.strides,
-        expansion: g.expansion,
-        priv_slot: g.priv_slot,
-        total_threads: g.total_threads,
-    };
-    for blk in blocks {
+    for blk in 0..g.total_blocks {
         let bxi = blk % g.gx;
         let byi = blk / g.gx;
         // Representative-block dedup: a block's pricing class is its
@@ -1501,7 +1487,6 @@ fn run_block_range(
             }
         }
         let snap = if g.dedup.is_some() && !cached { Some(PriceSnap::take(out, g)) } else { None };
-        block_issue.clear();
         for w in 0..g.warps_per_block {
             let mut mask = 0u64;
             for lane in 0..g.warp as u64 {
@@ -1527,13 +1512,12 @@ fn run_block_range(
             // A pricing-cached block discards its warps' evidence; the
             // functional-only closures neither read nor write it, so the
             // evidence resets can be skipped with it.
-            if cached {
-                scratch.begin_warp_functional(bc, g.base_env);
-            } else {
-                scratch.begin_warp(bc, g.base_env);
+            if !cached {
+                scratch.begin_warp();
             }
+            native::begin_warp(g.nk, scratch, g.base_env, g.red_init);
             // Per-lane prologue: axis variables (straight into the typed I
-            // bank), scalar-reduction identities, private-array scratch reset.
+            // bank) and private-array scratch reset.
             let a0 = bc.axis_regs[0] as usize;
             let a1 = if g.plan.axes.len() > 1 { Some(bc.axis_regs[1] as usize) } else { None };
             let mut m = mask;
@@ -1545,18 +1529,8 @@ fn run_block_range(
                     scratch.iregs[a1 * wu + l] = ax1[l];
                 }
             }
-            for (k, &(_, op, isf)) in g.red_scalar.iter().enumerate() {
-                let r = bc.red_scalar_regs[k] as usize;
-                let idv = if isf { Value::F(op.identity_f()) } else { Value::I(op.identity_i()) };
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    scratch.regs[r * wu + l] = idv;
-                }
-            }
             for &(a, len, isf) in g.priv_shapes {
-                let slot = g.priv_slot[a.0 as usize] as usize;
+                let slot = g.ctx.priv_slot[a.0 as usize] as usize;
                 let ident = g.red_arrays.iter().find(|(id, _)| *id == a).map(|&(_, op)| op);
                 let fill_f = ident.map_or(0.0, |op| op.identity_f());
                 let fill_i = ident.map_or(0, |op| op.identity_i());
@@ -1576,7 +1550,7 @@ fn run_block_range(
             }
             // Execute the warp in lockstep.
             let tid_base = blk * g.tpb as u64 + w * g.warp as u64;
-            let atomic = native::exec_warp_native(g.nk, scratch, &ctx, mask, tid_base, !cached);
+            let atomic = native::exec_warp_native(g.nk, scratch, &g.ctx, bufs, mask, tid_base, !cached);
             // Fold reductions in ascending lane order — the same combine
             // sequence the tree path produces. With no reductions the lane
             // scan is a no-op; skip it.
@@ -1586,11 +1560,10 @@ fn run_block_range(
                 let l = m.trailing_zeros() as usize;
                 m &= m - 1;
                 for (k, &(_, op, _)) in g.red_scalar.iter().enumerate() {
-                    let v = scratch.regs[bc.red_scalar_regs[k] as usize * wu + l];
-                    scal_acc[k] = op.combine(scal_acc[k], v);
+                    scal_acc[k] = op.combine(scal_acc[k], native::red_value(g.nk, scratch, k, l));
                 }
                 for &(a, op) in g.red_arrays {
-                    let slot = g.priv_slot[a.0 as usize] as usize;
+                    let slot = g.ctx.priv_slot[a.0 as usize] as usize;
                     let src = &scratch.priv_bufs[slot * wu + l];
                     let acc = arr_acc.get_mut(&a).expect("acc");
                     for i in 0..src.len() {
@@ -1615,11 +1588,11 @@ fn run_block_range(
                 continue;
             }
             // Price the warp's evidence.
-            let issue = price_warp(
+            price_warp(
                 g.plan,
                 g.cfg,
                 g.site_kinds,
-                g.elem_bytes,
+                g.ctx.elem_bytes,
                 g.partials_in_shared,
                 g.red_arrays,
                 &scratch.traces,
@@ -1632,10 +1605,6 @@ fn run_block_range(
                 &mut out.site_global,
                 &mut out.site_shared,
             );
-            out.totals.issue_cycles += issue;
-            if snap.is_some() {
-                block_issue.push(issue);
-            }
             // Affine fast-path sites: one address row per site, summarised
             // through the memo instead of a trace.
             for (fidx, &site) in bc.fast_sites.iter().enumerate() {
@@ -1679,7 +1648,7 @@ fn run_block_range(
             }
         }
         if let Some(sn) = snap {
-            price_cache.insert(key.clone(), sn.diff(out, std::mem::take(&mut block_issue)));
+            price_cache.insert(key.clone(), sn.diff(out));
         }
     }
 }
@@ -1707,7 +1676,7 @@ fn price_warp(
     traced: bool,
     site_global: &mut [AccessSummary],
     site_shared: &mut [SharedSummary],
-) -> f64 {
+) {
     totals.warps += 1;
     let mut divergent_rows = 0u64;
     let mut extra_issue = 0.0f64;
@@ -1831,9 +1800,12 @@ fn price_warp(
         }
     }
     totals.atomic_slots += atomic_accesses;
-    // Returned, not accumulated: the native walk also keeps a representative
-    // block's increments, so its class replays the same f64 additions.
-    warp_issue_cycles(lane_ops, divergent_rows) + extra_issue
+    // A whole number (max lane ops, 8 per divergent row, whole extra
+    // transactions), which is what lets `Tally` add increments and replayed
+    // class sums in any order.
+    let issue = warp_issue_cycles(lane_ops, divergent_rows) + extra_issue;
+    debug_assert_eq!(issue.fract(), 0.0, "warp issue increment {issue} is not a whole number");
+    totals.issue_cycles += issue;
 }
 
 /// Convenience for tests: allocate+upload every array the kernel touches.

@@ -40,6 +40,8 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
+use acceval_sim::Buffer;
+
 use crate::expr::{BinOp, Intrin};
 use crate::kernel::Expansion;
 use crate::types::{ArrayId, Value};
@@ -115,7 +117,8 @@ macro_rules! lanes {
 }
 
 /// Mutable warp state the compiled closures execute against: the typed
-/// register banks and evidence arrays of the [`WarpScratch`] arena.
+/// register banks and evidence arrays of the [`WarpScratch`] arena, and the
+/// launch's device buffers (indexed by array; `None` when never allocated).
 pub(crate) struct NState<'a, 'b> {
     w: usize,
     f: &'a mut [f64],
@@ -125,7 +128,8 @@ pub(crate) struct NState<'a, 'b> {
     traces: &'a mut [acceval_sim::SiteWarpTrace],
     touched: &'a mut [bool],
     fast_rows: &'a mut [u64],
-    priv_bufs: &'a mut [acceval_sim::Buffer],
+    priv_bufs: &'a mut [Buffer],
+    bufs: &'a mut [Option<Buffer>],
     ctx: &'a ExecCtx<'b>,
     tid_base: u64,
     in_critical: bool,
@@ -263,8 +267,20 @@ pub(crate) fn compile_native(ok: &Arc<OptKernel>, warp: usize) -> Option<NativeK
     Some(NativeKernel { opt: Arc::clone(ok), thunks, fast_thunks, warp })
 }
 
+/// Write `v` into every lane of register `r` in bank `b`, converted as
+/// `Value::as_f`/`as_i`/`as_b` convert it.
+fn splat(s: &mut WarpScratch, r: u16, b: Bank, v: Value) {
+    let row = r as usize * s.warp..(r as usize + 1) * s.warp;
+    match b {
+        Bank::F => s.fregs[row].fill(v.as_f()),
+        Bank::I => s.iregs[row].fill(v.as_i()),
+        Bank::B => s.bregs[row].fill(v.as_b()),
+    }
+}
+
 /// Prepare the scratch arena for one launch: `WarpScratch::begin_launch`,
-/// and the typed banks sized and loaded with every launch-uniform register.
+/// the typed banks sized, and the launch-uniform registers (constants, and
+/// scalars the body never writes) loaded.
 pub(crate) fn begin_launch(
     nk: &NativeKernel,
     s: &mut WarpScratch,
@@ -273,31 +289,45 @@ pub(crate) fn begin_launch(
     base_env: &[Value],
     segment_bytes: u32,
 ) {
-    let warp = nk.warp;
-    s.begin_launch(&nk.opt.bc, warp, site_count, priv_shapes, base_env, segment_bytes);
-    let t = nk.typed();
-    let n = t.nregs as usize * warp;
+    let (bc, t) = (&nk.opt.bc, nk.typed());
+    s.begin_launch(bc, nk.warp, site_count, priv_shapes, segment_bytes);
+    let n = t.nregs as usize * nk.warp;
     s.fregs.clear();
     s.fregs.resize(n, 0.0);
     s.iregs.clear();
     s.iregs.resize(n, 0);
     s.bregs.clear();
     s.bregs.resize(n, false);
-    import(s, warp, &t.launch_imports);
+    for &(r, v) in &bc.const_init {
+        splat(s, r, Bank::of(v), v);
+    }
+    for (&(slot, r), &b) in bc.scal_init_launch.iter().zip(&t.launch_banks) {
+        splat(s, r, b, base_env[slot as usize]);
+    }
 }
 
-/// Convert `Value` register rows into their typed banks.
-fn import(s: &mut WarpScratch, warp: usize, list: &[(u16, Bank)]) {
-    for &(r, b) in list {
-        let ro = r as usize * warp;
-        for l in 0..warp {
-            let v = s.regs[ro + l];
-            match b {
-                Bank::F => s.fregs[ro + l] = v.as_f(),
-                Bank::I => s.iregs[ro + l] = v.as_i(),
-                Bank::B => s.bregs[ro + l] = v.as_b(),
-            }
-        }
+/// Reload the registers the body may write before the next warp: every
+/// warp-mutable scalar from the base environment, then each scalar-reduction
+/// accumulator from its identity (`red_init`, in reduction order, tagged by
+/// the accumulator's declared type).
+pub(crate) fn begin_warp(nk: &NativeKernel, s: &mut WarpScratch, base_env: &[Value], red_init: &[Value]) {
+    let bc = &nk.opt.bc;
+    for (&(slot, r), &b) in bc.scal_init_warp.iter().zip(&nk.typed().warp_banks) {
+        splat(s, r, b, base_env[slot as usize]);
+    }
+    for (&r, &v) in bc.red_scalar_regs.iter().zip(red_init) {
+        splat(s, r, Bank::of(v), v);
+    }
+}
+
+/// Lane `l`'s value of the `k`-th scalar-reduction accumulator after the
+/// warp ran, tagged by the bank the body left it in.
+pub(crate) fn red_value(nk: &NativeKernel, s: &WarpScratch, k: usize, l: usize) -> Value {
+    let at = nk.opt.bc.red_scalar_regs[k] as usize * s.warp + l;
+    match nk.typed().red_banks[k] {
+        Bank::F => Value::F(s.fregs[at]),
+        Bank::I => Value::I(s.iregs[at]),
+        Bank::B => Value::B(s.bregs[at]),
     }
 }
 
@@ -312,17 +342,14 @@ pub(crate) fn exec_warp_native(
     nk: &NativeKernel,
     s: &mut WarpScratch,
     ctx: &ExecCtx<'_>,
+    bufs: &mut [Option<Buffer>],
     mask: u64,
     tid_base: u64,
     evidence: bool,
 ) -> u64 {
-    let warp = s.warp;
-    debug_assert_eq!(nk.warp, warp, "native kernel compiled for a different warp width");
-    // `begin_warp` re-broadcast the warp scalars into `regs`; the launch
-    // loop wrote this warp's axis values into the I bank directly.
-    import(s, warp, &nk.typed().warp_imports);
+    debug_assert_eq!(nk.warp, s.warp, "native kernel compiled for a different warp width");
     let mut st = NState {
-        w: warp,
+        w: s.warp,
         f: &mut s.fregs,
         i: &mut s.iregs,
         b: &mut s.bregs,
@@ -331,6 +358,7 @@ pub(crate) fn exec_warp_native(
         touched: &mut s.site_touched,
         fast_rows: &mut s.fast_rows,
         priv_bufs: &mut s.priv_bufs,
+        bufs,
         ctx,
         tid_base,
         in_critical: false,
@@ -347,20 +375,25 @@ pub(crate) fn exec_warp_native(
     } else {
         run_seq(seq, &mut st, mask);
     }
-    let atomic = st.atomic;
-    // The reduction fold reads `regs`; hand the typed results back for every
-    // lane (inactive lanes carry the warp-init broadcast).
-    for &(r, b) in &nk.typed().red_exports {
-        let ro = r as usize * warp;
-        for l in 0..warp {
-            s.regs[ro + l] = match b {
-                Bank::F => Value::F(s.fregs[ro + l]),
-                Bank::I => Value::I(s.iregs[ro + l]),
-                Bank::B => Value::B(s.bregs[ro + l]),
-            };
-        }
-    }
-    atomic
+    st.atomic
+}
+
+/// Device array `a` for a read, checked as the tree walker checks it: after
+/// the index (so an out-of-range index reports first), with its panic when
+/// the array was never allocated.
+#[inline]
+fn dev_read(bufs: &[Option<Buffer>], a: usize, is_f: bool) -> &Buffer {
+    let b = bufs[a].as_ref().unwrap_or_else(|| panic!("kernel read of unallocated device array {a}"));
+    debug_assert_eq!(b.elem.is_float(), is_f);
+    b
+}
+
+/// Device array `a` for a write; see [`dev_read`].
+#[inline]
+fn dev_write(bufs: &mut [Option<Buffer>], a: usize, is_f: bool) -> &mut Buffer {
+    let b = bufs[a].as_mut().unwrap_or_else(|| panic!("kernel write of unallocated device array {a}"));
+    debug_assert_eq!(b.elem.is_float(), is_f);
+    b
 }
 
 // ---------------------------------------------------------------------------
@@ -427,21 +460,13 @@ fn row2<T>(bank: &mut [T], d: usize, s: usize, w: usize) -> (&mut [T], &[T]) {
 /// bank. Register rows are `w` elements at `w`-aligned offsets, so `d != a`
 /// and `d != b` make the mutable row disjoint from both shared ones
 /// (`a == b` is fine — those two borrows are both shared).
-#[allow(unsafe_code)]
 #[inline]
 fn row3<T>(bank: &mut [T], d: usize, a: usize, b: usize, w: usize) -> (&mut [T], &[T], &[T]) {
-    assert!(d != a && d != b && d + w <= bank.len() && a + w <= bank.len() && b + w <= bank.len());
-    let p = bank.as_mut_ptr();
-    // SAFETY: all three ranges are in bounds (asserted above); the mutable
-    // one starts at a different w-aligned row offset than either shared
-    // one, so it overlaps neither.
-    unsafe {
-        (
-            std::slice::from_raw_parts_mut(p.add(d), w),
-            std::slice::from_raw_parts(p.add(a), w),
-            std::slice::from_raw_parts(p.add(b), w),
-        )
-    }
+    let (lo, rest) = bank.split_at_mut(d);
+    let (dst, hi) = rest.split_at_mut(w);
+    let (lo, hi) = (&*lo, &*hi);
+    let src = |s: usize| if s < d { &lo[s..s + w] } else { &hi[s - d - w..s - d] };
+    (dst, src(a), src(b))
 }
 
 /// Unary element op across banks (`$db != $ab`), monomorphized on `$f`.
@@ -1115,11 +1140,7 @@ impl NCompiler<'_> {
                             st.i[dof + l] = b.get_i(flat);
                         }
                     } else {
-                        let b = st.ctx.bufs[a];
-                        if !b.is_alloc() {
-                            panic!("kernel read of unallocated device array {a}");
-                        }
-                        debug_assert_eq!(b.elem_is_float(), dst_f);
+                        let b = dev_read(st.bufs, a, dst_f);
                         if dst_f {
                             st.f[dof + l] = b.get_f(flat);
                         } else {
@@ -1138,11 +1159,6 @@ impl NCompiler<'_> {
                     let eb = st.ctx.elem_bytes[a] as u64;
                     let base = st.ctx.base[a];
                     let (e0, s0) = (st.ctx.extents[a][0], st.ctx.strides[a][0]);
-                    let buf = st.ctx.bufs[a];
-                    if !buf.is_alloc() {
-                        panic!("kernel read of unallocated device array {a}");
-                    }
-                    debug_assert_eq!(buf.elem_is_float(), dst_f);
                     if mask == full_mask(w) {
                         // `(i as u64) < e0` is the signed range test in one
                         // compare: a negative index wraps past any extent.
@@ -1160,13 +1176,12 @@ impl NCompiler<'_> {
                                     *r = base + fl as u64 * eb;
                                 }
                             }
+                            let buf = dev_read(st.bufs, a, dst_f);
                             if dst_f {
-                                if !buf.gather_f(&flats[..w], &mut st.f[dof..dof + w]) {
-                                    for (d, &fl) in st.f[dof..dof + w].iter_mut().zip(&flats[..w]) {
-                                        *d = buf.get_f(fl);
-                                    }
+                                for (d, &fl) in st.f[dof..dof + w].iter_mut().zip(&flats[..w]) {
+                                    *d = buf.get_f(fl);
                                 }
-                            } else if !buf.gather_i(&flats[..w], &mut st.i[dof..dof + w]) {
+                            } else {
                                 for (d, &fl) in st.i[dof..dof + w].iter_mut().zip(&flats[..w]) {
                                     *d = buf.get_i(fl);
                                 }
@@ -1191,6 +1206,7 @@ impl NCompiler<'_> {
                         if ev {
                             st.fast_rows[fo + l] = base + flat as u64 * eb;
                         }
+                        let buf = dev_read(st.bufs, a, dst_f);
                         if dst_f {
                             st.f[dof + l] = buf.get_f(flat);
                         } else {
@@ -1210,11 +1226,6 @@ impl NCompiler<'_> {
                     let base = st.ctx.base[a];
                     let (e0, s0) = (st.ctx.extents[a][0], st.ctx.strides[a][0]);
                     let (e1, s1) = (st.ctx.extents[a][1], st.ctx.strides[a][1]);
-                    let buf = st.ctx.bufs[a];
-                    if !buf.is_alloc() {
-                        panic!("kernel read of unallocated device array {a}");
-                    }
-                    debug_assert_eq!(buf.elem_is_float(), dst_f);
                     if mask == full_mask(w) {
                         let iv = &st.i[ro0..ro0 + w];
                         let jv = &st.i[ro1..ro1 + w];
@@ -1231,13 +1242,12 @@ impl NCompiler<'_> {
                                     *r = base + fl as u64 * eb;
                                 }
                             }
+                            let buf = dev_read(st.bufs, a, dst_f);
                             if dst_f {
-                                if !buf.gather_f(&flats[..w], &mut st.f[dof..dof + w]) {
-                                    for (d, &fl) in st.f[dof..dof + w].iter_mut().zip(&flats[..w]) {
-                                        *d = buf.get_f(fl);
-                                    }
+                                for (d, &fl) in st.f[dof..dof + w].iter_mut().zip(&flats[..w]) {
+                                    *d = buf.get_f(fl);
                                 }
-                            } else if !buf.gather_i(&flats[..w], &mut st.i[dof..dof + w]) {
+                            } else {
                                 for (d, &fl) in st.i[dof..dof + w].iter_mut().zip(&flats[..w]) {
                                     *d = buf.get_i(fl);
                                 }
@@ -1270,6 +1280,7 @@ impl NCompiler<'_> {
                         if ev {
                             st.fast_rows[fo + l] = base + flat as u64 * eb;
                         }
+                        let buf = dev_read(st.bufs, a, dst_f);
                         if dst_f {
                             st.f[dof + l] = buf.get_f(flat);
                         } else {
@@ -1286,11 +1297,6 @@ impl NCompiler<'_> {
                 Box::new(move |st, mask| {
                     let eb = st.ctx.elem_bytes[a] as u64;
                     let base = st.ctx.base[a];
-                    let buf = st.ctx.bufs[a];
-                    if !buf.is_alloc() {
-                        panic!("kernel read of unallocated device array {a}");
-                    }
-                    debug_assert_eq!(buf.elem_is_float(), dst_f);
                     lanes!(w, mask, l, {
                         let mut flat = 0usize;
                         for (d, &ro) in offs.iter().enumerate() {
@@ -1310,6 +1316,7 @@ impl NCompiler<'_> {
                         if ev {
                             st.fast_rows[fo + l] = base + flat as u64 * eb;
                         }
+                        let buf = dev_read(st.bufs, a, dst_f);
                         if dst_f {
                             st.f[dof + l] = buf.get_f(flat);
                         } else {
@@ -1354,11 +1361,7 @@ impl NCompiler<'_> {
                             b.set_i(flat, v_i);
                         }
                     } else {
-                        let b = st.ctx.bufs[a];
-                        if !b.is_alloc() {
-                            panic!("kernel write of unallocated device array {a}");
-                        }
-                        debug_assert_eq!(b.elem_is_float(), src_f);
+                        let b = dev_write(st.bufs, a, src_f);
                         if src_f {
                             b.set_f(flat, st.f[so + l]);
                         } else {
@@ -1377,11 +1380,6 @@ impl NCompiler<'_> {
                     let eb = st.ctx.elem_bytes[a] as u64;
                     let base = st.ctx.base[a];
                     let (e0, s0) = (st.ctx.extents[a][0], st.ctx.strides[a][0]);
-                    let buf = st.ctx.bufs[a];
-                    if !buf.is_alloc() {
-                        panic!("kernel write of unallocated device array {a}");
-                    }
-                    debug_assert_eq!(buf.elem_is_float(), src_f);
                     if mask == full_mask(w) {
                         let iv = &st.i[ro0..ro0 + w];
                         let mut ok = true;
@@ -1397,13 +1395,12 @@ impl NCompiler<'_> {
                                     *r = base + fl as u64 * eb;
                                 }
                             }
+                            let buf = dev_write(st.bufs, a, src_f);
                             if src_f {
-                                if !buf.scatter_f(&flats[..w], &st.f[so..so + w]) {
-                                    for (&v, &fl) in st.f[so..so + w].iter().zip(&flats[..w]) {
-                                        buf.set_f(fl, v);
-                                    }
+                                for (&v, &fl) in st.f[so..so + w].iter().zip(&flats[..w]) {
+                                    buf.set_f(fl, v);
                                 }
-                            } else if !buf.scatter_i(&flats[..w], &st.i[so..so + w]) {
+                            } else {
                                 for (&v, &fl) in st.i[so..so + w].iter().zip(&flats[..w]) {
                                     buf.set_i(fl, v);
                                 }
@@ -1428,6 +1425,7 @@ impl NCompiler<'_> {
                         if ev {
                             st.fast_rows[fo + l] = base + flat as u64 * eb;
                         }
+                        let buf = dev_write(st.bufs, a, src_f);
                         if src_f {
                             buf.set_f(flat, st.f[so + l]);
                         } else {
@@ -1447,11 +1445,6 @@ impl NCompiler<'_> {
                     let base = st.ctx.base[a];
                     let (e0, s0) = (st.ctx.extents[a][0], st.ctx.strides[a][0]);
                     let (e1, s1) = (st.ctx.extents[a][1], st.ctx.strides[a][1]);
-                    let buf = st.ctx.bufs[a];
-                    if !buf.is_alloc() {
-                        panic!("kernel write of unallocated device array {a}");
-                    }
-                    debug_assert_eq!(buf.elem_is_float(), src_f);
                     if mask == full_mask(w) {
                         let iv = &st.i[ro0..ro0 + w];
                         let jv = &st.i[ro1..ro1 + w];
@@ -1468,13 +1461,12 @@ impl NCompiler<'_> {
                                     *r = base + fl as u64 * eb;
                                 }
                             }
+                            let buf = dev_write(st.bufs, a, src_f);
                             if src_f {
-                                if !buf.scatter_f(&flats[..w], &st.f[so..so + w]) {
-                                    for (&v, &fl) in st.f[so..so + w].iter().zip(&flats[..w]) {
-                                        buf.set_f(fl, v);
-                                    }
+                                for (&v, &fl) in st.f[so..so + w].iter().zip(&flats[..w]) {
+                                    buf.set_f(fl, v);
                                 }
-                            } else if !buf.scatter_i(&flats[..w], &st.i[so..so + w]) {
+                            } else {
                                 for (&v, &fl) in st.i[so..so + w].iter().zip(&flats[..w]) {
                                     buf.set_i(fl, v);
                                 }
@@ -1507,6 +1499,7 @@ impl NCompiler<'_> {
                         if ev {
                             st.fast_rows[fo + l] = base + flat as u64 * eb;
                         }
+                        let buf = dev_write(st.bufs, a, src_f);
                         if src_f {
                             buf.set_f(flat, st.f[so + l]);
                         } else {
@@ -1523,11 +1516,6 @@ impl NCompiler<'_> {
                 Box::new(move |st, mask| {
                     let eb = st.ctx.elem_bytes[a] as u64;
                     let base = st.ctx.base[a];
-                    let buf = st.ctx.bufs[a];
-                    if !buf.is_alloc() {
-                        panic!("kernel write of unallocated device array {a}");
-                    }
-                    debug_assert_eq!(buf.elem_is_float(), src_f);
                     lanes!(w, mask, l, {
                         let mut flat = 0usize;
                         for (d, &ro) in offs.iter().enumerate() {
@@ -1547,6 +1535,7 @@ impl NCompiler<'_> {
                         if ev {
                             st.fast_rows[fo + l] = base + flat as u64 * eb;
                         }
+                        let buf = dev_write(st.bufs, a, src_f);
                         if src_f {
                             buf.set_f(flat, st.f[so + l]);
                         } else {

@@ -77,6 +77,17 @@ pub(crate) enum Bank {
     B,
 }
 
+impl Bank {
+    /// The bank a value's tag selects.
+    pub(crate) fn of(v: Value) -> Bank {
+        match v {
+            Value::F(_) => Bank::F,
+            Value::I(_) => Bank::I,
+            Value::B(_) => Bank::B,
+        }
+    }
+}
+
 /// One instruction of the typed specialized stream. Mirrors [`Op`] exactly
 /// — same control structure, same charge placement, same trap behaviour —
 /// but with every register resolved to a concrete bank so execution never
@@ -253,10 +264,9 @@ pub(crate) enum TOp {
 }
 
 /// The typed lowering of a compiled stream: same register numbering as
-/// the untyped stream (plus minted conversion temporaries above), with
-/// imports/exports bridging the `Value` register file the launch machinery
-/// writes (axis variables, reduction identities) and reads (reduction
-/// folds).
+/// the untyped stream (plus minted conversion temporaries above), and the
+/// banks the launch writes its scalars into and reads reduction results
+/// out of.
 #[derive(Debug)]
 pub(crate) struct TypedKernel {
     pub(crate) code: Vec<TOp>,
@@ -264,17 +274,17 @@ pub(crate) struct TypedKernel {
     pub(crate) pool: Vec<u16>,
     /// Bank sizes (each bank allocates `nregs` registers per lane).
     pub(crate) nregs: u16,
-    /// Registers imported from the `Value` file once per launch (constants
-    /// and launch-broadcast scalars).
-    pub(crate) launch_imports: Vec<(u16, Bank)>,
-    /// Registers imported from the `Value` file at each warp: the mutable
-    /// scalars `begin_warp` re-broadcasts, reduction accumulators (whose
-    /// identities the launch prologue writes) included. Axis registers are
-    /// `i64` and the prologue writes them straight into the I bank.
-    pub(crate) warp_imports: Vec<(u16, Bank)>,
-    /// Registers exported back to the `Value` file after each warp so the
-    /// reduction fold observes exactly the tags the tree walker leaves.
-    pub(crate) red_exports: Vec<(u16, Bank)>,
+    /// Bank of each `KernelBytecode::scal_init_launch` scalar (its declared
+    /// type), which the launch writes once.
+    pub(crate) launch_banks: Vec<Bank>,
+    /// Bank of each `KernelBytecode::scal_init_warp` scalar (its declared
+    /// type), which every warp rewrites; reduction accumulators are among
+    /// them.
+    pub(crate) warp_banks: Vec<Bank>,
+    /// Bank each scalar-reduction accumulator ends the body in, in
+    /// reduction order: the fold reads it there, with the tag the tree
+    /// walker's fold sees.
+    pub(crate) red_banks: Vec<Bank>,
 }
 
 /// A lowered kernel: the compiled stream and (when bank inference
@@ -531,26 +541,15 @@ fn lower_typed(prog: &Program, bc: &KernelBytecode, root: &[Node]) -> Option<Typ
         Lower { prog, bc, ty: vec![Ty::Unset; bc.nregs as usize], code: Vec::new(), pool: Vec::new(), nregs: bc.nregs };
     // Seeds: constants by tag, scalars by declared type, axis registers
     // (written into the I bank by the launch prologue each warp) as integers.
-    let mut warp_imports: Vec<(u16, Bank)> = Vec::new();
-    let mut launch_imports: Vec<(u16, Bank)> = Vec::new();
+    let declared = |&(slot, _): &(u32, u16)| if prog.scalars[slot as usize].is_float { Bank::F } else { Bank::I };
+    let launch_banks: Vec<Bank> = bc.scal_init_launch.iter().map(declared).collect();
+    let warp_banks: Vec<Bank> = bc.scal_init_warp.iter().map(declared).collect();
     for &(r, v) in &bc.const_init {
-        let b = match v {
-            Value::F(_) => Bank::F,
-            Value::I(_) => Bank::I,
-            Value::B(_) => Bank::B,
-        };
-        lw.ty[r as usize] = Ty::Known(b);
-        launch_imports.push((r, b));
+        lw.ty[r as usize] = Ty::Known(Bank::of(v));
     }
-    for &(slot, r) in &bc.scal_init_launch {
-        let b = if prog.scalars[slot as usize].is_float { Bank::F } else { Bank::I };
+    let scalars = bc.scal_init_launch.iter().zip(&launch_banks).chain(bc.scal_init_warp.iter().zip(&warp_banks));
+    for (&(_, r), &b) in scalars {
         lw.ty[r as usize] = Ty::Known(b);
-        launch_imports.push((r, b));
-    }
-    for &(slot, r) in &bc.scal_init_warp {
-        let b = if prog.scalars[slot as usize].is_float { Bank::F } else { Bank::I };
-        lw.ty[r as usize] = Ty::Known(b);
-        warp_imports.push((r, b));
     }
     // Axis registers are exactly the scalar registers not covered above;
     // `axis_regs[1]` aliases register 0 on 1-D kernels, so only seed slots
@@ -563,14 +562,8 @@ fn lower_typed(prog: &Program, bc: &KernelBytecode, root: &[Node]) -> Option<Typ
 
     lw.block(root)?;
 
-    let mut red_exports = Vec::new();
-    for &r in &bc.red_scalar_regs {
-        match lw.ty[r as usize] {
-            Ty::Known(b) => red_exports.push((r, b)),
-            _ => return None,
-        }
-    }
-    Some(TypedKernel { code: lw.code, pool: lw.pool, nregs: lw.nregs, launch_imports, warp_imports, red_exports })
+    let red_banks = bc.red_scalar_regs.iter().map(|&r| lw.known(r)).collect::<Option<Vec<Bank>>>()?;
+    Some(TypedKernel { code: lw.code, pool: lw.pool, nregs: lw.nregs, launch_banks, warp_banks, red_banks })
 }
 
 impl Lower<'_> {

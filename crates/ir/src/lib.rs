@@ -15,11 +15,7 @@
 //! * the compiled **kernel plan** representation ([`kernel`]) and the GPU
 //!   executor ([`interp::gpu`]).
 
-// `deny`, not `forbid`: the sanctioned exceptions are the `RawBuf`
-// buffer view in `interp::bytecode` that lets a launch's warps share its
-// device buffers (see its safety comment) and the register-row split in
-// `interp::native`; everything else stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod builder;

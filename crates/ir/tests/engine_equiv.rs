@@ -7,18 +7,23 @@
 //! Handcrafted kernels pin down each feature (divergence, loops, private
 //! expansions, placements, reductions, critical sections, lane-serial
 //! hazard bodies, geometry retargeting) and each asserts that it really ran
-//! on closures; a property test then sweeps randomized race-free bodies over
-//! multi-block grids.
+//! on closures; faulting bodies must panic with the same message; a
+//! property test then sweeps randomized race-free bodies over multi-block
+//! grids.
 
 mod common;
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use acceval_ir::builder::*;
 use acceval_ir::expr::{ld, v};
-use acceval_ir::interp::gpu::Engine;
+use acceval_ir::interp::gpu::{env_from_dataset, launch_with_engine, DeviceState, Engine};
+use acceval_ir::interp::launch_cache::{set_launch_cache_override, LaunchCache};
 use acceval_ir::interp::native::thread_native_counters;
 use acceval_ir::kernel::{axis, Expansion, KernelPlan, MemSpace, ReduceStrategy};
-use acceval_ir::program::{DataSet, Program};
-use acceval_ir::types::{ReduceOp, Value, VarRef};
+use acceval_ir::program::{DataSet, HostData, Program};
+use acceval_ir::types::{ArrayId, ReduceOp, Value, VarRef};
+use acceval_sim::{Buffer, DeviceConfig, ElemType};
 use common::{
     assert_runs_agree, dna_kernel, finalized, fixture, override_lock, run_one, run_uncached, GENES, UNIFORM_GENES,
 };
@@ -256,6 +261,110 @@ fn call_body_falls_back_to_tree() {
     assert!(k.engine_cache.native_kernel().is_none(), "a body with calls has no closures");
     assert_eq!((launches1 - launches0, fallbacks1 - fallbacks0), (0, 1), "the launch must count as a tree fallback");
     assert_runs_agree("kernel call (tree fallback)", &reference, &fallback);
+}
+
+/// The panic message of `plan`'s launch on `eng` with the launch cache off,
+/// from a fresh device holding every array except `absent`. The caller
+/// holds [`override_lock`].
+fn launch_panic(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine, absent: Option<ArrayId>) -> String {
+    let host = HostData::materialize(p, ds);
+    let cfg = DeviceConfig::from_env();
+    let mut dev = DeviceState::new(p, &cfg);
+    for (k, b) in host.bufs.iter().enumerate() {
+        let id = ArrayId(k as u32);
+        if Some(id) != absent {
+            dev.upload(id, b);
+        }
+    }
+    let mut scal = env_from_dataset(p, ds);
+    set_launch_cache_override(Some(LaunchCache::Off));
+    let run = catch_unwind(AssertUnwindSafe(|| launch_with_engine(p, plan, &mut dev, &mut scal, &cfg, eng)));
+    set_launch_cache_override(None);
+    let payload = run.err().unwrap_or_else(|| panic!("kernel {}: the {eng:?} launch must panic", plan.name));
+    match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload.downcast_ref::<&str>().expect("a message payload").to_string(),
+    }
+}
+
+#[test]
+fn faulting_accesses_panic_alike() {
+    // One body per buffer-access path of the closures: fast-site reads of
+    // arity 1 and 2, a fast-site store, a read through a loaded (non-fast)
+    // index, a read and a write of an array that was never uploaded, and a
+    // read of one with every index out of range (the index reports first).
+    // Each faults first at one (site, lane) pair — mostly the last lane of
+    // a full warp, so the fast sites' whole-row range test fails and re-runs
+    // the per-lane schedule — which the lane-serial tree walk and the
+    // lockstep closures therefore both reach first.
+    let mut pb = ProgramBuilder::new("faults");
+    let n = pb.iscalar("n");
+    let i = pb.iscalar("i");
+    let x = pb.farray("x", vec![v(n)]);
+    let y = pb.farray("y", vec![v(n)]);
+    let a2 = pb.farray("a2", vec![v(n), v(n)]);
+    let perm = pb.iarray("perm", vec![v(n)]);
+    pb.main(vec![]);
+    let p = pb.build();
+    let len = 256i64;
+    let ds = DataSet {
+        scalars: vec![(n, Value::I(len))],
+        arrays: vec![
+            (x, Buffer::from_f64(ElemType::F64, (0..len).map(|k| k as f64 * 0.5).collect())),
+            // The identity permutation, except its last entry points one
+            // past the end of `x`.
+            (perm, Buffer::from_i64(ElemType::I32, (0..len).map(|k| if k == len - 1 { len } else { k }).collect())),
+        ],
+        label: "faults".into(),
+    };
+    let cases = [
+        (
+            "read1d",
+            vec![store(y, vec![v(i)], ld(x, vec![v(i) + 1i64]))],
+            None,
+            "index 256 out of bounds (dim 0 extent 256) on array x",
+        ),
+        (
+            "read2d",
+            vec![store(y, vec![v(i)], ld(a2, vec![v(i), v(i) + 1i64]))],
+            None,
+            "index 256 out of bounds (dim 1 extent 256) on array a2",
+        ),
+        (
+            "write",
+            vec![store(y, vec![v(i) + 1i64], ld(x, vec![v(i)]))],
+            None,
+            "index 256 out of bounds (dim 0 extent 256) on array y",
+        ),
+        (
+            "indirect",
+            vec![store(y, vec![v(i)], ld(x, vec![ld(perm, vec![v(i)])]))],
+            None,
+            "index 256 out of bounds (dim 0 extent 256) on array x",
+        ),
+        (
+            "absent_read",
+            vec![store(y, vec![v(i)], ld(x, vec![v(i)]))],
+            Some(x),
+            "kernel read of unallocated device array 0",
+        ),
+        ("absent_write", vec![store(y, vec![v(i)], 1.0)], Some(y), "kernel write of unallocated device array 1"),
+        (
+            "absent_oob",
+            vec![store(y, vec![v(i)], ld(x, vec![v(i) + v(n)]))],
+            Some(x),
+            "index 256 out of bounds (dim 0 extent 256) on array x",
+        ),
+    ];
+    let _guard = override_lock();
+    for (name, body, absent, want) in cases {
+        let plan = finalized(KernelPlan::new(name, vec![axis(i, v(n))], body));
+        let tree = launch_panic(&p, &ds, &plan, Engine::Tree, absent);
+        let closures = launch_panic(&p, &ds, &plan, Engine::Bytecode, absent);
+        assert!(plan.engine_cache.native_kernel().is_some(), "kernel {name}: the default engine must run on closures");
+        assert_eq!(tree, want, "kernel {name}: tree walker panic");
+        assert_eq!(closures, tree, "kernel {name}: the closures panic differently from the tree walker");
+    }
 }
 
 // ---- randomized race-free kernel bodies -----------------------------------
