@@ -22,7 +22,7 @@ use acceval_sim::{
 
 use crate::expr::{Expr, Intrin};
 use crate::interp::bytecode::{self, intrin_cost};
-use crate::interp::launch_cache::{self, ArrayOut, LaunchEffect, LaunchKey};
+use crate::interp::launch_cache::{self, ArrayOut, DeviceBufs, Journal, LaunchEffect, LaunchKey};
 use crate::interp::native;
 use crate::interp::{eval_pure, row_major_strides, Interp, Machine};
 use crate::kernel::{Expansion, KernelPlan, MemSpace, ReduceStrategy};
@@ -239,7 +239,9 @@ fn classify_sites(plan: &KernelPlan) -> Vec<SiteKind> {
 
 /// Per-warp machine: executes one lane at a time, recording traces.
 struct WarpMachine<'a> {
-    dev: &'a mut DeviceState,
+    /// The launch's device buffers, stored to through its journal.
+    mem: DeviceBufs<'a>,
+    tex_cache: &'a mut Cache,
     plan: &'a KernelPlan,
     /// Byte base address per array in the simulated device address space.
     base: &'a [u64],
@@ -288,9 +290,7 @@ impl<'a> WarpMachine<'a> {
         let b = if self.plan.expansion_of(array).is_some() {
             &self.priv_bufs[&array]
         } else {
-            self.dev.bufs[array.0 as usize]
-                .as_ref()
-                .unwrap_or_else(|| panic!("kernel read of unallocated device array {}", array.0))
+            self.mem.read(array.0 as usize)
         };
         if b.elem.is_float() {
             Value::F(b.get_f(flat))
@@ -312,17 +312,20 @@ impl Machine for WarpMachine<'_> {
 
     fn store(&mut self, array: ArrayId, flat: usize, v: Value, site: SiteId) {
         self.account(array, flat, site);
-        let b = if self.plan.expansion_of(array).is_some() {
-            self.priv_bufs.get_mut(&array).expect("private buffer")
+        if self.plan.expansion_of(array).is_some() {
+            let b = self.priv_bufs.get_mut(&array).expect("private buffer");
+            if b.elem.is_float() {
+                b.set_f(flat, v.as_f());
+            } else {
+                b.set_i(flat, v.as_i());
+            }
         } else {
-            self.dev.bufs[array.0 as usize]
-                .as_mut()
-                .unwrap_or_else(|| panic!("kernel write of unallocated device array {}", array.0))
-        };
-        if b.elem.is_float() {
-            b.set_f(flat, v.as_f());
-        } else {
-            b.set_i(flat, v.as_i());
+            let mut t = self.mem.write(array.0 as usize);
+            if t.buf().elem.is_float() {
+                t.set_f(flat, v.as_f());
+            } else {
+                t.set_i(flat, v.as_i());
+            }
         }
     }
 
@@ -548,13 +551,14 @@ fn launch_impl(
         }
         launch_cache::note_miss();
     }
-    // Pre-launch contents of the write set, diffed into deltas on capture.
-    let pre_writes: Vec<(usize, Option<Buffer>)> = if cache_key.is_some() {
-        arrays.writes.iter().map(|&i| (i, dev.bufs[i].clone())).collect()
-    } else {
-        Vec::new()
-    };
+    // A launch that will be captured journals the first write to each
+    // element of its write set; capture reads its delta off the journal.
     let capturing = cache_key.is_some();
+    let mut journal = capturing.then(|| {
+        let mut j = Journal::take();
+        j.open(&arrays.writes, dev);
+        j
+    });
     let mut captured_events: Vec<TraceEvent> = Vec::new();
 
     let warp = cfg.warp_size;
@@ -600,6 +604,7 @@ fn launch_impl(
         };
         let atomic_serial = matches!(plan.reduce_strategy, ReduceStrategy::AtomicSerial);
         let DeviceState { bufs, tex_cache, .. } = dev;
+        let mut mem = DeviceBufs { bufs, journal: journal.as_mut() };
         // Pricing recipe per fast site: global sites reduce through the
         // segment memo; shared-tiled sites through the bank-conflict memo
         // plus the reuse-discounted fill charge (the same arithmetic
@@ -691,7 +696,7 @@ fn launch_impl(
             st1,
         };
         bytecode::with_scratch(|scratch| {
-            run_block_range(&g, scratch, bufs, tex_cache, &mut tally, &mut scal_acc, &mut arr_acc);
+            run_block_range(&g, scratch, &mut mem, tex_cache, &mut tally, &mut scal_acc, &mut arr_acc);
         });
     } else {
         // Reference tree-walking engine: one `Interp` per warp, one pass per lane.
@@ -700,7 +705,8 @@ fn launch_impl(
             let byi = blk / gx;
             for w in 0..warps_per_block {
                 let wm = WarpMachine {
-                    dev,
+                    mem: DeviceBufs { bufs: &mut dev.bufs, journal: journal.as_mut() },
+                    tex_cache: &mut dev.tex_cache,
                     plan,
                     base: &base,
                     elem_bytes: &elem_bytes,
@@ -805,7 +811,7 @@ fn launch_impl(
                         None,
                         &wm.lane_ops,
                         wm.atomic_accesses,
-                        &mut wm.dev.tex_cache,
+                        wm.tex_cache,
                         &mut tally.totals,
                         traced,
                         &mut tally.site_global,
@@ -824,16 +830,19 @@ fn launch_impl(
     }
     for &(a, op) in &red_arrays {
         let acc = &arr_acc[&a];
-        // Combine into the device copy (allocating if necessary).
+        // Combine into the device copy (allocating if necessary; a target
+        // allocated here is not journaled, and capture copies it whole).
         if dev.bufs[a.0 as usize].is_none() {
             dev.bufs[a.0 as usize] = Some(Buffer::zeroed(acc.elem, acc.len()));
         }
-        let dst = dev.bufs[a.0 as usize].as_mut().expect("reduction target");
+        let mut mem = DeviceBufs { bufs: &mut dev.bufs, journal: journal.as_mut() };
+        let mut dst = mem.write(a.0 as usize);
+        let dst_f = dst.buf().elem.is_float();
         for i in 0..acc.len() {
-            let cur = if dst.elem.is_float() { Value::F(dst.get_f(i)) } else { Value::I(dst.get_i(i)) };
+            let cur = if dst_f { Value::F(dst.buf().get_f(i)) } else { Value::I(dst.buf().get_i(i)) };
             let nv = if acc.elem.is_float() { Value::F(acc.get_f(i)) } else { Value::I(acc.get_i(i)) };
             let c = op.combine(cur, nv);
-            if dst.elem.is_float() {
+            if dst_f {
                 dst.set_f(i, c.as_f());
             } else {
                 dst.set_i(i, c.as_i());
@@ -944,19 +953,15 @@ fn launch_impl(
     }
 
     let result = LaunchResult { cost, totals, footprint, active_threads };
-    if let Some(key) = cache_key {
+    if let (Some(key), Some(mut journal)) = (cache_key, journal) {
         // Capture the launch's complete effect: output deltas + digests
         // (which also prime the freshly bumped generation memos), scalar
         // writebacks, the result, and the trace-event slice.
-        let mut outputs: Vec<(u32, ArrayOut, u128)> = Vec::with_capacity(pre_writes.len());
-        launch_cache::timed_digest(|| {
-            for (i, pre) in &pre_writes {
-                let Some(post) = dev.bufs[*i].as_ref() else { continue };
-                let (out, d) = diff_and_digest(pre.as_ref(), post);
-                dev.tags[*i].prime(d);
-                outputs.push((*i as u32, out, d));
-            }
-        });
+        let outputs = launch_cache::timed_digest(|| journal.capture(&arrays.writes, &dev.bufs));
+        journal.recycle();
+        for &(i, _, d) in &outputs {
+            dev.tags[i as usize].prime(d);
+        }
         let scalar_writes: Vec<(usize, Value)> = red_scalar.iter().map(|&(slot, _, _)| (slot, scal[slot])).collect();
         launch_cache::insert(
             key,
@@ -1009,17 +1014,6 @@ fn body_arrays(plan: &KernelPlan, red_arrays: &[(ArrayId, crate::types::ReduceOp
     BodyArrays { reads, writes, opaque }
 }
 
-/// Fold a debug representation into a digest, 8 bytes at a time.
-fn fold_str(d: &mut Digest128, s: &str) {
-    let bytes = s.as_bytes();
-    d.push(bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        d.push(u64::from_le_bytes(w));
-    }
-}
-
 /// Assemble the content-addressed key of this launch. Buffer digests go
 /// through the generation memos, so a steady-state probe hashes nothing but
 /// the (small) config/layout/scalar material.
@@ -1035,8 +1029,6 @@ fn build_launch_key(
 ) -> LaunchKey {
     launch_cache::timed_digest(|| {
         let plan_fp = plan.engine_cache.fingerprint(plan);
-        let mut cfgd = Digest128::new();
-        fold_str(&mut cfgd, &format!("{cfg:?}"));
         // Address layout: the device base of every array depends on the
         // allocation state, length, and element size of all the arrays
         // before it; extents additionally pin index linearisation.
@@ -1081,7 +1073,7 @@ fn build_launch_key(
             shared_bytes: plan.shared_bytes_per_block,
             regs: plan.regs_per_thread,
             traced,
-            cfg_digest: (cfgd.finish() >> 64) as u64 ^ cfgd.finish() as u64,
+            cfg_digest: cfg.config_digest(),
             layout_digest: (lay.finish() >> 64) as u64 ^ lay.finish() as u64,
             scalars,
             inputs,
@@ -1134,64 +1126,6 @@ fn replay_effect(
         }
     }
     effect.result.clone()
-}
-
-/// Delta between pre- and post-launch contents of one buffer (sparse when at
-/// most a quarter of the elements changed, dense otherwise) fused with the
-/// post buffer's content digest, so capture walks each written buffer once
-/// instead of diffing and hashing in separate passes. The digest folds the
-/// same header and element bits as [`Buffer::content_digest`], so priming a
-/// generation memo with it is indistinguishable from re-hashing.
-fn diff_and_digest(pre: Option<&Buffer>, post: &Buffer) -> (ArrayOut, u128) {
-    let n = post.len();
-    let comparable = n <= u32::MAX as usize && matches!(pre, Some(p) if p.elem == post.elem && p.len() == n);
-    let cap = n / 4 + 1;
-    let mut d = post.digest_header();
-    let mut writes: Vec<(u32, u64)> = Vec::new();
-    let mut fits = comparable;
-    match (&post.data, pre.map(|p| &p.data)) {
-        (Payload::F(b), Some(Payload::F(a))) if comparable => {
-            for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                let bits = y.to_bits();
-                d.push(bits);
-                if fits && x.to_bits() != bits {
-                    if writes.len() >= cap {
-                        // Delta too dense for the sparse form: stop collecting
-                        // but keep folding the digest to finish the pass.
-                        fits = false;
-                    } else {
-                        writes.push((i as u32, bits));
-                    }
-                }
-            }
-        }
-        (Payload::I(b), Some(Payload::I(a))) if comparable => {
-            for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                d.push(*y as u64);
-                if fits && x != y {
-                    if writes.len() >= cap {
-                        fits = false;
-                    } else {
-                        writes.push((i as u32, *y as u64));
-                    }
-                }
-            }
-        }
-        (Payload::F(b), _) => {
-            fits = false;
-            for y in b {
-                d.push(y.to_bits());
-            }
-        }
-        (Payload::I(b), _) => {
-            fits = false;
-            for y in b {
-                d.push(*y as u64);
-            }
-        }
-    }
-    let out = if fits { ArrayOut::Sparse(writes) } else { ArrayOut::Full(std::sync::Arc::new(post.clone())) };
-    (out, d.finish())
 }
 
 /// Launch-wide immutable context of one native launch's block walk: the
@@ -1444,13 +1378,13 @@ impl BlockPricing {
 }
 
 /// Execute every block of the grid in block order against the device
-/// buffers `bufs`, accumulating pricing into `out` and reduction partials
+/// buffers in `mem`, accumulating pricing into `out` and reduction partials
 /// into `scal_acc`/`arr_acc` in (block, warp, lane) order, exactly as the
 /// tree engine does.
 fn run_block_range(
     g: &GridCtx<'_>,
     scratch: &mut bytecode::WarpScratch,
-    bufs: &mut [Option<Buffer>],
+    mem: &mut DeviceBufs<'_>,
     tex_cache: &mut Cache,
     out: &mut Tally,
     scal_acc: &mut [Value],
@@ -1550,7 +1484,7 @@ fn run_block_range(
             }
             // Execute the warp in lockstep.
             let tid_base = blk * g.tpb as u64 + w * g.warp as u64;
-            let atomic = native::exec_warp_native(g.nk, scratch, &g.ctx, bufs, mask, tid_base, !cached);
+            let atomic = native::exec_warp_native(g.nk, scratch, &g.ctx, mem.reborrow(), mask, tid_base, !cached);
             // Fold reductions in ascending lane order — the same combine
             // sequence the tree path produces. With no reductions the lane
             // scan is a no-op; skip it.

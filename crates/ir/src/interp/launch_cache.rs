@@ -17,6 +17,14 @@
 //! (buffer, generation), and replay primes the written buffers' memos from
 //! the stored output digests — so steady-state probes hash nothing.
 //!
+//! A miss captures from a first-write `Journal`: while the launch runs,
+//! every device store goes through `DevTarget`, which logs the first write
+//! to each element as (flat index, pre-launch bits). Capture then walks
+//! only that log: changed elements form the sparse delta, and each one
+//! swaps its term in the buffer's pre-launch digest (memoized by the key
+//! build; [`acceval_sim::digest_update`]), so capture costs O(writes), plus
+//! a copy of any buffer it captures dense.
+//!
 //! The cache is bounded (`ACCEVAL_LAUNCH_CACHE_CAP_MB`, default 512) with
 //! LRU eviction, so iterative benchmarks whose inputs change every step
 //! miss cleanly without ballooning memory.
@@ -27,14 +35,14 @@
 //! process warm-starts from everything earlier processes computed.
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use acceval_sim::{Buffer, TraceEvent};
+use acceval_sim::{digest_update, Buffer, TraceEvent};
 
-use super::gpu::LaunchResult;
+use super::gpu::{DeviceState, LaunchResult};
 use crate::types::Value;
 
 /// Launch-memoization policy (`ACCEVAL_LAUNCH_CACHE`). The cache is a speed
@@ -261,18 +269,22 @@ pub struct LaunchKey {
 /// One array's captured output: what the launch did to the device copy.
 #[derive(Debug, Clone)]
 pub enum ArrayOut {
-    /// Sparse element writes as (flat index, raw bits) against the
-    /// pre-launch contents (chosen when few elements changed).
+    /// The elements whose bits the launch changed, as (flat index, raw
+    /// bits) in ascending index order, against the pre-launch contents
+    /// (chosen when at most a quarter of the elements, plus one, changed).
     Sparse(Vec<(u32, u64)>),
-    /// Dense replacement of the whole buffer.
+    /// Dense replacement of the whole buffer: taken when more elements
+    /// changed, or when the launch itself allocated the buffer.
     Full(Arc<Buffer>),
 }
 
 /// The complete captured effect of one launch.
 #[derive(Debug, Clone)]
 pub struct LaunchEffect {
-    /// Per-array outputs: (array index, delta, post-launch content digest).
-    /// The digest primes the buffer's generation memo on replay.
+    /// Per-array outputs, one per allocated array of the write set: (array
+    /// index, delta, post-launch content digest). Capture derives the
+    /// digest from the pre-launch one and the journaled changes; replay
+    /// primes the buffer's generation memo with it.
     pub outputs: Vec<(u32, ArrayOut, u128)>,
     /// Scalar reduction writebacks: post-combine values per scalar slot.
     pub scalar_writes: Vec<(usize, Value)>,
@@ -317,7 +329,10 @@ struct Slot {
 
 #[derive(Default)]
 struct StoreInner {
-    map: HashMap<LaunchKey, Slot>,
+    map: HashMap<Arc<LaunchKey>, Slot>,
+    /// Recency index: each resident key under its slot's `last_used` tick.
+    /// Ticks are unique, so the first entry is the least recently used.
+    lru: BTreeMap<u64, Arc<LaunchKey>>,
     bytes: u64,
     tick: u64,
 }
@@ -330,11 +345,13 @@ fn store() -> &'static Mutex<StoreInner> {
 
 /// Look up a launch by key, refreshing its LRU stamp on a hit.
 pub fn probe(key: &LaunchKey) -> Option<Arc<LaunchEffect>> {
-    let mut s = store().lock().expect("launch cache poisoned");
+    let mut guard = store().lock().expect("launch cache poisoned");
+    let s = &mut *guard;
     s.tick += 1;
-    let tick = s.tick;
     let slot = s.map.get_mut(key)?;
-    slot.last_used = tick;
+    let k = s.lru.remove(&slot.last_used).expect("resident key is in the recency index");
+    slot.last_used = s.tick;
+    s.lru.insert(s.tick, k);
     Some(slot.effect.clone())
 }
 
@@ -379,15 +396,18 @@ fn insert_arc(key: LaunchKey, effect: Arc<LaunchEffect>) {
     if bytes > cap {
         return;
     }
-    let mut s = store().lock().expect("launch cache poisoned");
+    let mut guard = store().lock().expect("launch cache poisoned");
+    let s = &mut *guard;
     s.tick += 1;
-    let tick = s.tick;
-    if let Some(old) = s.map.insert(key, Slot { effect, bytes, last_used: tick }) {
+    let key = Arc::new(key);
+    if let Some(old) = s.map.insert(key.clone(), Slot { effect, bytes, last_used: s.tick }) {
         s.bytes -= old.bytes;
+        s.lru.remove(&old.last_used);
     }
+    s.lru.insert(s.tick, key);
     s.bytes += bytes;
     while s.bytes > cap {
-        let Some(victim) = s.map.iter().min_by_key(|(_, slot)| slot.last_used).map(|(k, _)| k.clone()) else {
+        let Some((_, victim)) = s.lru.pop_first() else {
             break;
         };
         let slot = s.map.remove(&victim).expect("victim present");
@@ -401,7 +421,224 @@ fn insert_arc(key: LaunchKey, effect: Arc<LaunchEffect>) {
 pub fn clear_launch_cache() {
     let mut s = store().lock().expect("launch cache poisoned");
     s.map.clear();
+    s.lru.clear();
     s.bytes = 0;
+}
+
+// ---- capture journal -------------------------------------------------------
+
+/// First-write journal of one captured launch, per program array. Between
+/// launches every `seen` bitmap is all zero and every log empty; the
+/// bitmaps (and small logs) stay allocated, per thread (see
+/// [`Journal::take`]), for the next launch.
+#[derive(Default)]
+pub(crate) struct Journal {
+    arrays: Vec<ArrayLog>,
+}
+
+#[derive(Default)]
+struct ArrayLog {
+    /// The buffer's pre-launch content digest while the array is journaled
+    /// (an allocated array of the launch's write set); `None` otherwise.
+    pre: Option<u128>,
+    /// One bit per element: already logged this launch.
+    seen: Vec<u64>,
+    /// (flat index, pre-launch bits) of each element's first write.
+    log: Vec<(usize, u64)>,
+}
+
+impl ArrayLog {
+    /// The one journaling write: log element `i`'s pre-launch bits `old`
+    /// unless an earlier store this launch already did.
+    #[inline]
+    fn note(&mut self, i: usize, old: u64) {
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        if self.seen[w] & bit == 0 {
+            self.seen[w] |= bit;
+            self.log.push((i, old));
+        }
+    }
+
+    /// Close the log against the post-launch buffer: the output delta and
+    /// the post-launch digest, leaving the bitmap zeroed and the log empty.
+    fn drain(&mut self, post: &Buffer, pre: u128) -> (ArrayOut, u128) {
+        let mut digest = pre;
+        let mut changes = 0usize;
+        for &(i, old) in &self.log {
+            // Every set bit belongs to a logged element, so zeroing whole
+            // words clears the bitmap.
+            self.seen[i / 64] = 0;
+            let new = post.bits(i);
+            if new != old {
+                digest = digest_update(digest, i, old, new);
+                changes += 1;
+            }
+        }
+        let n = post.len();
+        let out = if changes > n / 4 + 1 || n > u32::MAX as usize {
+            ArrayOut::Full(Arc::new(post.clone()))
+        } else {
+            let mut delta: Vec<(u32, u64)> = Vec::with_capacity(changes);
+            for &(i, old) in &self.log {
+                let new = post.bits(i);
+                if new != old {
+                    delta.push((i as u32, new));
+                }
+            }
+            delta.sort_unstable_by_key(|&(i, _)| i);
+            ArrayOut::Sparse(delta)
+        };
+        self.log.clear();
+        // The journal outlives the launch: keep a small log's allocation for
+        // the next one, but free a large one rather than hold on to the
+        // largest write set this thread ever journaled.
+        self.log.shrink_to(RETAINED_LOG_ENTRIES);
+        (out, digest)
+    }
+}
+
+/// Log entries (16 bytes each) an array's journal keeps allocated between
+/// launches.
+const RETAINED_LOG_ENTRIES: usize = 4096;
+
+impl Journal {
+    /// Start journaling a launch whose write set is `writes`: each array of
+    /// it that is already allocated, with its pre-launch digest (memoized by
+    /// the key build, since the write set is part of the read set).
+    pub(crate) fn open(&mut self, writes: &[usize], dev: &mut DeviceState) {
+        if self.arrays.len() < dev.bufs.len() {
+            self.arrays.resize_with(dev.bufs.len(), ArrayLog::default);
+        }
+        for &a in writes {
+            let Some(buf) = dev.bufs[a].as_ref() else { continue };
+            let log = &mut self.arrays[a];
+            log.pre = Some(dev.tags[a].digest(buf).0);
+            let words = buf.len().div_ceil(64);
+            if log.seen.len() < words {
+                log.seen.resize(words, 0);
+            }
+        }
+    }
+
+    /// The launch's array outputs, one per allocated array of `writes`, with
+    /// their post-launch digests; closes the journal for the next launch. A
+    /// journaled array yields its changed elements (or a dense copy); an
+    /// array the launch itself allocated (an array-reduction target) is
+    /// copied and hashed whole.
+    pub(crate) fn capture(&mut self, writes: &[usize], bufs: &[Option<Buffer>]) -> Vec<(u32, ArrayOut, u128)> {
+        let mut outputs = Vec::with_capacity(writes.len());
+        for &a in writes {
+            let log = &mut self.arrays[a];
+            let pre = log.pre.take();
+            let Some(post) = bufs[a].as_ref() else { continue };
+            let (out, digest) = match pre {
+                Some(pre) => log.drain(post, pre),
+                None => (ArrayOut::Full(Arc::new(post.clone())), post.content_digest()),
+            };
+            outputs.push((a as u32, out, digest));
+        }
+        outputs
+    }
+
+    /// The store target of array `a`'s buffer: journaled while `a` is.
+    #[inline]
+    fn target<'a>(&'a mut self, a: usize, buf: &'a mut Buffer) -> DevTarget<'a> {
+        let log = self.arrays.get_mut(a).filter(|l| l.pre.is_some());
+        DevTarget { buf, log }
+    }
+}
+
+thread_local! {
+    static JOURNAL: Cell<Journal> = const { Cell::new(Journal { arrays: Vec::new() }) };
+}
+
+impl Journal {
+    /// This thread's journal, reused across launches (an empty one while
+    /// another launch on this thread holds it).
+    pub(crate) fn take() -> Journal {
+        JOURNAL.with(Cell::take)
+    }
+
+    /// Return a closed journal for the thread's next launch. A launch that
+    /// panics never gets here: it drops its journal with whatever it
+    /// logged, so no later launch sees stale bits.
+    pub(crate) fn recycle(self) {
+        JOURNAL.with(|c| c.set(self));
+    }
+}
+
+/// A launch's device buffers (indexed by array; `None` when never
+/// allocated) together with its capture journal (`None` when the launch is
+/// not captured: cache off, opaque or texture body).
+pub(crate) struct DeviceBufs<'a> {
+    pub(crate) bufs: &'a mut [Option<Buffer>],
+    pub(crate) journal: Option<&'a mut Journal>,
+}
+
+impl DeviceBufs<'_> {
+    /// A shorter-lived view of the same buffers and journal.
+    #[inline]
+    pub(crate) fn reborrow(&mut self) -> DeviceBufs<'_> {
+        DeviceBufs { bufs: &mut *self.bufs, journal: self.journal.as_deref_mut() }
+    }
+
+    /// Device array `a` for loads; a kernel read of an array that was never
+    /// allocated panics (the tree walker's message).
+    #[inline]
+    pub(crate) fn read(&self, a: usize) -> &Buffer {
+        self.bufs[a].as_ref().unwrap_or_else(|| panic!("kernel read of unallocated device array {a}"))
+    }
+
+    /// Device array `a` for stores, through the journal when the launch is
+    /// captured; panics like the tree walker when `a` was never allocated.
+    #[inline]
+    pub(crate) fn write(&mut self, a: usize) -> DevTarget<'_> {
+        let buf = self.bufs[a].as_mut().unwrap_or_else(|| panic!("kernel write of unallocated device array {a}"));
+        match self.journal.as_deref_mut() {
+            Some(j) => j.target(a, buf),
+            None => DevTarget { buf, log: None },
+        }
+    }
+}
+
+/// One device array opened for stores. Every device store of a launch (the
+/// closures, the tree walker, the array-reduction combine) goes through
+/// [`DevTarget::set_f`]/[`DevTarget::set_i`]; an unjournaled target pays
+/// one branch per store.
+pub(crate) struct DevTarget<'a> {
+    buf: &'a mut Buffer,
+    log: Option<&'a mut ArrayLog>,
+}
+
+impl DevTarget<'_> {
+    /// The buffer, for reads.
+    #[inline]
+    pub(crate) fn buf(&self) -> &Buffer {
+        self.buf
+    }
+
+    /// Store `x` into element `i` (converted as [`Buffer::set_f`] converts).
+    #[inline]
+    pub(crate) fn set_f(&mut self, i: usize, x: f64) {
+        self.journal(i);
+        self.buf.set_f(i, x);
+    }
+
+    /// Store `x` into element `i` (converted as [`Buffer::set_i`] converts).
+    #[inline]
+    pub(crate) fn set_i(&mut self, i: usize, x: i64) {
+        self.journal(i);
+        self.buf.set_i(i, x);
+    }
+
+    #[inline]
+    fn journal(&mut self, i: usize) {
+        if let Some(log) = self.log.as_deref_mut() {
+            // Read the old bits first: an out-of-range index then panics
+            // exactly as the store itself would.
+            log.note(i, self.buf.bits(i));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -48,6 +48,7 @@ use crate::types::{ArrayId, Value};
 
 use super::bytecode::{ExecCtx, WarpScratch};
 use super::gpu::PRIV_BASE;
+use super::launch_cache::{DevTarget, DeviceBufs};
 use super::opt::{Bank, OptKernel, TOp, TypedKernel};
 
 // ---------------------------------------------------------------------------
@@ -118,7 +119,7 @@ macro_rules! lanes {
 
 /// Mutable warp state the compiled closures execute against: the typed
 /// register banks and evidence arrays of the [`WarpScratch`] arena, and the
-/// launch's device buffers (indexed by array; `None` when never allocated).
+/// launch's device buffers with its capture journal.
 pub(crate) struct NState<'a, 'b> {
     w: usize,
     f: &'a mut [f64],
@@ -129,7 +130,7 @@ pub(crate) struct NState<'a, 'b> {
     touched: &'a mut [bool],
     fast_rows: &'a mut [u64],
     priv_bufs: &'a mut [Buffer],
-    bufs: &'a mut [Option<Buffer>],
+    dev: DeviceBufs<'a>,
     ctx: &'a ExecCtx<'b>,
     tid_base: u64,
     in_critical: bool,
@@ -342,7 +343,7 @@ pub(crate) fn exec_warp_native(
     nk: &NativeKernel,
     s: &mut WarpScratch,
     ctx: &ExecCtx<'_>,
-    bufs: &mut [Option<Buffer>],
+    dev: DeviceBufs<'_>,
     mask: u64,
     tid_base: u64,
     evidence: bool,
@@ -358,7 +359,7 @@ pub(crate) fn exec_warp_native(
         touched: &mut s.site_touched,
         fast_rows: &mut s.fast_rows,
         priv_bufs: &mut s.priv_bufs,
-        bufs,
+        dev,
         ctx,
         tid_base,
         in_critical: false,
@@ -382,18 +383,19 @@ pub(crate) fn exec_warp_native(
 /// the index (so an out-of-range index reports first), with its panic when
 /// the array was never allocated.
 #[inline]
-fn dev_read(bufs: &[Option<Buffer>], a: usize, is_f: bool) -> &Buffer {
-    let b = bufs[a].as_ref().unwrap_or_else(|| panic!("kernel read of unallocated device array {a}"));
+fn dev_read<'s>(dev: &'s DeviceBufs<'_>, a: usize, is_f: bool) -> &'s Buffer {
+    let b = dev.read(a);
     debug_assert_eq!(b.elem.is_float(), is_f);
     b
 }
 
-/// Device array `a` for a write; see [`dev_read`].
+/// Device array `a` for stores, through the launch's journal; see
+/// [`dev_read`].
 #[inline]
-fn dev_write(bufs: &mut [Option<Buffer>], a: usize, is_f: bool) -> &mut Buffer {
-    let b = bufs[a].as_mut().unwrap_or_else(|| panic!("kernel write of unallocated device array {a}"));
-    debug_assert_eq!(b.elem.is_float(), is_f);
-    b
+fn dev_write<'s>(dev: &'s mut DeviceBufs<'_>, a: usize, is_f: bool) -> DevTarget<'s> {
+    let t = dev.write(a);
+    debug_assert_eq!(t.buf().elem.is_float(), is_f);
+    t
 }
 
 // ---------------------------------------------------------------------------
@@ -1140,7 +1142,7 @@ impl NCompiler<'_> {
                             st.i[dof + l] = b.get_i(flat);
                         }
                     } else {
-                        let b = dev_read(st.bufs, a, dst_f);
+                        let b = dev_read(&st.dev, a, dst_f);
                         if dst_f {
                             st.f[dof + l] = b.get_f(flat);
                         } else {
@@ -1176,7 +1178,7 @@ impl NCompiler<'_> {
                                     *r = base + fl as u64 * eb;
                                 }
                             }
-                            let buf = dev_read(st.bufs, a, dst_f);
+                            let buf = dev_read(&st.dev, a, dst_f);
                             if dst_f {
                                 for (d, &fl) in st.f[dof..dof + w].iter_mut().zip(&flats[..w]) {
                                     *d = buf.get_f(fl);
@@ -1206,7 +1208,7 @@ impl NCompiler<'_> {
                         if ev {
                             st.fast_rows[fo + l] = base + flat as u64 * eb;
                         }
-                        let buf = dev_read(st.bufs, a, dst_f);
+                        let buf = dev_read(&st.dev, a, dst_f);
                         if dst_f {
                             st.f[dof + l] = buf.get_f(flat);
                         } else {
@@ -1242,7 +1244,7 @@ impl NCompiler<'_> {
                                     *r = base + fl as u64 * eb;
                                 }
                             }
-                            let buf = dev_read(st.bufs, a, dst_f);
+                            let buf = dev_read(&st.dev, a, dst_f);
                             if dst_f {
                                 for (d, &fl) in st.f[dof..dof + w].iter_mut().zip(&flats[..w]) {
                                     *d = buf.get_f(fl);
@@ -1280,7 +1282,7 @@ impl NCompiler<'_> {
                         if ev {
                             st.fast_rows[fo + l] = base + flat as u64 * eb;
                         }
-                        let buf = dev_read(st.bufs, a, dst_f);
+                        let buf = dev_read(&st.dev, a, dst_f);
                         if dst_f {
                             st.f[dof + l] = buf.get_f(flat);
                         } else {
@@ -1316,7 +1318,7 @@ impl NCompiler<'_> {
                         if ev {
                             st.fast_rows[fo + l] = base + flat as u64 * eb;
                         }
-                        let buf = dev_read(st.bufs, a, dst_f);
+                        let buf = dev_read(&st.dev, a, dst_f);
                         if dst_f {
                             st.f[dof + l] = buf.get_f(flat);
                         } else {
@@ -1361,7 +1363,7 @@ impl NCompiler<'_> {
                             b.set_i(flat, v_i);
                         }
                     } else {
-                        let b = dev_write(st.bufs, a, src_f);
+                        let mut b = dev_write(&mut st.dev, a, src_f);
                         if src_f {
                             b.set_f(flat, st.f[so + l]);
                         } else {
@@ -1395,7 +1397,7 @@ impl NCompiler<'_> {
                                     *r = base + fl as u64 * eb;
                                 }
                             }
-                            let buf = dev_write(st.bufs, a, src_f);
+                            let mut buf = dev_write(&mut st.dev, a, src_f);
                             if src_f {
                                 for (&v, &fl) in st.f[so..so + w].iter().zip(&flats[..w]) {
                                     buf.set_f(fl, v);
@@ -1425,7 +1427,7 @@ impl NCompiler<'_> {
                         if ev {
                             st.fast_rows[fo + l] = base + flat as u64 * eb;
                         }
-                        let buf = dev_write(st.bufs, a, src_f);
+                        let mut buf = dev_write(&mut st.dev, a, src_f);
                         if src_f {
                             buf.set_f(flat, st.f[so + l]);
                         } else {
@@ -1461,7 +1463,7 @@ impl NCompiler<'_> {
                                     *r = base + fl as u64 * eb;
                                 }
                             }
-                            let buf = dev_write(st.bufs, a, src_f);
+                            let mut buf = dev_write(&mut st.dev, a, src_f);
                             if src_f {
                                 for (&v, &fl) in st.f[so..so + w].iter().zip(&flats[..w]) {
                                     buf.set_f(fl, v);
@@ -1499,7 +1501,7 @@ impl NCompiler<'_> {
                         if ev {
                             st.fast_rows[fo + l] = base + flat as u64 * eb;
                         }
-                        let buf = dev_write(st.bufs, a, src_f);
+                        let mut buf = dev_write(&mut st.dev, a, src_f);
                         if src_f {
                             buf.set_f(flat, st.f[so + l]);
                         } else {
@@ -1535,7 +1537,7 @@ impl NCompiler<'_> {
                         if ev {
                             st.fast_rows[fo + l] = base + flat as u64 * eb;
                         }
-                        let buf = dev_write(st.bufs, a, src_f);
+                        let mut buf = dev_write(&mut st.dev, a, src_f);
                         if src_f {
                             buf.set_f(flat, st.f[so + l]);
                         } else {

@@ -263,10 +263,18 @@ fn call_body_falls_back_to_tree() {
     assert_runs_agree("kernel call (tree fallback)", &reference, &fallback);
 }
 
-/// The panic message of `plan`'s launch on `eng` with the launch cache off,
-/// from a fresh device holding every array except `absent`. The caller
-/// holds [`override_lock`].
-fn launch_panic(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine, absent: Option<ArrayId>) -> String {
+/// The panic message of `plan`'s launch on `eng` under launch-cache policy
+/// `cache`, from a fresh device holding every array except `absent`. With
+/// the cache on the launch misses, so its capture journal is active when
+/// the fault fires. The caller holds [`override_lock`].
+fn launch_panic(
+    p: &Program,
+    ds: &DataSet,
+    plan: &KernelPlan,
+    eng: Engine,
+    cache: LaunchCache,
+    absent: Option<ArrayId>,
+) -> String {
     let host = HostData::materialize(p, ds);
     let cfg = DeviceConfig::from_env();
     let mut dev = DeviceState::new(p, &cfg);
@@ -277,7 +285,7 @@ fn launch_panic(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine, absen
         }
     }
     let mut scal = env_from_dataset(p, ds);
-    set_launch_cache_override(Some(LaunchCache::Off));
+    set_launch_cache_override(Some(cache));
     let run = catch_unwind(AssertUnwindSafe(|| launch_with_engine(p, plan, &mut dev, &mut scal, &cfg, eng)));
     set_launch_cache_override(None);
     let payload = run.err().unwrap_or_else(|| panic!("kernel {}: the {eng:?} launch must panic", plan.name));
@@ -292,7 +300,8 @@ fn faulting_accesses_panic_alike() {
     // One body per buffer-access path of the closures: fast-site reads of
     // arity 1 and 2, a fast-site store, a read through a loaded (non-fast)
     // index, a read and a write of an array that was never uploaded, and a
-    // read of one with every index out of range (the index reports first).
+    // read of one with every index out of range (the index reports first);
+    // each with the launch cache off and on (journaling stores).
     // Each faults first at one (site, lane) pair — mostly the last lane of
     // a full warp, so the fast sites' whole-row range test fails and re-runs
     // the per-lane schedule — which the lane-serial tree walk and the
@@ -359,11 +368,19 @@ fn faulting_accesses_panic_alike() {
     let _guard = override_lock();
     for (name, body, absent, want) in cases {
         let plan = finalized(KernelPlan::new(name, vec![axis(i, v(n))], body));
-        let tree = launch_panic(&p, &ds, &plan, Engine::Tree, absent);
-        let closures = launch_panic(&p, &ds, &plan, Engine::Bytecode, absent);
-        assert!(plan.engine_cache.native_kernel().is_some(), "kernel {name}: the default engine must run on closures");
-        assert_eq!(tree, want, "kernel {name}: tree walker panic");
-        assert_eq!(closures, tree, "kernel {name}: the closures panic differently from the tree walker");
+        for cache in [LaunchCache::Off, LaunchCache::On] {
+            let tree = launch_panic(&p, &ds, &plan, Engine::Tree, cache, absent);
+            let closures = launch_panic(&p, &ds, &plan, Engine::Bytecode, cache, absent);
+            assert!(
+                plan.engine_cache.native_kernel().is_some(),
+                "kernel {name}: the default engine must run on closures"
+            );
+            assert_eq!(tree, want, "kernel {name}, cache {cache:?}: tree walker panic");
+            assert_eq!(
+                closures, tree,
+                "kernel {name}, cache {cache:?}: the closures panic differently from the tree walker"
+            );
+        }
     }
 }
 

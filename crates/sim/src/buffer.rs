@@ -198,39 +198,42 @@ impl Buffer {
         }
     }
 
-    /// 128-bit content digest of this buffer (element type, length, and
-    /// every element's raw bit pattern). Used as the content-addressing key
+    /// Raw bit pattern of element `i` as [`Buffer::content_digest`] sees
+    /// it: an `f64`'s IEEE bits or an `i64`'s two's complement.
+    #[inline]
+    pub fn bits(&self, i: usize) -> u64 {
+        match &self.data {
+            Payload::F(v) => v[i].to_bits(),
+            Payload::I(v) => v[i] as u64,
+        }
+    }
+
+    /// 128-bit content digest of this buffer: its element type, length, and
+    /// every element's raw bit pattern. Used as the content-addressing key
     /// component for launch memoization; collisions would silently replay a
-    /// wrong launch, hence two independent 64-bit fold lanes rather than one.
+    /// wrong launch, hence two 64-bit lanes rather than one.
+    ///
+    /// The digest is order-independent: per lane, a header term over (element
+    /// type, length) plus the wrapping sum of one keyed, non-linear term per
+    /// (index, bits) pair. A write to one element therefore changes the
+    /// digest by swapping that element's old term for its new one
+    /// ([`digest_update`]), so a caller that knows which elements changed can
+    /// keep a digest current without re-hashing the buffer.
     pub fn content_digest(&self) -> u128 {
-        let mut d = Digest128::new();
-        d.push(elem_tag(self.elem));
-        d.push(self.len() as u64);
+        let mut d = ContentSum::header(self.elem, self.len());
         match &self.data {
             Payload::F(v) => {
-                for x in v {
-                    d.push(x.to_bits());
+                for (i, x) in v.iter().enumerate() {
+                    d.add(i, x.to_bits());
                 }
             }
             Payload::I(v) => {
-                for x in v {
-                    d.push(*x as u64);
+                for (i, x) in v.iter().enumerate() {
+                    d.add(i, *x as u64);
                 }
             }
         }
         d.finish()
-    }
-
-    /// Seed a [`Digest128`] with this buffer's header (element-type tag and
-    /// length) exactly as [`Buffer::content_digest`] does. Callers that
-    /// already walk every element for another reason can fold the element
-    /// bits into the returned digest themselves and obtain the same value as
-    /// `content_digest` in a single pass.
-    pub fn digest_header(&self) -> Digest128 {
-        let mut d = Digest128::new();
-        d.push(elem_tag(self.elem));
-        d.push(self.len() as u64);
-        d
     }
 
     /// Maximum absolute difference against another float buffer.
@@ -259,18 +262,85 @@ fn elem_tag(elem: ElemType) -> u64 {
     }
 }
 
-/// Digest of the all-zero buffer of a given shape, without materializing it.
-/// Lets `DeviceState::alloc` recognize a device buffer that already holds
-/// zeros and skip the clear.
+/// Digest of the all-zero buffer of a given shape, without materializing it:
+/// exactly [`Buffer::content_digest`] of [`Buffer::zeroed`]. Lets
+/// `DeviceState::alloc` recognize a device buffer that already holds zeros
+/// and skip the clear.
 pub fn zero_digest(elem: ElemType, len: usize) -> u128 {
-    let mut d = Digest128::new();
-    d.push(elem_tag(elem));
-    d.push(len as u64);
-    let word = if elem.is_float() { 0f64.to_bits() } else { 0u64 };
-    for _ in 0..len {
-        d.push(word);
+    let mut d = ContentSum::header(elem, len);
+    for i in 0..len {
+        // Both payloads store zero as the all-zero bit pattern.
+        d.add(i, 0);
     }
     d.finish()
+}
+
+/// Update a [`Buffer::content_digest`] for one element write: `digest` is the
+/// buffer's digest before element `index` changed from `old` to `new` raw
+/// bits ([`Buffer::bits`]), and the result is its digest after. Updates to
+/// distinct elements commute, so a launch's changed elements can be applied
+/// in any order.
+pub fn digest_update(digest: u128, index: usize, old: u64, new: u64) -> u128 {
+    let mut d = ContentSum { lo: digest as u64, hi: (digest >> 64) as u64 };
+    let (ol, oh) = element_term(index, old);
+    d.lo = d.lo.wrapping_sub(ol);
+    d.hi = d.hi.wrapping_sub(oh);
+    d.add(index, new);
+    d.finish()
+}
+
+/// Per-lane running sums behind [`Buffer::content_digest`].
+struct ContentSum {
+    lo: u64,
+    hi: u64,
+}
+
+impl ContentSum {
+    /// The header term: the element-type tag and the length, folded.
+    fn header(elem: ElemType, len: usize) -> Self {
+        let mut h = Digest128::new();
+        h.push(elem_tag(elem));
+        h.push(len as u64);
+        ContentSum { lo: h.lo, hi: h.hi }
+    }
+
+    #[inline(always)]
+    fn add(&mut self, index: usize, bits: u64) {
+        let (l, h) = element_term(index, bits);
+        self.lo = self.lo.wrapping_add(l);
+        self.hi = self.hi.wrapping_add(h);
+    }
+
+    #[inline]
+    fn finish(self) -> u128 {
+        ((self.hi as u128) << 64) | self.lo as u128
+    }
+}
+
+/// The two lanes' terms for element `index` holding `bits`. Each lane
+/// folds (low half xor high half) one 64x64->128 product of two words that
+/// each mix the bits with their own index key: the product makes the term
+/// non-linear in the bits (a linear term would let edits whose deltas
+/// cancel collide), the keys make it depend on the position (so permuting
+/// elements changes the sum), rotating the bits in the second word carries
+/// a change in any bit into both halves of the product, and the fold keeps
+/// the low lane bits from depending on the low input bits alone. The two
+/// lanes use independent keys, so a collision in one says nothing about the
+/// other.
+#[inline(always)]
+fn element_term(index: usize, bits: u64) -> (u64, u64) {
+    #[inline(always)]
+    fn lane(i: u64, bits: u64, keys: [u64; 4]) -> u64 {
+        let a = bits ^ i.wrapping_mul(keys[0]).wrapping_add(keys[1]);
+        let b = bits.rotate_left(32) ^ i.wrapping_mul(keys[2]).wrapping_add(keys[3]);
+        let p = a as u128 * b as u128;
+        p as u64 ^ (p >> 64) as u64
+    }
+    let i = index as u64;
+    (
+        lane(i, bits, [0x9e37_79b9_7f4a_7c15, 0x243f_6a88_85a3_08d3, 0xc2b2_ae3d_27d4_eb4f, 0x1319_8a2e_0370_7344]),
+        lane(i, bits, [0xd6e8_feb8_6659_fd93, 0xa409_3822_299f_31d0, 0x94d0_49bb_1331_11eb, 0x082e_fa98_ec4e_6c89]),
+    )
 }
 
 /// Two-lane multiply-xor fold producing a 128-bit digest. Same per-lane
@@ -316,6 +386,10 @@ impl Default for Digest128 {
 /// content digest memoized per generation. Every mutation of the buffer
 /// bumps the generation; a digest request re-hashes only when the memo is
 /// stale, so steady-state cache probes over unchanged buffers hash nothing.
+/// A writer that knows the new digest primes the memo instead: a replayed
+/// launch installs the digest stored with its effect, and a captured launch
+/// carries the pre-launch digest forward with [`digest_update`] over the
+/// elements it changed.
 #[derive(Debug, Clone, Default)]
 pub struct BufGen {
     gen: u64,

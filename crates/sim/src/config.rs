@@ -16,6 +16,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::buffer::Digest128;
+
 /// Description of the simulated CUDA device.
 ///
 /// All latencies and throughputs are expressed in device cycles or
@@ -336,18 +338,71 @@ impl DeviceConfig {
         }
     }
 
-    /// Order-independent digest of every field of this configuration.
+    /// Digest of every field of this configuration.
     ///
     /// Two distinct presets must never digest equal: launch-cache and
     /// persistent-store keys fold this in so matrix sweeps over the device
-    /// family cannot cross-contaminate. (FNV-1a over the `Debug` rendering,
-    /// which prints every field.)
+    /// family cannot cross-contaminate. The exhaustive destructure below
+    /// makes a new field a compile error here until it is hashed too.
     pub fn config_digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in format!("{self:?}").bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
+        let DeviceConfig {
+            name,
+            num_sms,
+            cores_per_sm,
+            warp_size,
+            clock_ghz,
+            dram_bw_gbs,
+            global_latency_cycles,
+            segment_bytes,
+            shared_banks,
+            shared_per_sm,
+            regs_per_sm,
+            max_warps_per_sm,
+            max_blocks_per_sm,
+            max_threads_per_block,
+            launch_overhead_us,
+            atomic_base_cycles,
+            const_cache_bytes,
+            tex_cache_bytes,
+            tex_line_bytes,
+            l2_bytes,
+            fp64_fp32_ratio,
+            has_texture_path,
+        } = self;
+        let mut d = Digest128::new();
+        d.push(name.len() as u64);
+        for chunk in name.as_bytes().chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            d.push(u64::from_le_bytes(w));
         }
-        h
+        for w in [
+            *num_sms as u64,
+            *cores_per_sm as u64,
+            *warp_size as u64,
+            clock_ghz.to_bits(),
+            dram_bw_gbs.to_bits(),
+            *global_latency_cycles,
+            *segment_bytes as u64,
+            *shared_banks as u64,
+            *shared_per_sm as u64,
+            *regs_per_sm as u64,
+            *max_warps_per_sm as u64,
+            *max_blocks_per_sm as u64,
+            *max_threads_per_block as u64,
+            launch_overhead_us.to_bits(),
+            *atomic_base_cycles,
+            *const_cache_bytes as u64,
+            *tex_cache_bytes as u64,
+            *tex_line_bytes as u64,
+            *l2_bytes as u64,
+            fp64_fp32_ratio.to_bits(),
+            *has_texture_path as u64,
+        ] {
+            d.push(w);
+        }
+        let f = d.finish();
+        (f >> 64) as u64 ^ f as u64
     }
 
     /// Resident warps per SM for a kernel with the given per-block resource
@@ -648,5 +703,48 @@ mod tests {
         let mut tweaked = DeviceConfig::volta_v100();
         tweaked.has_texture_path = true;
         assert_ne!(tweaked.config_digest(), DeviceConfig::volta_v100().config_digest());
+    }
+
+    /// Changing any single field of any preset changes its digest.
+    #[test]
+    fn every_field_moves_the_digest() {
+        type Tweak = (&'static str, fn(&mut DeviceConfig));
+        let tweaks: [Tweak; 22] = [
+            ("name", |c| c.name.push('*')),
+            ("num_sms", |c| c.num_sms += 1),
+            ("cores_per_sm", |c| c.cores_per_sm += 1),
+            ("warp_size", |c| c.warp_size += 1),
+            ("clock_ghz", |c| c.clock_ghz += 0.001),
+            ("dram_bw_gbs", |c| c.dram_bw_gbs += 0.5),
+            ("global_latency_cycles", |c| c.global_latency_cycles += 1),
+            ("segment_bytes", |c| c.segment_bytes *= 2),
+            ("shared_banks", |c| c.shared_banks += 1),
+            ("shared_per_sm", |c| c.shared_per_sm += 1),
+            ("regs_per_sm", |c| c.regs_per_sm += 1),
+            ("max_warps_per_sm", |c| c.max_warps_per_sm += 1),
+            ("max_blocks_per_sm", |c| c.max_blocks_per_sm += 1),
+            ("max_threads_per_block", |c| c.max_threads_per_block += 1),
+            ("launch_overhead_us", |c| c.launch_overhead_us += 0.25),
+            ("atomic_base_cycles", |c| c.atomic_base_cycles += 1),
+            ("const_cache_bytes", |c| c.const_cache_bytes += 1),
+            ("tex_cache_bytes", |c| c.tex_cache_bytes += 1),
+            ("tex_line_bytes", |c| c.tex_line_bytes += 1),
+            ("l2_bytes", |c| c.l2_bytes += 1),
+            ("fp64_fp32_ratio", |c| c.fp64_fp32_ratio *= 0.5),
+            ("has_texture_path", |c| c.has_texture_path = !c.has_texture_path),
+        ];
+        for (slug, ctor) in DeviceConfig::presets() {
+            let base = ctor();
+            // `Debug` prints one `field: value` pair per field (no preset
+            // name contains ": "), so this fails when a field is added
+            // without a tweak above.
+            assert_eq!(format!("{base:?}").matches(": ").count(), tweaks.len(), "one tweak per field");
+            for (field, tweak) in &tweaks {
+                let mut c = base.clone();
+                tweak(&mut c);
+                assert_ne!(c, base, "{slug}: tweaking {field} must change the config");
+                assert_ne!(c.config_digest(), base.config_digest(), "{slug}: {field} must move the digest");
+            }
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests for the simulator substrate.
 
 use acceval_sim::{
-    bank_conflict_slots, estimate_kernel, segments_touched, Cache, DeviceConfig, HostConfig, KernelFootprint,
-    KernelTotals, SiteWarpTrace,
+    bank_conflict_slots, digest_update, estimate_kernel, segments_touched, zero_digest, Buffer, Cache, DeviceConfig,
+    ElemType, HostConfig, KernelFootprint, KernelTotals, Payload, SiteWarpTrace,
 };
 use proptest::prelude::*;
 
@@ -260,5 +260,85 @@ proptest! {
         // The device texture cache, as `DeviceState::new` builds it.
         let d = DeviceConfig::tesla_m2090();
         check_against_list_lru(d.tex_cache_bytes * d.num_sms, 8, d.tex_line_bytes, &picks);
+    }
+}
+
+// ---- order-independent content digests ---------------------------------
+
+const ELEMS: [ElemType; 4] = [ElemType::F32, ElemType::F64, ElemType::I32, ElemType::I64];
+
+/// An element's raw bits: zero, a small value, or any 64-bit pattern (NaN
+/// payloads and negative integers included), so edits often rewrite an
+/// element with the bits it already holds.
+fn word((sel, raw): (u8, u64)) -> u64 {
+    match sel {
+        0 => 0,
+        1 => raw % 4,
+        _ => raw,
+    }
+}
+
+fn buffer_of(elem: ElemType, words: &[(u8, u64)]) -> Buffer {
+    let bits = words.iter().map(|&w| word(w));
+    if elem.is_float() {
+        Buffer::from_f64(elem, bits.map(f64::from_bits).collect())
+    } else {
+        Buffer::from_i64(elem, bits.map(|b| b as i64).collect())
+    }
+}
+
+fn set_bits(b: &mut Buffer, i: usize, bits: u64) {
+    match &mut b.data {
+        Payload::F(v) => v[i] = f64::from_bits(bits),
+        Payload::I(v) => v[i] = bits as i64,
+    }
+}
+
+proptest! {
+    /// Updating a digest edit by edit (repeated indices and unchanged
+    /// rewrites included) lands on the digest of the edited buffer.
+    #[test]
+    fn incremental_digest_matches_rehash(
+        elem in prop::sample::select(ELEMS.to_vec()),
+        init in prop::collection::vec((0u8..3, 0u64..u64::MAX), 1..48),
+        edits in prop::collection::vec((0usize..48, (0u8..3, 0u64..u64::MAX)), 0..40),
+    ) {
+        let mut b = buffer_of(elem, &init);
+        let mut d = b.content_digest();
+        for (i, w) in edits {
+            let i = i % b.len();
+            let bits = word(w);
+            d = digest_update(d, i, b.bits(i), bits);
+            set_bits(&mut b, i, bits);
+        }
+        prop_assert_eq!(d, b.content_digest());
+    }
+
+    /// The digest sums per-element terms, but each term is keyed by its
+    /// index: swapping two unequal elements changes it.
+    #[test]
+    fn swapping_unequal_elements_changes_digest(
+        elem in prop::sample::select(ELEMS.to_vec()),
+        init in prop::collection::vec((0u8..3, 0u64..u64::MAX), 2..48),
+        (a, c) in (0usize..48, 0usize..47),
+    ) {
+        let mut b = buffer_of(elem, &init);
+        let i = a % b.len();
+        let j = (i + 1 + c % (b.len() - 1)) % b.len();
+        if b.bits(i) == b.bits(j) {
+            let flipped = b.bits(j) ^ 1;
+            set_bits(&mut b, j, flipped);
+        }
+        let before = b.content_digest();
+        let (bi, bj) = (b.bits(i), b.bits(j));
+        set_bits(&mut b, i, bj);
+        set_bits(&mut b, j, bi);
+        prop_assert!(b.content_digest() != before, "swapping elements {} and {} kept the digest", i, j);
+    }
+
+    /// `zero_digest` is the digest of a zeroed buffer, without building it.
+    #[test]
+    fn zero_digest_matches_zeroed_buffers(elem in prop::sample::select(ELEMS.to_vec()), len in 0usize..3000) {
+        prop_assert_eq!(zero_digest(elem, len), Buffer::zeroed(elem, len).content_digest());
     }
 }
