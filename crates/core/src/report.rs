@@ -300,11 +300,10 @@ pub struct BenchSweep {
     pub store_quarantined: u64,
     /// Store entries evicted under the disk byte cap.
     pub store_evicted: u64,
-    /// Kernels whose compiled stream went through the typed lowering
-    /// during the sweep (once per distinct plan; memoized plans don't
-    /// recount).
+    /// Kernels compiled to typed bytecode during the sweep (once per
+    /// distinct plan; memoized plans don't recount).
     pub opt_kernels: u64,
-    /// Instruction count of those kernels' compiled streams.
+    /// Instruction count of those kernels' typed streams.
     pub opt_ops_pre: u64,
     /// Launches executed through the native closures.
     pub native_launches: u64,

@@ -19,10 +19,10 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use acceval_benchmarks::{Benchmark, Scale};
+use acceval_ir::interp::bytecode::thread_opt_counters;
 use acceval_ir::interp::cpu::CpuRun;
 use acceval_ir::interp::launch_cache::{launch_cache_name, launch_cache_totals, thread_cache_counters};
 use acceval_ir::interp::native::thread_native_counters;
-use acceval_ir::interp::opt::thread_opt_counters;
 use acceval_ir::interp::store::{self as launch_store, Dec, Enc};
 use acceval_ir::program::DataSet;
 use acceval_models::{model, ModelKind, TuningPoint};
@@ -328,16 +328,15 @@ pub struct RunRecord {
     /// Wall seconds this task spent hashing buffer contents for cache keys
     /// and captures (harness time; nondeterministic).
     pub launch_cache_digest_secs: f64,
-    /// Kernels whose compiled stream went through the typed lowering during
-    /// this task (0 for tasks served entirely by memoized plans — lowering
-    /// runs once per plan, like compilation).
+    /// Kernels compiled to typed bytecode during this task (0 for tasks
+    /// served entirely by memoized plans — compilation runs once per plan).
     pub opt_kernels: u64,
-    /// Instruction count of those kernels' compiled streams.
+    /// Instruction count of those kernels' typed streams.
     pub opt_ops_pre: u64,
     /// Launches this task executed through the native closures.
     pub native_launches: u64,
     /// Launches of this task the default engine handed to the tree walker
-    /// (no typed lowering, or a warp width the cached closures were not
+    /// (an ineligible plan, or a warp width the cached closures were not
     /// built for). Replayed launches execute nothing and count in neither.
     pub tree_fallbacks: u64,
 }
@@ -440,10 +439,9 @@ pub struct SweepManifest {
     pub store_quarantined: u64,
     /// Store entries evicted under the disk byte cap (process lifetime).
     pub store_evicted: u64,
-    /// Kernels whose compiled stream went through the typed lowering,
-    /// summed over tasks.
+    /// Kernels compiled to typed bytecode, summed over tasks.
     pub opt_kernels: u64,
-    /// Instruction count of those kernels' compiled streams.
+    /// Instruction count of those kernels' typed streams.
     pub opt_ops_pre: u64,
     /// The engine the sweep ran under (`tree`/`bytecode`).
     pub engine: String,

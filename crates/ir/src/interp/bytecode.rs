@@ -1,34 +1,50 @@
-//! Bytecode compiler: the first stage of the compiled kernel pipeline
-//! (compile, typed lowering, native closures; see [`super::native`]).
+//! Kernel compiler: the first of the compiled kernel pipeline's two stages
+//! (lowering to typed bytecode here, closures in [`super::native`]).
 //!
-//! [`compile`] lowers a [`KernelPlan`] body once into a flat register-based
-//! instruction stream: scalar slots resolve to dense registers, literals pool
-//! into launch-time constant registers, and loop bounds that are plain
-//! variables or constants are hoisted out of the per-iteration stream. The
-//! result is cached on the plan (see `KernelPlan::engine_cache`), so the
-//! sweep's compile memoization amortizes it across tuning points, and
-//! geometry retargeting keeps it valid (nothing here depends on block
-//! shape). The stream is never executed as is: [`super::opt`] lowers it
-//! onto typed register banks, and [`super::native`] turns that into
-//! closures.
+//! [`compile`] walks a [`KernelPlan`] body once and emits the typed
+//! instruction stream ([`TOp`]) the closures are built from. Scalar slots
+//! resolve to dense registers, literals pool into launch-time constant
+//! registers, and loop bounds that are plain variables or constants are read
+//! from their registers instead of re-evaluated per iteration. Every register
+//! lives in one of three banks (`f64`, `i64`, `bool`), so execution never
+//! dispatches on `Value` tags. The result is cached on the plan (see
+//! `KernelPlan::engine_cache`), so the sweep's compile memoization amortizes
+//! it across tuning points, and geometry retargeting keeps it valid (nothing
+//! here depends on block shape).
 //!
-//! Accounting contract (every later stage keeps it, and it must mirror
-//! `Interp::exec_plain`/`eval` exactly): every `Bin`/`Un`/`CastI`/`CastF`/
-//! `Select` charges 1 op, `Assign` charges 1, a `For` iteration check
-//! charges 1 and the increment charges 1, a `While` iteration charges 1 only
-//! when the condition held, multi-dim index flattening charges `dims-1`,
-//! intrinsics charge the SFU cost table, barriers charge 4. Loads/stores
-//! record per-lane byte addresses into the same [`SiteWarpTrace`] streams the
-//! tree engine fills. Sites whose addresses are affine in the axis variables
-//! additionally support an analytic fast path: their single per-warp address
-//! row is captured directly and summarised through
-//! [`acceval_sim::AffineRowMemo`].
+//! **Typing.** Each operand is lowered first and reports its register and
+//! bank; an operand read in another bank gets a conversion that replicates
+//! `Value::as_f`/`as_i`/`as_b` bit-exactly. Scalars start in their declared
+//! bank (axis variables as integers) and take the bank of each value
+//! assigned to them. `if` arms that leave a scalar in different banks put it
+//! in conflict, `select` arms must agree, and reading a conflicted scalar
+//! rejects the plan. A `For`/`While` body, with its bound and step blocks,
+//! must leave every scalar in the bank it entered with. Expression
+//! temporaries die at every statement boundary, so no other register is
+//! carried from one iteration to the next. A plan is ineligible, and runs on
+//! the tree walker, when its body has calls, its second axis depends on the
+//! first axis variable, a bank cannot be pinned, or it needs more registers,
+//! arrays or instructions than the stream's fixed-width fields hold.
+//!
+//! Accounting contract (the closures keep it, and it must mirror
+//! `Interp::exec_plain`/`eval` exactly): every unary/binary/cast/select
+//! charges 1 op, an assignment charges 1, a `For` iteration check charges 1
+//! and the increment charges 1, a `While` iteration charges 1 only when the
+//! condition held, multi-dim index flattening charges `dims-1`, intrinsics
+//! charge the SFU cost table, barriers charge 4. The statically known
+//! charges of a straight-line stretch fold into one [`TOp::Ops`].
+//! Loads/stores record per-lane byte addresses into the same
+//! [`SiteWarpTrace`] streams the tree engine fills. Sites whose addresses are
+//! affine in the axis variables additionally support an analytic fast path:
+//! their single per-warp address row is captured directly and summarised
+//! through [`acceval_sim::AffineRowMemo`].
 //!
 //! The module also holds the execution state the closures run against: the
 //! pooled [`WarpScratch`] arena (typed register banks, per-lane op counters,
 //! site traces, private-array scratch; no per-warp allocation) and the
 //! launch-wide `ExecCtx` (array layout and address map).
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Mutex;
 
@@ -52,184 +68,251 @@ pub(crate) fn intrin_cost(f: Intrin) -> u64 {
     }
 }
 
-/// One bytecode instruction. Registers are dense numbers; the typed lowering
-/// gives each one a bank, where lane `l` of register `r` lives at
-/// `r * warp + l`. Structured ops (`If`, `Select`,
-/// `For`, `While`) are headers followed by length-delimited sub-blocks laid
-/// out inline; the executor derives block offsets from the recorded lengths.
+// ---------------------------------------------------------------------------
+// Stats and counters
+// ---------------------------------------------------------------------------
+
+/// Per-kernel compile summary, read by profiling and aggregated into sweep
+/// manifests.
+#[derive(Debug, Clone, Default)]
+pub struct OptStats {
+    /// Instructions in the typed stream.
+    pub ops_pre: u64,
+    /// Always equal to `ops_pre`; kept because the benchmark's layer table
+    /// reads both.
+    pub ops_post: u64,
+}
+
+thread_local! {
+    static TL_KERNELS: Cell<u64> = const { Cell::new(0) };
+    static TL_OPS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Record one kernel's compile in the per-thread counters (the sweep reads
+/// them to attribute work to its own runs, mirroring the launch-cache
+/// counter discipline).
+pub(crate) fn note_opt(st: &OptStats) {
+    TL_KERNELS.with(|c| c.set(c.get() + 1));
+    TL_OPS.with(|c| c.set(c.get() + st.ops_pre));
+}
+
+/// This thread's `(kernels compiled, instructions in their streams)`.
+pub fn thread_opt_counters() -> (u64, u64) {
+    (TL_KERNELS.with(Cell::get), TL_OPS.with(Cell::get))
+}
+
+// ---------------------------------------------------------------------------
+// Typed stream
+// ---------------------------------------------------------------------------
+
+/// Register bank of a typed register.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Bank {
+    /// `f64`.
+    F,
+    /// `i64`.
+    I,
+    /// `bool`.
+    B,
+}
+
+impl Bank {
+    /// The bank a value's tag selects.
+    pub(crate) fn of(v: Value) -> Bank {
+        match v {
+            Value::F(_) => Bank::F,
+            Value::I(_) => Bank::I,
+            Value::B(_) => Bank::B,
+        }
+    }
+}
+
+/// One instruction of the typed stream. Registers are dense numbers, each
+/// resolved to a concrete bank; lane `l` of register `r` lives at
+/// `r * warp + l` of that bank. Structured ops (`If`, `Select`, `For`,
+/// `While`) are headers followed by length-delimited sub-blocks laid out
+/// inline; the closure builder derives block offsets from the recorded
+/// lengths.
 #[derive(Debug, Clone, Copy)]
-pub enum Op {
-    /// `dst = const` (no op charge — constants are free in the tree walk).
+pub(crate) enum TOp {
     ConstF {
-        /// Destination register.
         dst: u16,
-        /// Literal value.
         v: f64,
     },
-    /// Integer constant.
     ConstI {
-        /// Destination register.
         dst: u16,
-        /// Literal value.
         v: i64,
     },
-    /// Boolean constant.
     ConstB {
-        /// Destination register.
         dst: u16,
-        /// Literal value.
         v: bool,
     },
-    /// `dst = src` (no op charge — a bare `Var` read is free).
-    Copy {
-        /// Destination register.
+    CopyF {
         dst: u16,
-        /// Source register.
         src: u16,
     },
-    /// `dst = Value::I(a.as_i())` (no op charge — used for loop-var init).
-    AsInt {
-        /// Destination register.
+    CopyI {
         dst: u16,
-        /// Source register.
+        src: u16,
+    },
+    CopyB {
+        dst: u16,
+        src: u16,
+    },
+    /// `i = f as i64` (the saturating cast `Value::as_i` performs).
+    FtoI {
+        dst: u16,
         a: u16,
     },
-    /// Unary op (charge folded into a static `Ops`).
-    Un {
-        /// Destination register.
+    /// `f = i as f64`.
+    ItoF {
         dst: u16,
-        /// Operator.
-        op: UnOp,
-        /// Operand register.
         a: u16,
     },
-    /// Binary op (charge folded into a static `Ops`).
-    Bin {
-        /// Destination register.
+    /// `i = b as i64`.
+    BtoI {
         dst: u16,
-        /// Operator.
+        a: u16,
+    },
+    /// `f = b as i64 as f64`.
+    BtoF {
+        dst: u16,
+        a: u16,
+    },
+    /// `b = f != 0.0`.
+    FtoB {
+        dst: u16,
+        a: u16,
+    },
+    /// `b = i != 0`.
+    ItoB {
+        dst: u16,
+        a: u16,
+    },
+    NegF {
+        dst: u16,
+        a: u16,
+    },
+    /// `-i`, with the same debug-overflow behaviour as the tree walker.
+    NegI {
+        dst: u16,
+        a: u16,
+    },
+    NotB {
+        dst: u16,
+        a: u16,
+    },
+    /// `i.abs()`, same trap on `i64::MIN` as `eval_intrin`.
+    AbsI {
+        dst: u16,
+        a: u16,
+    },
+    /// Float arithmetic (`Add..Max` subset of [`BinOp`]).
+    ArithF {
+        dst: u16,
         op: BinOp,
-        /// Left operand register.
         a: u16,
-        /// Right operand register.
         b: u16,
     },
-    /// `dst = Value::I(a.as_i())` (charge folded into a static `Ops`).
-    CastI {
-        /// Destination register.
+    /// Integer arithmetic/shift/bit ops, wrapping and raw exactly as
+    /// [`eval_bin`]'s integer lane.
+    ArithI {
         dst: u16,
-        /// Operand register.
+        op: BinOp,
         a: u16,
+        b: u16,
     },
-    /// `dst = Value::F(a.as_f())` (charge folded into a static `Ops`).
-    CastF {
-        /// Destination register.
+    CmpF {
         dst: u16,
-        /// Operand register.
+        op: BinOp,
         a: u16,
+        b: u16,
+    },
+    CmpI {
+        dst: u16,
+        op: BinOp,
+        a: u16,
+        b: u16,
+    },
+    AndB {
+        dst: u16,
+        a: u16,
+        b: u16,
+    },
+    OrB {
+        dst: u16,
+        a: u16,
+        b: u16,
     },
     /// Charge `n` plain ALU ops to every active lane: all statically-known
     /// charges of a straight-line stretch (binary/unary/cast ops, assigns,
     /// intrinsic costs, index flattening, barriers) folded into one
-    /// instruction at compile time.
+    /// instruction.
     Ops {
-        /// Op count.
         n: u64,
     },
-    /// Intrinsic call; argument registers live in the shared pool.
-    Intrin {
-        /// Destination register.
+    /// All-float intrinsic call; argument registers live in the pool.
+    IntrinF {
         dst: u16,
-        /// Intrinsic function.
         f: Intrin,
-        /// Offset of the argument registers in the pool.
         args_off: u32,
-        /// Argument count.
         args_len: u8,
     },
     /// Array load. Index registers live in the pool; `fast >= 0` routes the
     /// byte address to the affine fast-path row instead of the site trace.
     Load {
-        /// Destination register.
         dst: u16,
-        /// Array index (`ArrayId.0`).
+        dst_f: bool,
         arr: u16,
-        /// Access site.
         site: u32,
-        /// Offset of the index registers in the pool.
         idx_off: u32,
-        /// Number of index dimensions.
         idx_len: u8,
-        /// Fast-path slot, or -1 for normal tracing.
         fast: i32,
     },
     /// Array store (value register evaluated before the index registers).
     Store {
-        /// Source (value) register.
         src: u16,
-        /// Array index (`ArrayId.0`).
+        src_f: bool,
         arr: u16,
-        /// Access site.
         site: u32,
-        /// Offset of the index registers in the pool.
         idx_off: u32,
-        /// Number of index dimensions.
         idx_len: u8,
-        /// Fast-path slot, or -1 for normal tracing.
         fast: i32,
     },
     /// Branch: records per-lane outcomes, then splits the mask over the
     /// then/else sub-blocks.
     If {
-        /// Condition register (evaluated by preceding instructions).
         cond: u16,
-        /// Branch site (divergence accounting).
         site: u32,
-        /// Length of the then-block.
         then_len: u32,
-        /// Length of the else-block.
         else_len: u32,
     },
     /// Ternary select; evaluates only the taken side per lane (its 1-op
-    /// charge is folded into the preceding static `Ops`).
+    /// charge is folded into the preceding `Ops`).
     Select {
-        /// Condition register.
         cond: u16,
-        /// Destination register.
         dst: u16,
-        /// Register the true-arm block writes.
         t_reg: u16,
-        /// Register the false-arm block writes.
         f_reg: u16,
-        /// Length of the true-arm block.
+        bank: Bank,
         t_len: u32,
-        /// Length of the false-arm block.
         f_len: u32,
     },
     /// Counted loop. The loop variable was initialised by preceding
-    /// instructions; `hi`/`step` are either hoisted registers (`*_len == 0`)
-    /// or re-evaluated per iteration from their sub-blocks.
+    /// instructions; `hi`/`step` are either read from their registers
+    /// (`*_len == 0`) or re-evaluated per iteration by their sub-blocks.
     For {
-        /// Loop-variable register.
         var: u16,
-        /// Register holding the upper bound.
         hi_reg: u16,
-        /// Register holding the step.
         step_reg: u16,
-        /// Length of the per-iteration upper-bound block (0 when hoisted).
         hi_len: u32,
-        /// Length of the per-iteration step block (0 when hoisted).
         step_len: u32,
-        /// Length of the body block.
         body_len: u32,
     },
     /// Condition-controlled loop.
     While {
-        /// Condition register.
         cond: u16,
-        /// Length of the per-iteration condition block (0 when hoisted).
         cond_len: u32,
-        /// Length of the body block.
         body_len: u32,
     },
     /// Enter a critical section (subsequent global accesses count atomics).
@@ -238,27 +321,47 @@ pub enum Op {
     CritExit,
 }
 
-/// A kernel body compiled to bytecode. Geometry-independent: the same
-/// object serves every block shape a tuning sweep tries.
+/// `dst = a` read as bank `want`: a copy within one bank, otherwise the
+/// conversion `Value::as_f`/`as_i`/`as_b` performs.
+fn conv_op(dst: u16, a: u16, have: Bank, want: Bank) -> TOp {
+    match (have, want) {
+        (Bank::F, Bank::F) => TOp::CopyF { dst, src: a },
+        (Bank::I, Bank::I) => TOp::CopyI { dst, src: a },
+        (Bank::B, Bank::B) => TOp::CopyB { dst, src: a },
+        (Bank::F, Bank::I) => TOp::FtoI { dst, a },
+        (Bank::I, Bank::F) => TOp::ItoF { dst, a },
+        (Bank::B, Bank::I) => TOp::BtoI { dst, a },
+        (Bank::B, Bank::F) => TOp::BtoF { dst, a },
+        (Bank::F, Bank::B) => TOp::FtoB { dst, a },
+        (Bank::I, Bank::B) => TOp::ItoB { dst, a },
+    }
+}
+
+/// A kernel body compiled to typed bytecode: the one artifact launches and
+/// the closure builder read. Geometry-independent: the same object serves
+/// every block shape a tuning sweep tries.
 #[derive(Debug)]
 pub struct KernelBytecode {
-    pub(crate) code: Vec<Op>,
-    /// Shared register pool for Load/Store indices and Intrin arguments.
+    pub(crate) code: Vec<TOp>,
+    /// Shared register pool for Load/Store indices and IntrinF arguments.
     pub(crate) pool: Vec<u16>,
-    /// Total registers (scalar slots + constants + temporaries).
+    /// Registers per bank (scalar slots + constants + temporaries).
     pub(crate) nregs: u16,
-    /// `(scalar slot, register)` for scalars the body never writes:
-    /// broadcast once per launch.
-    pub(crate) scal_init_launch: Vec<(u32, u16)>,
-    /// `(scalar slot, register)` for scalars the body (or launch prologue)
-    /// writes: re-broadcast from the base environment every warp.
-    pub(crate) scal_init_warp: Vec<(u32, u16)>,
+    /// `(scalar slot, register, declared bank)` for scalars the body never
+    /// writes: broadcast once per launch.
+    pub(crate) scal_init_launch: Vec<(u32, u16, Bank)>,
+    /// `(scalar slot, register, declared bank)` for scalars the body (or
+    /// launch prologue) writes: re-broadcast from the base environment every
+    /// warp. Reduction accumulators are among them.
+    pub(crate) scal_init_warp: Vec<(u32, u16, Bank)>,
     /// `(register, value)` constants, loaded once per launch.
     pub(crate) const_init: Vec<(u16, Value)>,
     /// Registers of the axis variables (`axis_regs[1]` unused when 1-D).
     pub(crate) axis_regs: [u16; 2],
-    /// Registers of scalar-reduction accumulators, in reduction order.
-    pub(crate) red_scalar_regs: Vec<u16>,
+    /// Register of each scalar-reduction accumulator, in reduction order,
+    /// with the bank the body leaves it in: the fold reads it there, with
+    /// the tag the tree walker's fold sees.
+    pub(crate) red_scalar_regs: Vec<(u16, Bank)>,
     /// Site ids on the analytic fast path, indexed by fast slot.
     pub(crate) fast_sites: Vec<u32>,
     /// Execute lanes one at a time instead of in lockstep. Set when the
@@ -280,7 +383,7 @@ pub struct KernelBytecode {
 }
 
 impl KernelBytecode {
-    /// Number of instructions in the flat stream (diagnostics/tests).
+    /// Number of instructions in the typed stream (diagnostics/tests).
     pub fn op_count(&self) -> usize {
         self.code.len()
     }
@@ -289,17 +392,23 @@ impl KernelBytecode {
     pub fn fast_site_count(&self) -> usize {
         self.fast_sites.len()
     }
+
+    /// The compile summary profiling and the sweep manifests read.
+    pub fn stats(&self) -> OptStats {
+        let ops = self.code.len() as u64;
+        OptStats { ops_pre: ops, ops_post: ops }
+    }
 }
 
-/// Compile a finalized kernel plan's body to bytecode.
+/// Compile a finalized kernel plan's body to typed bytecode.
 ///
-/// Returns `None` when the body uses a construct the compiled pipeline does
-/// not model (function calls, or a second axis whose bounds depend on the
-/// first axis variable); such kernels run on the tree walker.
+/// Returns `None` when the plan is ineligible (see the module docs): a body
+/// with calls, a second axis whose bounds depend on the first axis variable,
+/// a register whose bank cannot be pinned, or a stream too large for its
+/// fixed-width fields. Such kernels run on the tree walker. A compiled
+/// stream, built into closures, executes bit-identically to the tree
+/// walker: same values, same charges, same traces, same panics.
 pub fn compile(prog: &Program, plan: &KernelPlan) -> Option<KernelBytecode> {
-    if plan.body.iter().any(|s| s.contains_call()) {
-        return None;
-    }
     if plan.axes.len() > 1 {
         let v0 = plan.axes[0].var;
         if plan.axes[1].lo.uses_var(v0) || plan.axes[1].step.uses_var(v0) {
@@ -402,30 +511,41 @@ pub fn compile(prog: &Program, plan: &KernelPlan) -> Option<KernelBytecode> {
     });
     let serial_lanes = store_sites.iter().any(|(a, &n)| (n > 1 || loaded.contains(a)) && tangled.contains(a));
 
-    let scal_reg: BTreeMap<u32, u16> = scal_ids.iter().enumerate().map(|(k, &s)| (s, k as u16)).collect();
-    let temp_base = (scal_reg.len() + const_count) as u16;
+    let scal_reg = scal_ids
+        .iter()
+        .enumerate()
+        .map(|(k, &s)| Some((s, u16::try_from(k).ok()?)))
+        .collect::<Option<BTreeMap<u32, u16>>>()?;
+    let temp_base = u16::try_from(scal_reg.len() + const_count).ok()?;
+    let declared = |slot: u32| if prog.scalars[slot as usize].is_float { Bank::F } else { Bank::I };
+    // Scalars enter the body in their declared banks; the axis variables,
+    // which the launch prologue writes, as integers.
+    let banks = scal_reg
+        .keys()
+        .map(|&slot| Some(if axis_set.contains(&ScalarId(slot)) { Bank::I } else { declared(slot) }))
+        .collect();
 
-    let _ = prog;
     let mut c = Compiler {
+        prog,
         plan,
         code: Vec::new(),
+        pending: 0,
         pool: Vec::new(),
+        next_const: u16::try_from(scal_reg.len()).ok()?,
         scal_reg,
+        banks,
         const_reg: HashMap::new(),
         const_init: Vec::new(),
-        next_const: 0,
         temp_base,
         nregs: temp_base,
         assigned,
         axis_vars: axis_set,
         fast_sites: Vec::new(),
         depth: 0,
-        pending: 0,
         price_uniform: true,
     };
-    c.next_const = c.scal_reg.len() as u16;
     for s in &plan.body {
-        c.stmt(s);
+        c.stmt(s)?;
     }
     c.flush();
     debug_assert_eq!(c.depth, 0);
@@ -438,24 +558,23 @@ pub fn compile(prog: &Program, plan: &KernelPlan) -> Option<KernelBytecode> {
             // prologue before each warp executes; no broadcast needed.
             continue;
         }
-        let mutable = c.assigned.contains(&slot)
-            || c.plan.reductions.iter().any(|rd| matches!(rd.target, VarRef::Scalar(s) if s.0 == slot));
-        if mutable {
-            scal_init_warp.push((slot, r));
+        let init = (slot, r, declared(slot));
+        if c.assigned.contains(&slot) || red_set.contains(&slot) {
+            scal_init_warp.push(init);
         } else {
-            scal_init_launch.push((slot, r));
+            scal_init_launch.push(init);
         }
     }
     let axis_regs =
         [c.scal_reg[&plan.axes[0].var.0], if plan.axes.len() > 1 { c.scal_reg[&plan.axes[1].var.0] } else { 0 }];
-    let red_scalar_regs: Vec<u16> = plan
+    let red_scalar_regs = plan
         .reductions
         .iter()
         .filter_map(|r| match r.target {
-            VarRef::Scalar(s) => Some(c.scal_reg[&s.0]),
+            VarRef::Scalar(s) => Some(c.scalar(s)),
             VarRef::Array(_) => None,
         })
-        .collect();
+        .collect::<Option<Vec<_>>>()?;
 
     // Uniform pricing: every access on the fast path, no mask-splitting or
     // data-dependent ops in the stream. `For` bounds were vetted at emission
@@ -464,8 +583,8 @@ pub fn compile(prog: &Program, plan: &KernelPlan) -> Option<KernelBytecode> {
     // only on the block's active-lane shape.
     let uniform_pricing = c.price_uniform
         && c.code.iter().all(|op| match *op {
-            Op::Load { fast, .. } | Op::Store { fast, .. } => fast >= 0,
-            Op::If { .. } | Op::While { .. } | Op::Select { .. } | Op::CritEnter | Op::CritExit => false,
+            TOp::Load { fast, .. } | TOp::Store { fast, .. } => fast >= 0,
+            TOp::If { .. } | TOp::While { .. } | TOp::Select { .. } | TOp::CritEnter | TOp::CritExit => false,
             _ => true,
         });
 
@@ -493,14 +612,18 @@ enum ConstKey {
 }
 
 struct Compiler<'a> {
+    prog: &'a Program,
     plan: &'a KernelPlan,
-    code: Vec<Op>,
+    code: Vec<TOp>,
     /// Statically-known per-lane op charges accumulated since the last
-    /// flush; folded into one `Op::Ops` at every sub-block boundary so the
+    /// flush; folded into one `TOp::Ops` at every sub-block boundary so the
     /// executor never pays per-instruction counter updates for them.
     pending: u64,
     pool: Vec<u16>,
     scal_reg: BTreeMap<u32, u16>,
+    /// Bank of each scalar register on the current path; `None` when merging
+    /// `if` arms left it in conflict, which rejects any later read.
+    banks: Vec<Option<Bank>>,
     const_reg: HashMap<ConstKey, u16>,
     const_init: Vec<(u16, Value)>,
     next_const: u16,
@@ -531,21 +654,27 @@ impl Compiler<'_> {
     /// irrelevant — only the per-lane totals feed `warp_issue_cycles`.
     fn flush(&mut self) {
         if self.pending > 0 {
-            self.code.push(Op::Ops { n: self.pending });
+            self.code.push(TOp::Ops { n: self.pending });
             self.pending = 0;
         }
     }
 
+    /// Count register `r` into the bank size; `None` when it would not fit.
     #[inline]
-    fn note(&mut self, r: u16) {
-        if r >= self.nregs {
-            self.nregs = r + 1;
-        }
+    fn note(&mut self, r: u16) -> Option<()> {
+        self.nregs = self.nregs.max(r.checked_add(1)?);
+        Some(())
     }
 
-    #[inline]
-    fn reg(&self, s: ScalarId) -> u16 {
-        self.scal_reg[&s.0]
+    /// Instructions emitted since `start`, as a sub-block length.
+    fn len_since(&self, start: usize) -> Option<u32> {
+        u32::try_from(self.code.len() - start).ok()
+    }
+
+    /// A scalar's register and its bank on the current path.
+    fn scalar(&self, s: ScalarId) -> Option<(u16, Bank)> {
+        let r = self.scal_reg[&s.0];
+        Some((r, self.banks[r as usize]?))
     }
 
     fn creg(&mut self, key: ConstKey, v: Value) -> u16 {
@@ -560,140 +689,217 @@ impl Compiler<'_> {
         r
     }
 
+    /// Make register `r`, holding a `have` value, readable as `want`. The
+    /// conversion writes the same register number in the `want` bank: a
+    /// register number holds one live value in one bank at a time, so the
+    /// other banks' rows are free.
+    fn convert(&mut self, r: u16, have: Bank, want: Bank) {
+        if have != want {
+            self.code.push(conv_op(r, r, have, want));
+        }
+    }
+
+    /// Read `regs` as `want` and park them in the pool for one instruction.
+    fn park(&mut self, regs: &[(u16, Bank)], want: Bank) -> Option<(u32, u8)> {
+        for &(r, b) in regs {
+            self.convert(r, b, want);
+        }
+        let off = u32::try_from(self.pool.len()).ok()?;
+        self.pool.extend(regs.iter().map(|&(r, _)| r));
+        Some((off, u8::try_from(regs.len()).ok()?))
+    }
+
     /// Compile `e` so its value lands in some register: a bare variable or
     /// literal is forwarded without emitting code, anything else compiles
     /// into `slot` (with temporaries from `sp` upward).
-    fn operand(&mut self, e: &Expr, slot: u16, sp: u16) -> u16 {
-        match e {
-            Expr::Var(s) => self.reg(*s),
-            Expr::F(x) => self.creg(ConstKey::F(x.to_bits()), Value::F(*x)),
-            Expr::I(x) => self.creg(ConstKey::I(*x), Value::I(*x)),
-            Expr::B(x) => self.creg(ConstKey::B(*x), Value::B(*x)),
-            _ => {
-                self.expr(e, slot, sp);
-                slot
-            }
-        }
+    fn operand(&mut self, e: &Expr, slot: u16, sp: u16) -> Option<(u16, Bank)> {
+        Some(match e {
+            Expr::Var(s) => self.scalar(*s)?,
+            Expr::F(x) => (self.creg(ConstKey::F(x.to_bits()), Value::F(*x)), Bank::F),
+            Expr::I(x) => (self.creg(ConstKey::I(*x), Value::I(*x)), Bank::I),
+            Expr::B(x) => (self.creg(ConstKey::B(*x), Value::B(*x)), Bank::B),
+            _ => (slot, self.expr(e, slot, sp)?),
+        })
     }
 
-    /// Compile `e` into `dst`, using temporaries from `sp` upward.
-    /// Invariant: `sp > dst` unless `dst` is a scalar register, and
-    /// expression code never writes scalar registers, so operands compiled
-    /// into `dst` survive until the combining instruction.
-    fn expr(&mut self, e: &Expr, dst: u16, sp: u16) {
-        self.note(dst);
-        match e {
-            Expr::F(x) => self.code.push(Op::ConstF { dst, v: *x }),
-            Expr::I(x) => self.code.push(Op::ConstI { dst, v: *x }),
-            Expr::B(x) => self.code.push(Op::ConstB { dst, v: *x }),
+    /// Compile `exprs` into consecutive registers from `sp` (forwarding bare
+    /// variables and literals).
+    fn operands(&mut self, exprs: &[Expr], sp: u16) -> Option<Vec<(u16, Bank)>> {
+        let mut slot = sp;
+        let mut regs = Vec::with_capacity(exprs.len());
+        for e in exprs {
+            let next = slot.checked_add(1)?;
+            let (r, b) = self.operand(e, slot, next)?;
+            if r == slot {
+                slot = next;
+            }
+            regs.push((r, b));
+        }
+        Some(regs)
+    }
+
+    /// Compile `e` into `dst`, using temporaries from `sp` upward, and
+    /// return the bank it lands in. Invariant: `sp > dst` unless `dst` is a
+    /// scalar register, and expression code never writes scalar registers,
+    /// so operands compiled into `dst` survive until the combining
+    /// instruction.
+    fn expr(&mut self, e: &Expr, dst: u16, sp: u16) -> Option<Bank> {
+        self.note(dst)?;
+        Some(match e {
+            Expr::F(x) => {
+                self.code.push(TOp::ConstF { dst, v: *x });
+                Bank::F
+            }
+            Expr::I(x) => {
+                self.code.push(TOp::ConstI { dst, v: *x });
+                Bank::I
+            }
+            Expr::B(x) => {
+                self.code.push(TOp::ConstB { dst, v: *x });
+                Bank::B
+            }
             Expr::Var(s) => {
-                let src = self.reg(*s);
+                let (src, b) = self.scalar(*s)?;
                 if src != dst {
-                    self.code.push(Op::Copy { dst, src });
+                    self.code.push(conv_op(dst, src, b, b));
                 }
+                b
             }
             Expr::Un(op, a) => {
-                let ra = self.operand(a, dst, sp);
+                let (ra, ab) = self.operand(a, dst, sp)?;
                 self.charge(1);
-                self.code.push(Op::Un { dst, op: *op, a: ra });
+                match (op, ab) {
+                    (UnOp::Neg, Bank::I) => {
+                        self.code.push(TOp::NegI { dst, a: ra });
+                        Bank::I
+                    }
+                    (UnOp::Neg, _) => {
+                        self.convert(ra, ab, Bank::F);
+                        self.code.push(TOp::NegF { dst, a: ra });
+                        Bank::F
+                    }
+                    (UnOp::Not, _) => {
+                        self.convert(ra, ab, Bank::B);
+                        self.code.push(TOp::NotB { dst, a: ra });
+                        Bank::B
+                    }
+                }
             }
             Expr::Bin(op, a, b) => {
-                let ra = self.operand(a, dst, sp);
-                let (bslot, nsp) = if ra == dst { (sp, sp + 1) } else { (dst, sp) };
-                let rb = self.operand(b, bslot, nsp);
+                let (ra, ab) = self.operand(a, dst, sp)?;
+                let (bslot, nsp) = if ra == dst { (sp, sp.checked_add(1)?) } else { (dst, sp) };
+                let (rb, bb) = self.operand(b, bslot, nsp)?;
                 self.charge(1);
-                self.code.push(Op::Bin { dst, op: *op, a: ra, b: rb });
+                // Integer arithmetic and comparisons when neither side is a
+                // float, the `eval_bin` promotion rule.
+                let num = if ab != Bank::F && bb != Bank::F { Bank::I } else { Bank::F };
+                let (want, out) = match op {
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem | BinOp::Min | BinOp::Max => {
+                        (num, num)
+                    }
+                    BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne => (num, Bank::B),
+                    BinOp::And | BinOp::Or => (Bank::B, Bank::B),
+                    BinOp::Shl | BinOp::Shr | BinOp::BitAnd | BinOp::BitOr | BinOp::BitXor => (Bank::I, Bank::I),
+                };
+                self.convert(ra, ab, want);
+                self.convert(rb, bb, want);
+                let (op, a, b) = (*op, ra, rb);
+                self.code.push(match (op, want, out) {
+                    (BinOp::And, ..) => TOp::AndB { dst, a, b },
+                    (BinOp::Or, ..) => TOp::OrB { dst, a, b },
+                    (_, Bank::F, Bank::B) => TOp::CmpF { dst, op, a, b },
+                    (_, _, Bank::B) => TOp::CmpI { dst, op, a, b },
+                    (_, Bank::F, _) => TOp::ArithF { dst, op, a, b },
+                    _ => TOp::ArithI { dst, op, a, b },
+                });
+                out
             }
             Expr::Select { cond, t, f } => {
-                let rc = self.operand(cond, dst, sp);
-                let (t_reg, f_reg) = (sp, sp + 1);
-                self.note(t_reg);
-                self.note(f_reg);
+                let (rc, cb) = self.operand(cond, dst, sp)?;
+                let (t_reg, f_reg, arm_sp) = (sp, sp.checked_add(1)?, sp.checked_add(2)?);
+                self.note(t_reg)?;
+                self.note(f_reg)?;
                 self.charge(1);
                 self.flush();
+                self.convert(rc, cb, Bank::B);
                 let at = self.code.len();
-                self.code.push(Op::Select { cond: rc, dst, t_reg, f_reg, t_len: 0, f_len: 0 });
+                self.code.push(TOp::Select { cond: rc, dst, t_reg, f_reg, bank: Bank::I, t_len: 0, f_len: 0 });
                 self.depth += 1;
-                let t0 = self.code.len();
-                self.expr(t, t_reg, sp + 2);
-                self.flush();
-                let tl = (self.code.len() - t0) as u32;
-                let f0 = self.code.len();
-                self.expr(f, f_reg, sp + 2);
-                self.flush();
-                let fl = (self.code.len() - f0) as u32;
+                let (tl, tb) = self.arm(t, t_reg, arm_sp)?;
+                let (fl, fb) = self.arm(f, f_reg, arm_sp)?;
                 self.depth -= 1;
-                if let Op::Select { t_len, f_len, .. } = &mut self.code[at] {
+                if tb != fb {
+                    return None;
+                }
+                if let TOp::Select { bank, t_len, f_len, .. } = &mut self.code[at] {
+                    *bank = tb;
                     *t_len = tl;
                     *f_len = fl;
                 }
+                tb
             }
             Expr::Intrin(f, args) => {
-                let mut slot = sp;
-                let mut iregs = Vec::with_capacity(args.len());
-                for a in args {
-                    let r = self.operand(a, slot, slot + 1);
-                    if r == slot {
-                        slot += 1;
-                    }
-                    iregs.push(r);
-                }
-                let args_off = self.pool.len() as u32;
-                self.pool.extend(iregs);
+                let regs = self.operands(args, sp)?;
                 self.charge(intrin_cost(*f));
-                self.code.push(Op::Intrin { dst, f: *f, args_off, args_len: args.len() as u8 });
+                if let (Intrin::Abs, Some(&(a, Bank::I))) = (f, regs.first()) {
+                    self.code.push(TOp::AbsI { dst, a });
+                    Bank::I
+                } else {
+                    let (args_off, args_len) = self.park(&regs, Bank::F)?;
+                    self.code.push(TOp::IntrinF { dst, f: *f, args_off, args_len });
+                    Bank::F
+                }
             }
             Expr::CastI(a) => {
-                let ra = self.operand(a, dst, sp);
+                let (ra, ab) = self.operand(a, dst, sp)?;
                 self.charge(1);
-                self.code.push(Op::CastI { dst, a: ra });
+                self.code.push(conv_op(dst, ra, ab, Bank::I));
+                Bank::I
             }
             Expr::CastF(a) => {
-                let ra = self.operand(a, dst, sp);
+                let (ra, ab) = self.operand(a, dst, sp)?;
                 self.charge(1);
-                self.code.push(Op::CastF { dst, a: ra });
+                self.code.push(conv_op(dst, ra, ab, Bank::F));
+                Bank::F
             }
             Expr::Load { array, index, site } => {
-                let (idx_off, idx_len) = self.index_regs(index, sp);
-                if index.len() > 1 {
-                    self.charge(index.len() as u64 - 1);
+                let regs = self.operands(index, sp)?;
+                self.charge(index.len().saturating_sub(1) as u64);
+                let fast = self.fast_slot(*array, index, site.0)?;
+                let (idx_off, idx_len) = self.park(&regs, Bank::I)?;
+                let dst_f = self.prog.array_elem(*array).is_float();
+                let arr = u16::try_from(array.0).ok()?;
+                self.code.push(TOp::Load { dst, dst_f, arr, site: site.0, idx_off, idx_len, fast });
+                if dst_f {
+                    Bank::F
+                } else {
+                    Bank::I
                 }
-                let fast = self.fast_slot(*array, index, site.0);
-                self.code.push(Op::Load { dst, arr: array.0 as u16, site: site.0, idx_off, idx_len, fast });
             }
-        }
+        })
     }
 
-    /// Compile index expressions into sequential registers and park their
-    /// register numbers in the shared pool.
-    fn index_regs(&mut self, index: &[Expr], sp: u16) -> (u32, u8) {
-        let mut slot = sp;
-        let mut iregs = Vec::with_capacity(index.len());
-        for ie in index {
-            let r = self.operand(ie, slot, slot + 1);
-            if r == slot {
-                slot += 1;
-            }
-            iregs.push(r);
-        }
-        let off = self.pool.len() as u32;
-        self.pool.extend(iregs);
-        (off, index.len() as u8)
+    /// One `select` arm: compile `e` into `reg` as its own sub-block.
+    fn arm(&mut self, e: &Expr, reg: u16, sp: u16) -> Option<(u32, Bank)> {
+        let start = self.code.len();
+        let b = self.expr(e, reg, sp)?;
+        self.flush();
+        Some((self.len_since(start)?, b))
     }
 
-    /// Decide whether a memory site takes the analytic fast path: executed
-    /// exactly once per lane (depth 0), non-private global or shared-tiled
-    /// space (the two spaces whose warp pricing is translation-invariant and
-    /// therefore memoizable), and every index dimension affine in the axis
-    /// variables with no dependence on body-written scalars. The runtime
-    /// re-verifies the arithmetic progression per row, so this is purely a
-    /// profitability filter.
-    fn fast_slot(&mut self, array: ArrayId, index: &[Expr], site: u32) -> i32 {
+    /// Decide whether a memory site takes the analytic fast path (its slot,
+    /// or -1): executed exactly once per lane (depth 0), non-private global
+    /// or shared-tiled space (the two spaces whose warp pricing is
+    /// translation-invariant and therefore memoizable), and every index
+    /// dimension affine in the axis variables with no dependence on
+    /// body-written scalars. The runtime re-verifies the arithmetic
+    /// progression per row, so this is purely a profitability filter.
+    fn fast_slot(&mut self, array: ArrayId, index: &[Expr], site: u32) -> Option<i32> {
         if self.depth != 0
             || self.plan.expansion_of(array).is_some()
             || !matches!(self.plan.space_of(array), MemSpace::Global | MemSpace::SharedTiled { .. })
         {
-            return -1;
+            return Some(-1);
         }
         let ok = index.iter().all(|e| {
             expr_affine(e, &self.axis_vars) && {
@@ -709,11 +915,11 @@ impl Compiler<'_> {
             }
         });
         if !ok {
-            return -1;
+            return Some(-1);
         }
-        let f = self.fast_sites.len() as i32;
+        let f = i32::try_from(self.fast_sites.len()).ok()?;
         self.fast_sites.push(site);
-        f
+        Some(f)
     }
 
     /// Launch-uniform: no loads, no axis variables, no body-assigned
@@ -728,51 +934,63 @@ impl Compiler<'_> {
         ok
     }
 
-    fn stmt(&mut self, s: &Stmt) {
+    /// Compile a statement list as a sub-block and return its length.
+    fn block(&mut self, stmts: &[Stmt]) -> Option<u32> {
+        let start = self.code.len();
+        for s in stmts {
+            self.stmt(s)?;
+        }
+        self.flush();
+        self.len_since(start)
+    }
+
+    fn stmt(&mut self, s: &Stmt) -> Option<()> {
         let tb = self.temp_base;
         match s {
             Stmt::Assign { var, value } => {
-                let vr = self.reg(*var);
-                if value.uses_var(*var) {
-                    self.expr(value, tb, tb + 1);
-                    self.code.push(Op::Copy { dst: vr, src: tb });
+                let vr = self.scal_reg[&var.0];
+                let b = if value.uses_var(*var) {
+                    let b = self.expr(value, tb, tb.checked_add(1)?)?;
+                    self.code.push(conv_op(vr, tb, b, b));
+                    b
                 } else {
-                    self.expr(value, vr, tb);
-                }
+                    self.expr(value, vr, tb)?
+                };
                 self.charge(1);
+                self.banks[vr as usize] = Some(b);
             }
             Stmt::Store { array, index, value, site } => {
                 // Value first, then indices — the order the tree walk
                 // evaluates (and charges) them.
-                let rv = self.operand(value, tb, tb + 1);
-                let isp = if rv == tb { tb + 1 } else { tb };
-                let (idx_off, idx_len) = self.index_regs(index, isp);
-                if index.len() > 1 {
-                    self.charge(index.len() as u64 - 1);
-                }
-                let fast = self.fast_slot(*array, index, site.0);
-                self.code.push(Op::Store { src: rv, arr: array.0 as u16, site: site.0, idx_off, idx_len, fast });
+                let (rv, vb) = self.operand(value, tb, tb.checked_add(1)?)?;
+                let isp = if rv == tb { tb.checked_add(1)? } else { tb };
+                let regs = self.operands(index, isp)?;
+                self.charge(index.len().saturating_sub(1) as u64);
+                let fast = self.fast_slot(*array, index, site.0)?;
+                let src_f = self.prog.array_elem(*array).is_float();
+                self.convert(rv, vb, if src_f { Bank::F } else { Bank::I });
+                let (idx_off, idx_len) = self.park(&regs, Bank::I)?;
+                let arr = u16::try_from(array.0).ok()?;
+                self.code.push(TOp::Store { src: rv, src_f, arr, site: site.0, idx_off, idx_len, fast });
             }
             Stmt::If { cond, then_b, else_b, site } => {
-                let rc = self.operand(cond, tb, tb + 1);
+                let (rc, cb) = self.operand(cond, tb, tb.checked_add(1)?)?;
                 self.flush();
+                self.convert(rc, cb, Bank::B);
                 let at = self.code.len();
-                self.code.push(Op::If { cond: rc, site: site.0, then_len: 0, else_len: 0 });
+                self.code.push(TOp::If { cond: rc, site: site.0, then_len: 0, else_len: 0 });
                 self.depth += 1;
-                let t0 = self.code.len();
-                for st in then_b {
-                    self.stmt(st);
-                }
-                self.flush();
-                let tl = (self.code.len() - t0) as u32;
-                let e0 = self.code.len();
-                for st in else_b {
-                    self.stmt(st);
-                }
-                self.flush();
-                let el = (self.code.len() - e0) as u32;
+                let entry = self.banks.clone();
+                let tl = self.block(then_b)?;
+                let then_banks = std::mem::replace(&mut self.banks, entry);
+                let el = self.block(else_b)?;
                 self.depth -= 1;
-                if let Op::If { then_len, else_len, .. } = &mut self.code[at] {
+                for (b, t) in self.banks.iter_mut().zip(then_banks) {
+                    if *b != t {
+                        *b = None;
+                    }
+                }
+                if let TOp::If { then_len, else_len, .. } = &mut self.code[at] {
                     *then_len = tl;
                     *else_len = el;
                 }
@@ -783,94 +1001,96 @@ impl Compiler<'_> {
                     // charges are no longer a pure function of lane shape.
                     self.price_uniform = false;
                 }
-                let vr = self.reg(*var);
+                let vr = self.scal_reg[&var.0];
                 // `lo` may mention the loop variable; expressions never
                 // write scalar registers, so route through a temp.
-                let rlo = self.operand(lo, tb, tb + 1);
-                self.code.push(Op::AsInt { dst: vr, a: rlo });
+                let (rlo, lb) = self.operand(lo, tb, tb.checked_add(1)?)?;
+                self.code.push(conv_op(vr, rlo, lb, Bank::I));
+                self.banks[vr as usize] = Some(Bank::I);
                 self.flush();
                 let at = self.code.len();
-                self.code.push(Op::For { var: vr, hi_reg: 0, step_reg: 0, hi_len: 0, step_len: 0, body_len: 0 });
+                self.code.push(TOp::For { var: vr, hi_reg: 0, step_reg: 0, hi_len: 0, step_len: 0, body_len: 0 });
                 self.depth += 1;
-                let (hi_reg, hi_len) = self.bound(hi, tb);
-                let (step_reg, step_len) = self.bound(step, tb + 1);
-                let b0 = self.code.len();
-                for st in body {
-                    self.stmt(st);
-                }
-                self.flush();
-                let bl = (self.code.len() - b0) as u32;
+                let entry = self.banks.clone();
+                let (hr, hl) = self.bound(hi, tb, Bank::I)?;
+                let (sr, sl) = self.bound(step, tb.checked_add(1)?, Bank::I)?;
+                let bl = self.block(body)?;
                 self.depth -= 1;
-                if let Op::For { hi_reg: hr, step_reg: sr, hi_len: hl, step_len: sl, body_len, .. } = &mut self.code[at]
-                {
-                    *hr = hi_reg;
-                    *sr = step_reg;
-                    *hl = hi_len;
-                    *sl = step_len;
+                // The next iteration re-enters with this one's banks, so
+                // every scalar (the loop variable included) must end the
+                // body where it started.
+                if self.banks != entry {
+                    return None;
+                }
+                if let TOp::For { hi_reg, step_reg, hi_len, step_len, body_len, .. } = &mut self.code[at] {
+                    *hi_reg = hr;
+                    *step_reg = sr;
+                    *hi_len = hl;
+                    *step_len = sl;
                     *body_len = bl;
                 }
             }
             Stmt::While { cond, body } => {
                 self.flush();
                 let at = self.code.len();
-                self.code.push(Op::While { cond: 0, cond_len: 0, body_len: 0 });
+                self.code.push(TOp::While { cond: 0, cond_len: 0, body_len: 0 });
                 self.depth += 1;
-                let (cond_reg, cond_len) = self.bound(cond, tb);
-                let b0 = self.code.len();
-                for st in body {
-                    self.stmt(st);
-                }
-                self.flush();
-                let bl = (self.code.len() - b0) as u32;
+                let entry = self.banks.clone();
+                let (cr, cl) = self.bound(cond, tb, Bank::B)?;
+                let bl = self.block(body)?;
                 self.depth -= 1;
-                if let Op::While { cond, cond_len: cl, body_len } = &mut self.code[at] {
-                    *cond = cond_reg;
-                    *cl = cond_len;
+                if self.banks != entry {
+                    return None;
+                }
+                if let TOp::While { cond, cond_len, body_len } = &mut self.code[at] {
+                    *cond = cr;
+                    *cond_len = cl;
                     *body_len = bl;
                 }
             }
             Stmt::Critical { body } => {
-                self.code.push(Op::CritEnter);
+                self.code.push(TOp::CritEnter);
                 self.depth += 1;
                 for st in body {
-                    self.stmt(st);
+                    self.stmt(st)?;
                 }
                 self.depth -= 1;
-                self.code.push(Op::CritExit);
+                self.code.push(TOp::CritExit);
             }
             Stmt::Barrier => self.charge(4),
             Stmt::Parallel(r) => {
                 for st in &r.body {
-                    self.stmt(st);
+                    self.stmt(st)?;
                 }
             }
             Stmt::DataRegion { body, .. } => {
                 for st in body {
-                    self.stmt(st);
+                    self.stmt(st)?;
                 }
             }
             Stmt::Update { .. } => {}
-            Stmt::Call { .. } => unreachable!("compile() bails on calls"),
+            Stmt::Call { .. } => return None,
         }
+        Some(())
     }
 
-    /// A loop bound: a bare variable or literal reads its register with no
-    /// per-iteration code (the tree walk charges nothing for those either);
-    /// anything else becomes a per-iteration block so its op charges repeat
-    /// exactly as under the tree engine.
-    fn bound(&mut self, e: &Expr, slot: u16) -> (u16, u32) {
-        match e {
-            Expr::Var(s) => (self.reg(*s), 0),
-            Expr::F(x) => (self.creg(ConstKey::F(x.to_bits()), Value::F(*x)), 0),
-            Expr::I(x) => (self.creg(ConstKey::I(*x), Value::I(*x)), 0),
-            Expr::B(x) => (self.creg(ConstKey::B(*x), Value::B(*x)), 0),
+    /// A loop bound or condition, read as `want` once per iteration: a bare
+    /// variable or literal reads its register with no per-iteration code
+    /// (the tree walk charges nothing for those either); anything else
+    /// becomes a per-iteration block so its op charges repeat exactly as
+    /// under the tree engine. A conversion to `want` joins the block.
+    fn bound(&mut self, e: &Expr, slot: u16, want: Bank) -> Option<(u16, u32)> {
+        let start = self.code.len();
+        let (r, b) = match e {
+            Expr::Var(_) | Expr::F(_) | Expr::I(_) | Expr::B(_) => self.operand(e, slot, slot)?,
             _ => {
-                let c0 = self.code.len();
-                self.expr(e, slot, self.temp_base + 2);
+                let b = self.expr(e, slot, self.temp_base.checked_add(2)?)?;
                 self.flush();
-                (slot, (self.code.len() - c0) as u32)
+                (slot, b)
             }
-        }
+        };
+        self.convert(r, b, want);
+        Some((r, self.len_since(start)?))
     }
 }
 
@@ -1064,5 +1284,89 @@ mod tests {
         let bc = compile(&p, &k).expect("compiles");
         // Only the depth-0 store to y[i] qualifies.
         assert_eq!(bc.fast_site_count(), 1);
+    }
+
+    #[test]
+    fn straight_line_float_kernel_lowers_typed() {
+        let mut pb = ProgramBuilder::new("typed");
+        let n = pb.iscalar("n");
+        let i = pb.iscalar("i");
+        let x = pb.farray("x", vec![v(n)]);
+        let y = pb.farray("y", vec![v(n)]);
+        pb.main(vec![]);
+        let p = pb.build();
+        let mut k =
+            KernelPlan::new("k", vec![axis(i, v(n))], vec![store(y, vec![v(i)], ld(x, vec![v(i)]) * 0.5 + 1.0)]);
+        k.finalize();
+        let bc = compile(&p, &k).expect("a float stream has one bank per register");
+        assert!(bc.code.iter().any(|op| matches!(op, TOp::ArithF { .. })), "{:?}", bc.code);
+    }
+
+    #[test]
+    fn loop_temp_bank_rebinding_still_lowers_typed() {
+        // The spmv shape: integer index temps and float product temps share
+        // compiler registers across the loop body. Temporaries die at each
+        // statement boundary, so only the scalars need stable banks.
+        let mut pb = ProgramBuilder::new("spmv");
+        let n = pb.iscalar("n");
+        let i = pb.iscalar("i");
+        let kk = pb.iscalar("kk");
+        let s = pb.fscalar("s");
+        let ptr = pb.iarray("ptr", vec![v(n) + 1]);
+        let val = pb.farray("val", vec![v(n)]);
+        let col = pb.iarray("col", vec![v(n)]);
+        let x = pb.farray("x", vec![v(n)]);
+        let y = pb.farray("y", vec![v(n)]);
+        pb.main(vec![]);
+        let p = pb.build();
+        let body = vec![
+            assign(s, 0.0),
+            sfor(
+                kk,
+                ld(ptr, vec![v(i)]),
+                ld(ptr, vec![v(i) + 1]),
+                vec![assign(s, v(s) + ld(val, vec![v(kk)]) * ld(x, vec![ld(col, vec![v(kk)])]))],
+            ),
+            store(y, vec![v(i)], v(s)),
+        ];
+        let mut k = KernelPlan::new("k", vec![axis(i, v(n))], body);
+        k.finalize();
+        assert!(compile(&p, &k).is_some());
+    }
+
+    #[test]
+    fn loop_carried_liveins_are_identified() {
+        // An accumulator carried around a loop must keep its bank: seeded
+        // with a float it compiles, seeded with an integer it turns float
+        // in the first iteration and the plan is ineligible.
+        let mut pb = ProgramBuilder::new("livein");
+        let n = pb.iscalar("n");
+        let i = pb.iscalar("i");
+        let j = pb.iscalar("j");
+        let s = pb.fscalar("s");
+        let x = pb.farray("x", vec![v(n)]);
+        let y = pb.farray("y", vec![v(n)]);
+        pb.main(vec![]);
+        let p = pb.build();
+        let plan = |seed: Expr| {
+            let body = vec![
+                assign(s, seed),
+                sfor(j, 0i64, v(n), vec![assign(s, v(s) + ld(x, vec![v(j)]))]),
+                store(y, vec![v(i)], v(s)),
+            ];
+            let mut k = KernelPlan::new("k", vec![axis(i, v(n))], body);
+            k.finalize();
+            k
+        };
+        let bc = compile(&p, &plan(Expr::F(0.0))).expect("a float-seeded accumulator keeps its bank");
+        let s_reg = bc.scal_init_warp.iter().find(|&&(slot, ..)| slot == s.0).map(|&(_, r, _)| r);
+        assert!(
+            bc.code
+                .iter()
+                .any(|op| matches!(*op, TOp::ArithF { dst, .. } | TOp::CopyF { dst, .. } if Some(dst) == s_reg)),
+            "{:?}",
+            bc.code
+        );
+        assert!(compile(&p, &plan(Expr::I(0))).is_none(), "an integer-seeded float accumulator must be rejected");
     }
 }

@@ -37,9 +37,9 @@ pub enum Engine {
     /// time through [`Interp`]. Always available.
     Tree,
     /// The default: the plan's compiled native closures
-    /// ([`crate::interp::native`]), built through compile and typed
-    /// lowering, executing whole warps in lockstep. A launch without
-    /// closures (a body with calls, a body the typed lowering rejects, or a
+    /// ([`crate::interp::native`]), built from its typed bytecode
+    /// ([`crate::interp::bytecode`]), executing whole warps in lockstep. A
+    /// launch without closures (a plan the compiler found ineligible, or a
     /// warp width other than the one the closures were built for) runs on
     /// the tree walker. All scores and statistics are bit-identical to
     /// [`Engine::Tree`].
@@ -408,7 +408,8 @@ pub fn launch_traced_with_engine(
 /// [`TraceEvent::CoalesceSite`] per active memory site (in site order, so
 /// traces are deterministic), texture-cache counters when the kernel used
 /// texture memory, and a final [`TraceEvent::KernelLaunch`] with the full
-/// cost attribution. With a disabled sink this is exactly [`launch`]: no
+/// cost attribution (emitted after a missed launch's effect is captured into
+/// the launch cache). With a disabled sink this is exactly [`launch`]: no
 /// event is constructed and the per-site accumulators stay empty.
 pub fn launch_traced(
     prog: &Program,
@@ -583,7 +584,7 @@ fn launch_impl(
     };
 
     if let Some(nk) = &native_k {
-        let bc = &nk.opt.bc;
+        let bc = &nk.bc;
         let mut expansion: Vec<Option<Expansion>> = vec![None; prog.arrays.len()];
         let mut priv_slot: Vec<i32> = vec![-1; prog.arrays.len()];
         for (k, &(a, _, _)) in priv_shapes.iter().enumerate() {
@@ -888,6 +889,9 @@ fn launch_impl(
         cost.time_secs += cfg.launch_overhead_us * 1e-6;
     }
 
+    // The launch's own event goes out last, after the capture below, so a
+    // sink that times launches by their events counts capture in the launch.
+    let mut launch_event = None;
     if traced {
         // Per-site coalescing evidence, in site order (deterministic).
         for (i, kind) in site_kinds.iter().enumerate() {
@@ -934,7 +938,7 @@ fn launch_impl(
         if capturing {
             captured_events.push(ev.clone());
         }
-        sink.emit(ev);
+        launch_event = Some(ev);
     }
 
     // Generation bookkeeping: the launch mutated its write set, so those
@@ -967,6 +971,9 @@ fn launch_impl(
             key,
             LaunchEffect { outputs, scalar_writes, result: result.clone(), events: captured_events },
         );
+    }
+    if let Some(ev) = launch_event {
+        sink.emit(ev);
     }
     result
 }
@@ -1133,7 +1140,7 @@ fn replay_effect(
 struct GridCtx<'a> {
     plan: &'a KernelPlan,
     nk: &'a native::NativeKernel,
-    /// The compiled stream the closures were built from (`nk.opt.bc`):
+    /// The typed bytecode the closures were built from (`nk.bc`):
     /// register layout, fast-site table and pricing flags.
     bc: &'a bytecode::KernelBytecode,
     cfg: &'a DeviceConfig,

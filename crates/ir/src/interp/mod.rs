@@ -13,19 +13,19 @@
 //!   warp-level machine that records address traces. This is the reference
 //!   the compiled executor must match, and its fallback.
 //!
-//! The default engine runs kernel bodies through one compiled pipeline
-//! instead: [`bytecode`] compiles the body, [`opt`] lowers the stream onto
-//! typed register banks, and [`native`] turns that into closures that
-//! execute whole warps in lockstep. A launch the pipeline does
-//! not cover runs on this evaluator. [`launch_cache`] and [`store`]
-//! memoize launch effects in memory and on disk.
+//! The default engine runs kernel bodies through one compiled pipeline of
+//! two stages instead: [`bytecode`] lowers the body in one pass to typed
+//! bytecode over split `f64`/`i64`/`bool` register banks, and [`native`]
+//! turns that into closures that execute whole warps in lockstep. A launch
+//! the pipeline does not cover (an ineligible plan, or a foreign warp
+//! width) runs on this evaluator. [`launch_cache`] and [`store`] memoize
+//! launch effects in memory and on disk.
 
 pub mod bytecode;
 pub mod cpu;
 pub mod gpu;
 pub mod launch_cache;
 pub mod native;
-pub mod opt;
 mod seq;
 pub mod store;
 

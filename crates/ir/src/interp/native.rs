@@ -1,6 +1,6 @@
-//! Native closures: the compiled kernel executor, and the last stage of
-//! the pipeline compile ([`super::bytecode`]), lower onto typed register
-//! banks ([`super::opt`]), compile to closures (this module).
+//! Native closures: the compiled kernel executor, and the second stage of
+//! the pipeline (lowering to typed bytecode in [`super::bytecode`], closures
+//! here).
 //!
 //! The typed stream becomes a tree of boxed, monomorphized Rust closures
 //! that execute a warp directly. Instruction dispatch, register-file
@@ -30,12 +30,12 @@
 //! walker.
 //!
 //! **When it runs.** Under the default engine a launch runs here whenever
-//! its plan has a typed lowering. The closures are built once per plan, on
-//! the first launch that executes (a launch replayed from the launch cache
-//! builds nothing), and cached in `EngineCache`. Every other launch — a body
-//! with calls, a body the typed lowering rejects, or a warp width other
-//! than the one the cached closures were built for — runs on the tree
-//! walker and counts as a tree fallback.
+//! its plan compiled. The closures are built once per plan, on the first
+//! launch that executes (a launch replayed from the launch cache builds
+//! nothing), and cached in `EngineCache`. Every other launch — a plan the
+//! compiler found ineligible, or a warp width other than the one the cached
+//! closures were built for — runs on the tree walker and counts as a tree
+//! fallback.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -46,10 +46,9 @@ use crate::expr::{BinOp, Intrin};
 use crate::kernel::Expansion;
 use crate::types::{ArrayId, Value};
 
-use super::bytecode::{ExecCtx, WarpScratch};
+use super::bytecode::{Bank, ExecCtx, KernelBytecode, TOp, WarpScratch};
 use super::gpu::PRIV_BASE;
 use super::launch_cache::{DevTarget, DeviceBufs};
-use super::opt::{Bank, OptKernel, TOp, TypedKernel};
 
 // ---------------------------------------------------------------------------
 // Counters
@@ -66,8 +65,8 @@ pub(crate) fn note_native_launch() {
     TL_LAUNCHES.with(|c| c.set(c.get() + 1));
 }
 
-/// A launch the default engine handed to the tree walker (no typed
-/// lowering, or a warp width the cached closures were not built for).
+/// A launch the default engine handed to the tree walker (an ineligible
+/// plan, or a warp width the cached closures were not built for).
 pub(crate) fn note_tree_fallback() {
     TL_TREE_FALLBACKS.with(|c| c.set(c.get() + 1));
 }
@@ -230,9 +229,9 @@ fn run_seq(seq: &[Thunk], st: &mut NState<'_, '_>, mask: u64) {
 ///   number still comes out bit-identical — the evidence it skips was
 ///   already priced by the cached block's representative.
 pub struct NativeKernel {
-    /// The lowered kernel the closures were built from: launches read its
+    /// The typed bytecode the closures were built from: launches read its
     /// register layout, fast-site table and pricing flags.
-    pub(crate) opt: Arc<OptKernel>,
+    pub(crate) bc: Arc<KernelBytecode>,
     thunks: Vec<Thunk>,
     fast_thunks: Vec<Thunk>,
     /// The warp width the closure offsets were specialized for.
@@ -249,23 +248,16 @@ impl std::fmt::Debug for NativeKernel {
     }
 }
 
-impl NativeKernel {
-    fn typed(&self) -> &TypedKernel {
-        self.opt.typed.as_ref().expect("native kernels compile from the typed lowering")
-    }
-}
-
-/// Compile the typed stream of a lowered kernel into a [`NativeKernel`]
-/// specialized for `warp` lanes. `None` when the plan has no typed lowering
-/// or `warp` exceeds the mask width (the launch runs on the tree walker).
-pub(crate) fn compile_native(ok: &Arc<OptKernel>, warp: usize) -> Option<NativeKernel> {
-    let t = ok.typed.as_ref()?;
+/// Build the typed stream into a [`NativeKernel`] specialized for `warp`
+/// lanes. `None` when `warp` exceeds the mask width (the launch runs on the
+/// tree walker).
+pub(crate) fn compile_native(bc: &Arc<KernelBytecode>, warp: usize) -> Option<NativeKernel> {
     if warp == 0 || warp > MAX_W {
         return None;
     }
-    let thunks = NCompiler { pool: &t.pool, w: warp, ev: true }.seq(&t.code);
-    let fast_thunks = NCompiler { pool: &t.pool, w: warp, ev: false }.seq(&t.code);
-    Some(NativeKernel { opt: Arc::clone(ok), thunks, fast_thunks, warp })
+    let thunks = NCompiler { pool: &bc.pool, w: warp, ev: true }.seq(&bc.code);
+    let fast_thunks = NCompiler { pool: &bc.pool, w: warp, ev: false }.seq(&bc.code);
+    Some(NativeKernel { bc: Arc::clone(bc), thunks, fast_thunks, warp })
 }
 
 /// Write `v` into every lane of register `r` in bank `b`, converted as
@@ -290,9 +282,9 @@ pub(crate) fn begin_launch(
     base_env: &[Value],
     segment_bytes: u32,
 ) {
-    let (bc, t) = (&nk.opt.bc, nk.typed());
+    let bc = &nk.bc;
     s.begin_launch(bc, nk.warp, site_count, priv_shapes, segment_bytes);
-    let n = t.nregs as usize * nk.warp;
+    let n = bc.nregs as usize * nk.warp;
     s.fregs.clear();
     s.fregs.resize(n, 0.0);
     s.iregs.clear();
@@ -302,7 +294,7 @@ pub(crate) fn begin_launch(
     for &(r, v) in &bc.const_init {
         splat(s, r, Bank::of(v), v);
     }
-    for (&(slot, r), &b) in bc.scal_init_launch.iter().zip(&t.launch_banks) {
+    for &(slot, r, b) in &bc.scal_init_launch {
         splat(s, r, b, base_env[slot as usize]);
     }
 }
@@ -312,11 +304,11 @@ pub(crate) fn begin_launch(
 /// accumulator from its identity (`red_init`, in reduction order, tagged by
 /// the accumulator's declared type).
 pub(crate) fn begin_warp(nk: &NativeKernel, s: &mut WarpScratch, base_env: &[Value], red_init: &[Value]) {
-    let bc = &nk.opt.bc;
-    for (&(slot, r), &b) in bc.scal_init_warp.iter().zip(&nk.typed().warp_banks) {
+    let bc = &nk.bc;
+    for &(slot, r, b) in &bc.scal_init_warp {
         splat(s, r, b, base_env[slot as usize]);
     }
-    for (&r, &v) in bc.red_scalar_regs.iter().zip(red_init) {
+    for (&(r, _), &v) in bc.red_scalar_regs.iter().zip(red_init) {
         splat(s, r, Bank::of(v), v);
     }
 }
@@ -324,8 +316,9 @@ pub(crate) fn begin_warp(nk: &NativeKernel, s: &mut WarpScratch, base_env: &[Val
 /// Lane `l`'s value of the `k`-th scalar-reduction accumulator after the
 /// warp ran, tagged by the bank the body left it in.
 pub(crate) fn red_value(nk: &NativeKernel, s: &WarpScratch, k: usize, l: usize) -> Value {
-    let at = nk.opt.bc.red_scalar_regs[k] as usize * s.warp + l;
-    match nk.typed().red_banks[k] {
+    let (r, bank) = nk.bc.red_scalar_regs[k];
+    let at = r as usize * s.warp + l;
+    match bank {
         Bank::F => Value::F(s.fregs[at]),
         Bank::I => Value::I(s.iregs[at]),
         Bank::B => Value::B(s.bregs[at]),
@@ -366,7 +359,7 @@ pub(crate) fn exec_warp_native(
         atomic: 0,
     };
     let seq = if evidence { &nk.thunks } else { &nk.fast_thunks };
-    if nk.opt.bc.serial_lanes {
+    if nk.bc.serial_lanes {
         let mut m = mask;
         while m != 0 {
             let l = m.trailing_zeros();
@@ -653,8 +646,9 @@ macro_rules! bin_same {
 }
 
 /// Does any instruction of the (flat, sub-blocks inline) slice write one of
-/// `regs`? Bank-qualified register numbers are unique, so a plain number
-/// comparison is exact.
+/// `regs`? The comparison ignores banks, so a write to another bank of the
+/// same register number (a conversion, which the compiler makes in place)
+/// counts too: conservative, never unsound.
 fn writes_any(code: &[TOp], regs: [u16; 3]) -> bool {
     code.iter().any(|op| {
         let d = match *op {

@@ -11,9 +11,8 @@ use std::sync::{Arc, OnceLock};
 use serde::{Deserialize, Serialize};
 
 use crate::expr::Expr;
-use crate::interp::bytecode::{compile, KernelBytecode};
+use crate::interp::bytecode::{compile, note_opt, KernelBytecode, OptStats};
 use crate::interp::native::{compile_native, NativeKernel};
-use crate::interp::opt::{note_opt, optimize, OptKernel, OptStats};
 use crate::program::Program;
 use crate::stmt::Stmt;
 use crate::types::{ArrayId, ReduceOp, ScalarId, VarRef};
@@ -131,50 +130,51 @@ pub struct KernelPlan {
     pub engine_cache: EngineCache,
 }
 
-/// Outcome of the once-per-plan bytecode compilation attempt.
+/// Outcome of the once-per-plan compile to typed bytecode.
 ///
-/// The negative result is a first-class, explicitly memoized value — a body
-/// out of the compiler's scope (e.g. one with calls) records `Ineligible` on
-/// the first launch, and every later launch reads that verdict instead of
-/// re-walking the body to rediscover the bail.
+/// The negative result is a first-class, explicitly memoized value — an
+/// ineligible body (e.g. one with calls, or one whose banks cannot be
+/// pinned) records `Ineligible` on the first compile, and every later
+/// launch reads that verdict instead of re-walking the body to rediscover
+/// the bail.
 #[derive(Clone)]
 pub enum CompileOutcome {
-    /// The body compiled; the typed lowering takes it from here.
+    /// The body compiled; the native closures are built from it.
     Compiled(Arc<KernelBytecode>),
-    /// The body is outside the compiler's scope; launches run on the tree
-    /// walker. Memoized so the scope walk happens once.
+    /// The body is ineligible; launches run on the tree walker. Memoized so
+    /// the walk happens once.
     Ineligible,
 }
 
 /// Shared once-per-plan cache of the compiled pipeline (see
 /// [`KernelPlan::engine_cache`]).
 ///
-/// Holds each stage of the pipeline, memoized: the [`CompileOutcome`]
-/// (positive *and* negative), the typed lowering layered on a successful
-/// compile, the native closures built from it, and the plan fingerprint.
+/// Holds both stages of the pipeline, memoized: the [`CompileOutcome`]
+/// (positive *and* negative), the native closures built from a successful
+/// compile, and the plan fingerprint.
 #[derive(Clone, Default)]
 pub struct EngineCache {
     slot: Arc<OnceLock<CompileOutcome>>,
-    /// Typed lowering for a `Compiled` outcome (`None` after a compile that
-    /// bailed).
-    opt: Arc<OnceLock<Option<Arc<OptKernel>>>>,
     /// Memoized geometry-invariant plan fingerprint (see
     /// [`EngineCache::fingerprint`]). Shares the engine cache's lifetime
     /// contract: valid across clones because geometry retargeting never
     /// touches the fingerprinted fields.
     fp: Arc<OnceLock<u128>>,
-    /// Native closures, layered on the typed lowering. `None` inside the
-    /// lock when the plan has no typed lowering (or the first launch that
-    /// built them used an unsupported warp width).
+    /// Native closures, built from the typed bytecode. `None` inside the
+    /// lock when the plan is ineligible (or the first launch that built
+    /// them used an unsupported warp width).
     native: Arc<OnceLock<Option<Arc<NativeKernel>>>>,
 }
 
 impl EngineCache {
-    /// The compiled bytecode for `plan`, compiling on first use. Returns
-    /// `None` when the body is out of the compiler's scope.
+    /// The typed bytecode for `plan`, compiling on first use. Returns
+    /// `None` when the plan is ineligible.
     pub fn get_or_compile(&self, prog: &Program, plan: &KernelPlan) -> Option<Arc<KernelBytecode>> {
         match self.slot.get_or_init(|| match compile(prog, plan) {
-            Some(bc) => CompileOutcome::Compiled(Arc::new(bc)),
+            Some(bc) => {
+                note_opt(&bc.stats());
+                CompileOutcome::Compiled(Arc::new(bc))
+            }
             None => CompileOutcome::Ineligible,
         }) {
             CompileOutcome::Compiled(bc) => Some(bc.clone()),
@@ -187,32 +187,22 @@ impl EngineCache {
         self.slot.get()
     }
 
-    /// The lowered kernel for `plan`, compiling and lowering on first use.
-    /// `None` when the body is out of the compiler's scope.
-    pub fn get_or_optimize(&self, prog: &Program, plan: &KernelPlan) -> Option<Arc<OptKernel>> {
-        let bc = self.get_or_compile(prog, plan);
-        self.opt
-            .get_or_init(|| {
-                let ok = optimize(prog, &bc?);
-                note_opt(&ok.stats);
-                Some(Arc::new(ok))
-            })
-            .clone()
-    }
-
-    /// Lowering statistics, if the typed lowering has been attempted.
+    /// Compile statistics, once the plan has compiled.
     pub fn opt_stats(&self) -> Option<OptStats> {
-        self.opt.get().and_then(|o| o.as_ref().map(|ok| ok.stats.clone()))
+        match self.slot.get()? {
+            CompileOutcome::Compiled(bc) => Some(bc.stats()),
+            CompileOutcome::Ineligible => None,
+        }
     }
 
     /// The native closures for `plan` at warp width `warp`, running every
-    /// pipeline stage still missing on first use. `None` when the plan has
-    /// no typed lowering or `warp` doesn't match the width the closures were
-    /// built for; the launch then runs on the tree walker.
+    /// pipeline stage still missing on first use. `None` when the plan is
+    /// ineligible or `warp` doesn't match the width the closures were built
+    /// for; the launch then runs on the tree walker.
     pub fn get_or_native(&self, prog: &Program, plan: &KernelPlan, warp: usize) -> Option<Arc<NativeKernel>> {
         let nk = self
             .native
-            .get_or_init(|| compile_native(&self.get_or_optimize(prog, plan)?, warp).map(Arc::new))
+            .get_or_init(|| compile_native(&self.get_or_compile(prog, plan)?, warp).map(Arc::new))
             .clone()?;
         (nk.warp == warp).then_some(nk)
     }
@@ -260,10 +250,7 @@ impl std::fmt::Debug for EngineCache {
         match self.slot.get() {
             None => write!(f, "EngineCache(empty)"),
             Some(CompileOutcome::Ineligible) => write!(f, "EngineCache(tree-fallback)"),
-            Some(CompileOutcome::Compiled(bc)) => match self.opt.get() {
-                Some(Some(ok)) => write!(f, "EngineCache({} ops, typed {})", bc.op_count(), ok.stats.typed),
-                _ => write!(f, "EngineCache({} ops)", bc.op_count()),
-            },
+            Some(CompileOutcome::Compiled(bc)) => write!(f, "EngineCache({} ops)", bc.op_count()),
         }
     }
 }
@@ -455,11 +442,9 @@ mod tests {
         // body).
         assert!(k.engine_cache.get_or_compile(&p, &k).is_none());
         assert!(k.clone().engine_cache.get_or_compile(&p, &k).is_none());
-        // Lowering an ineligible plan is also a memoized no-op.
-        assert!(k.engine_cache.get_or_optimize(&p, &k).is_none());
         assert!(k.engine_cache.opt_stats().is_none());
 
-        // Positive verdict: compiled once, typed lowering layered on top.
+        // Positive verdict: compiled once, with its statistics.
         let mut pb = ProgramBuilder::new("pos");
         let n = pb.iscalar("n");
         let i = pb.iscalar("i");
@@ -470,8 +455,6 @@ mod tests {
         k.finalize();
         assert!(k.engine_cache.get_or_compile(&p, &k).is_some());
         assert!(matches!(k.engine_cache.outcome(), Some(CompileOutcome::Compiled(_))));
-        assert!(k.engine_cache.opt_stats().is_none(), "the lowering must be lazy");
-        assert!(k.engine_cache.get_or_optimize(&p, &k).is_some());
         assert!(k.engine_cache.opt_stats().is_some());
     }
 }

@@ -13,14 +13,16 @@ use std::sync::Mutex;
 
 use acceval_ir::builder::*;
 use acceval_ir::expr::{ld, v};
-use acceval_ir::interp::gpu::{env_from_dataset, launch_with_engine, upload_all, DeviceState, Engine, LaunchResult};
+use acceval_ir::interp::gpu::{
+    env_from_dataset, launch_traced_with_engine, launch_with_engine, upload_all, DeviceState, Engine, LaunchResult,
+};
 use acceval_ir::interp::launch_cache::{
     clear_launch_cache, launch_cache_totals, set_launch_cache_cap_override, set_launch_cache_override, LaunchCache,
 };
 use acceval_ir::kernel::{axis, axis_from, Expansion, KernelPlan};
 use acceval_ir::program::{DataSet, HostData, Program};
 use acceval_ir::types::{ArrayId, ReduceOp, Value, VarRef};
-use acceval_sim::{Buffer, DeviceConfig, ElemType};
+use acceval_sim::{Buffer, DeviceConfig, ElemType, TraceEvent, TraceSink};
 use common::{assert_states_bit_equal, buffers_bit_equal, dna_kernel, finalized, fixture, GENES};
 use proptest::prelude::*;
 
@@ -123,6 +125,44 @@ fn stream_plan(p: &Program) -> KernelPlan {
     let y = p.array_named("y");
     let body = vec![store(y, vec![v(i)], ld(x, vec![v(i)]) * 2.0 + ld(x, vec![(v(i) + 7i64) % v(n)]))];
     finalized(KernelPlan::new("stream", vec![axis(i, v(n))], body))
+}
+
+/// Records the launch cache's entry count at each `KernelLaunch` event.
+struct EntriesAtLaunch(Vec<u64>);
+
+impl TraceSink for EntriesAtLaunch {
+    fn enabled(&self) -> bool {
+        true
+    }
+    fn emit(&mut self, e: TraceEvent) {
+        if matches!(e, TraceEvent::KernelLaunch { .. }) {
+            self.0.push(launch_cache_totals().entries);
+        }
+    }
+}
+
+/// A missed launch emits its `KernelLaunch` event only after it has captured
+/// and inserted its effect, so a sink that times launches by their events
+/// charges the capture to the launch.
+#[test]
+fn missed_launch_event_follows_capture() {
+    let (p, ds) = fixture(200);
+    let plan = stream_plan(&p);
+    let cfg = DeviceConfig::tesla_m2090();
+    for eng in [Engine::Tree, Engine::Bytecode] {
+        let (misses, seen) = with_cache(LaunchCache::On, || {
+            let host = HostData::materialize(&p, &ds);
+            let mut dev = DeviceState::new(&p, &cfg);
+            upload_all(&p, &mut dev, &host);
+            let mut scal = env_from_dataset(&p, &ds);
+            let mut sink = EntriesAtLaunch(Vec::new());
+            let t0 = launch_cache_totals();
+            launch_traced_with_engine(&p, &plan, &mut dev, &mut scal, &cfg, &mut sink, eng);
+            (launch_cache_totals().misses - t0.misses, sink.0)
+        });
+        assert_eq!(misses, 1, "{eng:?}: the first launch must miss");
+        assert_eq!(seen, vec![1], "{eng:?}: the capture must be in the cache when KernelLaunch arrives");
+    }
 }
 
 /// A streaming elementwise kernel replays bit-exactly on both engines.

@@ -187,7 +187,7 @@ fn critical_sections_and_hazard_bodies_are_native_transparent() {
 /// How the default engine attributes launches. There is no promotion step:
 /// a fresh plan has no closures, and the first launch that executes builds
 /// them and runs on them. A launch at a warp width the closures were not
-/// built for, and a body with calls (no typed lowering), run on the tree
+/// built for, and a body with calls (an ineligible plan), run on the tree
 /// walker and count as tree fallbacks. A replay executes nothing and counts
 /// in neither.
 #[test]
@@ -220,7 +220,7 @@ fn native_counters_attribute_launches_promotions_and_fallbacks() {
     assert!(Arc::ptr_eq(&closures, &kept), "a fallback must not rebuild the closures");
     assert_runs_agree("kernel count (foreign warp width)", &reference, &fallback);
 
-    // A body with calls has no typed lowering.
+    // A body with calls is ineligible.
     let mut pb = ProgramBuilder::new("fb");
     let fn_n = pb.iscalar("n");
     let fn_i = pb.iscalar("i");

@@ -342,14 +342,14 @@ fn lower_loop(
         plan = plan.with_placement(a, sp);
     }
     plan.finalize();
-    // Compile and optimize the body eagerly while the plan is hot: the
-    // sweep's compile memoization shares lowered plans (and this cache,
-    // through its `Arc`) across tuning points, and `retarget_block_geometry`
-    // re-points geometry without invalidating the geometry-independent
-    // stream. The native closures depend on the warp width, so the first
-    // launch that executes builds them.
+    // Compile the body eagerly while the plan is hot: the sweep's compile
+    // memoization shares lowered plans (and this cache, through its `Arc`)
+    // across tuning points, and `retarget_block_geometry` re-points
+    // geometry without invalidating the geometry-independent stream. The
+    // native closures depend on the warp width, so the first launch that
+    // executes builds them.
     if acceval_ir::interp::gpu::engine() != acceval_ir::interp::gpu::Engine::Tree {
-        let _ = plan.engine_cache.get_or_optimize(prog, &plan);
+        let _ = plan.engine_cache.get_or_compile(prog, &plan);
     }
     Ok(plan)
 }

@@ -275,9 +275,9 @@ fn run_profile(positionals: &[&str], cfg: &MachineConfig, scale: Scale) {
     let profile = RunProfile::from_events(bench_name, model, &events);
     println!("{}", render_profile(&profile));
 
-    // Per-kernel lowering: the run above compiled and lowered every launched
-    // plan, and the plans share their engine caches with the launch path.
-    // `typed yes` marks the plans that run as native closures.
+    // Per-kernel compile: the run above compiled every launched plan, and
+    // the plans share their engine caches with the launch path. Every plan
+    // listed runs as native closures; an ineligible plan is not listed.
     println!("compiled kernels:");
     let mut region_ids: Vec<u32> = compiled.kernels.keys().copied().collect();
     region_ids.sort_unstable();
@@ -286,7 +286,7 @@ fn run_profile(positionals: &[&str], cfg: &MachineConfig, scale: Scale) {
         for plan in &compiled.kernels[&rid] {
             let Some(st) = plan.engine_cache.opt_stats() else { continue };
             any = true;
-            println!("  {:<28} {:>4} ops  typed {}", plan.name, st.ops_pre, if st.typed { "yes" } else { "no" });
+            println!("  {:<28} {:>4} ops", plan.name, st.ops_pre);
         }
     }
     if !any {
