@@ -408,9 +408,10 @@ pub fn launch_traced_with_engine(
 /// [`TraceEvent::CoalesceSite`] per active memory site (in site order, so
 /// traces are deterministic), texture-cache counters when the kernel used
 /// texture memory, and a final [`TraceEvent::KernelLaunch`] with the full
-/// cost attribution (emitted after a missed launch's effect is captured into
-/// the launch cache). With a disabled sink this is exactly [`launch`]: no
-/// event is constructed and the per-site accumulators stay empty.
+/// cost attribution. The events are rendered from the launch's result and
+/// per-site evidence after a missed launch's effect is captured, and from
+/// the captured evidence on a hit. With a disabled sink this is exactly
+/// [`launch`]: the same cache entries, and no event is constructed.
 pub fn launch_traced(
     prog: &Program,
     plan: &KernelPlan,
@@ -436,7 +437,6 @@ fn launch_impl(
         "plan must be finalized"
     );
     let site_kinds = classify_sites(plan);
-    let traced = sink.enabled();
     let tex_hits0 = dev.tex_cache.hits;
     let tex_misses0 = dev.tex_cache.misses;
 
@@ -538,7 +538,7 @@ fn launch_impl(
     // effects, so a replay is valid whichever engine captured it.
     let arrays = body_arrays(plan, &red_arrays);
     let cache_key = if launch_cache::launch_cache_enabled() && !arrays.opaque && !has_tex {
-        Some(build_launch_key(plan, dev, cfg, scal, &extents, traced, &arrays))
+        Some(build_launch_key(plan, dev, cfg, scal, &extents, &arrays))
     } else {
         None
     };
@@ -548,23 +548,25 @@ fn launch_impl(
                 launch_cache::ProbeTier::Memory => launch_cache::note_hit(),
                 launch_cache::ProbeTier::Disk => launch_cache::note_disk_hit(),
             }
-            return replay_effect(&effect, dev, scal, sink, traced);
+            replay_effect(&effect, dev, scal);
+            emit_launch(sink, prog, plan, cfg, &effect.result, &effect.sites, None);
+            return effect.result.clone();
         }
         launch_cache::note_miss();
     }
     // A launch that will be captured journals the first write to each
     // element of its write set; capture reads its delta off the journal.
-    let capturing = cache_key.is_some();
-    let mut journal = capturing.then(|| {
+    let mut journal = cache_key.is_some().then(|| {
         let mut j = Journal::take();
         j.open(&arrays.writes, dev);
         j
     });
-    let mut captured_events: Vec<TraceEvent> = Vec::new();
 
     let warp = cfg.warp_size;
     let warps_per_block = (tpb as u64).div_ceil(warp as u64);
-    let mut tally = Tally::new(plan.site_count as usize, traced);
+    let mut tally = Tally::new(plan.site_count as usize);
+    // Counted over every block, whether its pricing was computed or merged.
+    let mut active_threads = 0u64;
     let partials_in_shared = matches!(plan.reduce_strategy, ReduceStrategy::TwoLevelTree { partials_in_shared: true });
 
     // Engine dispatch: the default engine runs the plan's native closures,
@@ -608,8 +610,8 @@ fn launch_impl(
         let mut mem = DeviceBufs { bufs, journal: journal.as_mut() };
         // Pricing recipe per fast site: global sites reduce through the
         // segment memo; shared-tiled sites through the bank-conflict memo
-        // plus the reuse-discounted fill charge (the same arithmetic
-        // `price_warp` applies to a traced shared site).
+        // plus the reuse-discounted fill charge (`Tally::add_shared`, as
+        // `price_warp` prices a shared site).
         let fast_pricing: Vec<(u64, Option<f64>)> = bc
             .fast_sites
             .iter()
@@ -625,16 +627,16 @@ fn launch_impl(
             })
             .collect();
         // Representative-block pricing dedup: under `uniform_pricing` a
-        // block's entire pricing (totals deltas, issue cycles, per-site
+        // block's entire pricing (its `Tally`: totals, issue cycles, per-site
         // evidence) is a pure function of its active-lane shape
         // and each fast site's block-base address modulo the site's
         // translation modulus — the coalescing segment for global sites,
         // the bank cycle for shared-tiled ones. Addresses are affine in the
         // block indices and both summaries are translation-invariant, so
         // the probe extracts the per-block address steps once; the executor
-        // then prices one representative per equivalence class and replays
-        // the cached deltas for the rest, while still executing every
-        // block's functional effects.
+        // then prices one representative per equivalence class and merges
+        // its block tally for the rest, while still executing every block's
+        // functional effects.
         let dedup = if bc.uniform_pricing && total_blocks > 1 {
             Some(site_affine_probe(
                 plan,
@@ -680,8 +682,6 @@ fn launch_impl(
             fast_pricing: &fast_pricing,
             dedup,
             atomic_serial,
-            partials_in_shared,
-            traced,
             n0,
             n1,
             bx,
@@ -696,8 +696,8 @@ fn launch_impl(
             lo1,
             st1,
         };
-        bytecode::with_scratch(|scratch| {
-            run_block_range(&g, scratch, &mut mem, tex_cache, &mut tally, &mut scal_acc, &mut arr_acc);
+        active_threads = bytecode::with_scratch(|scratch| {
+            run_block_range(&g, scratch, &mut mem, tex_cache, &mut tally, &mut scal_acc, &mut arr_acc)
         });
     } else {
         // Reference tree-walking engine: one `Interp` per warp, one pass per lane.
@@ -735,7 +735,7 @@ fn launch_impl(
                         continue;
                     }
                     any_active = true;
-                    tally.active_threads += 1;
+                    active_threads += 1;
                     it.m.lane = lane as u32;
                     it.m.tid_linear = blk * tpb as u64 + t;
                     it.m.in_critical = false;
@@ -806,24 +806,20 @@ fn launch_impl(
                         cfg,
                         &site_kinds,
                         &elem_bytes,
-                        partials_in_shared,
-                        &red_arrays,
                         &wm.traces,
                         None,
                         &wm.lane_ops,
                         wm.atomic_accesses,
                         wm.tex_cache,
-                        &mut tally.totals,
-                        traced,
-                        &mut tally.site_global,
-                        &mut tally.site_shared,
+                        &mut tally,
                     );
                 }
             }
         }
     }
 
-    let Tally { mut totals, active_threads, site_global, site_shared } = tally;
+    let sites = tally.sites();
+    let mut totals = tally.totals;
 
     // Apply reductions.
     for (k, &(slot, op, _)) in red_scalar.iter().enumerate() {
@@ -889,58 +885,6 @@ fn launch_impl(
         cost.time_secs += cfg.launch_overhead_us * 1e-6;
     }
 
-    // The launch's own event goes out last, after the capture below, so a
-    // sink that times launches by their events counts capture in the launch.
-    let mut launch_event = None;
-    if traced {
-        // Per-site coalescing evidence, in site order (deterministic).
-        for (i, kind) in site_kinds.iter().enumerate() {
-            let SiteKind::Mem(arr) = kind else { continue };
-            let g = site_global[i];
-            let sh = site_shared[i];
-            if g.requests == 0 && g.transactions == 0 && sh.requests == 0 {
-                continue;
-            }
-            let space = if plan.expansion_of(*arr).is_some() {
-                if partials_in_shared && red_arrays.iter().any(|(a, _)| a == arr) {
-                    "shared"
-                } else {
-                    "global"
-                }
-            } else {
-                match plan.space_of(*arr) {
-                    MemSpace::Global => "global",
-                    MemSpace::SharedTiled { .. } => "shared",
-                    MemSpace::Constant => "constant",
-                    MemSpace::Texture => "texture",
-                }
-            };
-            let ev = TraceEvent::CoalesceSite {
-                kernel: plan.name.clone(),
-                site: i as u32,
-                array: prog.array_name(*arr).to_string(),
-                space: space.to_string(),
-                requests: g.requests + sh.requests,
-                transactions: g.transactions,
-                lane_accesses: g.lane_accesses,
-                shared_slots: sh.slots,
-            };
-            if capturing {
-                captured_events.push(ev.clone());
-            }
-            sink.emit(ev);
-        }
-        if dev.tex_cache.hits != tex_hits0 || dev.tex_cache.misses != tex_misses0 {
-            // Texture launches are never memoized, so this event is not captured.
-            sink.emit(dev.tex_cache.trace_event(&format!("{}/texture", plan.name)));
-        }
-        let ev = cost.trace_event(&plan.name, &footprint, &totals, cfg);
-        if capturing {
-            captured_events.push(ev.clone());
-        }
-        launch_event = Some(ev);
-    }
-
     // Generation bookkeeping: the launch mutated its write set, so those
     // digest memos are stale (opaque bodies invalidate every allocated
     // array — the write set cannot be bounded statically).
@@ -960,7 +904,7 @@ fn launch_impl(
     if let (Some(key), Some(mut journal)) = (cache_key, journal) {
         // Capture the launch's complete effect: output deltas + digests
         // (which also prime the freshly bumped generation memos), scalar
-        // writebacks, the result, and the trace-event slice.
+        // writebacks, the result, and the per-site evidence.
         let outputs = launch_cache::timed_digest(|| journal.capture(&arrays.writes, &dev.bufs));
         journal.recycle();
         for &(i, _, d) in &outputs {
@@ -969,12 +913,14 @@ fn launch_impl(
         let scalar_writes: Vec<(usize, Value)> = red_scalar.iter().map(|&(slot, _, _)| (slot, scal[slot])).collect();
         launch_cache::insert(
             key,
-            LaunchEffect { outputs, scalar_writes, result: result.clone(), events: captured_events },
+            LaunchEffect { outputs, scalar_writes, result: result.clone(), sites: sites.clone() },
         );
     }
-    if let Some(ev) = launch_event {
-        sink.emit(ev);
-    }
+    // Events go out after the capture, so a sink that times launches by
+    // their events counts capture in the launch. Texture launches are never
+    // captured, so only an executed launch reports texture counters.
+    let tex_used = dev.tex_cache.hits != tex_hits0 || dev.tex_cache.misses != tex_misses0;
+    emit_launch(sink, prog, plan, cfg, &result, &sites, tex_used.then_some(&dev.tex_cache));
     result
 }
 
@@ -1024,14 +970,12 @@ fn body_arrays(plan: &KernelPlan, red_arrays: &[(ArrayId, crate::types::ReduceOp
 /// Assemble the content-addressed key of this launch. Buffer digests go
 /// through the generation memos, so a steady-state probe hashes nothing but
 /// the (small) config/layout/scalar material.
-#[allow(clippy::too_many_arguments)]
 fn build_launch_key(
     plan: &KernelPlan,
     dev: &mut DeviceState,
     cfg: &DeviceConfig,
     scal: &[Value],
     extents: &[Vec<usize>],
-    traced: bool,
     arrays: &BodyArrays,
 ) -> LaunchKey {
     launch_cache::timed_digest(|| {
@@ -1079,7 +1023,6 @@ fn build_launch_key(
             block: plan.block,
             shared_bytes: plan.shared_bytes_per_block,
             regs: plan.regs_per_thread,
-            traced,
             cfg_digest: cfg.config_digest(),
             layout_digest: (lay.finish() >> 64) as u64 ^ lay.finish() as u64,
             scalars,
@@ -1088,16 +1031,9 @@ fn build_launch_key(
     })
 }
 
-/// Apply a cached launch effect to the device and scalar environment,
-/// re-emitting the captured trace-event slice. Bit-identical to executing
-/// the launch.
-fn replay_effect(
-    effect: &LaunchEffect,
-    dev: &mut DeviceState,
-    scal: &mut [Value],
-    sink: &mut dyn TraceSink,
-    traced: bool,
-) -> LaunchResult {
+/// Apply a cached launch effect to the device and scalar environment:
+/// bit-identical to executing the launch.
+fn replay_effect(effect: &LaunchEffect, dev: &mut DeviceState, scal: &mut [Value]) {
     for (ai, out, digest) in &effect.outputs {
         let i = *ai as usize;
         match out {
@@ -1127,12 +1063,50 @@ fn replay_effect(
     for &(slot, v) in &effect.scalar_writes {
         scal[slot] = v;
     }
-    if traced {
-        for e in &effect.events {
-            sink.emit(e.clone());
-        }
+}
+
+/// Emit one launch's trace events into `sink`: a
+/// [`TraceEvent::CoalesceSite`] per site of `sites` (the launch's non-empty
+/// memory-site evidence, in site order), the texture cache's cumulative
+/// counters when `tex` is given, then the [`TraceEvent::KernelLaunch`]
+/// with the full cost attribution. Executed and replayed launches both
+/// emit here, so a replay renders exactly what its capture would have.
+fn emit_launch(
+    sink: &mut dyn TraceSink,
+    prog: &Program,
+    plan: &KernelPlan,
+    cfg: &DeviceConfig,
+    result: &LaunchResult,
+    sites: &[SiteEvidence],
+    tex: Option<&Cache>,
+) {
+    if !sink.enabled() {
+        return;
     }
-    effect.result.clone()
+    let site_kinds = classify_sites(plan);
+    for &(site, g, sh) in sites {
+        let Some(&SiteKind::Mem(arr)) = site_kinds.get(site as usize) else { continue };
+        let space = match access_space(plan, arr) {
+            MemSpace::Global => "global",
+            MemSpace::SharedTiled { .. } => "shared",
+            MemSpace::Constant => "constant",
+            MemSpace::Texture => "texture",
+        };
+        sink.emit(TraceEvent::CoalesceSite {
+            kernel: plan.name.clone(),
+            site,
+            array: prog.array_name(arr).to_string(),
+            space: space.to_string(),
+            requests: g.requests + sh.requests,
+            transactions: g.transactions,
+            lane_accesses: g.lane_accesses,
+            shared_slots: sh.slots,
+        });
+    }
+    if let Some(tex) = tex {
+        sink.emit(tex.trace_event(&format!("{}/texture", plan.name)));
+    }
+    sink.emit(result.cost.trace_event(&plan.name, &result.footprint, &result.totals, cfg));
 }
 
 /// Launch-wide immutable context of one native launch's block walk: the
@@ -1159,8 +1133,6 @@ struct GridCtx<'a> {
     /// dedup (`None` disables dedup).
     dedup: Option<Vec<SiteAffine>>,
     atomic_serial: bool,
-    partials_in_shared: bool,
-    traced: bool,
     n0: u64,
     n1: u64,
     bx: u64,
@@ -1176,27 +1148,90 @@ struct GridCtx<'a> {
     st1: i64,
 }
 
-/// The launch's pricing accumulators, filled warp by warp in (block, warp)
-/// order by either engine.
+/// One memory site's evidence over a whole launch: (site id, its global or
+/// fill traffic, its shared-memory slots).
+pub type SiteEvidence = (u32, AccessSummary, SharedSummary);
+
+/// The one pricing record: a launch's totals plus each site's evidence,
+/// filled warp by warp in (block, warp) order by either engine. Every
+/// launch accumulates the per-site summaries its pricing computes (trace
+/// events are built from them only for an enabled sink). A representative
+/// block's class pricing is a block `Tally`, merged into the launch's once
+/// per class member.
 struct Tally {
     /// Every warp's issue-cycle increment is a whole number, so the f64
     /// issue sum is exact (below 2^53) in any order: the same bits whichever
-    /// engine priced the warps and however many blocks replayed a class sum.
+    /// engine priced the warps and however many block tallies were merged.
     totals: KernelTotals,
-    active_threads: u64,
-    /// Per-site evidence (trace-only; empty when untraced).
+    /// Per-site global (or shared-fill) traffic, indexed by site id.
     site_global: Vec<AccessSummary>,
+    /// Per-site shared-memory slots, indexed by site id.
     site_shared: Vec<SharedSummary>,
 }
 
 impl Tally {
-    fn new(site_count: usize, traced: bool) -> Tally {
+    fn new(site_count: usize) -> Tally {
         Tally {
             totals: KernelTotals::default(),
-            active_threads: 0,
-            site_global: if traced { vec![AccessSummary::default(); site_count] } else { Vec::new() },
-            site_shared: if traced { vec![SharedSummary::default(); site_count] } else { Vec::new() },
+            site_global: vec![AccessSummary::default(); site_count],
+            site_shared: vec![SharedSummary::default(); site_count],
         }
+    }
+
+    fn merge(&mut self, o: &Tally) {
+        self.totals.merge(&o.totals);
+        for (a, b) in self.site_global.iter_mut().zip(&o.site_global) {
+            a.merge(b);
+        }
+        for (a, b) in self.site_shared.iter_mut().zip(&o.site_shared) {
+            a.merge(b);
+        }
+    }
+
+    /// Add one warp's row summary of a global site with `eb`-byte elements.
+    fn add_global(&mut self, site: usize, s: &AccessSummary, eb: u64) {
+        self.totals.global_requests += s.requests;
+        self.totals.global_transactions += s.transactions;
+        self.totals.useful_bytes += s.lane_accesses * eb;
+        self.site_global[site].merge(s);
+    }
+
+    /// Add one warp's row of a shared-tiled site: its bank slots `sh`, plus
+    /// the global fill of its `lane_accesses` (`eb`-byte elements)
+    /// discounted by the tile's `reuse`.
+    fn add_shared(&mut self, site: usize, sh: &SharedSummary, lane_accesses: u64, eb: u64, reuse: f64, segment: u32) {
+        self.totals.shared_slots += sh.slots;
+        let fill_bytes = (lane_accesses * eb) as f64 / reuse.max(1.0);
+        let fill_tx = (fill_bytes / segment as f64).ceil() as u64;
+        self.totals.global_transactions += fill_tx;
+        self.totals.global_requests += fill_tx;
+        self.totals.useful_bytes += fill_bytes as u64;
+        self.site_shared[site].merge(sh);
+        self.site_global[site].merge(&AccessSummary { requests: fill_tx, transactions: fill_tx, lane_accesses });
+    }
+
+    /// The non-empty sites' evidence, in site order.
+    fn sites(&self) -> Vec<SiteEvidence> {
+        (self.site_global.iter().zip(&self.site_shared).enumerate())
+            .filter(|(_, (g, sh))| g.requests != 0 || g.transactions != 0 || sh.requests != 0)
+            .map(|(i, (g, sh))| (i as u32, *g, *sh))
+            .collect()
+    }
+}
+
+/// The memory space accesses to `arr` are priced in: a private array's
+/// expansion lives in global memory, except reduction partials staged in
+/// shared memory.
+fn access_space(plan: &KernelPlan, arr: ArrayId) -> MemSpace {
+    if plan.expansion_of(arr).is_none() {
+        return plan.space_of(arr);
+    }
+    let staged = matches!(plan.reduce_strategy, ReduceStrategy::TwoLevelTree { partials_in_shared: true })
+        && plan.reductions.iter().any(|r| r.target == VarRef::Array(arr));
+    if staged {
+        MemSpace::SharedTiled { reuse: 1.0 }
+    } else {
+        MemSpace::Global
     }
 }
 
@@ -1279,115 +1314,10 @@ fn site_affine_probe(
         .collect()
 }
 
-/// Pre-block snapshot of the launch's pricing accumulators;
-/// [`PriceSnap::diff`] turns it into the block's pricing delta once the
-/// representative block has been priced.
-struct PriceSnap {
-    warps: u64,
-    issue: f64,
-    greq: u64,
-    gtx: u64,
-    ubytes: u64,
-    sslots: u64,
-    aslots: u64,
-    treq: u64,
-    tmiss: u64,
-    sites: Vec<(u32, AccessSummary, SharedSummary)>,
-}
-
-impl PriceSnap {
-    fn take(out: &Tally, g: &GridCtx<'_>) -> PriceSnap {
-        let t = &out.totals;
-        PriceSnap {
-            warps: t.warps,
-            issue: t.issue_cycles,
-            greq: t.global_requests,
-            gtx: t.global_transactions,
-            ubytes: t.useful_bytes,
-            sslots: t.shared_slots,
-            aslots: t.atomic_slots,
-            treq: t.tex_requests,
-            tmiss: t.tex_miss_lines,
-            sites: if g.traced {
-                g.bc.fast_sites.iter().map(|&s| (s, out.site_global[s as usize], out.site_shared[s as usize])).collect()
-            } else {
-                Vec::new()
-            },
-        }
-    }
-
-    fn diff(self, out: &Tally) -> BlockPricing {
-        let t = &out.totals;
-        BlockPricing {
-            warps: t.warps - self.warps,
-            issue: t.issue_cycles - self.issue,
-            greq: t.global_requests - self.greq,
-            gtx: t.global_transactions - self.gtx,
-            ubytes: t.useful_bytes - self.ubytes,
-            sslots: t.shared_slots - self.sslots,
-            aslots: t.atomic_slots - self.aslots,
-            treq: t.tex_requests - self.treq,
-            tmiss: t.tex_miss_lines - self.tmiss,
-            sites: self
-                .sites
-                .into_iter()
-                .map(|(s, g0, s0)| {
-                    let g1 = out.site_global[s as usize];
-                    let s1 = out.site_shared[s as usize];
-                    (
-                        s,
-                        AccessSummary {
-                            requests: g1.requests - g0.requests,
-                            transactions: g1.transactions - g0.transactions,
-                            lane_accesses: g1.lane_accesses - g0.lane_accesses,
-                        },
-                        SharedSummary { slots: s1.slots - s0.slots, requests: s1.requests - s0.requests },
-                    )
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Cached pricing delta of one block equivalence class.
-struct BlockPricing {
-    warps: u64,
-    issue: f64,
-    greq: u64,
-    gtx: u64,
-    ubytes: u64,
-    sslots: u64,
-    aslots: u64,
-    treq: u64,
-    tmiss: u64,
-    sites: Vec<(u32, AccessSummary, SharedSummary)>,
-}
-
-impl BlockPricing {
-    fn replay(&self, out: &mut Tally, traced: bool) {
-        let t = &mut out.totals;
-        t.warps += self.warps;
-        t.issue_cycles += self.issue;
-        t.global_requests += self.greq;
-        t.global_transactions += self.gtx;
-        t.useful_bytes += self.ubytes;
-        t.shared_slots += self.sslots;
-        t.atomic_slots += self.aslots;
-        t.tex_requests += self.treq;
-        t.tex_miss_lines += self.tmiss;
-        if traced {
-            for &(s, ga, sh) in &self.sites {
-                out.site_global[s as usize].merge(&ga);
-                out.site_shared[s as usize].merge(&sh);
-            }
-        }
-    }
-}
-
 /// Execute every block of the grid in block order against the device
 /// buffers in `mem`, accumulating pricing into `out` and reduction partials
 /// into `scal_acc`/`arr_acc` in (block, warp, lane) order, exactly as the
-/// tree engine does.
+/// tree engine does. Returns the number of threads that executed.
 fn run_block_range(
     g: &GridCtx<'_>,
     scratch: &mut bytecode::WarpScratch,
@@ -1396,24 +1326,26 @@ fn run_block_range(
     out: &mut Tally,
     scal_acc: &mut [Value],
     arr_acc: &mut HashMap<ArrayId, Buffer>,
-) {
+) -> u64 {
     let bc = g.bc;
     let wu = g.warp as usize;
     native::begin_launch(g.nk, scratch, g.plan.site_count as usize, g.priv_elems, g.base_env, g.cfg.segment_bytes);
     let mut ax0 = vec![0i64; wu];
     let mut ax1 = vec![0i64; wu];
     let mut row: Vec<(u32, u64)> = Vec::with_capacity(wu);
-    let mut price_cache: HashMap<Vec<u64>, BlockPricing> = HashMap::new();
+    let mut classes: HashMap<Vec<u64>, Tally> = HashMap::new();
     let mut key: Vec<u64> = Vec::new();
+    let mut active_threads = 0u64;
     for blk in 0..g.total_blocks {
         let bxi = blk % g.gx;
         let byi = blk / g.gx;
         // Representative-block dedup: a block's pricing class is its
         // active-lane shape plus each fast site's base address residue.
-        // On a class hit, replay the cached deltas; execution of the
-        // block's functional effects still runs below — only the pricing
-        // work is skipped.
+        // A class's first block prices into its own tally; later members
+        // merge that tally, and execution of their functional effects still
+        // runs below — only the pricing work is skipped.
         let mut cached = false;
+        let mut class = None;
         if let Some(aff) = &g.dedup {
             key.clear();
             key.push(g.n0.saturating_sub(bxi * g.bx).min(g.bx));
@@ -1422,12 +1354,14 @@ fn run_block_range(
                 let addr = s.addr0 + s.dx * bxi as i128 + s.dy * byi as i128;
                 key.push(addr.rem_euclid(s.modulus as i128) as u64);
             }
-            if let Some(bp) = price_cache.get(&key) {
-                bp.replay(out, g.traced);
-                cached = true;
+            match classes.get(&key) {
+                Some(t) => {
+                    out.merge(t);
+                    cached = true;
+                }
+                None => class = Some(Tally::new(g.plan.site_count as usize)),
             }
         }
-        let snap = if g.dedup.is_some() && !cached { Some(PriceSnap::take(out, g)) } else { None };
         for w in 0..g.warps_per_block {
             let mut mask = 0u64;
             for lane in 0..g.warp as u64 {
@@ -1449,7 +1383,7 @@ fn run_block_range(
             if mask == 0 {
                 continue;
             }
-            out.active_threads += mask.count_ones() as u64;
+            active_threads += mask.count_ones() as u64;
             // A pricing-cached block discards its warps' evidence; the
             // functional-only closures neither read nor write it, so the
             // evidence resets can be skipped with it.
@@ -1528,23 +1462,20 @@ fn run_block_range(
             if cached {
                 continue;
             }
-            // Price the warp's evidence.
+            // Price the warp's evidence, into its class's tally when the
+            // block is a class representative.
+            let t = class.as_mut().unwrap_or(&mut *out);
             price_warp(
                 g.plan,
                 g.cfg,
                 g.site_kinds,
                 g.ctx.elem_bytes,
-                g.partials_in_shared,
-                g.red_arrays,
                 &scratch.traces,
                 Some(&scratch.site_touched),
                 &scratch.lane_ops,
                 atomic + extra_atomic,
                 tex_cache,
-                &mut out.totals,
-                g.traced,
-                &mut out.site_global,
-                &mut out.site_shared,
+                t,
             );
             // Affine fast-path sites: one address row per site, summarised
             // through the memo instead of a trace.
@@ -1558,43 +1489,23 @@ fn run_block_range(
                 }
                 let (eb, shared_reuse) = g.fast_pricing[fidx];
                 match shared_reuse {
-                    None => {
-                        let s = scratch.memo.reduce_row(site, &row);
-                        out.totals.global_requests += s.requests;
-                        out.totals.global_transactions += s.transactions;
-                        out.totals.useful_bytes += s.lane_accesses * eb;
-                        if g.traced {
-                            out.site_global[site as usize].merge(&s);
-                        }
-                    }
+                    None => t.add_global(site as usize, &scratch.memo.reduce_row(site, &row), eb),
                     Some(reuse) => {
                         let sh = scratch.memo.reduce_row_shared(site, &row, g.cfg.shared_banks, 4);
-                        out.totals.shared_slots += sh.slots;
-                        let lane_accesses = row.len() as u64;
-                        let fill_bytes = (lane_accesses * eb) as f64 / reuse.max(1.0);
-                        let fill_tx = (fill_bytes / g.cfg.segment_bytes as f64).ceil() as u64;
-                        out.totals.global_transactions += fill_tx;
-                        out.totals.global_requests += fill_tx;
-                        out.totals.useful_bytes += fill_bytes as u64;
-                        if g.traced {
-                            out.site_shared[site as usize].merge(&sh);
-                            out.site_global[site as usize].merge(&AccessSummary {
-                                requests: fill_tx,
-                                transactions: fill_tx,
-                                lane_accesses,
-                            });
-                        }
+                        t.add_shared(site as usize, &sh, row.len() as u64, eb, reuse, g.cfg.segment_bytes);
                     }
                 }
             }
         }
-        if let Some(sn) = snap {
-            price_cache.insert(key.clone(), sn.diff(out));
+        if let Some(t) = class {
+            out.merge(&t);
+            classes.insert(key.clone(), t);
         }
     }
+    active_threads
 }
 
-/// Price one warp's worth of execution evidence into `totals`.
+/// Price one warp's worth of execution evidence into `out`.
 ///
 /// Shared by both engines: the tree walker feeds it from `WarpMachine`
 /// state, the native executor from its pooled `WarpScratch`. Keeping
@@ -1606,19 +1517,14 @@ fn price_warp(
     cfg: &DeviceConfig,
     site_kinds: &[SiteKind],
     elem_bytes: &[u32],
-    partials_in_shared: bool,
-    red_arrays: &[(ArrayId, crate::types::ReduceOp)],
     traces: &[SiteWarpTrace],
     touched: Option<&[bool]>,
     lane_ops: &[u64],
     atomic_accesses: u64,
     tex_cache: &mut Cache,
-    totals: &mut KernelTotals,
-    traced: bool,
-    site_global: &mut [AccessSummary],
-    site_shared: &mut [SharedSummary],
+    out: &mut Tally,
 ) {
-    totals.warps += 1;
+    out.totals.warps += 1;
     let mut divergent_rows = 0u64;
     let mut extra_issue = 0.0f64;
     for (i, tr) in traces.iter().enumerate() {
@@ -1635,73 +1541,39 @@ fn price_warp(
             SiteKind::Branch => divergent_rows += tr.reduce_divergent_rows(),
             SiteKind::Mem(arr) => {
                 let eb = elem_bytes[arr.0 as usize] as u64;
-                let space = if plan.expansion_of(arr).is_some() {
-                    // Reduction partials may be staged in shared.
-                    if partials_in_shared && red_arrays.iter().any(|(a, _)| *a == arr) {
-                        MemSpace::SharedTiled { reuse: 1.0 }
-                    } else {
-                        MemSpace::Global
-                    }
-                } else {
-                    plan.space_of(arr)
-                };
-                match space {
-                    MemSpace::Global => {
-                        let s = tr.reduce_global(cfg.segment_bytes);
-                        totals.global_requests += s.requests;
-                        totals.global_transactions += s.transactions;
-                        totals.useful_bytes += s.lane_accesses * eb;
-                        if traced {
-                            site_global[i].merge(&s);
-                        }
-                    }
+                match access_space(plan, arr) {
+                    MemSpace::Global => out.add_global(i, &tr.reduce_global(cfg.segment_bytes), eb),
                     MemSpace::SharedTiled { reuse } => {
                         let sh = tr.reduce_shared(cfg.shared_banks, 4);
-                        totals.shared_slots += sh.slots;
-                        let s = tr.reduce_global(cfg.segment_bytes);
-                        let fill_bytes = (s.lane_accesses * eb) as f64 / reuse.max(1.0);
-                        let fill_tx = (fill_bytes / cfg.segment_bytes as f64).ceil() as u64;
-                        totals.global_transactions += fill_tx;
-                        totals.global_requests += fill_tx;
-                        totals.useful_bytes += fill_bytes as u64;
-                        if traced {
-                            site_shared[i].merge(&sh);
-                            site_global[i].merge(&AccessSummary {
-                                requests: fill_tx,
-                                transactions: fill_tx,
-                                lane_accesses: s.lane_accesses,
-                            });
-                        }
+                        let lanes = tr.reduce_global(cfg.segment_bytes).lane_accesses;
+                        out.add_shared(i, &sh, lanes, eb, reuse, cfg.segment_bytes);
                     }
                     MemSpace::Constant => {
                         // Distinct words per row serialize.
                         let s = tr.reduce_global(eb.max(4) as u32);
                         extra_issue += (s.transactions - s.requests) as f64;
-                        if traced {
-                            site_global[i].merge(&s);
-                        }
+                        out.site_global[i].merge(&s);
                     }
                     MemSpace::Texture if cfg.has_texture_path => {
                         let line = cfg.tex_line_bytes as u64;
-                        let (req0, miss0) = (totals.tex_requests, totals.tex_miss_lines);
+                        let t = &mut out.totals;
+                        let (req0, miss0) = (t.tex_requests, t.tex_miss_lines);
                         tr.for_each_row(|row| {
-                            totals.tex_requests += 1;
+                            t.tex_requests += 1;
                             let mut lines: Vec<u64> = row.iter().map(|a| a / line).collect();
                             lines.sort_unstable();
                             lines.dedup();
                             for l in lines {
                                 if !tex_cache.access(l * line) {
-                                    totals.tex_miss_lines += 1;
+                                    t.tex_miss_lines += 1;
                                 }
                             }
                         });
-                        if traced {
-                            site_global[i].merge(&AccessSummary {
-                                requests: totals.tex_requests - req0,
-                                transactions: totals.tex_miss_lines - miss0,
-                                lane_accesses: 0,
-                            });
-                        }
+                        out.site_global[i].merge(&AccessSummary {
+                            requests: out.totals.tex_requests - req0,
+                            transactions: out.totals.tex_miss_lines - miss0,
+                            lane_accesses: 0,
+                        });
                     }
                     MemSpace::Texture => {
                         // No dedicated texture pipeline on this generation:
@@ -1712,41 +1584,40 @@ fn price_warp(
                         // texture ones.
                         let line = cfg.tex_line_bytes as u64;
                         let tx_per_line = (line / cfg.segment_bytes as u64).max(1);
-                        let (req0, tx0) = (totals.global_requests, totals.global_transactions);
+                        let t = &mut out.totals;
+                        let (req0, tx0) = (t.global_requests, t.global_transactions);
                         let mut lanes = 0u64;
                         tr.for_each_row(|row| {
-                            totals.global_requests += 1;
+                            t.global_requests += 1;
                             lanes += row.len() as u64;
                             let mut lines: Vec<u64> = row.iter().map(|a| a / line).collect();
                             lines.sort_unstable();
                             lines.dedup();
                             for l in lines {
                                 if !tex_cache.access(l * line) {
-                                    totals.global_transactions += tx_per_line;
+                                    t.global_transactions += tx_per_line;
                                 }
                             }
                         });
-                        totals.useful_bytes += lanes * eb;
-                        if traced {
-                            site_global[i].merge(&AccessSummary {
-                                requests: totals.global_requests - req0,
-                                transactions: totals.global_transactions - tx0,
-                                lane_accesses: lanes,
-                            });
-                        }
+                        t.useful_bytes += lanes * eb;
+                        out.site_global[i].merge(&AccessSummary {
+                            requests: out.totals.global_requests - req0,
+                            transactions: out.totals.global_transactions - tx0,
+                            lane_accesses: lanes,
+                        });
                     }
                 }
             }
             SiteKind::Unused => {}
         }
     }
-    totals.atomic_slots += atomic_accesses;
+    out.totals.atomic_slots += atomic_accesses;
     // A whole number (max lane ops, 8 per divergent row, whole extra
-    // transactions), which is what lets `Tally` add increments and replayed
-    // class sums in any order.
+    // transactions), which is what lets `Tally` add increments and merged
+    // class tallies in any order.
     let issue = warp_issue_cycles(lane_ops, divergent_rows) + extra_issue;
     debug_assert_eq!(issue.fract(), 0.0, "warp issue increment {issue} is not a whole number");
-    totals.issue_cycles += issue;
+    out.totals.issue_cycles += issue;
 }
 
 /// Convenience for tests: allocate+upload every array the kernel touches.

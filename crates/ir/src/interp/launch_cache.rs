@@ -9,8 +9,11 @@
 //! tasks while every other kernel repeats the exact same work. This module
 //! pays for each distinct launch once per process and replays its complete
 //! captured effect everywhere else: per-array output deltas, scalar
-//! writebacks, the [`LaunchResult`], and the launch's relative trace-event
-//! slice, so even `RecordingSink` output is byte-identical on a hit.
+//! writebacks, the [`LaunchResult`], and the launch's per-site memory
+//! evidence. A hit renders its trace events from that evidence through the
+//! same function an executed launch emits through, so `RecordingSink`
+//! output is byte-identical on a hit, and a sink-enabled launch replays
+//! what a launch without one captured.
 //!
 //! Keys stay cheap through the generation tags on [`super::gpu::DeviceState`]
 //! buffers ([`acceval_sim::BufGen`]): content digests are memoized per
@@ -40,9 +43,9 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use acceval_sim::{digest_update, Buffer, TraceEvent};
+use acceval_sim::{digest_update, Buffer};
 
-use super::gpu::{DeviceState, LaunchResult};
+use super::gpu::{DeviceState, LaunchResult, SiteEvidence};
 use crate::types::Value;
 
 /// Launch-memoization policy (`ACCEVAL_LAUNCH_CACHE`). The cache is a speed
@@ -252,8 +255,6 @@ pub struct LaunchKey {
     pub shared_bytes: u32,
     /// Registers per thread (occupancy input).
     pub regs: u32,
-    /// Whether the launch was traced (traced entries carry an event slice).
-    pub traced: bool,
     /// Digest of the device configuration.
     pub cfg_digest: u64,
     /// Digest of the device address-space layout: every array's allocation
@@ -290,8 +291,9 @@ pub struct LaunchEffect {
     pub scalar_writes: Vec<(usize, Value)>,
     /// The launch's result (cost, totals, footprint, active threads).
     pub result: LaunchResult,
-    /// The launch's relative trace-event slice (empty when untraced).
-    pub events: Vec<TraceEvent>,
+    /// The launch's non-empty memory-site evidence, in site order: what a
+    /// replay renders its trace events from.
+    pub sites: Vec<SiteEvidence>,
 }
 
 impl LaunchEffect {
@@ -301,8 +303,7 @@ impl LaunchEffect {
     /// `Vec<(u32, u64)>` element occupies 16 bytes (alignment padding), not
     /// the 12 bytes of its fields, and dense buffers store every element as
     /// 8 bytes (`Vec<f64>`/`Vec<i64>`) regardless of the declared element
-    /// width. Scalar writebacks and the actual per-variant trace-event
-    /// payloads are accounted too.
+    /// width. Scalar writebacks and site evidence are accounted too.
     pub(crate) fn resident_bytes(&self) -> u64 {
         use std::mem::size_of;
         let mut b = (size_of::<LaunchKey>() + size_of::<Slot>() + size_of::<LaunchEffect>() + 64) as u64;
@@ -314,7 +315,7 @@ impl LaunchEffect {
             };
         }
         b += (self.scalar_writes.len() * size_of::<(usize, Value)>()) as u64;
-        b += self.events.iter().map(TraceEvent::resident_bytes).sum::<u64>();
+        b += (self.sites.len() * size_of::<SiteEvidence>()) as u64;
         b
     }
 }

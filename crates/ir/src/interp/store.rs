@@ -14,7 +14,6 @@
 //! v1/<2-hex-shard>/<32-hex-address>.bin   one entry per file
 //! v1/tmp/                                 staging for atomic renames
 //! v1/quarantine/                          entries that failed verification
-//! v1/index.log                            append-only insert/delete journal
 //! v1/evict.lock                           advisory lock for eviction/clear
 //! ```
 //!
@@ -45,9 +44,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
 
-use acceval_sim::{Buffer, Digest128, ElemType, Payload, TraceEvent};
+use acceval_sim::{AccessSummary, Buffer, Digest128, ElemType, Payload, SharedSummary};
 
-use super::gpu::LaunchResult;
+use super::gpu::{LaunchResult, SiteEvidence};
 use super::launch_cache::{ArrayOut, LaunchEffect, LaunchKey};
 use crate::env::{self, StoreMode};
 use crate::types::Value;
@@ -58,9 +57,13 @@ pub const KIND_LAUNCH: u8 = 1;
 pub const KIND_ORACLE: u8 = 2;
 
 const MAGIC: &[u8; 8] = b"ACEVSTR1";
-const VERSION: u32 = 1;
+/// Entry-format version, checked by every probe: bump it whenever the key
+/// bytes or a payload codec change, so an older entry is a quarantined miss.
+const VERSION: u32 = 2;
 
-/// Subdirectory versioning the layout; bump with the entry format.
+/// Subdirectory holding every entry. It stays `v1` across entry-format
+/// versions, so eviction and `report store clear` still reach the files
+/// older builds left.
 const LAYOUT: &str = "v1";
 
 /// Default store root when `ACCEVAL_STORE` is `on` or auto-enabled.
@@ -480,13 +483,6 @@ fn quarantine(root: &Path, path: &Path) {
     QUARANTINED.fetch_add(1, Ordering::Relaxed);
 }
 
-fn append_index(root: &Path, op: char, addr: u128, bytes: u64) {
-    let path = root.join(LAYOUT).join("index.log");
-    if let Ok(mut f) = fs::OpenOptions::new().create(true).append(true).open(path) {
-        let _ = writeln!(f, "{op} {addr:032x} {bytes}");
-    }
-}
-
 // ---- probe (synchronous) ---------------------------------------------------
 
 /// Look up a blob by (kind, key). Any failure — absent entry, I/O error,
@@ -641,7 +637,6 @@ fn write_job(job: Job) {
     }
     SPILLS.fetch_add(1, Ordering::Relaxed);
     SPILL_BYTES.fetch_add(len, Ordering::Relaxed);
-    append_index(&job.root, 'I', addr, len);
     approx_add(&job.root, len);
     maybe_evict(&job.root, job.cap);
 }
@@ -713,7 +708,7 @@ fn scan_entries(root: &Path) -> Vec<(PathBuf, u64, SystemTime)> {
         let name = shard.file_name();
         let name = name.to_string_lossy();
         // Shard dirs are exactly two hex digits; skips tmp/, quarantine/,
-        // index.log, and lock files.
+        // and lock files.
         if name.len() != 2 || !name.chars().all(|c| c.is_ascii_hexdigit()) {
             continue;
         }
@@ -787,11 +782,6 @@ fn maybe_evict(root: &Path, cap: u64) {
         if fs::remove_file(&path).is_ok() {
             total = total.saturating_sub(len);
             EVICTED.fetch_add(1, Ordering::Relaxed);
-            if let Some(hex) = path.file_stem().and_then(|s| s.to_str()) {
-                if let Ok(addr) = u128::from_str_radix(hex, 16) {
-                    append_index(root, 'D', addr, len);
-                }
-            }
         }
     }
     APPROX_BYTES.store(total, Ordering::Relaxed);
@@ -830,7 +820,7 @@ pub fn store_stats() -> StoreStats {
     stats
 }
 
-/// Remove every entry, the index, the quarantine, and staged temp files.
+/// Remove every entry, the quarantine, and staged temp files.
 /// Returns the number of entries removed. Concurrent writers may repopulate
 /// immediately; that is fine, the store is only ever a cache.
 pub fn clear_store() -> u64 {
@@ -846,6 +836,7 @@ pub fn clear_store() -> u64 {
     for aux in ["quarantine", "tmp"] {
         let _ = fs::remove_dir_all(root.join(LAYOUT).join(aux));
     }
+    // The index journal older builds appended to; nothing reads it.
     let _ = fs::remove_file(root.join(LAYOUT).join("index.log"));
     APPROX_BYTES.store(0, Ordering::Relaxed);
     removed
@@ -948,111 +939,6 @@ fn dec_buffer(d: &mut Dec) -> Option<Buffer> {
     }
 }
 
-fn enc_event(e: &mut Enc, ev: &TraceEvent) {
-    match ev {
-        TraceEvent::Host { label, secs } => {
-            e.u8(0);
-            e.str(label);
-            e.f64(*secs);
-        }
-        TraceEvent::Transfer { array, dir, bytes, secs } => {
-            e.u8(1);
-            e.str(array);
-            e.u8(matches!(dir, acceval_sim::Dir::DeviceToHost) as u8);
-            e.u64(*bytes);
-            e.f64(*secs);
-        }
-        TraceEvent::KernelLaunch { name, footprint, cost, totals, traffic_bytes } => {
-            e.u8(2);
-            e.str(name);
-            enc_footprint(e, footprint);
-            enc_cost(e, cost);
-            enc_totals(e, totals);
-            e.u64(*traffic_bytes);
-        }
-        TraceEvent::CoalesceSite {
-            kernel,
-            site,
-            array,
-            space,
-            requests,
-            transactions,
-            lane_accesses,
-            shared_slots,
-        } => {
-            e.u8(3);
-            e.str(kernel);
-            e.u32(*site);
-            e.str(array);
-            e.str(space);
-            e.u64(*requests);
-            e.u64(*transactions);
-            e.u64(*lane_accesses);
-            e.u64(*shared_slots);
-        }
-        TraceEvent::CacheCounters { cache, hits, misses } => {
-            e.u8(4);
-            e.str(cache);
-            e.u64(*hits);
-            e.u64(*misses);
-        }
-        TraceEvent::TaskSpan { task, benchmark, model, tuning, oracle_cached, compile_cached } => {
-            e.u8(5);
-            e.u64(*task as u64);
-            e.str(benchmark);
-            e.str(model);
-            match tuning {
-                Some(t) => {
-                    e.u8(1);
-                    e.str(t);
-                }
-                None => e.u8(0),
-            }
-            e.u8(*oracle_cached as u8);
-            e.u8(*compile_cached as u8);
-        }
-    }
-}
-
-fn dec_event(d: &mut Dec) -> Option<TraceEvent> {
-    Some(match d.u8()? {
-        0 => TraceEvent::Host { label: d.str()?, secs: d.f64()? },
-        1 => TraceEvent::Transfer {
-            array: d.str()?,
-            dir: if d.u8()? == 1 { acceval_sim::Dir::DeviceToHost } else { acceval_sim::Dir::HostToDevice },
-            bytes: d.u64()?,
-            secs: d.f64()?,
-        },
-        2 => TraceEvent::KernelLaunch {
-            name: d.str()?,
-            footprint: dec_footprint(d)?,
-            cost: dec_cost(d)?,
-            totals: dec_totals(d)?,
-            traffic_bytes: d.u64()?,
-        },
-        3 => TraceEvent::CoalesceSite {
-            kernel: d.str()?,
-            site: d.u32()?,
-            array: d.str()?,
-            space: d.str()?,
-            requests: d.u64()?,
-            transactions: d.u64()?,
-            lane_accesses: d.u64()?,
-            shared_slots: d.u64()?,
-        },
-        4 => TraceEvent::CacheCounters { cache: d.str()?, hits: d.u64()?, misses: d.u64()? },
-        5 => TraceEvent::TaskSpan {
-            task: d.u64()? as usize,
-            benchmark: d.str()?,
-            model: d.str()?,
-            tuning: if d.u8()? == 1 { Some(d.str()?) } else { None },
-            oracle_cached: d.u8()? != 0,
-            compile_cached: d.u8()? != 0,
-        },
-        _ => return None,
-    })
-}
-
 fn enc_footprint(e: &mut Enc, f: &acceval_sim::KernelFootprint) {
     e.u32(f.threads_per_block);
     e.u32(f.shared_bytes_per_block);
@@ -1151,7 +1037,6 @@ pub fn encode_launch_key(k: &LaunchKey) -> Vec<u8> {
     e.u32(k.block.1);
     e.u32(k.shared_bytes);
     e.u32(k.regs);
-    e.u8(k.traced as u8);
     e.u64(k.cfg_digest);
     e.u64(k.layout_digest);
     e.u32(k.scalars.len() as u32);
@@ -1203,9 +1088,14 @@ fn encode_effect(eff: &LaunchEffect) -> Vec<u8> {
     enc_totals(&mut e, &eff.result.totals);
     enc_footprint(&mut e, &eff.result.footprint);
     e.u64(eff.result.active_threads);
-    e.u32(eff.events.len() as u32);
-    for ev in &eff.events {
-        enc_event(&mut e, ev);
+    e.u32(eff.sites.len() as u32);
+    for (site, g, sh) in &eff.sites {
+        e.u32(*site);
+        e.u64(g.requests);
+        e.u64(g.transactions);
+        e.u64(g.lane_accesses);
+        e.u64(sh.slots);
+        e.u64(sh.requests);
     }
     e.buf
 }
@@ -1246,15 +1136,17 @@ fn decode_effect(bytes: &[u8]) -> Option<LaunchEffect> {
         footprint: dec_footprint(&mut d)?,
         active_threads: d.u64()?,
     };
-    let n_ev = d.u32()? as usize;
-    let mut events = Vec::with_capacity(n_ev.min(4096));
-    for _ in 0..n_ev {
-        events.push(dec_event(&mut d)?);
+    let n_sites = d.u32()? as usize;
+    let mut sites: Vec<SiteEvidence> = Vec::with_capacity(n_sites.min(4096));
+    for _ in 0..n_sites {
+        let site = d.u32()?;
+        let g = AccessSummary { requests: d.u64()?, transactions: d.u64()?, lane_accesses: d.u64()? };
+        sites.push((site, g, SharedSummary { slots: d.u64()?, requests: d.u64()? }));
     }
     if !d.done() {
         return None;
     }
-    Some(LaunchEffect { outputs, scalar_writes, result, events })
+    Some(LaunchEffect { outputs, scalar_writes, result, sites })
 }
 
 /// Probe the disk tier for a launch effect. Counts a disk hit/miss; any
@@ -1349,33 +1241,13 @@ mod tests {
                 },
                 active_threads: 384,
             },
-            events: vec![
-                TraceEvent::Host { label: "host".into(), secs: 0.5 },
-                TraceEvent::KernelLaunch {
-                    name: "k".into(),
-                    footprint: KernelFootprint::new(128, 3),
-                    cost: KernelCost {
-                        cycles: 1.0,
-                        time_secs: 2.0,
-                        compute_cycles: 3.0,
-                        mem_bw_cycles: 4.0,
-                        mem_lat_cycles: 5.0,
-                        shared_cycles: 6.0,
-                        atomic_cycles: 7.0,
-                        occupancy: Occupancy { blocks_per_sm: 1, resident_warps_per_sm: 2, fraction: 0.1 },
-                        bound: Bound::LaunchOverhead,
-                    },
-                    totals: KernelTotals::default(),
-                    traffic_bytes: 4096,
-                },
-                TraceEvent::TaskSpan {
-                    task: 7,
-                    benchmark: "jacobi".into(),
-                    model: "cuda".into(),
-                    tuning: Some("bx=64".into()),
-                    oracle_cached: true,
-                    compile_cached: false,
-                },
+            sites: vec![
+                (0, AccessSummary { requests: 24, transactions: 48, lane_accesses: 768 }, SharedSummary::default()),
+                (
+                    3,
+                    AccessSummary { requests: 2, transactions: 2, lane_accesses: 64 },
+                    SharedSummary { slots: 9, requests: 6 },
+                ),
             ],
         }
     }
@@ -1386,7 +1258,6 @@ mod tests {
             block: (128, 1),
             shared_bytes: 0,
             regs: 20,
-            traced: true,
             cfg_digest: 11,
             layout_digest: 22,
             scalars: vec![(1, f64::to_bits(3.5)), (2, 42)],
@@ -1413,7 +1284,7 @@ mod tests {
         k.inputs[1].1 = Some(0);
         assert_ne!(a, encode_launch_key(&k));
         let mut k = sample_key();
-        k.traced = false;
+        k.shared_bytes = 1024;
         assert_ne!(a, encode_launch_key(&k));
         let mut k = sample_key();
         k.regs += 1;

@@ -5,7 +5,10 @@
 //! iterative patterns re-execute. A capture reads its delta off the
 //! launch's first-write journal and carries each written buffer's digest
 //! forward incrementally, so every capture is also checked against a
-//! from-scratch re-hash, on bodies that cover each journal path.
+//! from-scratch re-hash, on bodies that cover each journal path. Whether a
+//! sink listens is no part of a launch's identity: a launch with a
+//! recording sink replays what a launch without one captured, and records
+//! the events a cache-off launch emits.
 
 mod common;
 
@@ -22,7 +25,7 @@ use acceval_ir::interp::launch_cache::{
 use acceval_ir::kernel::{axis, axis_from, Expansion, KernelPlan};
 use acceval_ir::program::{DataSet, HostData, Program};
 use acceval_ir::types::{ArrayId, ReduceOp, Value, VarRef};
-use acceval_sim::{Buffer, DeviceConfig, ElemType, TraceEvent, TraceSink};
+use acceval_sim::{Buffer, DeviceConfig, ElemType, RecordingSink, TraceEvent, TraceSink};
 use common::{assert_states_bit_equal, buffers_bit_equal, dna_kernel, finalized, fixture, GENES};
 use proptest::prelude::*;
 
@@ -59,22 +62,44 @@ fn run_one(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine) -> State {
 /// [`run_one`] on a device holding every array except `absent`.
 fn run_without(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine, absent: Option<ArrayId>) -> State {
     let cfg = DeviceConfig::tesla_m2090();
+    let (mut dev, mut scal) = state_without(p, ds, &cfg, absent);
+    let r = launch_with_engine(p, plan, &mut dev, &mut scal, &cfg, eng);
+    (dev, scal, r)
+}
+
+/// [`run_without`] into a recording sink: the state and the events.
+fn record_without(
+    p: &Program,
+    ds: &DataSet,
+    plan: &KernelPlan,
+    eng: Engine,
+    absent: Option<ArrayId>,
+) -> (State, Vec<TraceEvent>) {
+    let cfg = DeviceConfig::tesla_m2090();
+    let (mut dev, mut scal) = state_without(p, ds, &cfg, absent);
+    let mut sink = RecordingSink::new();
+    let r = launch_traced_with_engine(p, plan, &mut dev, &mut scal, &cfg, &mut sink, eng);
+    ((dev, scal, r), sink.take())
+}
+
+/// A fresh device holding every array except `absent`, and the dataset's
+/// scalar environment.
+fn state_without(p: &Program, ds: &DataSet, cfg: &DeviceConfig, absent: Option<ArrayId>) -> (DeviceState, Vec<Value>) {
     let host = HostData::materialize(p, ds);
-    let mut dev = DeviceState::new(p, &cfg);
+    let mut dev = DeviceState::new(p, cfg);
     for (k, b) in host.bufs.iter().enumerate() {
         if Some(ArrayId(k as u32)) != absent {
             dev.upload(ArrayId(k as u32), b);
         }
     }
-    let mut scal = env_from_dataset(p, ds);
-    let r = launch_with_engine(p, plan, &mut dev, &mut scal, &cfg, eng);
-    (dev, scal, r)
+    (dev, env_from_dataset(p, ds))
 }
 
 /// Cold (cache off), capture (first run, cache on), and replay (second run,
 /// cache on) must be indistinguishable bit-for-bit; the replay must score a
-/// real hit, the capture a real miss. Returns the captured entry's resident
-/// bytes.
+/// real hit, the capture a real miss. A third launch into a recording sink
+/// must hit the same entry and record the events of a cache-off launch
+/// into a recording sink. Returns the captured entry's resident bytes.
 fn assert_cache_transparent(p: &Program, ds: &DataSet, plan: &KernelPlan, eng: Engine) -> u64 {
     assert_cache_transparent_without(p, ds, plan, eng, None)
 }
@@ -90,18 +115,25 @@ fn assert_cache_transparent_without(
     absent: Option<ArrayId>,
 ) -> u64 {
     let cold = with_cache(LaunchCache::Off, || run_without(p, ds, plan, eng, absent));
-    let (capture, replay, dh, dm, resident) = with_cache(LaunchCache::On, || {
+    let (_, cold_events) = with_cache(LaunchCache::Off, || record_without(p, ds, plan, eng, absent));
+    let (capture, replay, dh, dm, resident, recorded, rh, rm) = with_cache(LaunchCache::On, || {
         let t0 = launch_cache_totals();
         let a = run_without(p, ds, plan, eng, absent);
         let resident = launch_cache_totals().resident_bytes;
         let b = run_without(p, ds, plan, eng, absent);
         let t1 = launch_cache_totals();
-        (a, b, t1.hits - t0.hits, t1.misses - t0.misses, resident)
+        let c = record_without(p, ds, plan, eng, absent);
+        let t2 = launch_cache_totals();
+        (a, b, t1.hits - t0.hits, t1.misses - t0.misses, resident, c, t2.hits - t1.hits, t2.misses - t1.misses)
     });
     assert_eq!(dm, 1, "kernel {}: first launch must miss and capture", plan.name);
     assert_eq!(dh, 1, "kernel {}: warm re-launch must hit", plan.name);
     assert_states_bit_equal(&format!("kernel {} capture vs cold", plan.name), &capture, &cold);
     assert_states_bit_equal(&format!("kernel {} replay vs cold", plan.name), &replay, &cold);
+    assert_eq!((rh, rm), (1, 0), "kernel {}: a recorded launch must replay the unrecorded capture", plan.name);
+    assert_states_bit_equal(&format!("kernel {} recorded replay vs cold", plan.name), &recorded.0, &cold);
+    assert!(!cold_events.is_empty(), "kernel {}: a recorded launch emits events", plan.name);
+    assert_eq!(recorded.1, cold_events, "kernel {}: a replay must record the cache-off launch's events", plan.name);
     let host = HostData::materialize(p, ds);
     let dev = &capture.0;
     for (i, buf) in dev.bufs.iter().enumerate() {
@@ -204,8 +236,9 @@ fn reduction_kernel_replays_scalar_bits() {
     let x = p.array_named("x");
     for op in [ReduceOp::Add, ReduceOp::Max] {
         let body = vec![assign(s, ld(x, vec![v(i)]) * 1.0009765625)];
-        let k = KernelPlan::new("red", vec![axis(i, v(n))], body).with_reduction(op, VarRef::Scalar(s));
-        assert_cache_transparent(&p, &ds, &finalized(k), Engine::Bytecode);
+        let k = finalized(KernelPlan::new("red", vec![axis(i, v(n))], body).with_reduction(op, VarRef::Scalar(s)));
+        assert_cache_transparent(&p, &ds, &k, Engine::Bytecode);
+        assert_cache_transparent(&p, &ds, &k, Engine::Tree);
     }
 }
 

@@ -196,6 +196,7 @@ fn eviction_respects_byte_cap_without_breaking_live_probes() {
     }
     assert!(store_totals().evicted > before, "tiny cap must force evictions");
     assert!(s.entries().len() < 8, "evicted entries must leave the shards");
+    assert!(!s.root.join("v1").join("index.log").exists(), "spills and evictions keep no index journal");
     // Evicted entries are plain misses; the store stays usable.
     set_store_cap_override(None);
     put_and_flush(KIND_ORACLE, b"fresh", b"fresh payload");

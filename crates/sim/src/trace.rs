@@ -5,12 +5,15 @@
 //! transfers, per-site coalescing, cache behaviour) can emit a
 //! [`TraceEvent`] into a [`TraceSink`]. The default sink is [`NullSink`]:
 //! call sites guard event *construction* behind [`TraceSink::enabled`], so
-//! a disabled trace never allocates, formats, or clones anything — the
-//! simulated numbers are bit-identical with tracing on or off, and the
-//! untraced path pays only one virtual `enabled()` call per event site.
+//! a disabled trace never allocates, formats, or clones an event — the
+//! simulated numbers are bit-identical with tracing on or off. The evidence
+//! events are built from does not depend on the sink: every kernel launch
+//! sums its per-site coalescing summaries (which pricing computes anyway)
+//! and the launch cache keeps them with each captured effect, so a launch
+//! with an enabled sink replays what one without a sink captured.
 //!
 //! Events are emitted in deterministic simulation order (warp loops reduce
-//! into per-site accumulators that are flushed in site order; the sweep
+//! into per-site accumulators that are emitted in site order; the sweep
 //! collects per-task streams by task index), so a recorded trace is
 //! byte-stable across thread counts and runs.
 
@@ -111,23 +114,6 @@ impl TraceEvent {
             TraceEvent::KernelLaunch { cost, .. } => cost.time_secs,
             _ => 0.0,
         }
-    }
-
-    /// Approximate bytes this event occupies in memory: the enum footprint
-    /// plus the heap behind its strings. Used by caches that hold captured
-    /// event slices under a byte cap.
-    pub fn resident_bytes(&self) -> u64 {
-        let heap = match self {
-            TraceEvent::Host { label, .. } => label.len(),
-            TraceEvent::Transfer { array, .. } => array.len(),
-            TraceEvent::KernelLaunch { name, .. } => name.len(),
-            TraceEvent::CoalesceSite { kernel, array, space, .. } => kernel.len() + array.len() + space.len(),
-            TraceEvent::CacheCounters { cache, .. } => cache.len(),
-            TraceEvent::TaskSpan { benchmark, model, tuning, .. } => {
-                benchmark.len() + model.len() + tuning.as_ref().map_or(0, String::len)
-            }
-        };
-        (std::mem::size_of::<TraceEvent>() + heap) as u64
     }
 }
 

@@ -61,34 +61,50 @@ fn figure1_csv_is_cache_independent() {
 
 /// A profiled single run emits the same Chrome trace (every span, transfer,
 /// kernel cost, and coalescing evidence event) and bit-identical scores with
-/// the cache off and on — including warm replays, which re-emit the
-/// captured event slice.
+/// the cache off and on — including warm replays, which render their events
+/// from the captured site evidence. An unprofiled warm-up run captures every
+/// launch first: whether a sink listened is no part of a launch's key, so
+/// the first profiled run replays them all without a miss.
 #[test]
 fn run_profile_is_cache_independent() {
     let cfg = MachineConfig::keeneland_node();
     let b = benchmark_named("jacobi").expect("jacobi exists");
-    let trace_under = |policy: LaunchCache, threads: usize, repeats: usize| {
+    // Each profiled run's (trace, seconds bits, speedup bits, hits, misses),
+    // after an unprofiled warm-up run when `warm_up` is set.
+    let traces_under = |policy: LaunchCache, threads: usize, warm_up: bool, repeats: usize| {
         with_cache(policy, threads, || {
             let ds = cached_dataset(b.as_ref(), Scale::Test);
             let oracle = cached_oracle(b.as_ref(), Scale::Test, &cfg);
             let compiled = cached_compile(b.as_ref(), ModelKind::ManualCuda, Scale::Test, None);
-            let mut last = None;
-            for _ in 0..repeats {
-                let mut sink = RecordingSink::new();
-                let run = acceval::run_compiled_traced(b.as_ref(), &compiled, &ds, &cfg, &oracle.run, &mut sink);
+            if warm_up {
+                let run = acceval::run_compiled(b.as_ref(), &compiled, &ds, &cfg, &oracle.run);
                 assert!(run.valid.is_ok(), "jacobi must validate: {:?}", run.valid);
-                last = Some((chrome_trace(&sink.take()), run.secs.to_bits(), run.speedup.to_bits()));
             }
-            last.expect("at least one repeat")
+            (0..repeats)
+                .map(|_| {
+                    let t0 = launch_cache_totals();
+                    let mut sink = RecordingSink::new();
+                    let run = acceval::run_compiled_traced(b.as_ref(), &compiled, &ds, &cfg, &oracle.run, &mut sink);
+                    assert!(run.valid.is_ok(), "jacobi must validate: {:?}", run.valid);
+                    let t1 = launch_cache_totals();
+                    let trace = chrome_trace(&sink.take());
+                    (trace, run.secs.to_bits(), run.speedup.to_bits(), t1.hits - t0.hits, t1.misses - t0.misses)
+                })
+                .collect::<Vec<_>>()
         })
     };
-    let (bt, bs, bsp) = trace_under(LaunchCache::Off, 1, 1);
+    let (bt, bs, bsp, _, _) = traces_under(LaunchCache::Off, 1, false, 1).remove(0);
     for threads in [1usize, 2, 8] {
-        // Two repeats: the second run replays from the cache warmed by the
-        // first, so the comparison covers the pure-replay trace.
-        let (ct, cs, csp) = trace_under(LaunchCache::On, threads, 2);
-        assert_eq!(bs, cs, "simulated seconds must be bit-identical under the cache at {threads} workers");
-        assert_eq!(bsp, csp, "speedup must be bit-identical under the cache at {threads} workers");
-        assert_eq!(bt, ct, "chrome trace must be byte-identical under the cache at {threads} workers");
+        // The first profiled run replays the warm-up's captures; the second
+        // replays from the same entries again.
+        let runs = traces_under(LaunchCache::On, threads, true, 2);
+        let (hits, misses) = (runs[0].3, runs[0].4);
+        assert!(hits > 0, "the first profiled run must replay the warm-up's captures at {threads} workers");
+        assert_eq!(misses, 0, "the first profiled run must not miss after the warm-up at {threads} workers");
+        for (k, (ct, cs, csp, _, _)) in runs.into_iter().enumerate() {
+            assert_eq!(bs, cs, "simulated seconds must be bit-identical under the cache at {threads} workers, run {k}");
+            assert_eq!(bsp, csp, "speedup must be bit-identical under the cache at {threads} workers, run {k}");
+            assert_eq!(bt, ct, "chrome trace must be byte-identical under the cache at {threads} workers, run {k}");
+        }
     }
 }

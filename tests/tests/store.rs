@@ -138,18 +138,19 @@ fn corrupted_store_degrades_speed_never_results() {
 }
 
 /// A profiled (traced) run replayed from disk re-emits the identical Chrome
-/// trace: captured event slices survive the serialize/deserialize round trip.
+/// trace: captured site evidence survives the serialize/deserialize round
+/// trip, whether a profiled or an unprofiled run filled the store.
 #[test]
 fn chrome_trace_is_identical_replayed_from_disk() {
     let cfg = MachineConfig::keeneland_node();
     let b = benchmark_named("jacobi").expect("jacobi exists");
     let root = scratch_root("trace");
+    let ds = || cached_dataset(b.as_ref(), Scale::Test);
+    let oracle = || cached_oracle(b.as_ref(), Scale::Test, &cfg);
+    let compiled = || cached_compile(b.as_ref(), ModelKind::ManualCuda, Scale::Test, None);
     let run_traced = || {
-        let ds = cached_dataset(b.as_ref(), Scale::Test);
-        let oracle = cached_oracle(b.as_ref(), Scale::Test, &cfg);
-        let compiled = cached_compile(b.as_ref(), ModelKind::ManualCuda, Scale::Test, None);
         let mut sink = RecordingSink::new();
-        let run = acceval::run_compiled_traced(b.as_ref(), &compiled, &ds, &cfg, &oracle.run, &mut sink);
+        let run = acceval::run_compiled_traced(b.as_ref(), &compiled(), &ds(), &cfg, &oracle().run, &mut sink);
         assert!(run.valid.is_ok(), "jacobi must validate: {:?}", run.valid);
         (chrome_trace(&sink.take()), run.secs.to_bits(), run.speedup.to_bits())
     };
@@ -169,6 +170,25 @@ fn chrome_trace_is_identical_replayed_from_disk() {
     assert_eq!(cold_speedup, warm_speedup, "speedup must be bit-identical replayed from disk");
     assert_eq!(cold_trace, warm_trace, "chrome trace must be byte-identical replayed from disk");
     assert!(disk_hits > 0, "the traced replay must come from the disk tier");
+    let _ = fs::remove_dir_all(&root);
+
+    // An unprofiled run fills a second store; a profiled run from a fresh
+    // LRU replays its captures from disk and renders the same trace.
+    let root = scratch_root("trace-unprofiled");
+    with_store(StoreMode::Path(root.clone()), LaunchCache::On, 1, || {
+        let run = acceval::run_compiled(b.as_ref(), &compiled(), &ds(), &cfg, &oracle().run);
+        assert!(run.valid.is_ok(), "jacobi must validate: {:?}", run.valid);
+        flush_store();
+    });
+    let (replayed_trace, replayed_secs, disk_hits) =
+        with_store(StoreMode::Path(root.clone()), LaunchCache::On, 1, || {
+            let t0 = launch_cache_totals();
+            let (t, s, _) = run_traced();
+            (t, s, launch_cache_totals().disk_hits - t0.disk_hits)
+        });
+    assert!(disk_hits > 0, "a profiled run must replay an unprofiled run's captures from disk");
+    assert_eq!(cold_secs, replayed_secs, "simulated seconds must be bit-identical replayed from disk");
+    assert_eq!(cold_trace, replayed_trace, "chrome trace must be byte-identical replayed from an unprofiled capture");
     let _ = fs::remove_dir_all(&root);
 }
 
