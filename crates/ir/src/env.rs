@@ -40,25 +40,21 @@ impl EnvError {
     }
 }
 
-/// `auto` / `on` / `off` knob value of the launch cache
-/// (`ACCEVAL_LAUNCH_CACHE`).
+/// `on` / `off` knob value of the launch cache (`ACCEVAL_LAUNCH_CACHE`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Toggle {
-    /// Enabled by default (the knob was not asked for explicitly).
-    Auto,
-    /// Explicitly enabled.
+    /// Enabled.
     On,
     /// Disabled.
     Off,
 }
 
-/// Parse an `auto`/`on`/`off` toggle value.
+/// Parse an `on`/`off` toggle value.
 pub fn parse_toggle(var: &str, s: &str) -> Result<Toggle, EnvError> {
     match s {
-        "auto" => Ok(Toggle::Auto),
         "on" => Ok(Toggle::On),
         "off" => Ok(Toggle::Off),
-        _ => Err(EnvError::new(var, s, "`auto`, `on` or `off`")),
+        _ => Err(EnvError::new(var, s, "`on` or `off`")),
     }
 }
 
@@ -182,7 +178,7 @@ mod tests {
 
     #[test]
     fn toggle_parses() {
-        assert_eq!(parse_toggle("X", "auto"), Ok(Toggle::Auto));
+        assert!(parse_toggle("X", "auto").is_err());
         assert_eq!(parse_toggle("X", "on"), Ok(Toggle::On));
         assert_eq!(parse_toggle("X", "off"), Ok(Toggle::Off));
         let e = parse_toggle("ACCEVAL_LAUNCH_CACHE", "maybe").unwrap_err();
@@ -200,9 +196,9 @@ mod tests {
     }
 
     /// The optimizer switch, the promotion threshold, the `native` and
-    /// `auto` engine values, and the intra-launch parallelism policy were
-    /// removed; setting any of them is a startup error, not a silently
-    /// ignored knob.
+    /// `auto` engine values, the intra-launch parallelism policy and the
+    /// launch cache's `auto` value were removed; setting any of them is a
+    /// startup error, not a silently ignored knob.
     #[test]
     fn removed_knobs_are_rejected() {
         let one = |k: &str, v: &str| validate_vars([(k.to_string(), v.to_string())]);
@@ -212,6 +208,7 @@ mod tests {
             ("ACCEVAL_ENGINE", "native"),
             ("ACCEVAL_ENGINE", "auto"),
             ("ACCEVAL_LAUNCH_PAR", "on"),
+            ("ACCEVAL_LAUNCH_CACHE", "auto"),
         ] {
             let e = one(k, v).unwrap_err();
             assert_eq!(e.var, k, "{k}={v} must be rejected under its own name");

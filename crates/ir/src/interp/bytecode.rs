@@ -40,13 +40,12 @@
 //! through [`acceval_sim::AffineRowMemo`].
 //!
 //! The module also holds the execution state the closures run against: the
-//! pooled [`WarpScratch`] arena (typed register banks, per-lane op counters,
+//! per-thread [`WarpScratch`] arena (typed register banks, per-lane op counters,
 //! site traces, private-array scratch; no per-warp allocation) and the
 //! launch-wide `ExecCtx` (array layout and address map).
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::Mutex;
 
 use acceval_sim::{AffineRowMemo, Buffer, ElemType, SiteWarpTrace};
 
@@ -1094,9 +1093,10 @@ impl Compiler<'_> {
     }
 }
 
-/// Reusable execution arena. Launches check one out of `SCRATCH_POOL`,
-/// reshape it (cheaply) for their kernel, and reset its evidence between
-/// warps — no per-warp allocation survives in steady state.
+/// Reusable execution arena. Each thread keeps one for its native launches
+/// ([`WarpScratch::take`], [`WarpScratch::recycle`]); a launch reshapes it
+/// (cheaply) for its kernel and resets its evidence between warps, so no
+/// per-warp allocation survives in steady state.
 pub struct WarpScratch {
     pub(crate) lane_ops: Vec<u64>,
     pub(crate) traces: Vec<SiteWarpTrace>,
@@ -1182,32 +1182,22 @@ impl WarpScratch {
     }
 }
 
-/// Pool of warp-scratch arenas. A checkout pops an arena (or builds a fresh
-/// one) and returns it when done, which — unlike a single thread-local slot
-/// — is re-entrant: a nested launch on the same thread simply checks out a
-/// second arena instead of aliasing the first, and the short-lived scoped
-/// workers of a parallel sweep share warmed arenas instead of rebuilding
-/// one behind each new thread's thread-local.
-static SCRATCH_POOL: Mutex<Vec<WarpScratch>> = Mutex::new(Vec::new());
+thread_local! {
+    static SCRATCH: Cell<Option<WarpScratch>> = const { Cell::new(None) };
+}
 
-/// Arenas kept warm across launches; enough for a large worker pool plus
-/// nesting, while bounding steady-state memory.
-const SCRATCH_POOL_CAP: usize = 64;
-
-/// Run `f` against a warp scratch arena checked out of the process pool.
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut WarpScratch) -> R) -> R {
-    let mut s = {
-        let mut pool = SCRATCH_POOL.lock().unwrap();
-        pool.pop().unwrap_or_else(WarpScratch::new)
-    };
-    let r = f(&mut s);
-    // Unwinds (a kernel panic inside `f`) simply drop the arena; the pool
-    // lock is never held across user code, so it cannot be poisoned.
-    let mut pool = SCRATCH_POOL.lock().unwrap();
-    if pool.len() < SCRATCH_POOL_CAP {
-        pool.push(s);
+impl WarpScratch {
+    /// This thread's arena, reused across launches (a fresh one while
+    /// another launch on this thread holds it).
+    pub(crate) fn take() -> WarpScratch {
+        SCRATCH.with(Cell::take).unwrap_or_else(WarpScratch::new)
     }
-    r
+
+    /// Return the arena for the thread's next launch. A launch that panics
+    /// never gets here: it drops its arena.
+    pub(crate) fn recycle(self) {
+        SCRATCH.with(|c| c.set(Some(self)));
+    }
 }
 
 /// Launch-wide layout the closures address device and private arrays

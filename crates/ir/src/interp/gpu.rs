@@ -11,6 +11,7 @@
 //! divergence penalties, then fed to [`acceval_sim::estimate_kernel`].
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -21,14 +22,14 @@ use acceval_sim::{
 };
 
 use crate::expr::{Expr, Intrin};
-use crate::interp::bytecode::{self, intrin_cost};
-use crate::interp::launch_cache::{self, ArrayOut, DeviceBufs, Journal, LaunchEffect, LaunchKey};
+use crate::interp::bytecode::{self, intrin_cost, WarpScratch};
+use crate::interp::launch_cache::{self, ArrayOut, DevTarget, DeviceBufs, Journal, LaunchEffect, LaunchKey};
 use crate::interp::native;
 use crate::interp::{eval_pure, row_major_strides, Interp, Machine};
 use crate::kernel::{Expansion, KernelPlan, MemSpace, ReduceStrategy};
 use crate::program::{eval_const, Program};
 use crate::stmt::{visit_exprs, visit_stmts, Stmt};
-use crate::types::{ArrayId, ScalarId, SiteId, Value, VarRef};
+use crate::types::{ArrayId, ReduceOp, ScalarId, SiteId, Value, VarRef};
 
 /// Which executor runs kernel bodies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,15 +238,163 @@ fn classify_sites(plan: &KernelPlan) -> Vec<SiteKind> {
     kinds
 }
 
+/// Everything a launch derives before it runs, resolved once from the plan,
+/// the device's allocation state and the host scalars at launch. Every stage
+/// of the launch path reads it: the probe, either engine, pricing, `finish`
+/// and the emitted events.
+struct LaunchLayout<'a> {
+    prog: &'a Program,
+    plan: &'a KernelPlan,
+    cfg: &'a DeviceConfig,
+    site_kinds: Vec<SiteKind>,
+    /// Grid: `n0 × n1` threads in blocks of `bx × by`, `gx` blocks per grid
+    /// row, `warps_per_block` warps of `warp` lanes per block.
+    n0: u64,
+    n1: u64,
+    bx: u64,
+    by: u64,
+    gx: u64,
+    tpb: u32,
+    total_blocks: u64,
+    total_threads: u64,
+    warp: u32,
+    warps_per_block: u64,
+    /// Byte base address per array in the simulated device address space.
+    base: Vec<u64>,
+    elem_bytes: Vec<u32>,
+    /// The host scalars at launch. Extents, strides and private shapes are
+    /// evaluated against them, exactly what `Interp::with_env` computes per
+    /// warp on the tree path.
+    base_env: Vec<Value>,
+    extents: Vec<Vec<usize>>,
+    strides: Vec<Vec<usize>>,
+    /// Each private array's length, and the reduction it accumulates if any.
+    priv_shapes: Vec<(ArrayId, usize, Option<ReduceOp>)>,
+    /// Scalar reductions: (scalar slot, operator).
+    red_scalar: Vec<(usize, ReduceOp)>,
+    /// Each scalar reduction's identity, typed like its target: every
+    /// thread's accumulator starts from it, and so does the launch's fold.
+    red_init: Vec<Value>,
+    /// Array reductions: (target, operator, length of its private copy).
+    red_arrays: Vec<(ArrayId, ReduceOp, usize)>,
+    arrays: BodyArrays,
+    /// The body reads a `Texture`-placed array.
+    has_tex: bool,
+    partials_in_shared: bool,
+    atomic_serial: bool,
+}
+
+impl<'a> LaunchLayout<'a> {
+    fn resolve(
+        prog: &'a Program,
+        plan: &'a KernelPlan,
+        cfg: &'a DeviceConfig,
+        dev: &DeviceState,
+        scal: &[Value],
+    ) -> LaunchLayout<'a> {
+        assert!(
+            plan.site_count > 0 || plan.body.iter().all(|s| !matches!(s, Stmt::Store { .. })),
+            "plan must be finalized"
+        );
+        let site_kinds = classify_sites(plan);
+        let n0 = eval_pure(&plan.axes[0].count, scal).as_i().max(0) as u64;
+        let n1 = if plan.axes.len() > 1 { eval_pure(&plan.axes[1].count, scal).as_i().max(0) as u64 } else { 1 };
+        let (bx, by) = (plan.block.0 as u64, plan.block.1 as u64);
+        let gx = n0.div_ceil(bx).max(1);
+        let total_blocks = gx * n1.div_ceil(by).max(1);
+        let tpb = (bx * by) as u32;
+
+        // Each allocated array is padded to 512 bytes, with a 512-byte gap.
+        let mut base = Vec::with_capacity(prog.arrays.len());
+        let mut cur = 0u64;
+        for b in &dev.bufs {
+            base.push(cur);
+            if let Some(b) = b {
+                cur += (b.size_bytes() + 511) & !511;
+                cur += 512;
+            }
+        }
+
+        let extents: Vec<Vec<usize>> =
+            prog.arrays.iter().map(|a| a.dims.iter().map(|d| eval_const(d, scal)).collect()).collect();
+        let red_op = |a: ArrayId| plan.reductions.iter().find(|r| r.target == VarRef::Array(a)).map(|r| r.op);
+        let priv_shapes: Vec<(ArrayId, usize, Option<ReduceOp>)> = plan
+            .private_arrays
+            .iter()
+            .map(|p| (p.array, extents[p.array.0 as usize].iter().product(), red_op(p.array)))
+            .collect();
+        let (mut red_scalar, mut red_init, mut red_arrays) = (Vec::new(), Vec::new(), Vec::new());
+        for r in &plan.reductions {
+            match r.target {
+                VarRef::Scalar(s) => {
+                    red_scalar.push((s.0 as usize, r.op));
+                    let isf = prog.scalars[s.0 as usize].is_float;
+                    red_init.push(if isf { Value::F(r.op.identity_f()) } else { Value::I(r.op.identity_i()) });
+                }
+                VarRef::Array(a) => {
+                    let len = priv_shapes.iter().find(|p| p.0 == a).map(|p| p.1);
+                    red_arrays.push((a, r.op, len.expect("array reduction target must be a private array")));
+                }
+            }
+        }
+        let has_tex = site_kinds.iter().any(|k| {
+            matches!(k, SiteKind::Mem(a)
+                if plan.expansion_of(*a).is_none() && matches!(plan.space_of(*a), MemSpace::Texture))
+        });
+        LaunchLayout {
+            prog,
+            plan,
+            cfg,
+            n0,
+            n1,
+            bx,
+            by,
+            gx,
+            tpb,
+            total_blocks,
+            total_threads: total_blocks * tpb as u64,
+            warp: cfg.warp_size,
+            warps_per_block: (tpb as u64).div_ceil(cfg.warp_size as u64),
+            base,
+            elem_bytes: prog.arrays.iter().map(|a| a.elem.size_bytes()).collect(),
+            base_env: scal.to_vec(),
+            strides: extents.iter().map(|e| row_major_strides(e)).collect(),
+            extents,
+            arrays: body_arrays(plan, &red_arrays),
+            site_kinds,
+            priv_shapes,
+            red_scalar,
+            red_init,
+            red_arrays,
+            has_tex,
+            partials_in_shared: matches!(
+                plan.reduce_strategy,
+                ReduceStrategy::TwoLevelTree { partials_in_shared: true }
+            ),
+            atomic_serial: matches!(plan.reduce_strategy, ReduceStrategy::AtomicSerial),
+        }
+    }
+
+    /// The memory space accesses to `arr` are priced in: a private array's
+    /// expansion lives in global memory, except reduction partials staged in
+    /// shared memory.
+    fn access_space(&self, arr: ArrayId) -> MemSpace {
+        if self.plan.expansion_of(arr).is_none() {
+            self.plan.space_of(arr)
+        } else if self.partials_in_shared && self.red_arrays.iter().any(|r| r.0 == arr) {
+            MemSpace::SharedTiled { reuse: 1.0 }
+        } else {
+            MemSpace::Global
+        }
+    }
+}
+
 /// Per-warp machine: executes one lane at a time, recording traces.
 struct WarpMachine<'a> {
     /// The launch's device buffers, stored to through its journal.
     mem: DeviceBufs<'a>,
     tex_cache: &'a mut Cache,
-    plan: &'a KernelPlan,
-    /// Byte base address per array in the simulated device address space.
-    base: &'a [u64],
-    elem_bytes: &'a [u32],
+    lay: &'a LaunchLayout<'a>,
     traces: Vec<SiteWarpTrace>,
     lane: u32,
     lane_ops: Vec<u64>,
@@ -254,7 +403,6 @@ struct WarpMachine<'a> {
     /// Current lane's private array storage.
     priv_bufs: HashMap<ArrayId, Buffer>,
     tid_linear: u64,
-    total_threads: u64,
 }
 
 impl<'a> WarpMachine<'a> {
@@ -263,9 +411,9 @@ impl<'a> WarpMachine<'a> {
     }
 
     fn account(&mut self, array: ArrayId, flat: usize, site: SiteId) {
+        let eb = self.lay.elem_bytes[array.0 as usize] as u64;
         // Private arrays are priced by their expansion layout.
-        if let Some(exp) = self.plan.expansion_of(array) {
-            let eb = self.elem_bytes[array.0 as usize] as u64;
+        if let Some(exp) = self.lay.plan.expansion_of(array) {
             match exp {
                 Expansion::Register => {}
                 Expansion::RowWise => {
@@ -273,29 +421,14 @@ impl<'a> WarpMachine<'a> {
                     self.trace(site, PRIV_BASE + (self.tid_linear * len + flat as u64) * eb);
                 }
                 Expansion::ColumnWise => {
-                    self.trace(site, PRIV_BASE + (flat as u64 * self.total_threads + self.tid_linear) * eb);
+                    self.trace(site, PRIV_BASE + (flat as u64 * self.lay.total_threads + self.tid_linear) * eb);
                 }
             }
             return;
         }
-        let eb = self.elem_bytes[array.0 as usize] as u64;
-        let addr = self.base[array.0 as usize] + flat as u64 * eb;
-        self.trace(site, addr);
+        self.trace(site, self.lay.base[array.0 as usize] + flat as u64 * eb);
         if self.in_critical {
             self.atomic_accesses += 1;
-        }
-    }
-
-    fn value_of(&self, array: ArrayId, flat: usize) -> Value {
-        let b = if self.plan.expansion_of(array).is_some() {
-            &self.priv_bufs[&array]
-        } else {
-            self.mem.read(array.0 as usize)
-        };
-        if b.elem.is_float() {
-            Value::F(b.get_f(flat))
-        } else {
-            Value::I(b.get_i(flat))
         }
     }
 }
@@ -307,12 +440,16 @@ pub(crate) const PRIV_BASE: u64 = 1 << 40;
 impl Machine for WarpMachine<'_> {
     fn load(&mut self, array: ArrayId, flat: usize, site: SiteId) -> Value {
         self.account(array, flat, site);
-        self.value_of(array, flat)
+        if self.lay.plan.expansion_of(array).is_some() {
+            elem_value(&self.priv_bufs[&array], flat)
+        } else {
+            elem_value(self.mem.read(array.0 as usize), flat)
+        }
     }
 
     fn store(&mut self, array: ArrayId, flat: usize, v: Value, site: SiteId) {
         self.account(array, flat, site);
-        if self.plan.expansion_of(array).is_some() {
+        if self.lay.plan.expansion_of(array).is_some() {
             let b = self.priv_bufs.get_mut(&array).expect("private buffer");
             if b.elem.is_float() {
                 b.set_f(flat, v.as_f());
@@ -349,6 +486,40 @@ impl Machine for WarpMachine<'_> {
 
     fn critical(&mut self, entering: bool) {
         self.in_critical = entering;
+    }
+}
+
+/// Element `i` of `b`, tagged by its element type.
+fn elem_value(b: &Buffer, i: usize) -> Value {
+    if b.elem.is_float() {
+        Value::F(b.get_f(i))
+    } else {
+        Value::I(b.get_i(i))
+    }
+}
+
+/// Set every element of `b` to `op`'s identity, or to zero without a
+/// reduction: how each private array starts on every thread, and each
+/// array-reduction accumulator on every launch.
+fn fill_identity(b: &mut Buffer, op: Option<ReduceOp>) {
+    match &mut b.data {
+        Payload::F(v) => v.fill(op.map_or(0.0, ReduceOp::identity_f)),
+        Payload::I(v) => v.fill(op.map_or(0, ReduceOp::identity_i)),
+    }
+}
+
+/// `dst[i] = op(dst[i], src[i])` for every element, in index order: the one
+/// array-reduction fold, from each lane's private copy into the launch's
+/// accumulator, and from the accumulator into the device copy.
+fn fold_array(op: ReduceOp, mut dst: DevTarget<'_>, src: &Buffer) {
+    let dst_f = dst.buf().elem.is_float();
+    for i in 0..src.len() {
+        let c = op.combine(elem_value(dst.buf(), i), elem_value(src, i));
+        if dst_f {
+            dst.set_f(i, c.as_f());
+        } else {
+            dst.set_i(i, c.as_i());
+        }
     }
 }
 
@@ -423,6 +594,9 @@ pub fn launch_traced(
     launch_impl(prog, plan, dev, scal, cfg, sink, engine())
 }
 
+/// One launch, in stages: resolve its layout, probe the launch cache (a hit
+/// replays and returns), execute on the chosen engine, finish (reductions,
+/// pricing, generation tags), capture a miss, then emit its events.
 fn launch_impl(
     prog: &Program,
     plan: &KernelPlan,
@@ -432,149 +606,158 @@ fn launch_impl(
     sink: &mut dyn TraceSink,
     eng: Engine,
 ) -> LaunchResult {
-    assert!(
-        plan.site_count > 0 || plan.body.iter().all(|s| !matches!(s, Stmt::Store { .. })),
-        "plan must be finalized"
-    );
-    let site_kinds = classify_sites(plan);
-    let tex_hits0 = dev.tex_cache.hits;
-    let tex_misses0 = dev.tex_cache.misses;
-
-    // Geometry.
-    let n0 = eval_pure(&plan.axes[0].count, scal).as_i().max(0) as u64;
-    let n1 = if plan.axes.len() > 1 { eval_pure(&plan.axes[1].count, scal).as_i().max(0) as u64 } else { 1 };
-    let (bx, by) = (plan.block.0 as u64, plan.block.1 as u64);
-    let gx = n0.div_ceil(bx).max(1);
-    let gy = n1.div_ceil(by).max(1);
-    let tpb = (bx * by) as u32;
-    let total_blocks = gx * gy;
-    let total_threads = total_blocks * tpb as u64;
-
-    // Device address layout.
-    let mut base = Vec::with_capacity(prog.arrays.len());
-    let mut elem_bytes = Vec::with_capacity(prog.arrays.len());
-    let mut cur = 0u64;
-    for (i, a) in prog.arrays.iter().enumerate() {
-        base.push(cur);
-        elem_bytes.push(a.elem.size_bytes());
-        if let Some(b) = &dev.bufs[i] {
-            cur += (b.size_bytes() + 511) & !511;
-            cur += 512;
-        }
-    }
-
-    // Array extents/strides and private shapes (evaluated against the host
-    // env — exactly what `Interp::with_env` computes per warp on the tree
-    // path).
-    let base_env: Vec<Value> = scal.to_vec();
-    let extents: Vec<Vec<usize>> =
-        prog.arrays.iter().map(|a| a.dims.iter().map(|d| eval_const(d, &base_env)).collect()).collect();
-    let strides: Vec<Vec<usize>> = extents.iter().map(|e| row_major_strides(e)).collect();
-    let priv_shapes: Vec<(ArrayId, usize, bool)> = plan
-        .private_arrays
-        .iter()
-        .map(|p| {
-            let len: usize = extents[p.array.0 as usize].iter().product();
-            (p.array, len, prog.array_elem(p.array).is_float())
-        })
-        .collect();
-
-    // Reduction accumulators.
-    let red_scalar: Vec<(usize, crate::types::ReduceOp, bool)> = plan
-        .reductions
-        .iter()
-        .filter_map(|r| match r.target {
-            VarRef::Scalar(s) => Some((s.0 as usize, r.op, prog.scalars[s.0 as usize].is_float)),
-            VarRef::Array(_) => None,
-        })
-        .collect();
-    let red_arrays: Vec<(ArrayId, crate::types::ReduceOp)> = plan
-        .reductions
-        .iter()
-        .filter_map(|r| match r.target {
-            VarRef::Array(a) => Some((a, r.op)),
-            VarRef::Scalar(_) => None,
-        })
-        .collect();
-    // Scalar-reduction identities: each thread's accumulator starts from
-    // its operator's, and so does the launch's fold.
-    let red_init: Vec<Value> = red_scalar
-        .iter()
-        .map(|&(_, op, isf)| if isf { Value::F(op.identity_f()) } else { Value::I(op.identity_i()) })
-        .collect();
-    let mut scal_acc = red_init.clone();
-    let mut arr_acc: HashMap<ArrayId, Buffer> = HashMap::new();
-    for &(a, op) in &red_arrays {
-        let (_, len, isf) = priv_shapes
-            .iter()
-            .find(|(id, _, _)| *id == a)
-            .copied()
-            .unwrap_or_else(|| panic!("array reduction target must be a private array"));
-        let elem = prog.array_elem(a);
-        let mut b = Buffer::zeroed(elem, len);
-        for i in 0..len {
-            if isf {
-                b.set_f(i, op.identity_f());
-            } else {
-                b.set_i(i, op.identity_i());
-            }
-        }
-        arr_acc.insert(a, b);
-    }
-
-    // Texture sites mutate the cross-launch texture cache, which the launch
-    // key cannot cover, so a launch that has one is never memoized.
-    let has_tex = site_kinds.iter().any(|k| {
-        matches!(k, SiteKind::Mem(a)
-            if plan.expansion_of(*a).is_none() && matches!(plan.space_of(*a), MemSpace::Texture))
-    });
-
-    // ---- launch memoization ------------------------------------------------
-    // A launch's effects are a pure function of (plan, geometry, config,
-    // scalars, readable array contents): probe the content-addressed cache
-    // and replay the captured effect on a hit. Opaque bodies (calls into
-    // program functions) have an unbounded effect set and always execute.
-    // The engine is not part of the key: both engines produce bit-identical
-    // effects, so a replay is valid whichever engine captured it.
-    let arrays = body_arrays(plan, &red_arrays);
-    let cache_key = if launch_cache::launch_cache_enabled() && !arrays.opaque && !has_tex {
-        Some(build_launch_key(plan, dev, cfg, scal, &extents, &arrays))
-    } else {
-        None
+    let lay = LaunchLayout::resolve(prog, plan, cfg, dev, scal);
+    let mut capture = match probe(&lay, dev, scal, sink) {
+        ControlFlow::Break(hit) => return hit,
+        ControlFlow::Continue(capture) => capture,
     };
-    if let Some(key) = &cache_key {
-        if let Some((effect, tier)) = launch_cache::probe_two_tier(key) {
-            match tier {
-                launch_cache::ProbeTier::Memory => launch_cache::note_hit(),
-                launch_cache::ProbeTier::Disk => launch_cache::note_disk_hit(),
-            }
-            replay_effect(&effect, dev, scal);
-            emit_launch(sink, prog, plan, cfg, &effect.result, &effect.sites, None);
-            return effect.result.clone();
-        }
-        launch_cache::note_miss();
+    let ex = execute(&lay, dev, capture.as_mut().map(|c| &mut c.journal), eng);
+    let (result, sites) = finish(&lay, &ex, dev, scal, capture.as_mut().map(|c| &mut c.journal));
+    if let Some(capture) = capture {
+        capture.insert(&lay, dev, scal, &result, &sites);
     }
-    // A launch that will be captured journals the first write to each
-    // element of its write set; capture reads its delta off the journal.
-    let mut journal = cache_key.is_some().then(|| {
-        let mut j = Journal::take();
-        j.open(&arrays.writes, dev);
-        j
-    });
+    // Events go out after the capture, so a sink that times launches by
+    // their events counts capture in the launch. Texture launches are never
+    // captured, so only an executed launch reports texture counters.
+    emit_launch(sink, &lay, &result, &sites, ex.tex_used.then_some(&dev.tex_cache));
+    result
+}
 
-    let warp = cfg.warp_size;
-    let warps_per_block = (tpb as u64).div_ceil(warp as u64);
-    let mut tally = Tally::new(plan.site_count as usize);
-    // Counted over every block, whether its pricing was computed or merged.
-    let mut active_threads = 0u64;
-    let partials_in_shared = matches!(plan.reduce_strategy, ReduceStrategy::TwoLevelTree { partials_in_shared: true });
+/// The probe stage. A launch's effects are a pure function of (plan,
+/// geometry, config, scalars, readable array contents), so it probes the
+/// content-addressed cache, memory first, then disk. A hit is counted,
+/// replayed and emitted, and its result breaks out of the launch. A miss is
+/// counted and continues with the `Capture` it must fill. A launch the key
+/// cannot cover continues with none: with the cache off, an opaque body
+/// (calls into program functions have an unbounded effect set), or a
+/// texture read (it mutates the cross-launch texture cache). The engine is
+/// not part of the key: both engines produce bit-identical effects, so a
+/// replay is valid whichever engine captured it.
+fn probe(
+    lay: &LaunchLayout,
+    dev: &mut DeviceState,
+    scal: &mut [Value],
+    sink: &mut dyn TraceSink,
+) -> ControlFlow<LaunchResult, Option<Capture>> {
+    if !launch_cache::launch_cache_enabled() || lay.arrays.opaque || lay.has_tex {
+        return ControlFlow::Continue(None);
+    }
+    let key = build_launch_key(lay, dev);
+    if let Some((effect, tier)) = launch_cache::probe_two_tier(&key) {
+        match tier {
+            launch_cache::ProbeTier::Memory => launch_cache::note_hit(),
+            launch_cache::ProbeTier::Disk => launch_cache::note_disk_hit(),
+        }
+        replay_effect(&effect, dev, scal);
+        emit_launch(sink, lay, &effect.result, &effect.sites, None);
+        return ControlFlow::Break(effect.result.clone());
+    }
+    launch_cache::note_miss();
+    // The launch journals the first write to each element of its write
+    // set; capture reads its delta off the journal.
+    let mut journal = Journal::take();
+    journal.open(&lay.arrays.writes, dev);
+    ControlFlow::Continue(Some(Capture { key, journal }))
+}
 
-    // Engine dispatch: the default engine runs the plan's native closures,
-    // built here on the first launch that executes (never on a replay).
-    // Launches without closures run on the tree walker.
+/// A missed launch's cache key, and the first-write journal its execution
+/// fills.
+struct Capture {
+    key: LaunchKey,
+    journal: Journal,
+}
+
+impl Capture {
+    /// Capture the finished launch's complete effect under its key: output
+    /// deltas and digests (which also prime the freshly bumped generation
+    /// memos), scalar writebacks, the result, and the per-site evidence.
+    fn insert(
+        self,
+        lay: &LaunchLayout,
+        dev: &mut DeviceState,
+        scal: &[Value],
+        result: &LaunchResult,
+        sites: &[SiteEvidence],
+    ) {
+        let Capture { key, mut journal } = self;
+        let outputs = launch_cache::timed_digest(|| journal.capture(&lay.arrays.writes, &dev.bufs));
+        journal.recycle();
+        for &(i, _, d) in &outputs {
+            dev.tags[i as usize].prime(d);
+        }
+        let scalar_writes = lay.red_scalar.iter().map(|&(slot, _)| (slot, scal[slot])).collect();
+        launch_cache::insert(
+            key,
+            LaunchEffect { outputs, scalar_writes, result: result.clone(), sites: sites.to_vec() },
+        );
+    }
+}
+
+/// What executing a launch produced, on either engine.
+struct Executed {
+    tally: Tally,
+    /// Scalar-reduction accumulators, in reduction order.
+    scal_acc: Vec<Value>,
+    /// Array-reduction accumulators, in reduction order.
+    arr_acc: Vec<Buffer>,
+    /// Threads that executed, counted over every block whether its pricing
+    /// was computed or merged.
+    active_threads: u64,
+    /// The launch touched the texture cache.
+    tex_used: bool,
+}
+
+impl Executed {
+    /// Nothing executed yet: every reduction accumulator at its identity.
+    fn new(lay: &LaunchLayout) -> Executed {
+        let arr_acc = lay.red_arrays.iter().map(|&(a, op, len)| {
+            let mut b = Buffer::zeroed(lay.prog.array_elem(a), len);
+            fill_identity(&mut b, Some(op));
+            b
+        });
+        Executed {
+            tally: Tally::new(lay.plan.site_count as usize),
+            scal_acc: lay.red_init.clone(),
+            arr_acc: arr_acc.collect(),
+            active_threads: 0,
+            tex_used: false,
+        }
+    }
+
+    /// Fold one lane's reduction values into the accumulators in reduction
+    /// order: `scalar(k)` is its `k`-th scalar reduction's value, and
+    /// `private(a)` its private copy of array `a`. Returns the atomic slots
+    /// an `AtomicSerial` launch charges for them. Both engines fold lanes in
+    /// ascending (block, warp, lane) order, so their combine sequences match.
+    fn fold_lane<'b>(
+        &mut self,
+        lay: &LaunchLayout,
+        scalar: impl Fn(usize) -> Value,
+        private: impl Fn(ArrayId) -> &'b Buffer,
+    ) -> u64 {
+        for (k, &(_, op)) in lay.red_scalar.iter().enumerate() {
+            self.scal_acc[k] = op.combine(self.scal_acc[k], scalar(k));
+        }
+        let mut atomic = lay.red_scalar.len() as u64;
+        for (acc, &(a, op, len)) in self.arr_acc.iter_mut().zip(&lay.red_arrays) {
+            fold_array(op, DevTarget::plain(acc), private(a));
+            atomic += len as u64;
+        }
+        if lay.atomic_serial {
+            atomic
+        } else {
+            0
+        }
+    }
+}
+
+/// The execute stage: the default engine runs the plan's native closures,
+/// built here on the first launch that executes (never on a replay);
+/// `Engine::Tree` and launches without closures run on the tree walker.
+fn execute(lay: &LaunchLayout, dev: &mut DeviceState, journal: Option<&mut Journal>, eng: Engine) -> Executed {
     let native_k = match eng {
         Engine::Bytecode => {
-            let nk = plan.engine_cache.get_or_native(prog, plan, warp as usize);
+            let nk = lay.plan.engine_cache.get_or_native(lay.prog, lay.plan, lay.warp as usize);
             if nk.is_some() {
                 native::note_native_launch();
             } else {
@@ -584,300 +767,331 @@ fn launch_impl(
         }
         Engine::Tree => None,
     };
+    let tex0 = (dev.tex_cache.hits, dev.tex_cache.misses);
+    let mut ex = match &native_k {
+        Some(nk) => run_native(lay, nk, dev, journal),
+        None => run_tree(lay, dev, journal),
+    };
+    ex.tex_used = (dev.tex_cache.hits, dev.tex_cache.misses) != tex0;
+    ex
+}
 
-    if let Some(nk) = &native_k {
-        let bc = &nk.bc;
-        let mut expansion: Vec<Option<Expansion>> = vec![None; prog.arrays.len()];
-        let mut priv_slot: Vec<i32> = vec![-1; prog.arrays.len()];
-        for (k, &(a, _, _)) in priv_shapes.iter().enumerate() {
-            priv_slot[a.0 as usize] = k as i32;
-            expansion[a.0 as usize] = plan.expansion_of(a);
+/// The reference engine: one `Interp` per warp, one pass per lane, each
+/// lane's axis values evaluated in its own environment.
+fn run_tree(lay: &LaunchLayout, dev: &mut DeviceState, mut journal: Option<&mut Journal>) -> Executed {
+    let (prog, plan) = (lay.prog, lay.plan);
+    let mut ex = Executed::new(lay);
+    for blk in 0..lay.total_blocks {
+        let (bxi, byi) = (blk % lay.gx, blk / lay.gx);
+        for w in 0..lay.warps_per_block {
+            let wm = WarpMachine {
+                mem: DeviceBufs { bufs: &mut dev.bufs, journal: journal.as_deref_mut() },
+                tex_cache: &mut dev.tex_cache,
+                lay,
+                traces: (0..plan.site_count).map(|_| SiteWarpTrace::new(lay.warp)).collect(),
+                lane: 0,
+                lane_ops: vec![0; lay.warp as usize],
+                in_critical: false,
+                atomic_accesses: 0,
+                priv_bufs: HashMap::new(),
+                tid_linear: 0,
+            };
+            let mut it = Interp::with_env(prog, wm, lay.base_env.clone());
+            let mut any_active = false;
+            for lane in 0..lay.warp as u64 {
+                let t = w * lay.warp as u64 + lane;
+                if t >= lay.tpb as u64 {
+                    break;
+                }
+                let (ix, iy) = (bxi * lay.bx + t % lay.bx, byi * lay.by + t / lay.bx);
+                if ix >= lay.n0 || iy >= lay.n1 {
+                    continue;
+                }
+                any_active = true;
+                ex.active_threads += 1;
+                it.m.lane = lane as u32;
+                it.m.tid_linear = blk * lay.tpb as u64 + t;
+                it.m.in_critical = false;
+                // Fresh private arrays for this thread.
+                for &(a, len, op) in &lay.priv_shapes {
+                    let b = it.m.priv_bufs.entry(a).or_insert_with(|| Buffer::zeroed(prog.array_elem(a), len));
+                    fill_identity(b, op);
+                }
+                // Thread environment.
+                it.scal.clone_from(&lay.base_env);
+                let v0 = eval_pure(&plan.axes[0].lo, &it.scal).as_i()
+                    + ix as i64 * eval_pure(&plan.axes[0].step, &it.scal).as_i();
+                it.scal[plan.axes[0].var.0 as usize] = Value::I(v0);
+                if plan.axes.len() > 1 {
+                    let v1 = eval_pure(&plan.axes[1].lo, &it.scal).as_i()
+                        + iy as i64 * eval_pure(&plan.axes[1].step, &it.scal).as_i();
+                    it.scal[plan.axes[1].var.0 as usize] = Value::I(v1);
+                }
+                for (&(slot, _), &v) in lay.red_scalar.iter().zip(&lay.red_init) {
+                    it.scal[slot] = v;
+                }
+                for s in &plan.body {
+                    it.exec_plain(s);
+                }
+                let atomic = ex.fold_lane(lay, |k| it.scal[lay.red_scalar[k].0], |a| &it.m.priv_bufs[&a]);
+                it.m.atomic_accesses += atomic;
+            }
+            let wm = it.m;
+            if any_active {
+                price_warp(lay, &wm.traces, None, &wm.lane_ops, wm.atomic_accesses, wm.tex_cache, &mut ex.tally);
+            }
         }
-        let priv_elems: Vec<(ElemType, usize)> =
-            priv_shapes.iter().map(|&(a, len, _)| (prog.array_elem(a), len)).collect();
-        // Axis bounds are launch constants here: the compiler bails when a
-        // second axis depends on the first axis variable, so evaluating
-        // against the base env matches the tree path's per-lane evaluation.
-        let lo0 = eval_pure(&plan.axes[0].lo, &base_env).as_i();
-        let st0 = eval_pure(&plan.axes[0].step, &base_env).as_i();
-        let (lo1, st1) = if plan.axes.len() > 1 {
-            (eval_pure(&plan.axes[1].lo, &base_env).as_i(), eval_pure(&plan.axes[1].step, &base_env).as_i())
-        } else {
-            (0, 0)
-        };
-        let atomic_serial = matches!(plan.reduce_strategy, ReduceStrategy::AtomicSerial);
-        let DeviceState { bufs, tex_cache, .. } = dev;
-        let mut mem = DeviceBufs { bufs, journal: journal.as_mut() };
-        // Pricing recipe per fast site: global sites reduce through the
-        // segment memo; shared-tiled sites through the bank-conflict memo
-        // plus the reuse-discounted fill charge (`Tally::add_shared`, as
-        // `price_warp` prices a shared site).
-        let fast_pricing: Vec<(u64, Option<f64>)> = bc
-            .fast_sites
-            .iter()
-            .map(|&site| {
-                let SiteKind::Mem(arr) = site_kinds[site as usize] else {
-                    unreachable!("fast site must be a memory site")
-                };
-                let eb = elem_bytes[arr.0 as usize] as u64;
-                match plan.space_of(arr) {
-                    MemSpace::SharedTiled { reuse } => (eb, Some(reuse)),
-                    _ => (eb, None),
+    }
+    ex
+}
+
+/// The lanes set in `mask`, ascending.
+fn lanes(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            l
+        })
+    })
+}
+
+/// The default engine: every block in block order, a warp at a time,
+/// through the plan's native closures on this thread's scratch arena,
+/// folding reductions in (block, warp, lane) order exactly as the tree
+/// engine does.
+///
+/// Representative-block pricing: under `uniform_pricing` a block's entire
+/// pricing (its `Tally`: totals, issue cycles, per-site evidence) is a pure
+/// function of its active-lane shape and each fast site's block-base address
+/// modulo the site's translation modulus — the coalescing segment for global
+/// sites, the bank cycle for shared-tiled ones. Addresses are affine in the
+/// block indices and both summaries are translation-invariant, so
+/// `site_affine_probe` extracts the per-block address steps once; the walk
+/// then prices one representative per equivalence class and merges its
+/// block tally for the rest, while still executing every block's functional
+/// effects.
+fn run_native(
+    lay: &LaunchLayout,
+    nk: &native::NativeKernel,
+    dev: &mut DeviceState,
+    journal: Option<&mut Journal>,
+) -> Executed {
+    let (prog, plan, cfg, bc) = (lay.prog, lay.plan, lay.cfg, &*nk.bc);
+    let wu = lay.warp as usize;
+    let mut expansion: Vec<Option<Expansion>> = vec![None; prog.arrays.len()];
+    let mut priv_slot: Vec<i32> = vec![-1; prog.arrays.len()];
+    for (k, &(a, _, _)) in lay.priv_shapes.iter().enumerate() {
+        priv_slot[a.0 as usize] = k as i32;
+        expansion[a.0 as usize] = plan.expansion_of(a);
+    }
+    let ctx = bytecode::ExecCtx {
+        prog,
+        base: &lay.base,
+        elem_bytes: &lay.elem_bytes,
+        extents: &lay.extents,
+        strides: &lay.strides,
+        expansion: &expansion,
+        priv_slot: &priv_slot,
+        total_threads: lay.total_threads,
+    };
+    // Axis origins and steps, (lo, step) per axis, are launch constants
+    // here: the compiler bails when a second axis depends on the first axis
+    // variable, so evaluating against the base env matches the tree path's
+    // per-lane evaluation.
+    let axis = |k: usize| {
+        plan.axes
+            .get(k)
+            .map_or((0, 0), |ax| (eval_pure(&ax.lo, &lay.base_env).as_i(), eval_pure(&ax.step, &lay.base_env).as_i()))
+    };
+    let axes = [axis(0), axis(1)];
+    // Pricing recipe per fast site: global sites reduce through the segment
+    // memo; shared-tiled sites through the bank-conflict memo plus the
+    // reuse-discounted fill charge (`Tally::add_shared`, as `price_warp`
+    // prices a shared site).
+    let fast_pricing: Vec<(u64, Option<f64>)> = bc
+        .fast_sites
+        .iter()
+        .map(|&site| {
+            let SiteKind::Mem(arr) = lay.site_kinds[site as usize] else {
+                unreachable!("fast site must be a memory site")
+            };
+            let reuse = match plan.space_of(arr) {
+                MemSpace::SharedTiled { reuse } => Some(reuse),
+                _ => None,
+            };
+            (lay.elem_bytes[arr.0 as usize] as u64, reuse)
+        })
+        .collect();
+    let dedup = (bc.uniform_pricing && lay.total_blocks > 1).then(|| site_affine_probe(lay, bc, axes));
+    let priv_elems: Vec<(ElemType, usize)> =
+        lay.priv_shapes.iter().map(|&(a, len, _)| (prog.array_elem(a), len)).collect();
+    let mut scratch = WarpScratch::take();
+    native::begin_launch(nk, &mut scratch, plan.site_count as usize, &priv_elems, &lay.base_env, cfg.segment_bytes);
+    let DeviceState { bufs, tex_cache, .. } = dev;
+    let mut mem = DeviceBufs { bufs, journal };
+    let mut ex = Executed::new(lay);
+    let a0 = bc.axis_regs[0] as usize;
+    let a1 = (plan.axes.len() > 1).then(|| bc.axis_regs[1] as usize);
+    let mut ax = vec![(0i64, 0i64); wu];
+    let mut row: Vec<(u32, u64)> = Vec::with_capacity(wu);
+    let mut classes: HashMap<Vec<u64>, Tally> = HashMap::new();
+    let mut key: Vec<u64> = Vec::new();
+    for blk in 0..lay.total_blocks {
+        let (bxi, byi) = (blk % lay.gx, blk / lay.gx);
+        // A block's pricing class is its active-lane shape plus each fast
+        // site's base address residue. A class's first block prices into its
+        // own tally; later members merge that tally, and execution of their
+        // functional effects still runs below — only the pricing work is
+        // skipped.
+        let mut cached = false;
+        let mut class = None;
+        if let Some(aff) = &dedup {
+            key.clear();
+            key.push(lay.n0.saturating_sub(bxi * lay.bx).min(lay.bx));
+            key.push(lay.n1.saturating_sub(byi * lay.by).min(lay.by));
+            for s in aff {
+                let addr = s.addr0 + s.dx * bxi as i128 + s.dy * byi as i128;
+                key.push(addr.rem_euclid(s.modulus as i128) as u64);
+            }
+            match classes.get(&key) {
+                Some(t) => {
+                    ex.tally.merge(t);
+                    cached = true;
                 }
-            })
-            .collect();
-        // Representative-block pricing dedup: under `uniform_pricing` a
-        // block's entire pricing (its `Tally`: totals, issue cycles, per-site
-        // evidence) is a pure function of its active-lane shape
-        // and each fast site's block-base address modulo the site's
-        // translation modulus — the coalescing segment for global sites,
-        // the bank cycle for shared-tiled ones. Addresses are affine in the
-        // block indices and both summaries are translation-invariant, so
-        // the probe extracts the per-block address steps once; the executor
-        // then prices one representative per equivalence class and merges
-        // its block tally for the rest, while still executing every block's
-        // functional effects.
-        let dedup = if bc.uniform_pricing && total_blocks > 1 {
-            Some(site_affine_probe(
-                plan,
-                bc,
-                &site_kinds,
-                &base,
-                &elem_bytes,
-                &strides,
-                &base_env,
-                lo0,
-                st0,
-                lo1,
-                st1,
-                bx,
-                by,
-                cfg,
-            ))
-        } else {
-            None
-        };
-        let g = GridCtx {
-            plan,
-            nk,
-            bc,
-            cfg,
-            site_kinds: &site_kinds,
-            ctx: bytecode::ExecCtx {
-                prog,
-                base: &base,
-                elem_bytes: &elem_bytes,
-                extents: &extents,
-                strides: &strides,
-                expansion: &expansion,
-                priv_slot: &priv_slot,
-                total_threads,
-            },
-            priv_elems: &priv_elems,
-            priv_shapes: &priv_shapes,
-            base_env: &base_env,
-            red_scalar: &red_scalar,
-            red_init: &red_init,
-            red_arrays: &red_arrays,
-            fast_pricing: &fast_pricing,
-            dedup,
-            atomic_serial,
-            n0,
-            n1,
-            bx,
-            by,
-            gx,
-            tpb,
-            warp,
-            warps_per_block,
-            total_blocks,
-            lo0,
-            st0,
-            lo1,
-            st1,
-        };
-        active_threads = bytecode::with_scratch(|scratch| {
-            run_block_range(&g, scratch, &mut mem, tex_cache, &mut tally, &mut scal_acc, &mut arr_acc)
-        });
-    } else {
-        // Reference tree-walking engine: one `Interp` per warp, one pass per lane.
-        for blk in 0..total_blocks {
-            let bxi = blk % gx;
-            let byi = blk / gx;
-            for w in 0..warps_per_block {
-                let wm = WarpMachine {
-                    mem: DeviceBufs { bufs: &mut dev.bufs, journal: journal.as_mut() },
-                    tex_cache: &mut dev.tex_cache,
-                    plan,
-                    base: &base,
-                    elem_bytes: &elem_bytes,
-                    traces: (0..plan.site_count).map(|_| SiteWarpTrace::new(warp)).collect(),
-                    lane: 0,
-                    lane_ops: vec![0; warp as usize],
-                    in_critical: false,
-                    atomic_accesses: 0,
-                    priv_bufs: HashMap::new(),
-                    tid_linear: 0,
-                    total_threads,
-                };
-                let mut it = Interp::with_env(prog, wm, base_env.clone());
-                let mut any_active = false;
-                for lane in 0..warp as u64 {
-                    let t = w * warp as u64 + lane;
-                    if t >= tpb as u64 {
-                        break;
-                    }
-                    let tx = t % bx;
-                    let ty = t / bx;
-                    let ix = bxi * bx + tx;
-                    let iy = byi * by + ty;
-                    if ix >= n0 || iy >= n1 {
-                        continue;
-                    }
-                    any_active = true;
-                    active_threads += 1;
-                    it.m.lane = lane as u32;
-                    it.m.tid_linear = blk * tpb as u64 + t;
-                    it.m.in_critical = false;
-                    // Fresh private buffers for this thread.
-                    it.m.priv_bufs.clear();
-                    for &(a, len, isf) in &priv_shapes {
-                        let elem = prog.array_elem(a);
-                        let mut b = Buffer::zeroed(elem, len);
-                        if let Some(&(_, op)) = red_arrays.iter().find(|(id, _)| *id == a) {
-                            for i in 0..len {
-                                if isf {
-                                    b.set_f(i, op.identity_f());
-                                } else {
-                                    b.set_i(i, op.identity_i());
-                                }
-                            }
-                        }
-                        it.m.priv_bufs.insert(a, b);
-                    }
-                    // Thread environment.
-                    it.scal.clone_from(&base_env);
-                    let v0 = eval_pure(&plan.axes[0].lo, &it.scal).as_i()
-                        + ix as i64 * eval_pure(&plan.axes[0].step, &it.scal).as_i();
-                    it.scal[plan.axes[0].var.0 as usize] = Value::I(v0);
-                    if plan.axes.len() > 1 {
-                        let v1 = eval_pure(&plan.axes[1].lo, &it.scal).as_i()
-                            + iy as i64 * eval_pure(&plan.axes[1].step, &it.scal).as_i();
-                        it.scal[plan.axes[1].var.0 as usize] = Value::I(v1);
-                    }
-                    // Scalar reduction identities.
-                    for &(slot, op, isf) in &red_scalar {
-                        it.scal[slot] = if isf { Value::F(op.identity_f()) } else { Value::I(op.identity_i()) };
-                    }
-                    // Execute the body.
-                    for s in &plan.body {
-                        it.exec_plain(s);
-                    }
-                    // Fold reductions.
-                    for (k, &(slot, op, _)) in red_scalar.iter().enumerate() {
-                        scal_acc[k] = op.combine(scal_acc[k], it.scal[slot]);
-                    }
-                    for &(a, op) in &red_arrays {
-                        let src = &it.m.priv_bufs[&a];
-                        let acc = arr_acc.get_mut(&a).expect("acc");
-                        for i in 0..src.len() {
-                            let cur = if acc.elem.is_float() { Value::F(acc.get_f(i)) } else { Value::I(acc.get_i(i)) };
-                            let nv = if src.elem.is_float() { Value::F(src.get_f(i)) } else { Value::I(src.get_i(i)) };
-                            let c = op.combine(cur, nv);
-                            if acc.elem.is_float() {
-                                acc.set_f(i, c.as_f());
-                            } else {
-                                acc.set_i(i, c.as_i());
-                            }
-                        }
-                        if matches!(plan.reduce_strategy, ReduceStrategy::AtomicSerial) {
-                            it.m.atomic_accesses += src.len() as u64;
-                        }
-                    }
-                    if matches!(plan.reduce_strategy, ReduceStrategy::AtomicSerial) && !red_scalar.is_empty() {
-                        it.m.atomic_accesses += red_scalar.len() as u64;
-                    }
+                None => class = Some(Tally::new(plan.site_count as usize)),
+            }
+        }
+        for w in 0..lay.warps_per_block {
+            let mut mask = 0u64;
+            for (lane, lane_ax) in ax.iter_mut().enumerate() {
+                let t = w * lay.warp as u64 + lane as u64;
+                if t >= lay.tpb as u64 {
+                    break;
                 }
-                // Reduce the warp's traces into totals.
-                let wm = it.m;
-                if any_active {
-                    price_warp(
-                        plan,
-                        cfg,
-                        &site_kinds,
-                        &elem_bytes,
-                        &wm.traces,
-                        None,
-                        &wm.lane_ops,
-                        wm.atomic_accesses,
-                        wm.tex_cache,
-                        &mut tally,
+                let (ix, iy) = (bxi * lay.bx + t % lay.bx, byi * lay.by + t / lay.bx);
+                if ix >= lay.n0 || iy >= lay.n1 {
+                    continue;
+                }
+                mask |= 1u64 << lane;
+                *lane_ax = (axes[0].0 + ix as i64 * axes[0].1, axes[1].0 + iy as i64 * axes[1].1);
+            }
+            if mask == 0 {
+                continue;
+            }
+            ex.active_threads += mask.count_ones() as u64;
+            // A pricing-cached block discards its warps' evidence; the
+            // functional-only closures neither read nor write it, so the
+            // evidence resets can be skipped with it.
+            if !cached {
+                scratch.begin_warp();
+            }
+            native::begin_warp(nk, &mut scratch, &lay.base_env, &lay.red_init);
+            // Per-lane prologue: axis variables (straight into the typed I
+            // bank) and private-array scratch reset.
+            for l in lanes(mask) {
+                scratch.iregs[a0 * wu + l] = ax[l].0;
+                if let Some(a1) = a1 {
+                    scratch.iregs[a1 * wu + l] = ax[l].1;
+                }
+                for (slot, &(_, _, op)) in lay.priv_shapes.iter().enumerate() {
+                    fill_identity(&mut scratch.priv_bufs[slot * wu + l], op);
+                }
+            }
+            let tid_base = blk * lay.tpb as u64 + w * lay.warp as u64;
+            let mut atomic = native::exec_warp_native(nk, &mut scratch, &ctx, mem.reborrow(), mask, tid_base, !cached);
+            // With no reductions the lane scan is a no-op; skip it.
+            if !plan.reductions.is_empty() {
+                for l in lanes(mask) {
+                    atomic += ex.fold_lane(
+                        lay,
+                        |k| native::red_value(nk, &scratch, k, l),
+                        |a| &scratch.priv_bufs[priv_slot[a.0 as usize] as usize * wu + l],
                     );
                 }
             }
-        }
-    }
-
-    let sites = tally.sites();
-    let mut totals = tally.totals;
-
-    // Apply reductions.
-    for (k, &(slot, op, _)) in red_scalar.iter().enumerate() {
-        scal[slot] = op.combine(scal[slot], scal_acc[k]);
-    }
-    for &(a, op) in &red_arrays {
-        let acc = &arr_acc[&a];
-        // Combine into the device copy (allocating if necessary; a target
-        // allocated here is not journaled, and capture copies it whole).
-        if dev.bufs[a.0 as usize].is_none() {
-            dev.bufs[a.0 as usize] = Some(Buffer::zeroed(acc.elem, acc.len()));
-        }
-        let mut mem = DeviceBufs { bufs: &mut dev.bufs, journal: journal.as_mut() };
-        let mut dst = mem.write(a.0 as usize);
-        let dst_f = dst.buf().elem.is_float();
-        for i in 0..acc.len() {
-            let cur = if dst_f { Value::F(dst.buf().get_f(i)) } else { Value::I(dst.buf().get_i(i)) };
-            let nv = if acc.elem.is_float() { Value::F(acc.get_f(i)) } else { Value::I(acc.get_i(i)) };
-            let c = op.combine(cur, nv);
-            if dst_f {
-                dst.set_f(i, c.as_f());
-            } else {
-                dst.set_i(i, c.as_i());
+            if cached {
+                continue;
+            }
+            // Price the warp's evidence, into its class's tally when the
+            // block is a class representative.
+            let t = class.as_mut().unwrap_or(&mut ex.tally);
+            price_warp(lay, &scratch.traces, Some(&scratch.site_touched), &scratch.lane_ops, atomic, tex_cache, t);
+            // Affine fast-path sites: one address row per site, summarised
+            // through the memo instead of a trace.
+            for (fidx, (&site, &(eb, shared_reuse))) in bc.fast_sites.iter().zip(&fast_pricing).enumerate() {
+                row.clear();
+                row.extend(lanes(mask).map(|l| (l as u32, scratch.fast_rows[fidx * wu + l])));
+                match shared_reuse {
+                    None => t.add_global(site as usize, &scratch.memo.reduce_row(site, &row), eb),
+                    Some(reuse) => {
+                        let sh = scratch.memo.reduce_row_shared(site, &row, cfg.shared_banks, 4);
+                        t.add_shared(site as usize, &sh, row.len() as u64, eb, reuse, cfg.segment_bytes);
+                    }
+                }
             }
         }
-    }
-
-    // Tree-reduction overhead.
-    if !plan.reductions.is_empty() {
-        if let ReduceStrategy::TwoLevelTree { .. } = plan.reduce_strategy {
-            let rounds = (tpb.max(2) as f64).log2().ceil() as u64;
-            totals.shared_slots += total_blocks * rounds * warps_per_block;
-            totals.issue_cycles += (total_blocks * rounds * 2) as f64;
-            // Partial writes + second-stage reads.
-            let partial_bytes = total_blocks * 8 * plan.reductions.len() as u64;
-            totals.global_transactions += 2 * partial_bytes.div_ceil(cfg.segment_bytes as u64).max(1);
-            totals.global_requests += 2 * total_blocks.div_ceil(cfg.warp_size as u64).max(1);
+        if let Some(t) = class {
+            ex.tally.merge(&t);
+            classes.insert(key.clone(), t);
         }
     }
+    scratch.recycle();
+    ex
+}
 
-    let mut shared_bytes = plan.shared_bytes_per_block;
-    if partials_in_shared {
-        let red_bytes: u32 = red_arrays
-            .iter()
-            .map(|(a, _)| {
-                let (_, len, _) = priv_shapes.iter().find(|(id, _, _)| id == a).expect("shape");
-                *len as u32 * prog.array_elem(*a).size_bytes()
-            })
-            .sum::<u32>()
-            .saturating_mul(tpb / 32);
-        shared_bytes = shared_bytes.max(red_bytes.min(cfg.shared_per_sm / 2));
+/// The finish stage: apply the reductions (scalars into `scal`, arrays into
+/// their device copies through the journal), charge the reduction
+/// strategy's costs, price the launch, and bump the generation tag of
+/// everything it may have written. Returns the result and the per-site
+/// evidence.
+fn finish(
+    lay: &LaunchLayout,
+    ex: &Executed,
+    dev: &mut DeviceState,
+    scal: &mut [Value],
+    mut journal: Option<&mut Journal>,
+) -> (LaunchResult, Vec<SiteEvidence>) {
+    let (plan, cfg) = (lay.plan, lay.cfg);
+    for (&(slot, op), &acc) in lay.red_scalar.iter().zip(&ex.scal_acc) {
+        scal[slot] = op.combine(scal[slot], acc);
+    }
+    for (acc, &(a, op, _)) in ex.arr_acc.iter().zip(&lay.red_arrays) {
+        // Combine into the device copy (allocating if necessary; a target
+        // allocated here is not journaled, and capture copies it whole).
+        dev.bufs[a.0 as usize].get_or_insert_with(|| Buffer::zeroed(acc.elem, acc.len()));
+        let mut mem = DeviceBufs { bufs: &mut dev.bufs, journal: journal.as_deref_mut() };
+        fold_array(op, mem.write(a.0 as usize), acc);
     }
 
+    let mut totals = ex.tally.totals;
+    if !plan.reductions.is_empty() {
+        if let ReduceStrategy::TwoLevelTree { .. } = plan.reduce_strategy {
+            // Tree-reduction overhead.
+            let rounds = (lay.tpb.max(2) as f64).log2().ceil() as u64;
+            totals.shared_slots += lay.total_blocks * rounds * lay.warps_per_block;
+            totals.issue_cycles += (lay.total_blocks * rounds * 2) as f64;
+            // Partial writes + second-stage reads.
+            let partial_bytes = lay.total_blocks * 8 * plan.reductions.len() as u64;
+            totals.global_transactions += 2 * partial_bytes.div_ceil(cfg.segment_bytes as u64).max(1);
+            totals.global_requests += 2 * lay.total_blocks.div_ceil(cfg.warp_size as u64).max(1);
+        }
+    }
+    let mut shared_bytes = plan.shared_bytes_per_block;
+    if lay.partials_in_shared {
+        let red_bytes: u32 = lay
+            .red_arrays
+            .iter()
+            .map(|&(a, _, len)| len as u32 * lay.prog.array_elem(a).size_bytes())
+            .sum::<u32>()
+            .saturating_mul(lay.tpb / 32);
+        shared_bytes = shared_bytes.max(red_bytes.min(cfg.shared_per_sm / 2));
+    }
     let footprint = KernelFootprint {
-        threads_per_block: tpb,
+        threads_per_block: lay.tpb,
         shared_bytes_per_block: shared_bytes,
         regs_per_thread: plan.regs_per_thread,
-        grid_blocks: total_blocks,
+        grid_blocks: lay.total_blocks,
     };
     let mut cost = estimate_kernel(cfg, &footprint, &totals);
     if !plan.reductions.is_empty() {
@@ -888,40 +1102,18 @@ fn launch_impl(
     // Generation bookkeeping: the launch mutated its write set, so those
     // digest memos are stale (opaque bodies invalidate every allocated
     // array — the write set cannot be bounded statically).
-    if arrays.opaque {
+    if lay.arrays.opaque {
         for (i, b) in dev.bufs.iter().enumerate() {
             if b.is_some() {
                 dev.tags[i].bump();
             }
         }
     } else {
-        for &i in &arrays.writes {
+        for &i in &lay.arrays.writes {
             dev.tags[i].bump();
         }
     }
-
-    let result = LaunchResult { cost, totals, footprint, active_threads };
-    if let (Some(key), Some(mut journal)) = (cache_key, journal) {
-        // Capture the launch's complete effect: output deltas + digests
-        // (which also prime the freshly bumped generation memos), scalar
-        // writebacks, the result, and the per-site evidence.
-        let outputs = launch_cache::timed_digest(|| journal.capture(&arrays.writes, &dev.bufs));
-        journal.recycle();
-        for &(i, _, d) in &outputs {
-            dev.tags[i as usize].prime(d);
-        }
-        let scalar_writes: Vec<(usize, Value)> = red_scalar.iter().map(|&(slot, _, _)| (slot, scal[slot])).collect();
-        launch_cache::insert(
-            key,
-            LaunchEffect { outputs, scalar_writes, result: result.clone(), sites: sites.clone() },
-        );
-    }
-    // Events go out after the capture, so a sink that times launches by
-    // their events counts capture in the launch. Texture launches are never
-    // captured, so only an executed launch reports texture counters.
-    let tex_used = dev.tex_cache.hits != tex_hits0 || dev.tex_cache.misses != tex_misses0;
-    emit_launch(sink, prog, plan, cfg, &result, &sites, tex_used.then_some(&dev.tex_cache));
-    result
+    (LaunchResult { cost, totals, footprint, active_threads: ex.active_threads }, ex.tally.sites())
 }
 
 /// Readable/writable device arrays of a kernel body, for launch memoization.
@@ -937,7 +1129,7 @@ struct BodyArrays {
     opaque: bool,
 }
 
-fn body_arrays(plan: &KernelPlan, red_arrays: &[(ArrayId, crate::types::ReduceOp)]) -> BodyArrays {
+fn body_arrays(plan: &KernelPlan, red_arrays: &[(ArrayId, ReduceOp, usize)]) -> BodyArrays {
     let mut reads = Vec::new();
     let mut writes = Vec::new();
     let mut opaque = false;
@@ -956,7 +1148,7 @@ fn body_arrays(plan: &KernelPlan, red_arrays: &[(ArrayId, crate::types::ReduceOp
             }
         }
     });
-    for &(a, _) in red_arrays {
+    for &(a, _, _) in red_arrays {
         reads.push(a.0 as usize);
         writes.push(a.0 as usize);
     }
@@ -970,36 +1162,31 @@ fn body_arrays(plan: &KernelPlan, red_arrays: &[(ArrayId, crate::types::ReduceOp
 /// Assemble the content-addressed key of this launch. Buffer digests go
 /// through the generation memos, so a steady-state probe hashes nothing but
 /// the (small) config/layout/scalar material.
-fn build_launch_key(
-    plan: &KernelPlan,
-    dev: &mut DeviceState,
-    cfg: &DeviceConfig,
-    scal: &[Value],
-    extents: &[Vec<usize>],
-    arrays: &BodyArrays,
-) -> LaunchKey {
+fn build_launch_key(lay: &LaunchLayout, dev: &mut DeviceState) -> LaunchKey {
+    let plan = lay.plan;
     launch_cache::timed_digest(|| {
         let plan_fp = plan.engine_cache.fingerprint(plan);
         // Address layout: the device base of every array depends on the
         // allocation state, length, and element size of all the arrays
         // before it; extents additionally pin index linearisation.
-        let mut lay = Digest128::new();
-        for (i, b) in dev.bufs.iter().enumerate() {
+        let mut d = Digest128::new();
+        for (b, extents) in dev.bufs.iter().zip(&lay.extents) {
             match b {
                 Some(b) => {
-                    lay.push(1);
-                    lay.push(b.len() as u64);
-                    lay.push(b.elem.size_bytes() as u64);
-                    lay.push(b.elem.is_float() as u64);
+                    d.push(1);
+                    d.push(b.len() as u64);
+                    d.push(b.elem.size_bytes() as u64);
+                    d.push(b.elem.is_float() as u64);
                 }
-                None => lay.push(0),
+                None => d.push(0),
             }
-            for &e in &extents[i] {
-                lay.push(e as u64);
+            for &e in extents {
+                d.push(e as u64);
             }
-            lay.push(u64::MAX); // extent-list terminator
+            d.push(u64::MAX); // extent-list terminator
         }
-        let scalars: Vec<(u8, u64)> = scal
+        let scalars: Vec<(u8, u64)> = lay
+            .base_env
             .iter()
             .map(|v| match v {
                 Value::F(x) => (1u8, x.to_bits()),
@@ -1007,7 +1194,8 @@ fn build_launch_key(
                 Value::B(x) => (3u8, *x as u64),
             })
             .collect();
-        let inputs: Vec<(u32, Option<u128>)> = arrays
+        let inputs: Vec<(u32, Option<u128>)> = lay
+            .arrays
             .reads
             .iter()
             .map(|&i| {
@@ -1023,8 +1211,8 @@ fn build_launch_key(
             block: plan.block,
             shared_bytes: plan.shared_bytes_per_block,
             regs: plan.regs_per_thread,
-            cfg_digest: cfg.config_digest(),
-            layout_digest: (lay.finish() >> 64) as u64 ^ lay.finish() as u64,
+            cfg_digest: lay.cfg.config_digest(),
+            layout_digest: (d.finish() >> 64) as u64 ^ d.finish() as u64,
             scalars,
             inputs,
         }
@@ -1073,9 +1261,7 @@ fn replay_effect(effect: &LaunchEffect, dev: &mut DeviceState, scal: &mut [Value
 /// emit here, so a replay renders exactly what its capture would have.
 fn emit_launch(
     sink: &mut dyn TraceSink,
-    prog: &Program,
-    plan: &KernelPlan,
-    cfg: &DeviceConfig,
+    lay: &LaunchLayout,
     result: &LaunchResult,
     sites: &[SiteEvidence],
     tex: Option<&Cache>,
@@ -1083,10 +1269,10 @@ fn emit_launch(
     if !sink.enabled() {
         return;
     }
-    let site_kinds = classify_sites(plan);
+    let plan = lay.plan;
     for &(site, g, sh) in sites {
-        let Some(&SiteKind::Mem(arr)) = site_kinds.get(site as usize) else { continue };
-        let space = match access_space(plan, arr) {
+        let Some(&SiteKind::Mem(arr)) = lay.site_kinds.get(site as usize) else { continue };
+        let space = match lay.access_space(arr) {
             MemSpace::Global => "global",
             MemSpace::SharedTiled { .. } => "shared",
             MemSpace::Constant => "constant",
@@ -1095,7 +1281,7 @@ fn emit_launch(
         sink.emit(TraceEvent::CoalesceSite {
             kernel: plan.name.clone(),
             site,
-            array: prog.array_name(arr).to_string(),
+            array: lay.prog.array_name(arr).to_string(),
             space: space.to_string(),
             requests: g.requests + sh.requests,
             transactions: g.transactions,
@@ -1106,46 +1292,7 @@ fn emit_launch(
     if let Some(tex) = tex {
         sink.emit(tex.trace_event(&format!("{}/texture", plan.name)));
     }
-    sink.emit(result.cost.trace_event(&plan.name, &result.footprint, &result.totals, cfg));
-}
-
-/// Launch-wide immutable context of one native launch's block walk: the
-/// plan, the compiled closures, the array layout and the grid geometry.
-struct GridCtx<'a> {
-    plan: &'a KernelPlan,
-    nk: &'a native::NativeKernel,
-    /// The typed bytecode the closures were built from (`nk.bc`):
-    /// register layout, fast-site table and pricing flags.
-    bc: &'a bytecode::KernelBytecode,
-    cfg: &'a DeviceConfig,
-    site_kinds: &'a [SiteKind],
-    /// The array layout the closures address through.
-    ctx: bytecode::ExecCtx<'a>,
-    priv_elems: &'a [(ElemType, usize)],
-    priv_shapes: &'a [(ArrayId, usize, bool)],
-    base_env: &'a [Value],
-    red_scalar: &'a [(usize, crate::types::ReduceOp, bool)],
-    /// Each scalar reduction's identity, in reduction order.
-    red_init: &'a [Value],
-    red_arrays: &'a [(ArrayId, crate::types::ReduceOp)],
-    fast_pricing: &'a [(u64, Option<f64>)],
-    /// Per-fast-site affine address steps for representative-block pricing
-    /// dedup (`None` disables dedup).
-    dedup: Option<Vec<SiteAffine>>,
-    atomic_serial: bool,
-    n0: u64,
-    n1: u64,
-    bx: u64,
-    by: u64,
-    gx: u64,
-    tpb: u32,
-    warp: u32,
-    warps_per_block: u64,
-    total_blocks: u64,
-    lo0: i64,
-    st0: i64,
-    lo1: i64,
-    st1: i64,
+    sink.emit(result.cost.trace_event(&plan.name, &result.footprint, &result.totals, lay.cfg));
 }
 
 /// One memory site's evidence over a whole launch: (site id, its global or
@@ -1219,22 +1366,6 @@ impl Tally {
     }
 }
 
-/// The memory space accesses to `arr` are priced in: a private array's
-/// expansion lives in global memory, except reduction partials staged in
-/// shared memory.
-fn access_space(plan: &KernelPlan, arr: ArrayId) -> MemSpace {
-    if plan.expansion_of(arr).is_none() {
-        return plan.space_of(arr);
-    }
-    let staged = matches!(plan.reduce_strategy, ReduceStrategy::TwoLevelTree { partials_in_shared: true })
-        && plan.reductions.iter().any(|r| r.target == VarRef::Array(arr));
-    if staged {
-        MemSpace::SharedTiled { reuse: 1.0 }
-    } else {
-        MemSpace::Global
-    }
-}
-
 /// Affine address behaviour of one fast site across the grid: the whole
 /// block's address set translates by `dx`/`dy` per block-index step, and
 /// its pricing is invariant under translation by multiples of `modulus`
@@ -1248,27 +1379,13 @@ struct SiteAffine {
 }
 
 /// Probe each fast site's index expressions at (ix, iy) in
-/// {(0,0), (1,0), (0,1)} to extract its affine address coefficients.
-/// `uniform_pricing` guarantees every such index is affine in the axis
-/// variables with launch-uniform remaining terms, so three pure
-/// evaluations determine the whole map exactly.
-#[allow(clippy::too_many_arguments)]
-fn site_affine_probe(
-    plan: &KernelPlan,
-    bc: &bytecode::KernelBytecode,
-    site_kinds: &[SiteKind],
-    base: &[u64],
-    elem_bytes: &[u32],
-    strides: &[Vec<usize>],
-    base_env: &[Value],
-    lo0: i64,
-    st0: i64,
-    lo1: i64,
-    st1: i64,
-    bx: u64,
-    by: u64,
-    cfg: &DeviceConfig,
-) -> Vec<SiteAffine> {
+/// {(0,0), (1,0), (0,1)}, with each axis at `lo + step * index` from
+/// `axes`, to extract its affine address coefficients. `uniform_pricing`
+/// guarantees every such index is affine in the axis variables with
+/// launch-uniform remaining terms, so three pure evaluations determine the
+/// whole map exactly.
+fn site_affine_probe(lay: &LaunchLayout, bc: &bytecode::KernelBytecode, axes: [(i64, i64); 2]) -> Vec<SiteAffine> {
+    let plan = lay.plan;
     let mut site_idx: HashMap<u32, &Vec<Expr>> = HashMap::new();
     visit_stmts(&plan.body, &mut |s| {
         if let Stmt::Store { index, site, .. } = s {
@@ -1281,242 +1398,51 @@ fn site_affine_probe(
         }
     });
     let ax0 = plan.axes[0].var.0 as usize;
-    let ax1 = if plan.axes.len() > 1 { Some(plan.axes[1].var.0 as usize) } else { None };
-    let mut env = base_env.to_vec();
+    let ax1 = plan.axes.get(1).map(|ax| ax.var.0 as usize);
+    let mut env = lay.base_env.clone();
     bc.fast_sites
         .iter()
         .map(|&site| {
-            let SiteKind::Mem(arr) = site_kinds[site as usize] else { unreachable!("fast site must be a memory site") };
+            let SiteKind::Mem(arr) = lay.site_kinds[site as usize] else {
+                unreachable!("fast site must be a memory site")
+            };
             let a = arr.0 as usize;
             let idx = site_idx[&site];
             let mut flat_at = |ixv: i64, iyv: i64| -> i128 {
-                env[ax0] = Value::I(lo0 + st0 * ixv);
+                env[ax0] = Value::I(axes[0].0 + axes[0].1 * ixv);
                 if let Some(a1) = ax1 {
-                    env[a1] = Value::I(lo1 + st1 * iyv);
+                    env[a1] = Value::I(axes[1].0 + axes[1].1 * iyv);
                 }
-                idx.iter().zip(&strides[a]).map(|(e, st)| eval_pure(e, &env).as_i() as i128 * *st as i128).sum()
+                idx.iter().zip(&lay.strides[a]).map(|(e, st)| eval_pure(e, &env).as_i() as i128 * *st as i128).sum()
             };
             let f00 = flat_at(0, 0);
             let fx = flat_at(1, 0) - f00;
             let fy = if ax1.is_some() { flat_at(0, 1) - f00 } else { 0 };
-            let eb = elem_bytes[a] as i128;
+            let eb = lay.elem_bytes[a] as i128;
             let modulus = match plan.space_of(arr) {
-                MemSpace::SharedTiled { .. } => (cfg.shared_banks * 4) as u64,
-                _ => cfg.segment_bytes as u64,
+                MemSpace::SharedTiled { .. } => (lay.cfg.shared_banks * 4) as u64,
+                _ => lay.cfg.segment_bytes as u64,
             };
             SiteAffine {
-                addr0: base[a] as i128 + f00 * eb,
-                dx: fx * bx as i128 * eb,
-                dy: fy * by as i128 * eb,
+                addr0: lay.base[a] as i128 + f00 * eb,
+                dx: fx * lay.bx as i128 * eb,
+                dy: fy * lay.by as i128 * eb,
                 modulus,
             }
         })
         .collect()
 }
 
-/// Execute every block of the grid in block order against the device
-/// buffers in `mem`, accumulating pricing into `out` and reduction partials
-/// into `scal_acc`/`arr_acc` in (block, warp, lane) order, exactly as the
-/// tree engine does. Returns the number of threads that executed.
-fn run_block_range(
-    g: &GridCtx<'_>,
-    scratch: &mut bytecode::WarpScratch,
-    mem: &mut DeviceBufs<'_>,
-    tex_cache: &mut Cache,
-    out: &mut Tally,
-    scal_acc: &mut [Value],
-    arr_acc: &mut HashMap<ArrayId, Buffer>,
-) -> u64 {
-    let bc = g.bc;
-    let wu = g.warp as usize;
-    native::begin_launch(g.nk, scratch, g.plan.site_count as usize, g.priv_elems, g.base_env, g.cfg.segment_bytes);
-    let mut ax0 = vec![0i64; wu];
-    let mut ax1 = vec![0i64; wu];
-    let mut row: Vec<(u32, u64)> = Vec::with_capacity(wu);
-    let mut classes: HashMap<Vec<u64>, Tally> = HashMap::new();
-    let mut key: Vec<u64> = Vec::new();
-    let mut active_threads = 0u64;
-    for blk in 0..g.total_blocks {
-        let bxi = blk % g.gx;
-        let byi = blk / g.gx;
-        // Representative-block dedup: a block's pricing class is its
-        // active-lane shape plus each fast site's base address residue.
-        // A class's first block prices into its own tally; later members
-        // merge that tally, and execution of their functional effects still
-        // runs below — only the pricing work is skipped.
-        let mut cached = false;
-        let mut class = None;
-        if let Some(aff) = &g.dedup {
-            key.clear();
-            key.push(g.n0.saturating_sub(bxi * g.bx).min(g.bx));
-            key.push(g.n1.saturating_sub(byi * g.by).min(g.by));
-            for s in aff {
-                let addr = s.addr0 + s.dx * bxi as i128 + s.dy * byi as i128;
-                key.push(addr.rem_euclid(s.modulus as i128) as u64);
-            }
-            match classes.get(&key) {
-                Some(t) => {
-                    out.merge(t);
-                    cached = true;
-                }
-                None => class = Some(Tally::new(g.plan.site_count as usize)),
-            }
-        }
-        for w in 0..g.warps_per_block {
-            let mut mask = 0u64;
-            for lane in 0..g.warp as u64 {
-                let t = w * g.warp as u64 + lane;
-                if t >= g.tpb as u64 {
-                    break;
-                }
-                let tx = t % g.bx;
-                let ty = t / g.bx;
-                let ix = bxi * g.bx + tx;
-                let iy = byi * g.by + ty;
-                if ix >= g.n0 || iy >= g.n1 {
-                    continue;
-                }
-                mask |= 1u64 << lane;
-                ax0[lane as usize] = g.lo0 + ix as i64 * g.st0;
-                ax1[lane as usize] = g.lo1 + iy as i64 * g.st1;
-            }
-            if mask == 0 {
-                continue;
-            }
-            active_threads += mask.count_ones() as u64;
-            // A pricing-cached block discards its warps' evidence; the
-            // functional-only closures neither read nor write it, so the
-            // evidence resets can be skipped with it.
-            if !cached {
-                scratch.begin_warp();
-            }
-            native::begin_warp(g.nk, scratch, g.base_env, g.red_init);
-            // Per-lane prologue: axis variables (straight into the typed I
-            // bank) and private-array scratch reset.
-            let a0 = bc.axis_regs[0] as usize;
-            let a1 = if g.plan.axes.len() > 1 { Some(bc.axis_regs[1] as usize) } else { None };
-            let mut m = mask;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                m &= m - 1;
-                scratch.iregs[a0 * wu + l] = ax0[l];
-                if let Some(a1) = a1 {
-                    scratch.iregs[a1 * wu + l] = ax1[l];
-                }
-            }
-            for &(a, len, isf) in g.priv_shapes {
-                let slot = g.ctx.priv_slot[a.0 as usize] as usize;
-                let ident = g.red_arrays.iter().find(|(id, _)| *id == a).map(|&(_, op)| op);
-                let fill_f = ident.map_or(0.0, |op| op.identity_f());
-                let fill_i = ident.map_or(0, |op| op.identity_i());
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let b = &mut scratch.priv_bufs[slot * wu + l];
-                    for e in 0..len {
-                        if isf {
-                            b.set_f(e, fill_f);
-                        } else {
-                            b.set_i(e, fill_i);
-                        }
-                    }
-                }
-            }
-            // Execute the warp in lockstep.
-            let tid_base = blk * g.tpb as u64 + w * g.warp as u64;
-            let atomic = native::exec_warp_native(g.nk, scratch, &g.ctx, mem.reborrow(), mask, tid_base, !cached);
-            // Fold reductions in ascending lane order — the same combine
-            // sequence the tree path produces. With no reductions the lane
-            // scan is a no-op; skip it.
-            let mut extra_atomic = 0u64;
-            let mut m = if g.red_scalar.is_empty() && g.red_arrays.is_empty() { 0 } else { mask };
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                m &= m - 1;
-                for (k, &(_, op, _)) in g.red_scalar.iter().enumerate() {
-                    scal_acc[k] = op.combine(scal_acc[k], native::red_value(g.nk, scratch, k, l));
-                }
-                for &(a, op) in g.red_arrays {
-                    let slot = g.ctx.priv_slot[a.0 as usize] as usize;
-                    let src = &scratch.priv_bufs[slot * wu + l];
-                    let acc = arr_acc.get_mut(&a).expect("acc");
-                    for i in 0..src.len() {
-                        let cur = if acc.elem.is_float() { Value::F(acc.get_f(i)) } else { Value::I(acc.get_i(i)) };
-                        let nv = if src.elem.is_float() { Value::F(src.get_f(i)) } else { Value::I(src.get_i(i)) };
-                        let c = op.combine(cur, nv);
-                        if acc.elem.is_float() {
-                            acc.set_f(i, c.as_f());
-                        } else {
-                            acc.set_i(i, c.as_i());
-                        }
-                    }
-                    if g.atomic_serial {
-                        extra_atomic += src.len() as u64;
-                    }
-                }
-                if g.atomic_serial && !g.red_scalar.is_empty() {
-                    extra_atomic += g.red_scalar.len() as u64;
-                }
-            }
-            if cached {
-                continue;
-            }
-            // Price the warp's evidence, into its class's tally when the
-            // block is a class representative.
-            let t = class.as_mut().unwrap_or(&mut *out);
-            price_warp(
-                g.plan,
-                g.cfg,
-                g.site_kinds,
-                g.ctx.elem_bytes,
-                &scratch.traces,
-                Some(&scratch.site_touched),
-                &scratch.lane_ops,
-                atomic + extra_atomic,
-                tex_cache,
-                t,
-            );
-            // Affine fast-path sites: one address row per site, summarised
-            // through the memo instead of a trace.
-            for (fidx, &site) in bc.fast_sites.iter().enumerate() {
-                row.clear();
-                let mut m = mask;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    row.push((l as u32, scratch.fast_rows[fidx * wu + l]));
-                }
-                let (eb, shared_reuse) = g.fast_pricing[fidx];
-                match shared_reuse {
-                    None => t.add_global(site as usize, &scratch.memo.reduce_row(site, &row), eb),
-                    Some(reuse) => {
-                        let sh = scratch.memo.reduce_row_shared(site, &row, g.cfg.shared_banks, 4);
-                        t.add_shared(site as usize, &sh, row.len() as u64, eb, reuse, g.cfg.segment_bytes);
-                    }
-                }
-            }
-        }
-        if let Some(t) = class {
-            out.merge(&t);
-            classes.insert(key.clone(), t);
-        }
-    }
-    active_threads
-}
-
-/// Price one warp's worth of execution evidence into `out`.
+/// Price one warp's worth of execution evidence into `out`: its per-site
+/// `traces` (only the sites flagged in `touched`, when given), per-lane op
+/// counts and critical-section atomics.
 ///
 /// Shared by both engines: the tree walker feeds it from `WarpMachine`
-/// state, the native executor from its pooled `WarpScratch`. Keeping
-/// a single pricing routine is what makes the two engines bit-identical on
+/// state, the native executor from its `WarpScratch` arena. Keeping a
+/// single pricing routine is what makes the two engines bit-identical on
 /// everything downstream of the traces.
-#[allow(clippy::too_many_arguments)]
 fn price_warp(
-    plan: &KernelPlan,
-    cfg: &DeviceConfig,
-    site_kinds: &[SiteKind],
-    elem_bytes: &[u32],
+    lay: &LaunchLayout,
     traces: &[SiteWarpTrace],
     touched: Option<&[bool]>,
     lane_ops: &[u64],
@@ -1524,6 +1450,7 @@ fn price_warp(
     tex_cache: &mut Cache,
     out: &mut Tally,
 ) {
+    let cfg = lay.cfg;
     out.totals.warps += 1;
     let mut divergent_rows = 0u64;
     let mut extra_issue = 0.0f64;
@@ -1537,11 +1464,11 @@ fn price_warp(
         if tr.is_empty() {
             continue;
         }
-        match site_kinds[i] {
+        match lay.site_kinds[i] {
             SiteKind::Branch => divergent_rows += tr.reduce_divergent_rows(),
             SiteKind::Mem(arr) => {
-                let eb = elem_bytes[arr.0 as usize] as u64;
-                match access_space(plan, arr) {
+                let eb = lay.elem_bytes[arr.0 as usize] as u64;
+                match lay.access_space(arr) {
                     MemSpace::Global => out.add_global(i, &tr.reduce_global(cfg.segment_bytes), eb),
                     MemSpace::SharedTiled { reuse } => {
                         let sh = tr.reduce_shared(cfg.shared_banks, 4);

@@ -53,40 +53,33 @@ use crate::types::Value;
 /// across hit/miss patterns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaunchCache {
-    /// Enabled (the default). Semantically identical to [`LaunchCache::On`];
-    /// the distinct name records that enablement was defaulted, not asked
-    /// for, in manifests.
-    Auto,
-    /// Enabled.
+    /// Enabled (the default).
     On,
     /// Disabled: every launch executes.
     Off,
 }
 
-/// Process-wide override: 0 = unset (use env), 1 = auto, 2 = on, 3 = off.
+/// Process-wide override: 0 = unset (use env), 1 = on, 2 = off.
 static CACHE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 static CACHE_FROM_ENV: OnceLock<LaunchCache> = OnceLock::new();
 
 /// The launch-memoization policy: an override installed by
 /// [`set_launch_cache_override`] wins, else the `ACCEVAL_LAUNCH_CACHE`
-/// environment variable (`auto` | `on` | `off`), else [`LaunchCache::Auto`].
+/// environment variable (`on` | `off`), else [`LaunchCache::On`].
 pub fn launch_cache() -> LaunchCache {
     match CACHE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => return LaunchCache::Auto,
-        2 => return LaunchCache::On,
-        3 => return LaunchCache::Off,
+        1 => return LaunchCache::On,
+        2 => return LaunchCache::Off,
         _ => {}
     }
     *CACHE_FROM_ENV.get_or_init(|| match std::env::var("ACCEVAL_LAUNCH_CACHE") {
         // Fail soft on a malformed value: a typo must not abort a launch
         // deep inside a parallel sweep. Front-end binaries catch it up
         // front via `crate::env::validate_env` and exit with usage.
-        Ok(s) => match crate::env::parse_toggle("ACCEVAL_LAUNCH_CACHE", &s) {
-            Ok(crate::env::Toggle::On) => LaunchCache::On,
-            Ok(crate::env::Toggle::Off) => LaunchCache::Off,
-            _ => LaunchCache::Auto,
-        },
-        Err(_) => LaunchCache::Auto,
+        Ok(s) if crate::env::parse_toggle("ACCEVAL_LAUNCH_CACHE", &s) == Ok(crate::env::Toggle::Off) => {
+            LaunchCache::Off
+        }
+        _ => LaunchCache::On,
     })
 }
 
@@ -95,9 +88,8 @@ pub fn launch_cache() -> LaunchCache {
 pub fn set_launch_cache_override(p: Option<LaunchCache>) {
     let v = match p {
         None => 0,
-        Some(LaunchCache::Auto) => 1,
-        Some(LaunchCache::On) => 2,
-        Some(LaunchCache::Off) => 3,
+        Some(LaunchCache::On) => 1,
+        Some(LaunchCache::Off) => 2,
     };
     CACHE_OVERRIDE.store(v, Ordering::Relaxed);
 }
@@ -105,7 +97,6 @@ pub fn set_launch_cache_override(p: Option<LaunchCache>) {
 /// Short name of the active launch-cache policy, for manifests.
 pub fn launch_cache_name() -> &'static str {
     match launch_cache() {
-        LaunchCache::Auto => "auto",
         LaunchCache::On => "on",
         LaunchCache::Off => "off",
     }
@@ -597,7 +588,7 @@ impl DeviceBufs<'_> {
         let buf = self.bufs[a].as_mut().unwrap_or_else(|| panic!("kernel write of unallocated device array {a}"));
         match self.journal.as_deref_mut() {
             Some(j) => j.target(a, buf),
-            None => DevTarget { buf, log: None },
+            None => DevTarget::plain(buf),
         }
     }
 }
@@ -609,6 +600,16 @@ impl DeviceBufs<'_> {
 pub(crate) struct DevTarget<'a> {
     buf: &'a mut Buffer,
     log: Option<&'a mut ArrayLog>,
+}
+
+impl<'a> DevTarget<'a> {
+    /// An unjournaled target: a device array of a launch that is not
+    /// captured, or a buffer outside the device image (an array
+    /// reduction's launch accumulator).
+    #[inline]
+    pub(crate) fn plain(buf: &'a mut Buffer) -> Self {
+        DevTarget { buf, log: None }
+    }
 }
 
 impl DevTarget<'_> {

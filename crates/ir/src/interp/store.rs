@@ -379,12 +379,7 @@ fn address(kind: u8, key: &[u8]) -> u128 {
     let mut d = Digest128::new();
     d.push(kind as u64);
     d.push(store_epoch());
-    d.push(key.len() as u64);
-    for chunk in key.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        d.push(u64::from_le_bytes(w));
-    }
+    d.push_bytes(key);
     d.finish()
 }
 
@@ -398,18 +393,8 @@ fn checksum(version: u32, kind: u8, epoch: u64, key: &[u8], payload: &[u8]) -> u
     d.push(version as u64);
     d.push(kind as u64);
     d.push(epoch);
-    d.push(key.len() as u64);
-    for chunk in key.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        d.push(u64::from_le_bytes(w));
-    }
-    d.push(payload.len() as u64);
-    for chunk in payload.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        d.push(u64::from_le_bytes(w));
-    }
+    d.push_bytes(key);
+    d.push_bytes(payload);
     d.finish()
 }
 

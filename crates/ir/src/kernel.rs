@@ -233,13 +233,7 @@ impl EngineCache {
                 )
             );
             let mut d = acceval_sim::Digest128::new();
-            let bytes = repr.as_bytes();
-            d.push(bytes.len() as u64);
-            for chunk in bytes.chunks(8) {
-                let mut w = [0u8; 8];
-                w[..chunk.len()].copy_from_slice(chunk);
-                d.push(u64::from_le_bytes(w));
-            }
+            d.push_bytes(repr.as_bytes());
             d.finish()
         })
     }

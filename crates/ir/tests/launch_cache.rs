@@ -20,9 +20,10 @@ use acceval_ir::interp::gpu::{
     env_from_dataset, launch_traced_with_engine, launch_with_engine, upload_all, DeviceState, Engine, LaunchResult,
 };
 use acceval_ir::interp::launch_cache::{
-    clear_launch_cache, launch_cache_totals, set_launch_cache_cap_override, set_launch_cache_override, LaunchCache,
+    clear_launch_cache, launch_cache_totals, set_launch_cache_cap_override, set_launch_cache_override, CacheTotals,
+    LaunchCache,
 };
-use acceval_ir::kernel::{axis, axis_from, Expansion, KernelPlan};
+use acceval_ir::kernel::{axis, axis_from, Expansion, KernelPlan, MemSpace};
 use acceval_ir::program::{DataSet, HostData, Program};
 use acceval_ir::types::{ArrayId, ReduceOp, Value, VarRef};
 use acceval_sim::{Buffer, DeviceConfig, ElemType, RecordingSink, TraceEvent, TraceSink};
@@ -312,6 +313,65 @@ fn upload_invalidates_input_digest() {
         assert_eq!(t2.misses - t1.misses, 1, "changed upload must force a miss");
         assert_states_bit_equal("post-upload relaunch vs cold", &(dev, scal2, r2), &cold2);
     });
+}
+
+/// Launch `plan` twice from identical fresh states under `policy`, on both
+/// engines: the probe must leave memory hits, disk hits, misses and
+/// resident entries untouched, and both launches must match a cache-off
+/// launch bit for bit.
+fn assert_never_cached(p: &Program, ds: &DataSet, plan: &KernelPlan, policy: LaunchCache) {
+    let counts = |t: &CacheTotals| (t.hits, t.disk_hits, t.misses, t.entries, t.resident_bytes);
+    for eng in [Engine::Bytecode, Engine::Tree] {
+        let cold = with_cache(LaunchCache::Off, || run_one(p, ds, plan, eng));
+        let (runs, before, after) = with_cache(policy, || {
+            let t0 = launch_cache_totals();
+            let runs = [run_one(p, ds, plan, eng), run_one(p, ds, plan, eng)];
+            (runs, t0, launch_cache_totals())
+        });
+        assert_eq!(counts(&after), counts(&before), "kernel {} on {eng:?}: the cache must not be touched", plan.name);
+        for (k, run) in runs.iter().enumerate() {
+            assert_states_bit_equal(&format!("kernel {} on {eng:?}, launch {k} vs cache off", plan.name), run, &cold);
+        }
+    }
+}
+
+/// A body that reads a `Texture`-placed array always executes: the texture
+/// cache carries lines from one launch to the next, which the key cannot
+/// cover.
+#[test]
+fn texture_reads_are_never_cached() {
+    let (p, ds) = fixture(900);
+    let x = p.array_named("x");
+    let plan = stream_plan(&p).with_placement(x, MemSpace::Texture);
+    assert_never_cached(&p, &ds, &finalized(plan), LaunchCache::On);
+}
+
+/// A body with a `Call` always executes: the body walk cannot bound a
+/// call's effects.
+#[test]
+fn call_bodies_are_never_cached() {
+    let mut pb = ProgramBuilder::new("calls");
+    let n = pb.iscalar("n");
+    let i = pb.iscalar("i");
+    let a = pb.iscalar("a");
+    let t = pb.fscalar("t");
+    let x = pb.farray("x", vec![v(n)]);
+    let y = pb.farray("y", vec![v(n)]);
+    let f = pb.func("sq", vec![a], vec![], vec![assign(t, (v(a) * v(a)).to_f() + 0.5)]);
+    pb.main(vec![]);
+    let p = pb.build();
+    let xs = Buffer::from_f64(ElemType::F64, (0..300).map(|k| k as f64 * 0.5).collect());
+    let ds = DataSet { scalars: vec![(n, Value::I(300))], arrays: vec![(x, xs)], label: "calls".into() };
+    let body = vec![call(f, vec![v(i)], vec![]), store(y, vec![v(i)], v(t) + ld(x, vec![v(i)]))];
+    let plan = finalized(KernelPlan::new("call", vec![axis(i, v(n))], body));
+    assert_never_cached(&p, &ds, &plan, LaunchCache::On);
+}
+
+/// With the cache off, a cacheable body probes nothing and stores nothing.
+#[test]
+fn cache_off_launches_are_never_cached() {
+    let (p, ds) = fixture(900);
+    assert_never_cached(&p, &ds, &stream_plan(&p), LaunchCache::Off);
 }
 
 /// Bytes of `len` f64 elements: a dense capture of a buffer that long

@@ -369,6 +369,17 @@ impl Digest128 {
         self.hi = (self.hi ^ w).wrapping_mul(Self::MUL_HI).rotate_left(31);
     }
 
+    /// Fold a byte string: its length, then each 8-byte chunk as a
+    /// little-endian word, the last one zero-padded.
+    pub fn push_bytes(&mut self, bytes: &[u8]) {
+        self.push(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.push(u64::from_le_bytes(w));
+        }
+    }
+
     /// Final 128-bit value.
     #[inline]
     pub fn finish(self) -> u128 {
@@ -497,6 +508,27 @@ mod tests {
     #[should_panic]
     fn from_f64_rejects_int_type() {
         let _ = Buffer::from_f64(ElemType::I32, vec![1.0]);
+    }
+
+    /// `push_bytes` folds exactly the words the hand-written loops it
+    /// replaced folded, so fingerprints, config digests and store addresses
+    /// keep their bits.
+    #[test]
+    fn push_bytes_matches_the_word_loop() {
+        let bytes: Vec<u8> = (0u8..17).map(|b| b.wrapping_mul(37) ^ 0x5a).collect();
+        for len in 0..=17 {
+            let s = &bytes[..len];
+            let mut want = Digest128::new();
+            want.push(s.len() as u64);
+            for chunk in s.chunks(8) {
+                let mut w = [0u8; 8];
+                w[..chunk.len()].copy_from_slice(chunk);
+                want.push(u64::from_le_bytes(w));
+            }
+            let mut got = Digest128::new();
+            got.push_bytes(s);
+            assert_eq!(got.finish(), want.finish(), "length {len}");
+        }
     }
 
     #[test]

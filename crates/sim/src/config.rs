@@ -370,12 +370,7 @@ impl DeviceConfig {
             has_texture_path,
         } = self;
         let mut d = Digest128::new();
-        d.push(name.len() as u64);
-        for chunk in name.as_bytes().chunks(8) {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            d.push(u64::from_le_bytes(w));
-        }
+        d.push_bytes(name.as_bytes());
         for w in [
             *num_sms as u64,
             *cores_per_sm as u64,

@@ -53,7 +53,7 @@ flags:
 environment:
   ACCEVAL_DEVICE=<preset>            device generation for figure1/profile/all
                                      (tesla|fermi|kepler|pascal|volta)
-  ACCEVAL_LAUNCH_CACHE=auto|on|off   in-memory launch-result cache mode
+  ACCEVAL_LAUNCH_CACHE=on|off        in-memory launch-result cache mode
   ACCEVAL_LAUNCH_CACHE_CAP_MB=<n>    memory cap for that cache (default 512)
   ACCEVAL_STORE=auto|on|off|<path>   persistent launch-result store mode
   ACCEVAL_STORE_CAP_MB=<n>           disk cap for the store (default 2048)
