@@ -2,6 +2,7 @@
 
 use std::fmt::Write;
 
+use acceval_ir::metrics::Counter;
 use acceval_models::ModelKind;
 
 use crate::codesize::CodeSizeRow;
@@ -131,7 +132,9 @@ pub fn render_sweep_summary(m: &SweepManifest) -> String {
     for g in &m.by_model {
         let _ = writeln!(out, "    {:18} {:4} tasks  {:.3}s", g.name, g.tasks, g.wall_secs);
     }
-    let probes = m.launch_cache_hits + m.launch_cache_disk_hits + m.launch_cache_misses;
+    let (c, p) = (&m.counters, &m.process);
+    let (hits, disk_hits, misses) =
+        (c.get(Counter::LaunchCacheHits), c.get(Counter::LaunchCacheDiskHits), c.get(Counter::LaunchCacheMisses));
     let rate = |h: u64, miss: u64| {
         let n = h + miss;
         if n > 0 {
@@ -144,29 +147,27 @@ pub fn render_sweep_summary(m: &SweepManifest) -> String {
         out,
         "  launch cache ({}): {} memory + {} disk hits / {} misses ({:.0}% hit rate), {} eviction(s), {:.3}s hashing",
         m.launch_cache,
-        m.launch_cache_hits,
-        m.launch_cache_disk_hits,
-        m.launch_cache_misses,
-        rate(m.launch_cache_hits + m.launch_cache_disk_hits, m.launch_cache_misses),
-        m.launch_cache_evictions,
-        m.launch_cache_digest_secs
+        hits,
+        disk_hits,
+        misses,
+        rate(hits + disk_hits, misses),
+        p.get(Counter::LaunchCacheEvictions),
+        c.get(Counter::LaunchCacheDigestNs) as f64 * 1e-9
     );
     let _ = writeln!(
         out,
         "  store ({}): {} spill(s) ({} bytes), {} quarantined, {} evicted",
-        m.store, m.store_spills, m.store_spill_bytes, m.store_quarantined, m.store_evicted
+        m.store,
+        p.get(Counter::StoreSpills),
+        p.get(Counter::StoreSpillBytes),
+        p.get(Counter::StoreQuarantined),
+        p.get(Counter::StoreEvicted)
     );
-    if probes > 0 {
+    if hits + disk_hits + misses > 0 {
         out.push_str("  launch cache by benchmark:\n");
         for g in &m.by_benchmark {
-            let _ = writeln!(
-                out,
-                "    {:10} {:>6} hits / {:>6} misses ({:.0}%)",
-                g.name,
-                g.launch_cache_hits,
-                g.launch_cache_misses,
-                rate(g.launch_cache_hits, g.launch_cache_misses)
-            );
+            let (h, miss) = (g.counters.get(Counter::LaunchCacheHits), g.counters.get(Counter::LaunchCacheMisses));
+            let _ = writeln!(out, "    {:10} {:>6} hits / {:>6} misses ({:.0}%)", g.name, h, miss, rate(h, miss));
         }
     }
     out
@@ -250,98 +251,6 @@ pub fn figure1_csv(fig: &Figure1) -> String {
         }
     }
     out
-}
-
-/// Machine-readable benchmark record for the whole sweep: total wall time
-/// plus per-benchmark task timings, tagged with the kernel engine that
-/// produced it. Schema documented in `EXPERIMENTS.md`; written to
-/// `results/BENCH_sweep.json` by `report -- figure1`.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct BenchSweep {
-    /// Schema tag, bumped on layout changes.
-    pub schema: String,
-    /// Kernel engine the sweep ran on (`tree`/`bytecode`).
-    pub engine: String,
-    pub scale: String,
-    pub with_tuning: bool,
-    /// Device generation slugs the sweep's records cover (one for a plain
-    /// Figure 1 sweep, one per preset for a device-matrix sweep).
-    pub devices: Vec<String>,
-    pub workers: usize,
-    pub tasks: usize,
-    /// Wall seconds for the whole sweep (the headline number).
-    pub wall_secs: f64,
-    /// Sum of per-task wall seconds (serial-equivalent cost).
-    pub task_wall_secs: f64,
-    /// The longest oracle-then-slowest-task chain in wall seconds: the
-    /// floor no task schedule can go below.
-    pub critical_path_secs: f64,
-    /// Per-benchmark wall/sim accounting, one entry per benchmark.
-    pub benchmarks: Vec<crate::sweep::GroupTotals>,
-    /// Launch-cache policy the sweep ran under (`auto`/`on`/`off`).
-    pub launch_cache: String,
-    /// Launch-cache memory (LRU) hits summed over the sweep's tasks.
-    pub launch_cache_hits: u64,
-    /// Launch-cache hits served from the persistent disk store.
-    pub launch_cache_disk_hits: u64,
-    /// Launch-cache misses summed over the sweep's tasks.
-    pub launch_cache_misses: u64,
-    /// Launch-cache evictions (process-lifetime total).
-    pub launch_cache_evictions: u64,
-    /// Wall seconds spent hashing buffer contents for cache keys/captures.
-    pub launch_cache_digest_secs: f64,
-    /// Persistent-store policy (`auto`/`auto-off`/`on`/`off`/`path`).
-    pub store: String,
-    /// Entries spilled to the persistent store (process lifetime).
-    pub store_spills: u64,
-    /// Bytes spilled to the persistent store (process lifetime).
-    pub store_spill_bytes: u64,
-    /// Store entries quarantined after failing verification.
-    pub store_quarantined: u64,
-    /// Store entries evicted under the disk byte cap.
-    pub store_evicted: u64,
-    /// Kernels compiled to typed bytecode during the sweep (once per
-    /// distinct plan; memoized plans don't recount).
-    pub opt_kernels: u64,
-    /// Instruction count of those kernels' typed streams.
-    pub opt_ops_pre: u64,
-    /// Launches executed through the native closures.
-    pub native_launches: u64,
-    /// Launches the default engine handed to the tree walker.
-    pub tree_fallbacks: u64,
-}
-
-/// Build the `results/BENCH_sweep.json` payload from a sweep manifest.
-pub fn bench_sweep_json(m: &SweepManifest, engine: &str) -> String {
-    let payload = BenchSweep {
-        schema: "acceval-bench-sweep/9".to_string(),
-        engine: engine.to_string(),
-        scale: m.scale.clone(),
-        with_tuning: m.with_tuning,
-        devices: m.devices.clone(),
-        workers: m.workers,
-        tasks: m.tasks,
-        wall_secs: m.wall_secs,
-        task_wall_secs: m.task_wall_secs,
-        critical_path_secs: m.critical_path_secs,
-        benchmarks: m.by_benchmark.clone(),
-        launch_cache: m.launch_cache.clone(),
-        launch_cache_hits: m.launch_cache_hits,
-        launch_cache_disk_hits: m.launch_cache_disk_hits,
-        launch_cache_misses: m.launch_cache_misses,
-        launch_cache_evictions: m.launch_cache_evictions,
-        launch_cache_digest_secs: m.launch_cache_digest_secs,
-        store: m.store.clone(),
-        store_spills: m.store_spills,
-        store_spill_bytes: m.store_spill_bytes,
-        store_quarantined: m.store_quarantined,
-        store_evicted: m.store_evicted,
-        opt_kernels: m.opt_kernels,
-        opt_ops_pre: m.opt_ops_pre,
-        native_launches: m.native_launches,
-        tree_fallbacks: m.tree_fallbacks,
-    };
-    serde_json::to_string_pretty(&payload).expect("bench sweep serializes")
 }
 
 #[cfg(test)]

@@ -19,11 +19,10 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use acceval_benchmarks::{Benchmark, Scale};
-use acceval_ir::interp::bytecode::thread_opt_counters;
 use acceval_ir::interp::cpu::CpuRun;
-use acceval_ir::interp::launch_cache::{launch_cache_name, launch_cache_totals, thread_cache_counters};
-use acceval_ir::interp::native::thread_native_counters;
+use acceval_ir::interp::launch_cache::launch_cache_name;
 use acceval_ir::interp::store::{self as launch_store, Dec, Enc};
+use acceval_ir::metrics::Counters;
 use acceval_ir::program::DataSet;
 use acceval_models::{model, ModelKind, TuningPoint};
 use acceval_sim::{DeviceConfig, MachineConfig, RecordingSink, Summary, TraceEvent, TraceSink};
@@ -318,27 +317,9 @@ pub struct RunRecord {
     /// Wall-clock seconds this task spent simulating (harness time, not
     /// simulated time; nondeterministic and excluded from figure output).
     pub wall_secs: f64,
-    /// Launch-cache memory (LRU) hits scored by this task's kernel launches.
-    pub launch_cache_hits: u64,
-    /// Launch-cache hits served from the persistent store (disk) by this
-    /// task's launches.
-    pub launch_cache_disk_hits: u64,
-    /// Launch-cache misses (captures) charged to this task's launches.
-    pub launch_cache_misses: u64,
-    /// Wall seconds this task spent hashing buffer contents for cache keys
-    /// and captures (harness time; nondeterministic).
-    pub launch_cache_digest_secs: f64,
-    /// Kernels compiled to typed bytecode during this task (0 for tasks
-    /// served entirely by memoized plans — compilation runs once per plan).
-    pub opt_kernels: u64,
-    /// Instruction count of those kernels' typed streams.
-    pub opt_ops_pre: u64,
-    /// Launches this task executed through the native closures.
-    pub native_launches: u64,
-    /// Launches of this task the default engine handed to the tree walker
-    /// (an ineligible plan, or a warp width the cached closures were not
-    /// built for). Replayed launches execute nothing and count in neither.
-    pub tree_fallbacks: u64,
+    /// The harness counters this task bumped: its thread's delta over the
+    /// task (launches, compiles and probes run on the task's thread).
+    pub counters: Counters,
 }
 
 /// The oracle cost entry of the manifest.
@@ -366,12 +347,8 @@ pub struct GroupTotals {
     pub kernels_launched: u64,
     pub h2d_bytes: u64,
     pub d2h_bytes: u64,
-    /// Launch-cache memory hits scored by the group's tasks.
-    pub launch_cache_hits: u64,
-    /// Launch-cache disk (persistent-store) hits scored by the group's tasks.
-    pub launch_cache_disk_hits: u64,
-    /// Launch-cache misses charged to the group's tasks.
-    pub launch_cache_misses: u64,
+    /// The group's records' counters, summed.
+    pub counters: Counters,
 }
 
 /// One entry of the slowest-task report.
@@ -413,43 +390,19 @@ pub struct SweepManifest {
     pub by_model: Vec<GroupTotals>,
     /// The five slowest tasks by wall clock.
     pub slowest_tasks: Vec<SlowTask>,
-    /// The launch-cache policy the sweep ran under (`auto`/`on`/`off`).
+    /// The launch-cache policy the sweep ran under (`on`/`off`).
     pub launch_cache: String,
-    /// Launch-cache memory hits summed over the sweep's tasks.
-    pub launch_cache_hits: u64,
-    /// Launch-cache disk (persistent-store) hits summed over the sweep's
-    /// tasks.
-    pub launch_cache_disk_hits: u64,
-    /// Launch-cache misses summed over the sweep's tasks.
-    pub launch_cache_misses: u64,
-    /// Entries evicted from the process-global launch cache (process
-    /// lifetime total, not per-sweep — the cache outlives sweeps).
-    pub launch_cache_evictions: u64,
-    /// Wall seconds spent hashing buffer contents, summed over tasks.
-    pub launch_cache_digest_secs: f64,
     /// The persistent-store policy the sweep ran under
     /// (`auto`/`auto-off`/`on`/`off`/`path`).
     pub store: String,
-    /// Entries spilled to the persistent store (process lifetime).
-    pub store_spills: u64,
-    /// Bytes spilled to the persistent store (process lifetime).
-    pub store_spill_bytes: u64,
-    /// Store entries quarantined after failing verification (process
-    /// lifetime; nonzero means the store had corrupt or stale files).
-    pub store_quarantined: u64,
-    /// Store entries evicted under the disk byte cap (process lifetime).
-    pub store_evicted: u64,
-    /// Kernels compiled to typed bytecode, summed over tasks.
-    pub opt_kernels: u64,
-    /// Instruction count of those kernels' typed streams.
-    pub opt_ops_pre: u64,
     /// The engine the sweep ran under (`tree`/`bytecode`).
     pub engine: String,
-    /// Native-closure launches summed over the sweep's tasks.
-    pub native_launches: u64,
-    /// Launches the default engine handed to the tree walker, summed over
-    /// tasks.
-    pub tree_fallbacks: u64,
+    /// Every record's counters, summed.
+    pub counters: Counters,
+    /// The process-lifetime counters when the manifest was built: the
+    /// caches outlive sweeps, and the store's spiller runs on no task's
+    /// thread.
+    pub process: Counters,
 }
 
 // ---------------------------------------------------------------------------
@@ -471,11 +424,9 @@ fn run_task(
     with_profile: bool,
 ) -> RunRecord {
     let t0 = Instant::now();
-    // Launch-cache accounting: the counters are thread-local and tasks never
-    // migrate threads mid-run, so the before/after delta is this task's.
-    let (h0, dh0, m0, d0) = thread_cache_counters();
-    let (ok0, op0) = thread_opt_counters();
-    let (nl0, tf0) = thread_native_counters();
+    // Tasks never migrate threads mid-run, so the thread's counter delta is
+    // this task's.
+    let c0 = Counters::thread();
     let ds = cached_dataset(bench, scale);
     let (oracle, oracle_cached) = cached_oracle_tracked(bench, scale, cfg);
     let (compiled, compile_cached) = cached_compile_tracked(bench, task.model, scale, task.tuning.as_ref());
@@ -496,9 +447,6 @@ fn run_task(
     } else {
         (run_compiled(bench, &compiled, &ds, cfg, &oracle.run), None)
     };
-    let (h1, dh1, m1, d1) = thread_cache_counters();
-    let (ok1, op1) = thread_opt_counters();
-    let (nl1, tf1) = thread_native_counters();
     RunRecord {
         task: index,
         benchmark: task.benchmark.clone(),
@@ -516,14 +464,7 @@ fn run_task(
         profile,
         kernel_hotspot: r.kernel_hotspot,
         wall_secs: t0.elapsed().as_secs_f64(),
-        launch_cache_hits: h1 - h0,
-        launch_cache_disk_hits: dh1 - dh0,
-        launch_cache_misses: m1 - m0,
-        launch_cache_digest_secs: (d1 - d0) as f64 * 1e-9,
-        opt_kernels: ok1 - ok0,
-        opt_ops_pre: op1 - op0,
-        native_launches: nl1 - nl0,
-        tree_fallbacks: tf1 - tf0,
+        counters: Counters::thread().since(&c0),
     }
 }
 
@@ -650,9 +591,7 @@ fn run_enumerated(
             kernels_launched: 0,
             h2d_bytes: 0,
             d2h_bytes: 0,
-            launch_cache_hits: 0,
-            launch_cache_disk_hits: 0,
-            launch_cache_misses: 0,
+            counters: Counters::default(),
         };
         for r in records.iter().filter(|r| sel(r)) {
             g.tasks += 1;
@@ -663,9 +602,7 @@ fn run_enumerated(
             g.kernels_launched += r.summary.kernels_launched;
             g.h2d_bytes += r.summary.h2d_bytes;
             g.d2h_bytes += r.summary.d2h_bytes;
-            g.launch_cache_hits += r.launch_cache_hits;
-            g.launch_cache_disk_hits += r.launch_cache_disk_hits;
-            g.launch_cache_misses += r.launch_cache_misses;
+            g.counters += &r.counters;
         }
         g
     };
@@ -701,15 +638,7 @@ fn run_enumerated(
     let parallel_efficiency =
         if wall_secs > 0.0 { (task_wall_secs / (wall_secs * workers as f64)).min(1.0) } else { 1.0 };
 
-    let launch_cache_hits: u64 = records.iter().map(|r| r.launch_cache_hits).sum();
-    let launch_cache_disk_hits: u64 = records.iter().map(|r| r.launch_cache_disk_hits).sum();
-    let launch_cache_misses: u64 = records.iter().map(|r| r.launch_cache_misses).sum();
-    let launch_cache_digest_secs: f64 = records.iter().map(|r| r.launch_cache_digest_secs).sum();
-    let store_totals = launch_store::store_totals();
-    let opt_kernels: u64 = records.iter().map(|r| r.opt_kernels).sum();
-    let opt_ops_pre: u64 = records.iter().map(|r| r.opt_ops_pre).sum();
-    let native_launches: u64 = records.iter().map(|r| r.native_launches).sum();
-    let tree_fallbacks: u64 = records.iter().map(|r| r.tree_fallbacks).sum();
+    let counters = records.iter().map(|r| &r.counters).sum();
 
     SweepManifest {
         scale: format!("{scale:?}"),
@@ -728,21 +657,10 @@ fn run_enumerated(
         by_model,
         slowest_tasks,
         launch_cache: launch_cache_name().to_string(),
-        launch_cache_hits,
-        launch_cache_disk_hits,
-        launch_cache_misses,
-        launch_cache_evictions: launch_cache_totals().evictions,
-        launch_cache_digest_secs,
         store: launch_store::store_policy_name().to_string(),
-        store_spills: store_totals.spills,
-        store_spill_bytes: store_totals.spill_bytes,
-        store_quarantined: store_totals.quarantined,
-        store_evicted: store_totals.evicted,
-        opt_kernels,
-        opt_ops_pre,
         engine: acceval_ir::interp::gpu::engine_name().to_string(),
-        native_launches,
-        tree_fallbacks,
+        counters,
+        process: Counters::process(),
     }
 }
 

@@ -2,9 +2,10 @@
 //! knobs.
 //!
 //! Every runtime knob (`ACCEVAL_DEVICE`, `ACCEVAL_ENGINE`,
-//! `ACCEVAL_LAUNCH_CACHE`, `ACCEVAL_LAUNCH_CACHE_CAP_MB`, `ACCEVAL_STORE`,
-//! `ACCEVAL_STORE_CAP_MB`, `ACCEVAL_STORE_EPOCH`) parses through this
-//! module. Parses are *typed*:
+//! `ACCEVAL_LAUNCH_CACHE`, `ACCEVAL_STORE`) parses through this module.
+//! The launch cache's and the store's byte caps and the store's build epoch
+//! are not knobs: they are fixed (512 MiB, 2 GiB, the executable's length
+//! and mtime). Parses are *typed*:
 //! a malformed value is an [`EnvError`], never a panic. The lazy getters in
 //! [`crate::interp::gpu`], [`crate::interp::launch_cache`], and
 //! [`crate::interp::store`] fall back to their documented defaults on a
@@ -68,14 +69,6 @@ pub fn parse_engine_name(s: &str) -> Result<&'static str, EnvError> {
     }
 }
 
-/// Parse a mebibyte count into bytes.
-pub fn parse_cap_mb(var: &str, s: &str) -> Result<u64, EnvError> {
-    s.trim()
-        .parse::<u64>()
-        .map(|mb| mb.saturating_mul(1 << 20))
-        .map_err(|_| EnvError::new(var, s, "an integer MiB count"))
-}
-
 /// The persistent-store mode parsed from `ACCEVAL_STORE`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreMode {
@@ -120,15 +113,7 @@ pub fn parse_device_name(s: &str) -> Result<acceval_sim::DeviceConfig, EnvError>
 }
 
 /// The `ACCEVAL_*` variables this build understands.
-pub const KNOWN_VARS: &[&str] = &[
-    "ACCEVAL_DEVICE",
-    "ACCEVAL_ENGINE",
-    "ACCEVAL_LAUNCH_CACHE",
-    "ACCEVAL_LAUNCH_CACHE_CAP_MB",
-    "ACCEVAL_STORE",
-    "ACCEVAL_STORE_CAP_MB",
-    "ACCEVAL_STORE_EPOCH",
-];
+pub const KNOWN_VARS: &[&str] = &["ACCEVAL_DEVICE", "ACCEVAL_ENGINE", "ACCEVAL_LAUNCH_CACHE", "ACCEVAL_STORE"];
 
 /// Validate every `ACCEVAL_*` variable present in the environment: known
 /// names must parse, and unknown `ACCEVAL_`-prefixed names are rejected (a
@@ -158,14 +143,9 @@ fn validate_vars(vars: impl IntoIterator<Item = (String, String)>) -> Result<(),
             "ACCEVAL_LAUNCH_CACHE" => {
                 parse_toggle(&k, &v)?;
             }
-            "ACCEVAL_LAUNCH_CACHE_CAP_MB" | "ACCEVAL_STORE_CAP_MB" => {
-                parse_cap_mb(&k, &v)?;
-            }
             "ACCEVAL_STORE" => {
                 parse_store_mode(&v)?;
             }
-            // Free-form: any string is a valid epoch label.
-            "ACCEVAL_STORE_EPOCH" => {}
             _ => return Err(EnvError::new(&k, &v, &format!("no such ACCEVAL knob; known: {}", KNOWN_VARS.join(", ")))),
         }
     }
@@ -196,9 +176,10 @@ mod tests {
     }
 
     /// The optimizer switch, the promotion threshold, the `native` and
-    /// `auto` engine values, the intra-launch parallelism policy and the
-    /// launch cache's `auto` value were removed; setting any of them is a
-    /// startup error, not a silently ignored knob.
+    /// `auto` engine values, the intra-launch parallelism policy, the launch
+    /// cache's `auto` value, both byte caps and the store epoch label were
+    /// removed; setting any of them is a startup error, not a silently
+    /// ignored knob.
     #[test]
     fn removed_knobs_are_rejected() {
         let one = |k: &str, v: &str| validate_vars([(k.to_string(), v.to_string())]);
@@ -209,6 +190,9 @@ mod tests {
             ("ACCEVAL_ENGINE", "auto"),
             ("ACCEVAL_LAUNCH_PAR", "on"),
             ("ACCEVAL_LAUNCH_CACHE", "auto"),
+            ("ACCEVAL_LAUNCH_CACHE_CAP_MB", "512"),
+            ("ACCEVAL_STORE_CAP_MB", "2048"),
+            ("ACCEVAL_STORE_EPOCH", "any label"),
         ] {
             let e = one(k, v).unwrap_err();
             assert_eq!(e.var, k, "{k}={v} must be rejected under its own name");
@@ -216,19 +200,9 @@ mod tests {
         assert!(!KNOWN_VARS.contains(&"ACCEVAL_OPT"));
         assert!(!KNOWN_VARS.contains(&"ACCEVAL_NATIVE_THRESHOLD"));
         assert!(!KNOWN_VARS.contains(&"ACCEVAL_LAUNCH_PAR"));
+        assert_eq!(KNOWN_VARS.len(), 4);
         assert_eq!(one("ACCEVAL_ENGINE", "bytecode"), Ok(()));
-        assert_eq!(one("ACCEVAL_STORE_EPOCH", "any label"), Ok(()));
         assert_eq!(one("OTHER_VAR", "x"), Ok(()));
-    }
-
-    #[test]
-    fn cap_parses_and_saturates() {
-        assert_eq!(parse_cap_mb("X", "512"), Ok(512 << 20));
-        assert_eq!(parse_cap_mb("X", " 1 "), Ok(1 << 20));
-        assert!(parse_cap_mb("X", "12MB").is_err());
-        assert!(parse_cap_mb("X", "-3").is_err());
-        // A huge-but-parseable cap saturates instead of overflowing.
-        assert_eq!(parse_cap_mb("X", &u64::MAX.to_string()), Ok(u64::MAX));
     }
 
     #[test]

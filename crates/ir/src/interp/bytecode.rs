@@ -68,11 +68,11 @@ pub(crate) fn intrin_cost(f: Intrin) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Stats and counters
+// Stats
 // ---------------------------------------------------------------------------
 
-/// Per-kernel compile summary, read by profiling and aggregated into sweep
-/// manifests.
+/// Per-kernel compile summary, read by profiling and the benchmark's layer
+/// table (sweeps count compiles through [`crate::metrics`]).
 #[derive(Debug, Clone, Default)]
 pub struct OptStats {
     /// Instructions in the typed stream.
@@ -80,24 +80,6 @@ pub struct OptStats {
     /// Always equal to `ops_pre`; kept because the benchmark's layer table
     /// reads both.
     pub ops_post: u64,
-}
-
-thread_local! {
-    static TL_KERNELS: Cell<u64> = const { Cell::new(0) };
-    static TL_OPS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Record one kernel's compile in the per-thread counters (the sweep reads
-/// them to attribute work to its own runs, mirroring the launch-cache
-/// counter discipline).
-pub(crate) fn note_opt(st: &OptStats) {
-    TL_KERNELS.with(|c| c.set(c.get() + 1));
-    TL_OPS.with(|c| c.set(c.get() + st.ops_pre));
-}
-
-/// This thread's `(kernels compiled, instructions in their streams)`.
-pub fn thread_opt_counters() -> (u64, u64) {
-    (TL_KERNELS.with(Cell::get), TL_OPS.with(Cell::get))
 }
 
 // ---------------------------------------------------------------------------

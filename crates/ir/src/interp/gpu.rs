@@ -27,6 +27,7 @@ use crate::interp::launch_cache::{self, ArrayOut, DevTarget, DeviceBufs, Journal
 use crate::interp::native;
 use crate::interp::{eval_pure, row_major_strides, Interp, Machine};
 use crate::kernel::{Expansion, KernelPlan, MemSpace, ReduceStrategy};
+use crate::metrics::{self, Counter};
 use crate::program::{eval_const, Program};
 use crate::stmt::{visit_exprs, visit_stmts, Stmt};
 use crate::types::{ArrayId, ReduceOp, ScalarId, SiteId, Value, VarRef};
@@ -144,7 +145,7 @@ impl DeviceState {
         match &mut self.bufs[i] {
             Some(b) if b.elem == host.elem && b.len() == host.len() => {
                 if let Some(d) = self.tags[i].memoized() {
-                    let hd = launch_cache::timed_digest(|| host.content_digest());
+                    let hd = metrics::timed(Counter::LaunchCacheDigestNs, || host.content_digest());
                     if hd == d {
                         return;
                     }
@@ -171,7 +172,9 @@ impl DeviceState {
         match &mut self.bufs[i] {
             Some(b) if b.elem == host.elem && b.len() == host.len() => {
                 if self.tags[i].memoized().is_some() {
-                    let zd = launch_cache::timed_digest(|| acceval_sim::zero_digest(host.elem, host.len()));
+                    let zd = metrics::timed(Counter::LaunchCacheDigestNs, || {
+                        acceval_sim::zero_digest(host.elem, host.len())
+                    });
                     if self.tags[i].memoized() == Some(zd) {
                         return;
                     }
@@ -644,15 +647,16 @@ fn probe(
     }
     let key = build_launch_key(lay, dev);
     if let Some((effect, tier)) = launch_cache::probe_two_tier(&key) {
-        match tier {
-            launch_cache::ProbeTier::Memory => launch_cache::note_hit(),
-            launch_cache::ProbeTier::Disk => launch_cache::note_disk_hit(),
-        }
+        let counter = match tier {
+            launch_cache::ProbeTier::Memory => Counter::LaunchCacheHits,
+            launch_cache::ProbeTier::Disk => Counter::LaunchCacheDiskHits,
+        };
+        metrics::add(counter, 1);
         replay_effect(&effect, dev, scal);
         emit_launch(sink, lay, &effect.result, &effect.sites, None);
         return ControlFlow::Break(effect.result.clone());
     }
-    launch_cache::note_miss();
+    metrics::add(Counter::LaunchCacheMisses, 1);
     // The launch journals the first write to each element of its write
     // set; capture reads its delta off the journal.
     let mut journal = Journal::take();
@@ -680,7 +684,7 @@ impl Capture {
         sites: &[SiteEvidence],
     ) {
         let Capture { key, mut journal } = self;
-        let outputs = launch_cache::timed_digest(|| journal.capture(&lay.arrays.writes, &dev.bufs));
+        let outputs = metrics::timed(Counter::LaunchCacheDigestNs, || journal.capture(&lay.arrays.writes, &dev.bufs));
         journal.recycle();
         for &(i, _, d) in &outputs {
             dev.tags[i as usize].prime(d);
@@ -758,11 +762,8 @@ fn execute(lay: &LaunchLayout, dev: &mut DeviceState, journal: Option<&mut Journ
     let native_k = match eng {
         Engine::Bytecode => {
             let nk = lay.plan.engine_cache.get_or_native(lay.prog, lay.plan, lay.warp as usize);
-            if nk.is_some() {
-                native::note_native_launch();
-            } else {
-                native::note_tree_fallback();
-            }
+            let counter = if nk.is_some() { Counter::EngineNativeLaunches } else { Counter::EngineTreeFallbacks };
+            metrics::add(counter, 1);
             nk
         }
         Engine::Tree => None,
@@ -1164,7 +1165,7 @@ fn body_arrays(plan: &KernelPlan, red_arrays: &[(ArrayId, ReduceOp, usize)]) -> 
 /// the (small) config/layout/scalar material.
 fn build_launch_key(lay: &LaunchLayout, dev: &mut DeviceState) -> LaunchKey {
     let plan = lay.plan;
-    launch_cache::timed_digest(|| {
+    metrics::timed(Counter::LaunchCacheDigestNs, || {
         let plan_fp = plan.engine_cache.fingerprint(plan);
         // Address layout: the device base of every array depends on the
         // allocation state, length, and element size of all the arrays
@@ -1481,57 +1482,43 @@ fn price_warp(
                         extra_issue += (s.transactions - s.requests) as f64;
                         out.site_global[i].merge(&s);
                     }
-                    MemSpace::Texture if cfg.has_texture_path => {
-                        let line = cfg.tex_line_bytes as u64;
-                        let t = &mut out.totals;
-                        let (req0, miss0) = (t.tex_requests, t.tex_miss_lines);
-                        tr.for_each_row(|row| {
-                            t.tex_requests += 1;
-                            let mut lines: Vec<u64> = row.iter().map(|a| a / line).collect();
-                            lines.sort_unstable();
-                            lines.dedup();
-                            for l in lines {
-                                if !tex_cache.access(l * line) {
-                                    t.tex_miss_lines += 1;
-                                }
-                            }
-                        });
-                        out.site_global[i].merge(&AccessSummary {
-                            requests: out.totals.tex_requests - req0,
-                            transactions: out.totals.tex_miss_lines - miss0,
-                            lane_accesses: 0,
-                        });
-                    }
                     MemSpace::Texture => {
-                        // No dedicated texture pipeline on this generation:
-                        // read-only data flows through the unified L1 (the
-                        // same cache simulator, sized per preset) and misses
-                        // move ordinary global segments, so the cost lands on
-                        // the global-memory roofline terms instead of the
-                        // texture ones.
+                        // One walk through the texture cache; the two device
+                        // families differ only in which totals a row and a
+                        // missed line charge.
                         let line = cfg.tex_line_bytes as u64;
-                        let tx_per_line = (line / cfg.segment_bytes as u64).max(1);
-                        let t = &mut out.totals;
-                        let (req0, tx0) = (t.global_requests, t.global_transactions);
-                        let mut lanes = 0u64;
+                        let (mut rows, mut lanes, mut missed) = (0u64, 0u64, 0u64);
                         tr.for_each_row(|row| {
-                            t.global_requests += 1;
+                            rows += 1;
                             lanes += row.len() as u64;
                             let mut lines: Vec<u64> = row.iter().map(|a| a / line).collect();
                             lines.sort_unstable();
                             lines.dedup();
                             for l in lines {
                                 if !tex_cache.access(l * line) {
-                                    t.global_transactions += tx_per_line;
+                                    missed += 1;
                                 }
                             }
                         });
-                        t.useful_bytes += lanes * eb;
-                        out.site_global[i].merge(&AccessSummary {
-                            requests: out.totals.global_requests - req0,
-                            transactions: out.totals.global_transactions - tx0,
-                            lane_accesses: lanes,
-                        });
+                        let t = &mut out.totals;
+                        let site = if cfg.has_texture_path {
+                            t.tex_requests += rows;
+                            t.tex_miss_lines += missed;
+                            AccessSummary { requests: rows, transactions: missed, lane_accesses: 0 }
+                        } else {
+                            // No dedicated texture pipeline on this generation:
+                            // read-only data flows through the unified L1 (the
+                            // same cache simulator, sized per preset) and misses
+                            // move ordinary global segments, so the cost lands
+                            // on the global-memory roofline terms instead of
+                            // the texture ones.
+                            let transactions = missed * (line / cfg.segment_bytes as u64).max(1);
+                            t.global_requests += rows;
+                            t.global_transactions += transactions;
+                            t.useful_bytes += lanes * eb;
+                            AccessSummary { requests: rows, transactions, lane_accesses: lanes }
+                        };
+                        out.site_global[i].merge(&site);
                     }
                 }
             }

@@ -28,9 +28,10 @@
 //! build; [`acceval_sim::digest_update`]), so capture costs O(writes), plus
 //! a copy of any buffer it captures dense.
 //!
-//! The cache is bounded (`ACCEVAL_LAUNCH_CACHE_CAP_MB`, default 512) with
-//! LRU eviction, so iterative benchmarks whose inputs change every step
-//! miss cleanly without ballooning memory.
+//! The cache is bounded (512 MiB of resident effects) with LRU eviction,
+//! so iterative benchmarks whose inputs change every step miss cleanly
+//! without ballooning memory. Hits, misses, evictions and digest time count
+//! in [`crate::metrics`].
 //!
 //! Below the LRU sits an optional disk tier ([`super::store`]): an in-memory
 //! miss probes the persistent store before executing, a disk hit is promoted
@@ -41,11 +42,11 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 use acceval_sim::{digest_update, Buffer};
 
 use super::gpu::{DeviceState, LaunchResult, SiteEvidence};
+use crate::metrics::{self, Counter, Counters};
 use crate::types::Value;
 
 /// Launch-memoization policy (`ACCEVAL_LAUNCH_CACHE`). The cache is a speed
@@ -109,74 +110,28 @@ pub fn launch_cache_enabled() -> bool {
 
 // ---- capacity --------------------------------------------------------------
 
+/// Resident-byte cap on cached launch effects when no override is set.
+const DEFAULT_CAP: u64 = 512 << 20;
+
 /// Byte-cap override installed by tests; `u64::MAX` means unset.
 static CAP_OVERRIDE: AtomicU64 = AtomicU64::new(u64::MAX);
-static CAP_FROM_ENV: OnceLock<u64> = OnceLock::new();
 
 /// Resident-byte cap on cached launch effects: the override installed by
-/// [`set_launch_cache_cap_override`] wins, else `ACCEVAL_LAUNCH_CACHE_CAP_MB`
-/// (mebibytes), else 512 MiB.
+/// [`set_launch_cache_cap_override`] wins, else 512 MiB.
 pub fn launch_cache_cap_bytes() -> u64 {
-    let o = CAP_OVERRIDE.load(Ordering::Relaxed);
-    if o != u64::MAX {
-        return o;
+    match CAP_OVERRIDE.load(Ordering::Relaxed) {
+        u64::MAX => DEFAULT_CAP,
+        o => o,
     }
-    *CAP_FROM_ENV.get_or_init(|| match std::env::var("ACCEVAL_LAUNCH_CACHE_CAP_MB") {
-        // Fail soft to the default on a malformed count; see launch_cache().
-        Ok(s) => crate::env::parse_cap_mb("ACCEVAL_LAUNCH_CACHE_CAP_MB", &s).unwrap_or(512 << 20),
-        Err(_) => 512 << 20,
-    })
 }
 
 /// Force a byte cap for this process (tests exercise eviction under a tiny
-/// cap). `None` returns control to the environment/default.
+/// cap). `None` restores the default.
 pub fn set_launch_cache_cap_override(bytes: Option<u64>) {
     CAP_OVERRIDE.store(bytes.unwrap_or(u64::MAX), Ordering::Relaxed);
 }
 
 // ---- statistics ------------------------------------------------------------
-
-static HITS: AtomicU64 = AtomicU64::new(0);
-static DISK_HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static DIGEST_NANOS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static TL_HITS: Cell<u64> = const { Cell::new(0) };
-    static TL_DISK_HITS: Cell<u64> = const { Cell::new(0) };
-    static TL_MISSES: Cell<u64> = const { Cell::new(0) };
-    static TL_DIGEST_NANOS: Cell<u64> = const { Cell::new(0) };
-}
-
-pub(crate) fn note_hit() {
-    HITS.fetch_add(1, Ordering::Relaxed);
-    TL_HITS.with(|c| c.set(c.get() + 1));
-}
-
-pub(crate) fn note_disk_hit() {
-    DISK_HITS.fetch_add(1, Ordering::Relaxed);
-    TL_DISK_HITS.with(|c| c.set(c.get() + 1));
-}
-
-pub(crate) fn note_miss() {
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    TL_MISSES.with(|c| c.set(c.get() + 1));
-}
-
-pub(crate) fn note_digest_nanos(n: u64) {
-    DIGEST_NANOS.fetch_add(n, Ordering::Relaxed);
-    TL_DIGEST_NANOS.with(|c| c.set(c.get() + n));
-}
-
-/// Time `f` as digest/key work, charging the elapsed nanoseconds to the
-/// digest accounting (global and thread-local).
-pub(crate) fn timed_digest<T>(f: impl FnOnce() -> T) -> T {
-    let t0 = Instant::now();
-    let r = f();
-    note_digest_nanos(t0.elapsed().as_nanos() as u64);
-    r
-}
 
 /// Process-lifetime cache counters, for manifests and the sweep report.
 #[derive(Debug, Clone, Copy, Default)]
@@ -198,34 +153,23 @@ pub struct CacheTotals {
     pub entries: u64,
 }
 
-/// Snapshot of the process-lifetime cache counters.
+/// Snapshot of the process-lifetime cache counters ([`Counters::process`])
+/// and the LRU's current level.
 pub fn launch_cache_totals() -> CacheTotals {
     let (resident_bytes, entries) = match store().lock() {
         Ok(s) => (s.bytes, s.map.len() as u64),
         Err(_) => (0, 0),
     };
+    let c = Counters::process();
     CacheTotals {
-        hits: HITS.load(Ordering::Relaxed),
-        disk_hits: DISK_HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        evictions: EVICTIONS.load(Ordering::Relaxed),
-        digest_secs: DIGEST_NANOS.load(Ordering::Relaxed) as f64 * 1e-9,
+        hits: c.get(Counter::LaunchCacheHits),
+        disk_hits: c.get(Counter::LaunchCacheDiskHits),
+        misses: c.get(Counter::LaunchCacheMisses),
+        evictions: c.get(Counter::LaunchCacheEvictions),
+        digest_secs: c.get(Counter::LaunchCacheDigestNs) as f64 * 1e-9,
         resident_bytes,
         entries,
     }
-}
-
-/// Per-thread cumulative counters (memory hits, disk hits, misses, digest
-/// nanos). The sweep snapshots these around each task — launches run on the
-/// task's worker thread, so the delta attributes cache behavior to the task
-/// exactly.
-pub fn thread_cache_counters() -> (u64, u64, u64, u64) {
-    (
-        TL_HITS.with(|c| c.get()),
-        TL_DISK_HITS.with(|c| c.get()),
-        TL_MISSES.with(|c| c.get()),
-        TL_DIGEST_NANOS.with(|c| c.get()),
-    )
 }
 
 // ---- keys and effects ------------------------------------------------------
@@ -404,7 +348,7 @@ fn insert_arc(key: LaunchKey, effect: Arc<LaunchEffect>) {
         };
         let slot = s.map.remove(&victim).expect("victim present");
         s.bytes -= slot.bytes;
-        EVICTIONS.fetch_add(1, Ordering::Relaxed);
+        metrics::add(Counter::LaunchCacheEvictions, 1);
     }
 }
 

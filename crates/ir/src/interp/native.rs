@@ -37,7 +37,6 @@
 //! closures were built for — runs on the tree walker and counts as a tree
 //! fallback.
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use acceval_sim::Buffer;
@@ -49,32 +48,6 @@ use crate::types::{ArrayId, Value};
 use super::bytecode::{Bank, ExecCtx, KernelBytecode, TOp, WarpScratch};
 use super::gpu::PRIV_BASE;
 use super::launch_cache::{DevTarget, DeviceBufs};
-
-// ---------------------------------------------------------------------------
-// Counters
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static TL_LAUNCHES: Cell<u64> = const { Cell::new(0) };
-    static TL_TREE_FALLBACKS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// A launch executed through the native closures (counted on the launching
-/// thread, so a sweep attributes it to the task that ran it).
-pub(crate) fn note_native_launch() {
-    TL_LAUNCHES.with(|c| c.set(c.get() + 1));
-}
-
-/// A launch the default engine handed to the tree walker (an ineligible
-/// plan, or a warp width the cached closures were not built for).
-pub(crate) fn note_tree_fallback() {
-    TL_TREE_FALLBACKS.with(|c| c.set(c.get() + 1));
-}
-
-/// This thread's `(native launches, tree fallbacks)`.
-pub fn thread_native_counters() -> (u64, u64) {
-    (TL_LAUNCHES.with(Cell::get), TL_TREE_FALLBACKS.with(Cell::get))
-}
 
 // ---------------------------------------------------------------------------
 // Execution state

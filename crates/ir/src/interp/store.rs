@@ -21,8 +21,12 @@
 //! bytes). The digest is weak, so every entry *stores* its key and a probe
 //! compares key bytes after the checksum passes — correctness never rests on
 //! hash strength, a collision is just a miss. The build epoch (executable
-//! length + mtime, overridable via `ACCEVAL_STORE_EPOCH`) is folded into the
-//! address so entries captured under a different cost model can never match.
+//! length + mtime) is folded into the address so entries captured under a
+//! different cost model can never match.
+//!
+//! **Capacity**: the store holds at most 2 GiB (tests install a smaller cap
+//! through [`set_store_cap_override`]); probes, spills, quarantines and
+//! evictions count in [`crate::metrics`].
 //!
 //! **Fail-soft**: the store is a speed tier, never a correctness tier. Any
 //! I/O error is a miss (probe) or a dropped spill (insert). A truncated,
@@ -42,13 +46,14 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, SystemTime};
 
 use acceval_sim::{AccessSummary, Buffer, Digest128, ElemType, Payload, SharedSummary};
 
 use super::gpu::{LaunchResult, SiteEvidence};
 use super::launch_cache::{ArrayOut, LaunchEffect, LaunchKey};
 use crate::env::{self, StoreMode};
+use crate::metrics::{self, Counter, Counters};
 use crate::types::Value;
 
 /// On-disk entry kind for launch effects.
@@ -69,7 +74,7 @@ const LAYOUT: &str = "v1";
 /// Default store root when `ACCEVAL_STORE` is `on` or auto-enabled.
 const DEFAULT_ROOT: &str = "results/.acceval-store";
 
-/// Default byte cap when `ACCEVAL_STORE_CAP_MB` is unset: 2 GiB.
+/// Byte cap when no override is set: 2 GiB.
 const DEFAULT_CAP: u64 = 2048 << 20;
 
 /// Bytes the write-behind queue may hold before further spills are dropped
@@ -86,7 +91,6 @@ static MODE_FROM_ENV: OnceLock<StoreMode> = OnceLock::new();
 
 /// Byte-cap override installed by tests; `u64::MAX` means unset.
 static CAP_OVERRIDE: AtomicU64 = AtomicU64::new(u64::MAX);
-static CAP_FROM_ENV: OnceLock<u64> = OnceLock::new();
 
 /// The persistent-store mode: an override installed by
 /// [`set_store_override`] wins, else `ACCEVAL_STORE`
@@ -160,21 +164,16 @@ pub fn store_enabled() -> bool {
 }
 
 /// Byte cap on the on-disk store: the override installed by
-/// [`set_store_cap_override`] wins, else `ACCEVAL_STORE_CAP_MB` (mebibytes),
-/// else 2 GiB. A malformed value falls back to the default.
+/// [`set_store_cap_override`] wins, else 2 GiB.
 pub fn store_cap_bytes() -> u64 {
-    let o = CAP_OVERRIDE.load(Ordering::Relaxed);
-    if o != u64::MAX {
-        return o;
+    match CAP_OVERRIDE.load(Ordering::Relaxed) {
+        u64::MAX => DEFAULT_CAP,
+        o => o,
     }
-    *CAP_FROM_ENV.get_or_init(|| match std::env::var("ACCEVAL_STORE_CAP_MB") {
-        Ok(s) => env::parse_cap_mb("ACCEVAL_STORE_CAP_MB", &s).unwrap_or(DEFAULT_CAP),
-        Err(_) => DEFAULT_CAP,
-    })
 }
 
 /// Force a store byte cap for this process (tests exercise eviction under a
-/// tiny cap). `None` returns control to the environment/default.
+/// tiny cap). `None` restores the default.
 pub fn set_store_cap_override(bytes: Option<u64>) {
     CAP_OVERRIDE.store(bytes.unwrap_or(u64::MAX), Ordering::Relaxed);
 }
@@ -183,30 +182,19 @@ pub fn set_store_cap_override(bytes: Option<u64>) {
 
 /// Epoch folded into every on-disk address. Entries record the simulator's
 /// *outputs*, so an entry captured by a different build (different cost
-/// model, different capture format) must be unreachable: by default the
-/// epoch digests the current executable's length and mtime. Deliberate
-/// sharing across builds (e.g. a CI cache keyed on the source revision) can
-/// pin it with `ACCEVAL_STORE_EPOCH=<label>`.
+/// model, different capture format) must be unreachable: the epoch digests
+/// the current executable's length and mtime.
 fn store_epoch() -> u64 {
     static EPOCH: OnceLock<u64> = OnceLock::new();
     *EPOCH.get_or_init(|| {
         let mut d = Digest128::new();
-        if let Ok(label) = std::env::var("ACCEVAL_STORE_EPOCH") {
-            d.push(0xe70c);
-            for chunk in label.as_bytes().chunks(8) {
-                let mut w = [0u8; 8];
-                w[..chunk.len()].copy_from_slice(chunk);
-                d.push(u64::from_le_bytes(w));
-            }
-        } else {
-            d.push(0xb11d);
-            if let Ok(meta) = std::env::current_exe().and_then(fs::metadata) {
-                d.push(meta.len());
-                if let Ok(mtime) = meta.modified() {
-                    if let Ok(age) = mtime.duration_since(SystemTime::UNIX_EPOCH) {
-                        d.push(age.as_secs());
-                        d.push(age.subsec_nanos() as u64);
-                    }
+        d.push(0xb11d);
+        if let Ok(meta) = std::env::current_exe().and_then(fs::metadata) {
+            d.push(meta.len());
+            if let Ok(mtime) = meta.modified() {
+                if let Ok(age) = mtime.duration_since(SystemTime::UNIX_EPOCH) {
+                    d.push(age.as_secs());
+                    d.push(age.subsec_nanos() as u64);
                 }
             }
         }
@@ -216,15 +204,6 @@ fn store_epoch() -> u64 {
 }
 
 // ---- statistics ------------------------------------------------------------
-
-static DISK_HITS: AtomicU64 = AtomicU64::new(0);
-static DISK_MISSES: AtomicU64 = AtomicU64::new(0);
-static SPILLS: AtomicU64 = AtomicU64::new(0);
-static SPILL_BYTES: AtomicU64 = AtomicU64::new(0);
-static SPILL_DROPS: AtomicU64 = AtomicU64::new(0);
-static QUARANTINED: AtomicU64 = AtomicU64::new(0);
-static EVICTED: AtomicU64 = AtomicU64::new(0);
-static PROBE_NANOS: AtomicU64 = AtomicU64::new(0);
 
 /// Approximate resident bytes across the store, maintained by this process's
 /// writes and trued up by eviction scans. `u64::MAX` = not yet seeded.
@@ -251,17 +230,18 @@ pub struct StoreTotals {
     pub probe_secs: f64,
 }
 
-/// Snapshot of the process-lifetime store counters.
+/// Snapshot of the process-lifetime store counters ([`Counters::process`]).
 pub fn store_totals() -> StoreTotals {
+    let c = Counters::process();
     StoreTotals {
-        disk_hits: DISK_HITS.load(Ordering::Relaxed),
-        disk_misses: DISK_MISSES.load(Ordering::Relaxed),
-        spills: SPILLS.load(Ordering::Relaxed),
-        spill_bytes: SPILL_BYTES.load(Ordering::Relaxed),
-        spill_drops: SPILL_DROPS.load(Ordering::Relaxed),
-        quarantined: QUARANTINED.load(Ordering::Relaxed),
-        evicted: EVICTED.load(Ordering::Relaxed),
-        probe_secs: PROBE_NANOS.load(Ordering::Relaxed) as f64 * 1e-9,
+        disk_hits: c.get(Counter::StoreDiskHits),
+        disk_misses: c.get(Counter::StoreDiskMisses),
+        spills: c.get(Counter::StoreSpills),
+        spill_bytes: c.get(Counter::StoreSpillBytes),
+        spill_drops: c.get(Counter::StoreSpillDrops),
+        quarantined: c.get(Counter::StoreQuarantined),
+        evicted: c.get(Counter::StoreEvicted),
+        probe_secs: c.get(Counter::StoreProbeNs) as f64 * 1e-9,
     }
 }
 
@@ -455,7 +435,7 @@ fn quarantine(root: &Path, path: &Path) {
     let qdir = root.join(LAYOUT).join("quarantine");
     if fs::create_dir_all(&qdir).is_err() {
         let _ = fs::remove_file(path);
-        QUARANTINED.fetch_add(1, Ordering::Relaxed);
+        metrics::add(Counter::StoreQuarantined, 1);
         return;
     }
     let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_else(|| "entry".into());
@@ -465,7 +445,7 @@ fn quarantine(root: &Path, path: &Path) {
         // quarantining for fail-soft purposes.
         let _ = fs::remove_file(path);
     }
-    QUARANTINED.fetch_add(1, Ordering::Relaxed);
+    metrics::add(Counter::StoreQuarantined, 1);
 }
 
 // ---- probe (synchronous) ---------------------------------------------------
@@ -474,19 +454,9 @@ fn quarantine(root: &Path, path: &Path) {
 /// corrupt file (quarantined), key/epoch mismatch — is a miss.
 pub fn get_blob(kind: u8, key: &[u8]) -> Option<Vec<u8>> {
     let root = store_root()?;
-    let t0 = Instant::now();
-    let r = get_blob_at(&root, kind, key);
-    PROBE_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    match r {
-        Some(p) => {
-            DISK_HITS.fetch_add(1, Ordering::Relaxed);
-            Some(p)
-        }
-        None => {
-            DISK_MISSES.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-    }
+    let r = metrics::timed(Counter::StoreProbeNs, || get_blob_at(&root, kind, key));
+    metrics::add(if r.is_some() { Counter::StoreDiskHits } else { Counter::StoreDiskMisses }, 1);
+    r
 }
 
 fn get_blob_at(root: &Path, kind: u8, key: &[u8]) -> Option<Vec<u8>> {
@@ -545,11 +515,11 @@ fn spool() -> &'static (Mutex<Spool>, Condvar) {
 fn enqueue(job: Job, est_bytes: u64) {
     let (lock, cv) = spool();
     let Ok(mut s) = lock.lock() else {
-        SPILL_DROPS.fetch_add(1, Ordering::Relaxed);
+        metrics::add(Counter::StoreSpillDrops, 1);
         return;
     };
     if s.queued_bytes.saturating_add(est_bytes) > QUEUE_CAP {
-        SPILL_DROPS.fetch_add(1, Ordering::Relaxed);
+        metrics::add(Counter::StoreSpillDrops, 1);
         return;
     }
     if !s.started {
@@ -560,7 +530,7 @@ fn enqueue(job: Job, est_bytes: u64) {
             .map(|_| ())
             .unwrap_or_else(|_| s.started = false);
         if !s.started {
-            SPILL_DROPS.fetch_add(1, Ordering::Relaxed);
+            metrics::add(Counter::StoreSpillDrops, 1);
             return;
         }
     }
@@ -617,11 +587,11 @@ fn write_job(job: Job) {
     let data = frame(job.kind, &job.key, &payload);
     let len = data.len() as u64;
     if write_atomic(&job.root, &path, &data).is_none() {
-        SPILL_DROPS.fetch_add(1, Ordering::Relaxed);
+        metrics::add(Counter::StoreSpillDrops, 1);
         return;
     }
-    SPILLS.fetch_add(1, Ordering::Relaxed);
-    SPILL_BYTES.fetch_add(len, Ordering::Relaxed);
+    metrics::add(Counter::StoreSpills, 1);
+    metrics::add(Counter::StoreSpillBytes, len);
     approx_add(&job.root, len);
     maybe_evict(&job.root, job.cap);
 }
@@ -766,7 +736,7 @@ fn maybe_evict(root: &Path, cap: u64) {
         }
         if fs::remove_file(&path).is_ok() {
             total = total.saturating_sub(len);
-            EVICTED.fetch_add(1, Ordering::Relaxed);
+            metrics::add(Counter::StoreEvicted, 1);
         }
     }
     APPROX_BYTES.store(total, Ordering::Relaxed);
@@ -1139,8 +1109,7 @@ fn decode_effect(bytes: &[u8]) -> Option<LaunchEffect> {
 pub fn probe_effect(key: &LaunchKey) -> Option<LaunchEffect> {
     let root = store_root()?;
     let key_bytes = encode_launch_key(key);
-    let t0 = Instant::now();
-    let r = (|| {
+    let r = metrics::timed(Counter::StoreProbeNs, || {
         let payload = get_blob_at(&root, KIND_LAUNCH, &key_bytes)?;
         match decode_effect(&payload) {
             Some(eff) => Some(eff),
@@ -1152,18 +1121,9 @@ pub fn probe_effect(key: &LaunchKey) -> Option<LaunchEffect> {
                 None
             }
         }
-    })();
-    PROBE_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    match r {
-        Some(eff) => {
-            DISK_HITS.fetch_add(1, Ordering::Relaxed);
-            Some(eff)
-        }
-        None => {
-            DISK_MISSES.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-    }
+    });
+    metrics::add(if r.is_some() { Counter::StoreDiskHits } else { Counter::StoreDiskMisses }, 1);
+    r
 }
 
 /// Spill a captured launch effect write-behind. The effect serializes on the

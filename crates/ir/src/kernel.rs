@@ -11,8 +11,9 @@ use std::sync::{Arc, OnceLock};
 use serde::{Deserialize, Serialize};
 
 use crate::expr::Expr;
-use crate::interp::bytecode::{compile, note_opt, KernelBytecode, OptStats};
+use crate::interp::bytecode::{compile, KernelBytecode, OptStats};
 use crate::interp::native::{compile_native, NativeKernel};
+use crate::metrics::{self, Counter};
 use crate::program::Program;
 use crate::stmt::Stmt;
 use crate::types::{ArrayId, ReduceOp, ScalarId, VarRef};
@@ -172,7 +173,8 @@ impl EngineCache {
     pub fn get_or_compile(&self, prog: &Program, plan: &KernelPlan) -> Option<Arc<KernelBytecode>> {
         match self.slot.get_or_init(|| match compile(prog, plan) {
             Some(bc) => {
-                note_opt(&bc.stats());
+                metrics::add(Counter::CompileKernels, 1);
+                metrics::add(Counter::CompileOps, bc.stats().ops_pre);
                 CompileOutcome::Compiled(Arc::new(bc))
             }
             None => CompileOutcome::Ineligible,

@@ -13,7 +13,8 @@
 //! * **transformations** ([`transform`]) — inlining, parallel loop-swap,
 //!   loop collapsing, strip-mining — the paper's optimization repertoire;
 //! * the compiled **kernel plan** representation ([`kernel`]) and the GPU
-//!   executor ([`interp::gpu`]).
+//!   executor ([`interp::gpu`]);
+//! * the one registry of harness **counters** ([`metrics`]).
 
 #![forbid(unsafe_code)]
 
@@ -23,6 +24,7 @@ pub mod env;
 pub mod expr;
 pub mod interp;
 pub mod kernel;
+pub mod metrics;
 pub mod pretty;
 pub mod program;
 pub mod stmt;

@@ -19,8 +19,8 @@ use acceval_ir::builder::*;
 use acceval_ir::expr::{ld, v};
 use acceval_ir::interp::gpu::{env_from_dataset, launch_with_engine, DeviceState, Engine};
 use acceval_ir::interp::launch_cache::{set_launch_cache_override, LaunchCache};
-use acceval_ir::interp::native::thread_native_counters;
 use acceval_ir::kernel::{axis, Expansion, KernelPlan, MemSpace, ReduceStrategy};
+use acceval_ir::metrics::{Counter, Counters};
 use acceval_ir::program::{DataSet, HostData, Program};
 use acceval_ir::types::{ArrayId, ReduceOp, Value, VarRef};
 use acceval_sim::{Buffer, DeviceConfig, ElemType};
@@ -255,11 +255,15 @@ fn call_body_falls_back_to_tree() {
 
     let _guard = override_lock();
     let reference = run_uncached(&p, &ds, &k, Engine::Tree);
-    let (launches0, fallbacks0) = thread_native_counters();
+    let before = Counters::thread();
     let fallback = run_uncached(&p, &ds, &k, Engine::Bytecode);
-    let (launches1, fallbacks1) = thread_native_counters();
+    let d = Counters::thread().since(&before);
     assert!(k.engine_cache.native_kernel().is_none(), "a body with calls has no closures");
-    assert_eq!((launches1 - launches0, fallbacks1 - fallbacks0), (0, 1), "the launch must count as a tree fallback");
+    assert_eq!(
+        (d.get(Counter::EngineNativeLaunches), d.get(Counter::EngineTreeFallbacks)),
+        (0, 1),
+        "the launch must count as a tree fallback"
+    );
     assert_runs_agree("kernel call (tree fallback)", &reference, &fallback);
 }
 

@@ -24,9 +24,9 @@ use acceval_ir::env::StoreMode;
 use acceval_ir::expr::{ld, v};
 use acceval_ir::interp::gpu::Engine;
 use acceval_ir::interp::launch_cache::{clear_launch_cache, set_launch_cache_override, LaunchCache};
-use acceval_ir::interp::native::thread_native_counters;
 use acceval_ir::interp::store::set_store_override;
 use acceval_ir::kernel::{axis, Expansion, KernelPlan, MemSpace, ReduceStrategy};
+use acceval_ir::metrics::{Counter, Counters};
 use acceval_ir::program::{DataSet, Program};
 use acceval_ir::types::{ReduceOp, Value, VarRef};
 use acceval_sim::DeviceConfig;
@@ -36,9 +36,9 @@ use common::{
 use proptest::prelude::*;
 
 /// This thread's `(native launches, tree fallbacks)` since `before`.
-fn counted_since(before: (u64, u64)) -> (u64, u64) {
-    let (l, f) = thread_native_counters();
-    (l - before.0, f - before.1)
+fn counted_since(before: Counters) -> (u64, u64) {
+    let d = Counters::thread().since(&before);
+    (d.get(Counter::EngineNativeLaunches), d.get(Counter::EngineTreeFallbacks))
 }
 
 /// Launch `plan` on the tree walker and twice on the default engine, all
@@ -49,7 +49,7 @@ fn assert_native_transparent(p: &Program, ds: &DataSet, plan: &KernelPlan) {
     let _guard = override_lock();
     let reference = run_uncached(p, ds, plan, Engine::Tree);
     for launch in ["first", "second"] {
-        let before = thread_native_counters();
+        let before = Counters::thread();
         let built = plan.engine_cache.native_kernel();
         let native = run_uncached(p, ds, plan, Engine::Bytecode);
         assert_eq!(counted_since(before), (1, 0), "kernel {} ({launch} launch): must count as native", plan.name);
@@ -203,7 +203,7 @@ fn native_counters_attribute_launches_promotions_and_fallbacks() {
 
     let _guard = override_lock();
     assert!(plan.engine_cache.native_kernel().is_none(), "a fresh plan has no closures");
-    let before = thread_native_counters();
+    let before = Counters::thread();
     let _ = run_uncached_on(&p, &ds, &plan, Engine::Bytecode, &cfg);
     assert_eq!(counted_since(before), (1, 0), "the first executing launch runs on closures");
     let closures = plan.engine_cache.native_kernel().expect("the first executing launch builds the closures");
@@ -213,7 +213,7 @@ fn native_counters_attribute_launches_promotions_and_fallbacks() {
     let mut narrow = cfg.clone();
     narrow.warp_size = cfg.warp_size / 2;
     let reference = run_uncached_on(&p, &ds, &plan, Engine::Tree, &narrow);
-    let before = thread_native_counters();
+    let before = Counters::thread();
     let fallback = run_uncached_on(&p, &ds, &plan, Engine::Bytecode, &narrow);
     assert_eq!(counted_since(before), (0, 1), "a foreign warp width counts as a tree fallback");
     let kept = plan.engine_cache.native_kernel().expect("closures kept");
@@ -236,7 +236,7 @@ fn native_counters_attribute_launches_promotions_and_fallbacks() {
         vec![axis(fn_i, v(fn_n))],
         vec![call(f, vec![v(fn_i)], vec![]), store(fy, vec![v(fn_i)], v(t))],
     ));
-    let before = thread_native_counters();
+    let before = Counters::thread();
     let _ = run_uncached_on(&fp, &fds, &call_plan, Engine::Bytecode, &cfg);
     assert_eq!(counted_since(before), (0, 1), "a body with calls counts as a tree fallback");
     assert!(call_plan.engine_cache.native_kernel().is_none(), "a body with calls has no closures");
@@ -255,10 +255,10 @@ fn native_counters_attribute_launches_promotions_and_fallbacks() {
     set_launch_cache_override(Some(LaunchCache::On));
     set_store_override(Some(StoreMode::Off));
     clear_launch_cache();
-    let before = thread_native_counters();
+    let before = Counters::thread();
     let capture = run_on(&p, &ds, &plan, Engine::Bytecode, &cfg);
     assert_eq!(counted_since(before), (1, 0), "a capturing launch executes on the closures");
-    let before = thread_native_counters();
+    let before = Counters::thread();
     let replay = run_on(&p, &ds, &plan, Engine::Bytecode, &cfg);
     assert_eq!(counted_since(before), (0, 0), "a replay counts in neither");
     assert_runs_agree("kernel count (capture vs replay)", &capture, &replay);

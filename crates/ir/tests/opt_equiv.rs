@@ -18,8 +18,8 @@ mod common;
 use acceval_ir::builder::*;
 use acceval_ir::expr::{fc, ld, v, Expr};
 use acceval_ir::interp::gpu::Engine;
-use acceval_ir::interp::native::thread_native_counters;
 use acceval_ir::kernel::{axis, CompileOutcome, Expansion, KernelPlan, MemSpace, ReduceStrategy};
+use acceval_ir::metrics::{Counter, Counters};
 use acceval_ir::program::{DataSet, Program};
 use acceval_ir::types::{ReduceOp, VarRef};
 use common::{assert_runs_agree, dna_kernel, finalized, fixture, override_lock, run_uncached, GENES};
@@ -47,11 +47,11 @@ fn assert_opt_transparent(p: &Program, ds: &DataSet, plan: &KernelPlan) {
 fn assert_tree_fallback(p: &Program, ds: &DataSet, plan: &KernelPlan) {
     let _guard = override_lock();
     let reference = run_uncached(p, ds, plan, Engine::Tree);
-    let before = thread_native_counters();
+    let before = Counters::thread();
     let fallback = run_uncached(p, ds, plan, Engine::Bytecode);
-    let after = thread_native_counters();
+    let d = Counters::thread().since(&before);
     assert_eq!(
-        (after.0 - before.0, after.1 - before.1),
+        (d.get(Counter::EngineNativeLaunches), d.get(Counter::EngineTreeFallbacks)),
         (0, 1),
         "kernel {}: the launch must count as one tree fallback",
         plan.name

@@ -15,18 +15,13 @@ use acceval::coverage::coverage_table;
 use acceval::figures::{figure1_subset_with_manifest, figure1_with_manifest};
 use acceval::models::ModelKind;
 use acceval::profile::{chrome_trace, RunProfile};
-use acceval::report::{
-    bench_sweep_json, figure1_csv, render_figure1, render_profile, render_sweep_summary, render_table2,
-};
+use acceval::report::{figure1_csv, render_figure1, render_profile, render_sweep_summary, render_table2};
 use acceval::sim::{MachineConfig, RecordingSink, TraceEvent};
 use acceval::sweep::{cached_compile, cached_dataset, cached_oracle};
 use acceval::tables::render_table1;
 
 /// Where the sweep manifest lands, next to `results/figure1.csv`.
 const MANIFEST_PATH: &str = "results/figure1_sweep.json";
-/// Machine-readable sweep benchmark record (total wall time, per-benchmark
-/// task times, engine name). Schema: see EXPERIMENTS.md.
-const BENCH_PATH: &str = "results/BENCH_sweep.json";
 /// Where `report -- devices` lands the device-generation matrix.
 const MATRIX_PATH: &str = "results/device_matrix.csv";
 
@@ -54,10 +49,7 @@ environment:
   ACCEVAL_DEVICE=<preset>            device generation for figure1/profile/all
                                      (tesla|fermi|kepler|pascal|volta)
   ACCEVAL_LAUNCH_CACHE=on|off        in-memory launch-result cache mode
-  ACCEVAL_LAUNCH_CACHE_CAP_MB=<n>    memory cap for that cache (default 512)
   ACCEVAL_STORE=auto|on|off|<path>   persistent launch-result store mode
-  ACCEVAL_STORE_CAP_MB=<n>           disk cap for the store (default 2048)
-  ACCEVAL_STORE_EPOCH=<label>        override the build-epoch invalidation tag
   ACCEVAL_ENGINE=tree|bytecode       kernel engine: bytecode (default) runs
                                      compiled native closures, tree the
                                      reference interpreter (results are
@@ -168,11 +160,6 @@ fn main() {
         {
             Ok(()) => eprintln!("{}wrote {MANIFEST_PATH}", render_sweep_summary(&manifest)),
             Err(e) => eprintln!("warning: could not write {MANIFEST_PATH}: {e}"),
-        }
-        let engine = acceval::ir::interp::gpu::engine_name();
-        match std::fs::write(BENCH_PATH, bench_sweep_json(&manifest, engine)) {
-            Ok(()) => eprintln!("wrote {BENCH_PATH} (engine: {engine})"),
-            Err(e) => eprintln!("warning: could not write {BENCH_PATH}: {e}"),
         }
         // Drain the write-behind spiller so the store is complete on disk
         // before the process exits (the next run warm-starts from it).

@@ -12,7 +12,7 @@ use acceval::benchmarks::Scale;
 use acceval::figures::figure1_with_manifest;
 use acceval::ir::interp::gpu::Engine;
 use acceval::ir::interp::launch_cache::LaunchCache;
-use acceval::ir::interp::native::thread_native_counters;
+use acceval::ir::metrics::{Counter, Counters};
 use acceval::report::figure1_csv;
 use acceval::sim::MachineConfig;
 use acceval::sweep::SweepManifest;
@@ -23,17 +23,22 @@ use common::{profile_jacobi, with_config};
 /// Replays execute nothing and count in neither column.
 fn assert_attributed(m: &SweepManifest, eng: Engine, at: &str) {
     for r in &m.records {
-        let executed = r.summary.kernels_launched - r.launch_cache_hits - r.launch_cache_disk_hits;
+        let c = &r.counters;
+        let executed =
+            r.summary.kernels_launched - c.get(Counter::LaunchCacheHits) - c.get(Counter::LaunchCacheDiskHits);
         let expect = if eng == Engine::Tree { (0, 0) } else { (executed, 0) };
         assert_eq!(
-            (r.native_launches, r.tree_fallbacks),
+            (c.get(Counter::EngineNativeLaunches), c.get(Counter::EngineTreeFallbacks)),
             expect,
             "{} / {:?}: (native launches, tree fallbacks) of {executed} executed launches under {eng:?} {at}",
             r.benchmark,
             r.model
         );
     }
-    assert!(eng == Engine::Tree || m.native_launches > 0, "the default engine must launch natively {at}");
+    assert!(
+        eng == Engine::Tree || m.counters.get(Counter::EngineNativeLaunches) > 0,
+        "the default engine must launch natively {at}"
+    );
 }
 
 /// The full Figure 1 sweep (tuning on) renders to a byte-identical CSV on
@@ -65,10 +70,10 @@ fn run_profile_is_tier_independent() {
     let cfg = MachineConfig::keeneland_node();
     let counted = |eng: Engine, threads: usize| {
         with_config(eng, threads, LaunchCache::Off, || {
-            let (l0, f0) = thread_native_counters();
+            let before = Counters::thread();
             let run = profile_jacobi(&cfg);
-            let (l1, f1) = thread_native_counters();
-            (run, (l1 - l0, f1 - f0))
+            let d = Counters::thread().since(&before);
+            (run, (d.get(Counter::EngineNativeLaunches), d.get(Counter::EngineTreeFallbacks)))
         })
     };
     let ((tt, ts, tsp), tree_counts) = counted(Engine::Tree, 1);

@@ -16,6 +16,7 @@ use acceval::figures::figure1_with_manifest;
 use acceval::ir::interp::gpu::Engine;
 use acceval::ir::interp::launch_cache::LaunchCache;
 use acceval::ir::kernel::CompileOutcome;
+use acceval::ir::metrics::Counter;
 use acceval::models::ModelKind;
 use acceval::report::figure1_csv;
 use acceval::sim::MachineConfig;
@@ -34,7 +35,7 @@ fn figure1_csv_is_opt_independent() {
         (figure1_csv(&fig), manifest)
     };
     let (reference, manifest) = with_config(Engine::Tree, 1, LaunchCache::On, sweep);
-    assert_eq!(manifest.opt_kernels, 0, "the tree walker must not run the typed lowering");
+    assert_eq!(manifest.counters.get(Counter::CompileKernels), 0, "the tree walker must not run the typed lowering");
     let mut lowered_kernels = 0;
     for (threads, cache) in [(1usize, LaunchCache::Off), (8, LaunchCache::On)] {
         let (csv, manifest) = with_config(Engine::Bytecode, threads, cache, sweep);
@@ -42,7 +43,7 @@ fn figure1_csv_is_opt_independent() {
             reference, csv,
             "figure1.csv must be byte-identical with and without the typed lowering ({threads} workers, cache {cache:?})"
         );
-        lowered_kernels += manifest.opt_kernels;
+        lowered_kernels += manifest.counters.get(Counter::CompileKernels);
     }
     assert!(lowered_kernels > 0, "the compiled passes must lower the sweep's kernels");
 }

@@ -11,6 +11,7 @@ use acceval::figures::figure1_with_manifest;
 use acceval::ir::env::StoreMode;
 use acceval::ir::interp::launch_cache::{set_launch_cache_override, LaunchCache};
 use acceval::ir::interp::store::set_store_override;
+use acceval::ir::metrics::Counter;
 use acceval::report::figure1_csv;
 use acceval::sim::MachineConfig;
 
@@ -28,7 +29,7 @@ fn figure1_csv_is_worker_count_independent() {
         let (fig, manifest) = figure1_with_manifest(&cfg, Scale::Test, true);
         assert_eq!(manifest.workers, threads, "the sweep must run at {threads} workers");
         assert_eq!(
-            (manifest.launch_cache_hits, manifest.launch_cache_disk_hits),
+            (manifest.counters.get(Counter::LaunchCacheHits), manifest.counters.get(Counter::LaunchCacheDiskHits)),
             (0, 0),
             "the pass at {threads} workers must execute its launches, not replay captures"
         );

@@ -8,6 +8,7 @@ use acceval::benchmarks::{benchmark_named, BenchSpec, Benchmark, Port, Scale, Su
 use acceval::figures::{figure1, figure1_subset};
 use acceval::ir::builder::*;
 use acceval::ir::expr::v;
+use acceval::ir::metrics::Counters;
 use acceval::ir::program::{DataSet, Program};
 use acceval::ir::types::{ScalarId, Value};
 use acceval::models::lower::HintMap;
@@ -116,6 +117,12 @@ fn sweep_manifest_is_complete() {
     // Totals cover all tasks exactly once, both groupings.
     assert_eq!(manifest.by_benchmark.iter().map(|g| g.tasks).sum::<usize>(), manifest.tasks);
     assert_eq!(manifest.by_model.iter().map(|g| g.tasks).sum::<usize>(), manifest.tasks);
+    // The manifest's counters are its records' counters summed element by
+    // element, and so is either grouping's sum.
+    let records: Counters = manifest.records.iter().map(|r| &r.counters).sum();
+    assert_eq!(manifest.counters, records);
+    assert_eq!(manifest.by_benchmark.iter().map(|g| &g.counters).sum::<Counters>(), records);
+    assert_eq!(manifest.by_model.iter().map(|g| &g.counters).sum::<Counters>(), records);
     assert!(!manifest.slowest_tasks.is_empty());
     // The manifest serializes (it is the JSON artifact written by `report`).
     let json = acceval::figures_json(&manifest);
