@@ -3,7 +3,9 @@
 //! Every benchmark runs once sequentially on the CPU model (the baseline and
 //! correctness oracle), then once per model through its port; speedup is
 //! baseline-seconds over GPU-version-seconds, and GPU outputs are validated
-//! against the oracle.
+//! against the oracle. A run's totals ([`Summary::of`]) and its kernel
+//! hotspot ([`RunProfile::hotspot`]) are folds of the run's one record,
+//! `GpuRun::events`.
 
 use acceval_benchmarks::{Benchmark, Scale};
 use acceval_ir::interp::cpu::{run_cpu, CpuRun};
@@ -13,6 +15,7 @@ use acceval_sim::{MachineConfig, NullSink, Summary, TraceSink};
 use serde::Serialize;
 
 use crate::compile::{compile_port, CompiledProgram};
+use crate::profile::RunProfile;
 use crate::runtime::run_gpu_program_traced;
 
 /// One GPU-version run.
@@ -26,8 +29,8 @@ pub struct ModelRun {
     pub valid: Result<(), String>,
     /// Regions that stayed on the host.
     pub unsupported_regions: usize,
-    /// The costliest kernel of the run's timeline (None if the run failed
-    /// or launched no kernels) — the next optimization target.
+    /// The costliest kernel of the run (None if the run failed or launched
+    /// no kernels) — the next optimization target.
     pub kernel_hotspot: Option<KernelHotspot>,
 }
 
@@ -39,25 +42,6 @@ pub struct KernelHotspot {
     /// Simulated seconds across all launches of this kernel.
     pub secs: f64,
     pub launches: u64,
-}
-
-/// Aggregate a timeline's kernel launches by name (first-launch order) and
-/// return the costliest one by total simulated seconds (ties keep the
-/// earlier kernel, so the answer is deterministic).
-fn kernel_hotspot_of(timeline: &acceval_sim::Timeline) -> Option<KernelHotspot> {
-    let mut agg: Vec<KernelHotspot> = Vec::new();
-    for e in &timeline.events {
-        if let acceval_sim::Event::Kernel { name, cost, .. } = e {
-            match agg.iter_mut().find(|h| h.kernel == *name) {
-                Some(h) => {
-                    h.secs += cost.time_secs;
-                    h.launches += 1;
-                }
-                None => agg.push(KernelHotspot { kernel: name.clone(), secs: cost.time_secs, launches: 1 }),
-            }
-        }
-    }
-    agg.into_iter().reduce(|best, h| if h.secs > best.secs { h } else { best })
 }
 
 /// All results for one benchmark.
@@ -157,7 +141,7 @@ pub fn run_compiled_traced(
                 model: compiled.kind,
                 secs: 0.0,
                 speedup: 0.0,
-                summary: acceval_sim::Timeline::new().summary(),
+                summary: Summary::default(),
                 valid: Err(format!("runtime error: {e}")),
                 unsupported_regions: compiled.unsupported.len(),
                 kernel_hotspot: None,
@@ -177,10 +161,10 @@ pub fn run_compiled_traced(
         model: compiled.kind,
         secs: run.secs,
         speedup,
-        summary: run.timeline.summary(),
+        summary: Summary::of(&run.events),
         valid,
         unsupported_regions: compiled.unsupported.len(),
-        kernel_hotspot: kernel_hotspot_of(&run.timeline),
+        kernel_hotspot: RunProfile::from_events(bench.spec().name, compiled.kind, &run.events).hotspot(),
     }
 }
 

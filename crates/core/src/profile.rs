@@ -1,6 +1,7 @@
-//! Run profiles: fold a structured trace into per-kernel cost attribution
-//! and per-array transfer accounting, and render the raw event stream as
-//! Chrome-trace-format JSON (openable in `chrome://tracing` / Perfetto).
+//! Run profiles: fold a run's events (its record, or a sink's trace of it)
+//! into per-kernel cost attribution and per-array transfer accounting, and
+//! render the raw event stream as Chrome-trace-format JSON (openable in
+//! `chrome://tracing` / Perfetto).
 //!
 //! The profile answers the question the paper's Figure 1 discussion keeps
 //! asking — *why* is this port slow: which kernel dominates, whether it is
@@ -10,8 +11,10 @@
 
 use acceval_models::ModelKind;
 use acceval_sim::trace::TraceEvent;
-use acceval_sim::{Bound, Dir};
+use acceval_sim::{Bound, Dir, Summary};
 use serde::{Json, Serialize};
+
+use crate::eval::KernelHotspot;
 
 /// Aggregated cost attribution for one kernel (all launches of that name).
 #[derive(Debug, Clone, Serialize)]
@@ -98,33 +101,28 @@ pub struct RunProfile {
 }
 
 impl RunProfile {
-    /// Fold a recorded event stream into a profile. Events must be in
-    /// emission (simulation) order; rows keep first-seen order so the
-    /// profile is as deterministic as the trace.
+    /// Fold an event stream into a profile. Events must be in emission
+    /// (simulation) order; the totals are [`Summary::of`] the stream, and
+    /// rows keep first-seen order so the profile is as deterministic as the
+    /// trace.
     pub fn from_events(benchmark: &str, model: ModelKind, events: &[TraceEvent]) -> Self {
+        let s = Summary::of(events);
         let mut p = RunProfile {
             benchmark: benchmark.to_string(),
             model,
-            total_secs: 0.0,
-            host_secs: 0.0,
-            transfer_secs: 0.0,
-            kernel_secs: 0.0,
-            h2d_bytes: 0,
-            d2h_bytes: 0,
+            total_secs: s.total_secs,
+            host_secs: s.host_secs,
+            transfer_secs: s.transfer_secs,
+            kernel_secs: s.kernel_secs,
+            h2d_bytes: s.h2d_bytes,
+            d2h_bytes: s.d2h_bytes,
             kernels: Vec::new(),
             transfers: Vec::new(),
             events: events.len(),
         };
         for e in events {
-            p.total_secs += e.secs();
             match e {
-                TraceEvent::Host { secs, .. } => p.host_secs += secs,
                 TraceEvent::Transfer { array, dir, bytes, secs } => {
-                    p.transfer_secs += secs;
-                    match dir {
-                        Dir::HostToDevice => p.h2d_bytes += bytes,
-                        Dir::DeviceToHost => p.d2h_bytes += bytes,
-                    }
                     let row = match p.transfers.iter_mut().find(|r| r.array == *array && r.dir == *dir) {
                         Some(r) => r,
                         None => {
@@ -143,7 +141,6 @@ impl RunProfile {
                     row.secs += secs;
                 }
                 TraceEvent::KernelLaunch { name, cost, totals, traffic_bytes, .. } => {
-                    p.kernel_secs += cost.time_secs;
                     let row = match p.kernels.iter_mut().find(|r| r.name == *name) {
                         Some(r) => r,
                         None => {
@@ -181,9 +178,10 @@ impl RunProfile {
                     row.traffic_bytes += traffic_bytes;
                     row.shared_slots += totals.shared_slots;
                 }
-                // Evidence events contribute no time; they stay in the raw
-                // trace (Chrome JSON) rather than the folded table.
-                TraceEvent::CoalesceSite { .. } | TraceEvent::CacheCounters { .. } | TraceEvent::TaskSpan { .. } => {}
+                // Host spans are in the totals only. Evidence events
+                // contribute no time; they stay in the raw trace (Chrome
+                // JSON) rather than the folded table.
+                TraceEvent::Host { .. } | TraceEvent::CoalesceSite { .. } | TraceEvent::CacheCounters { .. } => {}
             }
         }
         for row in &mut p.kernels {
@@ -193,6 +191,14 @@ impl RunProfile {
             row.bound = dominant_bound(row);
         }
         p
+    }
+
+    /// The costliest kernel row by simulated seconds (ties keep the earlier
+    /// kernel, so the answer is deterministic), or `None` if nothing
+    /// launched.
+    pub fn hotspot(&self) -> Option<KernelHotspot> {
+        let k = self.kernels.iter().reduce(|best, k| if k.time_secs > best.time_secs { k } else { best })?;
+        Some(KernelHotspot { kernel: k.name.clone(), secs: k.time_secs, launches: k.launches })
     }
 }
 
@@ -229,8 +235,8 @@ const TID_GPU: u64 = 2;
 /// Render an event stream as Chrome-trace-format JSON (the
 /// `{"traceEvents": [...]}` object form), with simulated time as the
 /// timeline: `ts`/`dur` are simulated microseconds, lanes are `host`,
-/// `pcie`, and `gpu`. Evidence events (coalescing sites, cache counters,
-/// task spans) become instant/counter events at their emission time.
+/// `pcie`, and `gpu`. Evidence events (coalescing sites, cache counters)
+/// become instant/counter events at their emission time.
 ///
 /// The output is a pure function of the event stream, so a trace recorded
 /// from a deterministic run is byte-stable across thread counts.
@@ -330,22 +336,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                     ("args", obj(vec![("hits", Json::U(*hits)), ("misses", Json::U(*misses))])),
                 ]));
             }
-            TraceEvent::TaskSpan { task, benchmark, model, tuning, oracle_cached, compile_cached } => {
-                out.push(instant(
-                    &format!("task{task} {benchmark}/{model}"),
-                    "sweep",
-                    TID_HOST,
-                    ts,
-                    vec![
-                        ("task", Json::U(*task as u64)),
-                        ("benchmark", Json::Str(benchmark.clone())),
-                        ("model", Json::Str(model.clone())),
-                        ("tuning", tuning.as_ref().map(|t| Json::Str(t.clone())).unwrap_or(Json::Null)),
-                        ("oracle_cached", Json::Bool(*oracle_cached)),
-                        ("compile_cached", Json::Bool(*compile_cached)),
-                    ],
-                ));
-            }
         }
         ts += e.secs() * 1e6;
     }
@@ -417,7 +407,7 @@ mod tests {
         assert!((p.host_secs + p.transfer_secs + p.kernel_secs - p.total_secs).abs() < 1e-9);
         assert!(!p.kernels.is_empty());
         assert!(p.kernels.iter().all(|k| k.launches > 0));
-        // Transfer bytes match the timeline summary.
+        // Transfer bytes match the run's summary.
         assert_eq!(p.h2d_bytes, run.summary.h2d_bytes);
         assert_eq!(p.d2h_bytes, run.summary.d2h_bytes);
     }

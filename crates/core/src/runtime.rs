@@ -1,6 +1,10 @@
 //! Execute a compiled GPU version: host statements run on the CPU model,
 //! parallel regions launch simulated kernels, and every byte over PCIe is
-//! planned by the model's data policy and charged to the timeline.
+//! planned by the model's data policy and charged to the run.
+//!
+//! A run's record is its [`TraceEvent`]s: each host span, transfer and
+//! kernel launch is appended once, in simulation order, to
+//! [`GpuRun::events`], and an enabled sink gets a copy at the same point.
 
 use std::collections::HashMap;
 
@@ -11,7 +15,7 @@ use acceval_ir::interp::{Hooks, Interp};
 use acceval_ir::program::{DataSet, HostData};
 use acceval_ir::stmt::{DataClauses, ParallelRegion, Stmt, UpdateDir};
 use acceval_ir::types::{ArrayId, Value, VarRef};
-use acceval_sim::{Dir, MachineConfig, NullSink, SimError, Timeline, TraceEvent, TraceSink};
+use acceval_sim::{Dir, MachineConfig, NullSink, SimError, TraceEvent, TraceSink};
 
 use acceval_models::DataPolicy;
 
@@ -36,8 +40,9 @@ struct GpuHooks<'c> {
     /// Arrays covered by enclosing data regions (count per array, so nested
     /// regions compose).
     scoped: Vec<u32>,
-    timeline: Timeline,
-    /// CPU cycles already flushed into the timeline.
+    /// The run's record: host spans, transfers and launches in order.
+    events: Vec<TraceEvent>,
+    /// CPU cycles already flushed into the record.
     flushed_cycles: f64,
     /// Read/write sets per region id (computed lazily).
     region_touch: HashMap<u32, Touched>,
@@ -63,7 +68,7 @@ impl<'c> GpuHooks<'c> {
             res: vec![Resident { host_valid: true, dev_valid: false }; n],
             pristine_zero,
             scoped: vec![0; n],
-            timeline: Timeline::new(),
+            events: Vec::new(),
             flushed_cycles: 0.0,
             region_touch: HashMap::new(),
             sink,
@@ -71,33 +76,34 @@ impl<'c> GpuHooks<'c> {
         }
     }
 
-    /// Move accumulated host cycles into the timeline as one event.
+    /// Append a host span or transfer to the run's record and give an
+    /// enabled sink a copy.
+    fn record(&mut self, e: TraceEvent) {
+        if self.sink.enabled() {
+            self.sink.emit(e.clone());
+        }
+        self.events.push(e);
+    }
+
+    /// Move accumulated host cycles into the record as one event.
     fn flush_host(&mut self, it: &mut Interp<CpuMachine>, label: &str) {
         let delta = it.m.cycles - self.flushed_cycles;
         if delta > 0.0 {
             let secs = self.cfg.host.cycles_to_secs(delta);
-            self.timeline.host(label, secs);
             self.flushed_cycles = it.m.cycles;
-            if self.sink.enabled() {
-                self.sink.emit(TraceEvent::Host { label: label.to_string(), secs });
-            }
+            self.record(TraceEvent::Host { label: label.to_string(), secs });
         }
     }
 
     fn h2d(&mut self, it: &Interp<CpuMachine>, a: ArrayId) {
         let buf = &it.m.data.bufs[a.0 as usize];
         // A forced re-transfer of an already-valid device copy moves
-        // identical bytes: charge the timeline, skip the memcpy.
+        // identical bytes: charge the run, skip the memcpy.
         if !self.res[a.0 as usize].dev_valid {
             self.dev.upload(a, buf);
         }
-        let bytes = buf.size_bytes();
-        let secs = self.cfg.link.transfer_secs(bytes);
-        let name = self.compiled.program.array_name(a);
-        self.timeline.transfer(name, Dir::HostToDevice, bytes, secs);
-        if self.sink.enabled() {
-            self.sink.emit(buf.transfer_event(name, Dir::HostToDevice, secs));
-        }
+        let secs = self.cfg.link.transfer_secs(buf.size_bytes());
+        self.record(buf.transfer_event(self.compiled.program.array_name(a), Dir::HostToDevice, secs));
         self.res[a.0 as usize].dev_valid = true;
     }
 
@@ -112,13 +118,8 @@ impl<'c> GpuHooks<'c> {
                 }
             })?;
         }
-        let bytes = buf.size_bytes();
-        let secs = self.cfg.link.transfer_secs(bytes);
-        let name = self.compiled.program.array_name(a);
-        self.timeline.transfer(name, Dir::DeviceToHost, bytes, secs);
-        if self.sink.enabled() {
-            self.sink.emit(buf.transfer_event(name, Dir::DeviceToHost, secs));
-        }
+        let secs = self.cfg.link.transfer_secs(buf.size_bytes());
+        self.record(buf.transfer_event(self.compiled.program.array_name(a), Dir::DeviceToHost, secs));
         self.res[a.0 as usize].host_valid = true;
         Ok(())
     }
@@ -248,21 +249,14 @@ impl Hooks<CpuMachine> for GpuHooks<'_> {
                 let res =
                     launch_traced(&self.compiled.program, plan, &mut self.dev, &mut scal, &self.cfg.device, self.sink);
                 it.scal = scal;
-                self.timeline.kernel(&plan.name, res.cost, res.totals);
+                // The launch has already given the sink its own copy.
+                self.events.push(res.cost.trace_event(&plan.name, &res.footprint, &res.totals, &self.cfg.device));
                 if scalar_reds > 0 {
                     // reduction results come back over PCIe
                     let bytes = 8 * scalar_reds as u64;
                     let secs = self.cfg.link.transfer_secs(bytes);
-                    let label = format!("{}(red)", plan.name);
-                    if self.sink.enabled() {
-                        self.sink.emit(TraceEvent::Transfer {
-                            array: label.clone(),
-                            dir: Dir::DeviceToHost,
-                            bytes,
-                            secs,
-                        });
-                    }
-                    self.timeline.transfer(label, Dir::DeviceToHost, bytes, secs);
+                    let array = format!("{}(red)", plan.name);
+                    self.record(TraceEvent::Transfer { array, dir: Dir::DeviceToHost, bytes, secs });
                 }
             } else {
                 it.exec_plain(s);
@@ -364,9 +358,10 @@ pub struct GpuRun {
     pub data: HostData,
     /// Final scalar environment.
     pub scalars: Vec<Value>,
-    /// The full event timeline.
-    pub timeline: Timeline,
-    /// Total wall seconds.
+    /// The run's record: every host span, transfer and kernel launch, in
+    /// simulation order (no per-site evidence; that goes to the sink only).
+    pub events: Vec<TraceEvent>,
+    /// Total wall seconds: the events' `secs()` summed in order.
     pub secs: f64,
 }
 
@@ -378,9 +373,10 @@ pub fn run_gpu_program(compiled: &CompiledProgram, ds: &DataSet, cfg: &MachineCo
     run_gpu_program_traced(compiled, ds, cfg, &mut NullSink)
 }
 
-/// [`run_gpu_program`], streaming structured trace events (host spans,
-/// PCIe transfers, kernel launches with per-site coalescing evidence) into
-/// `sink`. The simulated result is bit-identical to the untraced run.
+/// [`run_gpu_program`], streaming structured trace events into `sink`: a
+/// copy of each recorded host span, PCIe transfer and kernel launch, with
+/// each launch's per-site coalescing evidence before it. The simulated
+/// result is bit-identical to the untraced run.
 pub fn run_gpu_program_traced(
     compiled: &CompiledProgram,
     ds: &DataSet,
@@ -401,8 +397,8 @@ pub fn run_gpu_program_traced(
         return Err(e);
     }
     hooks.flush_host(&mut it, "host-final");
-    let secs = hooks.timeline.total_secs();
-    Ok(GpuRun { data: it.m.data, scalars: it.scal, timeline: hooks.timeline, secs })
+    let secs = hooks.events.iter().map(TraceEvent::secs).sum();
+    Ok(GpuRun { data: it.m.data, scalars: it.scal, events: hooks.events, secs })
 }
 
 #[cfg(test)]
@@ -412,6 +408,7 @@ mod tests {
     use acceval_benchmarks::{Benchmark, Scale};
     use acceval_ir::interp::cpu::run_cpu;
     use acceval_models::ModelKind;
+    use acceval_sim::Summary;
 
     fn check_model(b: &dyn Benchmark, kind: ModelKind) -> (f64, f64) {
         let ds = b.dataset(Scale::Test);
@@ -467,8 +464,8 @@ mod tests {
         let scoped = run_gpu_program(&compiled, &ds, &cfg).expect("gpu run");
         compiled.policy = acceval_models::DataPolicy::PerRegion;
         let naive = run_gpu_program(&compiled, &ds, &cfg).expect("gpu run");
-        let s1 = scoped.timeline.summary();
-        let s2 = naive.timeline.summary();
+        let s1 = Summary::of(&scoped.events);
+        let s2 = Summary::of(&naive.events);
         assert!(
             s2.h2d_bytes + s2.d2h_bytes > 3 * (s1.h2d_bytes + s1.d2h_bytes),
             "naive {} vs scoped {}",

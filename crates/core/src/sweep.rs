@@ -25,7 +25,7 @@ use acceval_ir::interp::store::{self as launch_store, Dec, Enc};
 use acceval_ir::metrics::Counters;
 use acceval_ir::program::DataSet;
 use acceval_models::{model, ModelKind, TuningPoint};
-use acceval_sim::{DeviceConfig, MachineConfig, RecordingSink, Summary, TraceEvent, TraceSink};
+use acceval_sim::{DeviceConfig, MachineConfig, RecordingSink, Summary};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::Serialize;
@@ -303,7 +303,7 @@ pub struct RunRecord {
     pub speedup: f64,
     /// `Ok` if outputs matched the oracle within tolerance.
     pub valid: Result<(), String>,
-    /// Device-stats summary of the simulated timeline.
+    /// Totals of the run's events ([`Summary::of`]).
     pub summary: Summary,
     pub unsupported_regions: usize,
     /// Whether this task's CPU oracle was served from the memo cache.
@@ -312,7 +312,7 @@ pub struct RunRecord {
     pub compile_cached: bool,
     /// The folded run profile (only when the sweep ran with profiling).
     pub profile: Option<crate::profile::RunProfile>,
-    /// The costliest kernel of this task's simulated timeline.
+    /// The costliest kernel of this task's run.
     pub kernel_hotspot: Option<crate::eval::KernelHotspot>,
     /// Wall-clock seconds this task spent simulating (harness time, not
     /// simulated time; nondeterministic and excluded from figure output).
@@ -432,15 +432,6 @@ fn run_task(
     let (compiled, compile_cached) = cached_compile_tracked(bench, task.model, scale, task.tuning.as_ref());
     let (r, profile) = if with_profile {
         let mut sink = RecordingSink::new();
-        // The task span leads its own trace, carrying cache provenance.
-        sink.emit(TraceEvent::TaskSpan {
-            task: index,
-            benchmark: task.benchmark.clone(),
-            model: task.model.display().to_string(),
-            tuning: task.tuning.map(|pt| format!("{pt:?}")),
-            oracle_cached,
-            compile_cached,
-        });
         let r = run_compiled_traced(bench, &compiled, &ds, cfg, &oracle.run, &mut sink);
         let profile = crate::profile::RunProfile::from_events(&task.benchmark, task.model, &sink.events);
         (r, Some(profile))
@@ -477,8 +468,8 @@ pub fn run_sweep(benches: &[&dyn Benchmark], cfg: &MachineConfig, scale: Scale, 
     run_sweep_profiled(benches, cfg, scale, with_tuning, false)
 }
 
-/// [`run_sweep`] with per-task profiling: each record carries its folded
-/// [`crate::profile::RunProfile`] and the task span's cache provenance.
+/// [`run_sweep`] with per-task profiling: each record carries the
+/// [`crate::profile::RunProfile`] folded from its recorded trace.
 /// Figure-relevant fields are bit-identical to the unprofiled sweep — the
 /// trace is recorded off to the side, not threaded into the cost model.
 pub fn run_sweep_profiled(

@@ -10,7 +10,7 @@ use acceval_ir::stmt::{DataClauses, UpdateDir};
 use acceval_ir::types::Value;
 use acceval_models::lower::HintMap;
 use acceval_models::{DataPolicy, ModelKind};
-use acceval_sim::{Dir, Event, MachineConfig};
+use acceval_sim::{Dir, MachineConfig, TraceEvent};
 
 use acceval::{compile_port, run_gpu_program};
 
@@ -51,8 +51,11 @@ fn dataset(p: &Program, n: i64) -> DataSet {
     }
 }
 
-fn transfer_count(events: &[Event], array: &str, dir: Dir) -> usize {
-    events.iter().filter(|e| matches!(e, Event::Transfer { array: a, dir: d, .. } if a == array && *d == dir)).count()
+fn transfer_count(events: &[TraceEvent], array: &str, dir: Dir) -> usize {
+    events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Transfer { array: a, dir: d, .. } if a == array && *d == dir))
+        .count()
 }
 
 #[test]
@@ -65,10 +68,10 @@ fn automatic_policy_moves_each_array_once() {
     let run = run_gpu_program(&c, &ds, &MachineConfig::keeneland_node()).expect("gpu run");
     // x: one upload, one final download for the output; y: pristine scratch,
     // no transfers at all.
-    assert_eq!(transfer_count(&run.timeline.events, "x", Dir::HostToDevice), 1);
-    assert_eq!(transfer_count(&run.timeline.events, "x", Dir::DeviceToHost), 1);
-    assert_eq!(transfer_count(&run.timeline.events, "y", Dir::HostToDevice), 0);
-    assert_eq!(transfer_count(&run.timeline.events, "y", Dir::DeviceToHost), 0);
+    assert_eq!(transfer_count(&run.events, "x", Dir::HostToDevice), 1);
+    assert_eq!(transfer_count(&run.events, "x", Dir::DeviceToHost), 1);
+    assert_eq!(transfer_count(&run.events, "y", Dir::HostToDevice), 0);
+    assert_eq!(transfer_count(&run.events, "y", Dir::DeviceToHost), 0);
 }
 
 #[test]
@@ -80,8 +83,8 @@ fn naive_policy_transfers_every_region() {
     c.policy = DataPolicy::PerRegion;
     let run = run_gpu_program(&c, &ds, &MachineConfig::keeneland_node()).expect("gpu run");
     // 4 iterations x 2 regions, x is read or written by both.
-    assert!(transfer_count(&run.timeline.events, "x", Dir::HostToDevice) >= 4, "naive should re-upload x repeatedly");
-    assert!(transfer_count(&run.timeline.events, "x", Dir::DeviceToHost) >= 4);
+    assert!(transfer_count(&run.events, "x", Dir::HostToDevice) >= 4, "naive should re-upload x repeatedly");
+    assert!(transfer_count(&run.events, "x", Dir::DeviceToHost) >= 4);
 }
 
 #[test]
@@ -94,8 +97,8 @@ fn host_touch_forces_resync() {
     let cfg = MachineConfig::keeneland_node();
     let run = run_gpu_program(&c, &ds, &cfg).expect("gpu run");
     // the host store to x[0] each iteration forces D2H (read) + H2D (next use)
-    assert!(transfer_count(&run.timeline.events, "x", Dir::HostToDevice) >= 4);
-    assert!(transfer_count(&run.timeline.events, "x", Dir::DeviceToHost) >= 4);
+    assert!(transfer_count(&run.events, "x", Dir::HostToDevice) >= 4);
+    assert!(transfer_count(&run.events, "x", Dir::DeviceToHost) >= 4);
 
     // ... and the results must still be right: compare with sequential run.
     let oracle = acceval_ir::interp::cpu::run_cpu(&port.program, &ds, &cfg.host);
@@ -126,8 +129,8 @@ fn update_directives_force_transfers() {
     assert_eq!(c.policy, DataPolicy::DataRegionScoped);
     let run = run_gpu_program(&c, &ds, &MachineConfig::keeneland_node()).expect("gpu run");
     // copyin + explicit update-device = 2 uploads; update-host + copyout = 2 downloads
-    assert_eq!(transfer_count(&run.timeline.events, "x", Dir::HostToDevice), 2);
-    assert_eq!(transfer_count(&run.timeline.events, "x", Dir::DeviceToHost), 2);
+    assert_eq!(transfer_count(&run.events, "x", Dir::HostToDevice), 2);
+    assert_eq!(transfer_count(&run.events, "x", Dir::DeviceToHost), 2);
 }
 
 #[test]
@@ -159,6 +162,6 @@ fn untranslated_regions_run_on_host_with_sync() {
     let yi = port.program.array_named("y").0 as usize;
     assert!(oracle.data.bufs[yi].max_abs_diff(&run.data.bufs[yi]) < 1e-12);
     // y crossed the bus: GPU wrote it, host region read it, GPU read it again
-    assert!(transfer_count(&run.timeline.events, "y", Dir::DeviceToHost) >= 1);
-    assert!(transfer_count(&run.timeline.events, "y", Dir::HostToDevice) >= 1);
+    assert!(transfer_count(&run.events, "y", Dir::DeviceToHost) >= 1);
+    assert!(transfer_count(&run.events, "y", Dir::HostToDevice) >= 1);
 }

@@ -417,15 +417,9 @@ impl<'a> WarpMachine<'a> {
         let eb = self.lay.elem_bytes[array.0 as usize] as u64;
         // Private arrays are priced by their expansion layout.
         if let Some(exp) = self.lay.plan.expansion_of(array) {
-            match exp {
-                Expansion::Register => {}
-                Expansion::RowWise => {
-                    let len = self.priv_bufs[&array].len() as u64;
-                    self.trace(site, PRIV_BASE + (self.tid_linear * len + flat as u64) * eb);
-                }
-                Expansion::ColumnWise => {
-                    self.trace(site, PRIV_BASE + (flat as u64 * self.lay.total_threads + self.tid_linear) * eb);
-                }
+            let len = || self.priv_bufs[&array].len();
+            if let Some(addr) = priv_addr(exp, flat, eb, self.tid_linear, self.lay.total_threads, len) {
+                self.trace(site, addr);
             }
             return;
         }
@@ -437,8 +431,30 @@ impl<'a> WarpMachine<'a> {
 }
 
 /// Base address for the expanded private-array segment (kept clear of real
-/// arrays so traces never alias). Shared with the native executor.
-pub(crate) const PRIV_BASE: u64 = 1 << 40;
+/// arrays so traces never alias).
+const PRIV_BASE: u64 = 1 << 40;
+
+/// The trace address of element `flat` (of `eb` bytes) of thread `tid`'s
+/// copy of a private array expanded by `exp`, out of `total_threads`
+/// copies: row-wise copies sit one after another (`len` elements each),
+/// column-wise ones interleave element by element. `None` for a
+/// register-resident copy, which is no memory access. `len` is asked for
+/// only by a row-wise copy. Both engines trace through this, so their
+/// private-array traffic agrees bit for bit.
+pub(crate) fn priv_addr(
+    exp: Expansion,
+    flat: usize,
+    eb: u64,
+    tid: u64,
+    total_threads: u64,
+    len: impl FnOnce() -> usize,
+) -> Option<u64> {
+    match exp {
+        Expansion::Register => None,
+        Expansion::RowWise => Some(PRIV_BASE + (tid * len() as u64 + flat as u64) * eb),
+        Expansion::ColumnWise => Some(PRIV_BASE + (flat as u64 * total_threads + tid) * eb),
+    }
+}
 
 impl Machine for WarpMachine<'_> {
     fn load(&mut self, array: ArrayId, flat: usize, site: SiteId) -> Value {

@@ -42,11 +42,10 @@ use std::sync::Arc;
 use acceval_sim::Buffer;
 
 use crate::expr::{BinOp, Intrin};
-use crate::kernel::Expansion;
 use crate::types::{ArrayId, Value};
 
 use super::bytecode::{Bank, ExecCtx, KernelBytecode, TOp, WarpScratch};
-use super::gpu::PRIV_BASE;
+use super::gpu::priv_addr;
 use super::launch_cache::{DevTarget, DeviceBufs};
 
 // ---------------------------------------------------------------------------
@@ -137,21 +136,10 @@ impl NState<'_, '_> {
     fn account(&mut self, a: usize, flat: usize, site: u32, fast: i32, l: usize) {
         let eb = self.ctx.elem_bytes[a] as u64;
         if let Some(exp) = self.ctx.expansion[a] {
-            match exp {
-                Expansion::Register => {}
-                Expansion::RowWise => {
-                    let slot = self.ctx.priv_slot[a] as usize;
-                    let len = self.priv_bufs[slot * self.w + l].len() as u64;
-                    let tid = self.tid_base + l as u64;
-                    self.touched[site as usize] = true;
-                    self.traces[site as usize].record(l as u32, PRIV_BASE + (tid * len + flat as u64) * eb);
-                }
-                Expansion::ColumnWise => {
-                    let tid = self.tid_base + l as u64;
-                    self.touched[site as usize] = true;
-                    self.traces[site as usize]
-                        .record(l as u32, PRIV_BASE + (flat as u64 * self.ctx.total_threads + tid) * eb);
-                }
+            let len = || self.priv_bufs[self.ctx.priv_slot[a] as usize * self.w + l].len();
+            if let Some(addr) = priv_addr(exp, flat, eb, self.tid_base + l as u64, self.ctx.total_threads, len) {
+                self.touched[site as usize] = true;
+                self.traces[site as usize].record(l as u32, addr);
             }
             return;
         }

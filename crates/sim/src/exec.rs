@@ -189,9 +189,9 @@ pub fn estimate_kernel(cfg: &DeviceConfig, fp: &KernelFootprint, t: &KernelTotal
 
 impl KernelCost {
     /// Describe this launch as a [`TraceEvent::KernelLaunch`] carrying the
-    /// full cost attribution (executors call this after any post-estimate
-    /// adjustments, e.g. a reduction's second-stage launch overhead, so the
-    /// event time matches the timeline exactly).
+    /// full cost attribution. Callers build it from a launch's final cost,
+    /// after any post-estimate adjustment (e.g. a reduction's second-stage
+    /// launch overhead), so the sink's copy and the run's record agree.
     ///
     /// [`TraceEvent::KernelLaunch`]: crate::trace::TraceEvent::KernelLaunch
     pub fn trace_event(

@@ -41,5 +41,5 @@ pub use error::SimError;
 pub use exec::{
     estimate_kernel, estimate_kernel_traced, warp_issue_cycles, Bound, KernelCost, KernelFootprint, KernelTotals,
 };
-pub use stats::{Dir, Event, Summary, Timeline};
+pub use stats::{Dir, Summary};
 pub use trace::{NullSink, RecordingSink, TraceEvent, TraceSink};

@@ -1,13 +1,14 @@
-//! Execution timelines: an ordered record of everything a simulated run did
-//! (host compute, transfers, kernel launches) with costs attached.
+//! Run totals: the one fold of a simulated run's record.
 //!
-//! The evaluation layer sums a timeline into wall time, and the reports use
-//! the event records to explain *why* a version is slow (e.g. "CG under HMPP
-//! moved 212 MB over PCIe; under OpenMPC it moved 9 MB").
+//! A run's record is its ordered [`TraceEvent`]s (host spans, transfers,
+//! kernel launches). [`Summary::of`] sums them into wall time and traffic
+//! totals, and the reports use those totals to explain *why* a version is
+//! slow (e.g. "CG under HMPP moved 212 MB over PCIe; under OpenMPC it moved
+//! 9 MB").
 
 use serde::{Deserialize, Serialize};
 
-use crate::exec::{KernelCost, KernelTotals};
+use crate::trace::TraceEvent;
 
 /// Direction of a PCIe transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -18,37 +19,7 @@ pub enum Dir {
     DeviceToHost,
 }
 
-/// One event on the simulated timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[allow(missing_docs)] // field meanings are given by the variant docs
-pub enum Event {
-    /// Sequential host execution (CPU model), in seconds.
-    Host { label: String, secs: f64 },
-    /// A PCIe transfer.
-    Transfer { array: String, dir: Dir, bytes: u64, secs: f64 },
-    /// A kernel launch.
-    Kernel { name: String, cost: KernelCost, totals: KernelTotals },
-}
-
-impl Event {
-    /// Wall-clock contribution of the event in seconds.
-    pub fn secs(&self) -> f64 {
-        match self {
-            Event::Host { secs, .. } => *secs,
-            Event::Transfer { secs, .. } => *secs,
-            Event::Kernel { cost, .. } => cost.time_secs,
-        }
-    }
-}
-
-/// Ordered record of one simulated run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Timeline {
-    /// Events in execution order.
-    pub events: Vec<Event>,
-}
-
-/// Aggregate view of a timeline.
+/// Aggregate view of a run's events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 #[allow(missing_docs)] // self-describing aggregate counters
 pub struct Summary {
@@ -64,45 +35,16 @@ pub struct Summary {
     pub useful_bytes: u64,
 }
 
-impl Timeline {
-    /// An empty timeline.
-    pub fn new() -> Self {
-        Timeline::default()
-    }
-
-    /// Append a raw event.
-    pub fn push(&mut self, e: Event) {
-        self.events.push(e);
-    }
-
-    /// Record sequential host time.
-    pub fn host(&mut self, label: impl Into<String>, secs: f64) {
-        self.events.push(Event::Host { label: label.into(), secs });
-    }
-
-    /// Record a PCIe transfer.
-    pub fn transfer(&mut self, array: impl Into<String>, dir: Dir, bytes: u64, secs: f64) {
-        self.events.push(Event::Transfer { array: array.into(), dir, bytes, secs });
-    }
-
-    /// Record a kernel launch.
-    pub fn kernel(&mut self, name: impl Into<String>, cost: KernelCost, totals: KernelTotals) {
-        self.events.push(Event::Kernel { name: name.into(), cost, totals });
-    }
-
-    /// Append all events of another timeline.
-    pub fn extend(&mut self, other: Timeline) {
-        self.events.extend(other.events);
-    }
-
-    /// Aggregate into a [`Summary`].
-    pub fn summary(&self) -> Summary {
+impl Summary {
+    /// Sum `events` in order. Evidence events (coalescing sites, cache
+    /// counters) add no time and count in nothing.
+    pub fn of(events: &[TraceEvent]) -> Summary {
         let mut s = Summary::default();
-        for e in &self.events {
+        for e in events {
             s.total_secs += e.secs();
             match e {
-                Event::Host { secs, .. } => s.host_secs += secs,
-                Event::Transfer { dir, bytes, secs, .. } => {
+                TraceEvent::Host { secs, .. } => s.host_secs += secs,
+                TraceEvent::Transfer { dir, bytes, secs, .. } => {
                     s.transfer_secs += secs;
                     s.transfers += 1;
                     match dir {
@@ -110,20 +52,16 @@ impl Timeline {
                         Dir::DeviceToHost => s.d2h_bytes += bytes,
                     }
                 }
-                Event::Kernel { cost, totals, .. } => {
+                TraceEvent::KernelLaunch { cost, totals, .. } => {
                     s.kernel_secs += cost.time_secs;
                     s.kernels_launched += 1;
                     s.global_transactions += totals.global_transactions;
                     s.useful_bytes += totals.useful_bytes;
                 }
+                TraceEvent::CoalesceSite { .. } | TraceEvent::CacheCounters { .. } => {}
             }
         }
         s
-    }
-
-    /// Total wall time in seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.events.iter().map(Event::secs).sum()
     }
 }
 
@@ -131,9 +69,13 @@ impl Timeline {
 mod tests {
     use super::*;
     use crate::config::DeviceConfig;
-    use crate::exec::{estimate_kernel, KernelFootprint};
+    use crate::exec::{estimate_kernel, KernelFootprint, KernelTotals};
 
-    fn some_kernel() -> (KernelCost, KernelTotals) {
+    fn host(label: &str, secs: f64) -> TraceEvent {
+        TraceEvent::Host { label: label.into(), secs }
+    }
+
+    fn some_kernel() -> TraceEvent {
         let cfg = DeviceConfig::tesla_m2090();
         let t = KernelTotals {
             warps: 128,
@@ -143,43 +85,59 @@ mod tests {
             useful_bytes: 128_000,
             ..Default::default()
         };
-        (estimate_kernel(&cfg, &KernelFootprint::new(256, 16), &t), t)
+        let fp = KernelFootprint::new(256, 16);
+        estimate_kernel(&cfg, &fp, &t).trace_event("k", &fp, &t, &cfg)
     }
 
     #[test]
     fn summary_accumulates() {
-        let mut tl = Timeline::new();
-        tl.host("setup", 0.001);
-        tl.transfer("a", Dir::HostToDevice, 1024, 0.0001);
-        let (c, t) = some_kernel();
-        tl.kernel("k", c.clone(), t);
-        tl.transfer("a", Dir::DeviceToHost, 2048, 0.0002);
+        let k = some_kernel();
+        let events = [
+            host("setup", 0.001),
+            TraceEvent::Transfer { array: "a".into(), dir: Dir::HostToDevice, bytes: 1024, secs: 0.0001 },
+            k.clone(),
+            TraceEvent::CacheCounters { cache: "k/texture".into(), hits: 3, misses: 4 },
+            TraceEvent::Transfer { array: "a".into(), dir: Dir::DeviceToHost, bytes: 2048, secs: 0.0002 },
+        ];
 
-        let s = tl.summary();
+        let s = Summary::of(&events);
         assert_eq!(s.kernels_launched, 1);
         assert_eq!(s.transfers, 2);
         assert_eq!(s.h2d_bytes, 1024);
         assert_eq!(s.d2h_bytes, 2048);
-        assert!((s.total_secs - (0.001 + 0.0001 + 0.0002 + c.time_secs)).abs() < 1e-12);
-        assert!((s.total_secs - tl.total_secs()).abs() < 1e-15);
+        assert!((s.total_secs - (0.001 + 0.0001 + 0.0002 + k.secs())).abs() < 1e-12);
+        assert_eq!(s.total_secs.to_bits(), events.iter().map(TraceEvent::secs).sum::<f64>().to_bits());
+        assert_eq!(s.kernel_secs.to_bits(), k.secs().to_bits());
         assert_eq!(s.global_transactions, 2000);
+        assert_eq!(s.useful_bytes, 128_000);
     }
 
     #[test]
     fn extend_concatenates() {
-        let mut a = Timeline::new();
-        a.host("x", 1.0);
-        let mut b = Timeline::new();
-        b.host("y", 2.0);
-        a.extend(b);
-        assert_eq!(a.events.len(), 2);
-        assert!((a.total_secs() - 3.0).abs() < 1e-12);
+        // The fold of a concatenation is the fold of its parts, in order;
+        // an evidence event between them changes nothing.
+        let a = [host("x", 1.0)];
+        let evidence = TraceEvent::CoalesceSite {
+            kernel: "k".into(),
+            site: 0,
+            array: "a".into(),
+            space: "global".into(),
+            requests: 5,
+            transactions: 7,
+            lane_accesses: 160,
+            shared_slots: 0,
+        };
+        let both = [host("x", 1.0), evidence, host("y", 2.0)];
+        let s = Summary::of(&both);
+        assert!((s.total_secs - 3.0).abs() < 1e-12);
+        assert_eq!(s.host_secs, Summary::of(&a).host_secs + 2.0);
+        assert_eq!((s.kernels_launched, s.transfers, s.global_transactions), (0, 0, 0));
     }
 
     #[test]
     fn empty_timeline_is_zero() {
-        let tl = Timeline::new();
-        assert_eq!(tl.total_secs(), 0.0);
-        assert_eq!(tl.summary(), Summary::default());
+        assert_eq!(Summary::of(&[]), Summary::default());
+        let evidence = TraceEvent::CacheCounters { cache: "t".into(), hits: 1, misses: 2 };
+        assert_eq!(Summary::of(&[evidence]), Summary::default());
     }
 }

@@ -1,21 +1,27 @@
 //! Structured execution tracing: a zero-cost-when-disabled event stream
 //! threaded through the simulator and the evaluation sweep.
 //!
-//! Every mechanism the cost model prices (kernel roofline terms, PCIe
-//! transfers, per-site coalescing, cache behaviour) can emit a
-//! [`TraceEvent`] into a [`TraceSink`]. The default sink is [`NullSink`]:
-//! call sites guard event *construction* behind [`TraceSink::enabled`], so
-//! a disabled trace never allocates, formats, or clones an event — the
-//! simulated numbers are bit-identical with tracing on or off. The evidence
-//! events are built from does not depend on the sink: every kernel launch
-//! sums its per-site coalescing summaries (which pricing computes anyway)
-//! and the launch cache keeps them with each captured effect, so a launch
-//! with an enabled sink replays what one without a sink captured.
+//! A [`TraceEvent`] is also a simulated run's record: the runtime keeps
+//! every host span, PCIe transfer and kernel launch of a run once, as a
+//! `TraceEvent`, and [`crate::stats::Summary::of`] folds that record into
+//! the run's totals. Every mechanism the cost model prices (kernel roofline
+//! terms, PCIe transfers, per-site coalescing, cache behaviour) can also
+//! emit a `TraceEvent` into a [`TraceSink`]. The sink sees a copy of each
+//! recorded event at the point it is recorded, plus the per-site evidence
+//! (`CoalesceSite`, `CacheCounters`) that only a sink receives.
+//!
+//! The default sink is [`NullSink`]: call sites guard sink-only event
+//! *construction* behind [`TraceSink::enabled`], so a disabled trace never
+//! formats or clones an event for the sink — the simulated numbers are
+//! bit-identical with tracing on or off. The evidence events are built from
+//! does not depend on the sink: every kernel launch sums its per-site
+//! coalescing summaries (which pricing computes anyway) and the launch cache
+//! keeps them with each captured effect, so a launch with an enabled sink
+//! replays what one without a sink captured.
 //!
 //! Events are emitted in deterministic simulation order (warp loops reduce
-//! into per-site accumulators that are emitted in site order; the sweep
-//! collects per-task streams by task index), so a recorded trace is
-//! byte-stable across thread counts and runs.
+//! into per-site accumulators that are emitted in site order), so a
+//! recorded trace is byte-stable across thread counts and runs.
 
 use serde::Serialize;
 
@@ -86,26 +92,10 @@ pub enum TraceEvent {
         /// Misses observed so far.
         misses: u64,
     },
-    /// One sweep task's span, with cache provenance: whether the CPU oracle
-    /// and the compiled program were served from the memo tables.
-    TaskSpan {
-        /// Index into the sweep's enumerated task list.
-        task: usize,
-        /// Benchmark name.
-        benchmark: String,
-        /// Programming-model name.
-        model: String,
-        /// Tuning point (`None` = the model's default point).
-        tuning: Option<String>,
-        /// True if the CPU oracle was a memo hit.
-        oracle_cached: bool,
-        /// True if the compile was a memo hit (geometry retargets count).
-        compile_cached: bool,
-    },
 }
 
 impl TraceEvent {
-    /// Simulated seconds this event contributes to the timeline (0 for
+    /// Simulated seconds this event contributes to the run (0 for
     /// instantaneous evidence events).
     pub fn secs(&self) -> f64 {
         match self {

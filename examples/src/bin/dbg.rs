@@ -1,6 +1,14 @@
-//! Per-event debugging of one benchmark under selected models.
+//! Per-kernel debugging of one benchmark under every Figure 1 model: each
+//! run's record folded into the cost attribution table `report profile`
+//! prints.
+//!
+//! ```text
+//! cargo run -p acceval-examples --release --bin dbg -- <bench> [test]
+//! ```
 use acceval::benchmarks::{benchmark_named, Scale};
 use acceval::models::ModelKind;
+use acceval::profile::RunProfile;
+use acceval::report::render_profile;
 use acceval::sim::MachineConfig;
 
 fn main() {
@@ -17,32 +25,6 @@ fn main() {
         let c = acceval::compile_port(&port, kind, &ds, None);
         let run = acceval::run_gpu_program(&c, &ds, &cfg).expect("gpu run");
         println!("== {:?} {:.3}ms (speedup {:.2})", kind, run.secs * 1e3, oracle.secs / run.secs);
-        let mut agg: std::collections::BTreeMap<String, (u64, f64, u64)> = Default::default();
-        for e in &run.timeline.events {
-            match e {
-                acceval::sim::Event::Kernel { name, cost, totals } => {
-                    let a = agg.entry(format!("K {name} [{:?}]", cost.bound)).or_default();
-                    a.0 += 1;
-                    a.1 += cost.time_secs;
-                    a.2 += totals.global_transactions;
-                }
-                acceval::sim::Event::Transfer { array, secs, bytes, .. } => {
-                    let a = agg.entry(format!("T {array}")).or_default();
-                    a.0 += 1;
-                    a.1 += secs;
-                    a.2 += bytes;
-                }
-                acceval::sim::Event::Host { label, secs } => {
-                    let a = agg.entry(format!("H {label}")).or_default();
-                    a.0 += 1;
-                    a.1 += secs;
-                }
-            }
-        }
-        let mut rows: Vec<_> = agg.into_iter().collect();
-        rows.sort_by(|a, b| b.1 .1.partial_cmp(&a.1 .1).unwrap());
-        for (k, (n, secs, tx)) in rows.iter().take(12) {
-            println!("   {k:45} x{n:<5} {:.3}ms  tx/bytes {tx}", secs * 1e3);
-        }
+        println!("{}", render_profile(&RunProfile::from_events(b.spec().name, kind, &run.events)));
     }
 }

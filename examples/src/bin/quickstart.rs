@@ -8,7 +8,7 @@
 use acceval::benchmarks::{Benchmark, Scale};
 use acceval::ir::pretty;
 use acceval::models::ModelKind;
-use acceval::sim::{Event, MachineConfig};
+use acceval::sim::{MachineConfig, Summary, TraceEvent};
 use acceval::{compile_port, run_baseline, run_gpu_program};
 
 fn main() {
@@ -40,10 +40,11 @@ fn main() {
         }
     }
 
-    // 5. Run the GPU version and walk its timeline.
+    // 5. Run the GPU version and walk its record: one event per host span,
+    //    PCIe transfer and kernel launch, in simulation order.
     let run = run_gpu_program(&compiled, &ds, &cfg).expect("gpu run");
     println!("GPU version: {:.3} ms  => speedup {:.2}x", run.secs * 1e3, oracle.secs / run.secs);
-    let s = run.timeline.summary();
+    let s = Summary::of(&run.events);
     println!(
         "  {} kernels, {} transfers ({:.1} KiB up / {:.1} KiB down), host {:.3} ms",
         s.kernels_launched,
@@ -52,19 +53,21 @@ fn main() {
         s.d2h_bytes as f64 / 1024.0,
         s.host_secs * 1e3
     );
-    println!("\nfirst timeline events:");
-    for e in run.timeline.events.iter().take(8) {
+    println!("\nfirst recorded events:");
+    for e in run.events.iter().take(8) {
         match e {
-            Event::Host { label, secs } => println!("  host     {label:<24} {:.1} us", secs * 1e6),
-            Event::Transfer { array, dir, bytes, secs } => {
+            TraceEvent::Host { label, secs } => println!("  host     {label:<24} {:.1} us", secs * 1e6),
+            TraceEvent::Transfer { array, dir, bytes, secs } => {
                 println!("  transfer {array:<24} {:?} {bytes} B, {:.1} us", dir, secs * 1e6)
             }
-            Event::Kernel { name, cost, totals } => println!(
+            TraceEvent::KernelLaunch { name, cost, totals, .. } => println!(
                 "  kernel   {name:<24} {:.1} us ({:?}-bound, {} transactions)",
                 cost.time_secs * 1e6,
                 cost.bound,
                 totals.global_transactions
             ),
+            // Per-site evidence goes to a trace sink, never to the record.
+            TraceEvent::CoalesceSite { .. } | TraceEvent::CacheCounters { .. } => {}
         }
     }
 

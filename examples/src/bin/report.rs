@@ -3,9 +3,9 @@
 //! ```text
 //! cargo run -p acceval-examples --release --bin report -- table1
 //! cargo run -p acceval-examples --release --bin report -- table2
-//! cargo run -p acceval-examples --release --bin report -- figure1 [--test-scale] [--no-tuning] [--csv] [--json] [--device-c1060] [bench...]
+//! cargo run -p acceval-examples --release --bin report -- figure1 [--test-scale] [--no-tuning] [--csv] [--json] [bench...]
 //! cargo run -p acceval-examples --release --bin report -- devices [--test-scale] [--with-tuning] [--csv] [--json] [device...]
-//! cargo run -p acceval-examples --release --bin report -- profile <benchmark> <model> [--test-scale] [--device-c1060]
+//! cargo run -p acceval-examples --release --bin report -- profile <benchmark> <model> [--test-scale]
 //! cargo run -p acceval-examples --release --bin report -- all
 //! ```
 
@@ -44,7 +44,6 @@ flags:
   --no-tuning                    figure1/all: skip the tuning-variation sweep
   --with-tuning                  devices: add the tuning-variation points
   --csv | --json                 figure1/devices/all: machine-readable output
-  --device-c1060                 simulate the previous-generation Tesla C1060
 environment:
   ACCEVAL_DEVICE=<preset>            device generation for figure1/profile/all
                                      (tesla|fermi|kepler|pascal|volta)
@@ -77,9 +76,9 @@ fn main() {
     // a silently ignored no-op.
     let allowed: &[&str] = match cmd {
         "table1" | "table2" | "store" => &[],
-        "profile" => &["--test-scale", "--device-c1060"],
+        "profile" => &["--test-scale"],
         "devices" => &["--test-scale", "--with-tuning", "--csv", "--json"],
-        _ => &["--test-scale", "--no-tuning", "--csv", "--json", "--device-c1060"],
+        _ => &["--test-scale", "--no-tuning", "--csv", "--json"],
     };
     for a in args.iter().skip(1).filter(|a| a.starts_with("--")) {
         if !allowed.contains(&a.as_str()) {
@@ -97,22 +96,9 @@ fn main() {
     }
 
     // Device selection: ACCEVAL_DEVICE swaps the Keeneland node's GPU for
-    // another preset of the generation family; --device-c1060 (the older
-    // flag) wins when both are given. validate_env has already vetted the
-    // name, so the lookup here cannot fail after startup.
-    let mut cfg = MachineConfig::keeneland_node();
-    if let Ok(v) = std::env::var("ACCEVAL_DEVICE") {
-        match acceval::sim::DeviceConfig::preset(&v) {
-            Some(d) => cfg.device = d,
-            None => usage_error(&format!("ACCEVAL_DEVICE: unknown device preset `{v}`")),
-        }
-    }
-    if args.iter().any(|a| a == "--device-c1060") {
-        // Performance-portability study (paper SVI): same ports, previous
-        // GPU generation (GT200-class: 64-byte segments, fewer resident
-        // warps, slower atomics).
-        cfg.device = acceval::sim::DeviceConfig::tesla_c1060();
-    }
+    // another preset of the generation family (validate_env has already
+    // rejected an unknown name).
+    let cfg = MachineConfig::from_env();
     let scale = if test_scale { Scale::Test } else { Scale::Paper };
 
     if cmd == "store" {

@@ -37,3 +37,19 @@ fn removed_launch_parallelism_knob_is_rejected() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("invalid environment: ACCEVAL_LAUNCH_PAR"), "{err}");
 }
+
+/// `ACCEVAL_DEVICE=tesla` is the one way to pick the C1060: the flag that
+/// used to pick it is an unknown flag, refused before any sweep starts.
+#[test]
+fn removed_device_flag_is_rejected() {
+    let flag = format!("--device-{}", "c1060");
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_report"));
+    cmd.args(["figure1", flag.as_str()]);
+    for k in KNOWN_VARS {
+        cmd.env_remove(k);
+    }
+    let out = cmd.output().expect("report runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+}

@@ -7,13 +7,16 @@
 //! * **zero cost when disabled** — a disabled sink sees no events at all,
 //!   and the untraced path pays no measurable overhead for the hooks;
 //! * **valid output** — the Chrome-trace JSON round-trips through the JSON
-//!   parser unchanged.
+//!   parser unchanged;
+//! * **one record** — a run's record (`GpuRun::events`) is what the sink
+//!   sees minus per-site evidence, and the run's totals and hotspot are the
+//!   folds of its trace.
 
 use acceval::benchmarks::{benchmark_named, Scale};
 use acceval::models::ModelKind;
 use acceval::profile::{chrome_trace, RunProfile};
 use acceval::sim::trace::{TraceEvent, TraceSink};
-use acceval::sim::{MachineConfig, NullSink, RecordingSink};
+use acceval::sim::{MachineConfig, NullSink, RecordingSink, Summary};
 use acceval::sweep::{cached_compile, cached_dataset, cached_oracle};
 
 /// Run one traced (benchmark, model) evaluation and return its events.
@@ -172,4 +175,60 @@ fn folded_profile_matches_summary() {
     assert_eq!(launches, kernel_events);
     let transfer_total: u64 = p.transfers.iter().map(|t| t.bytes).sum();
     assert_eq!(transfer_total, p.h2d_bytes + p.d2h_bytes);
+}
+
+/// Every field of a summary, `f64`s as bits.
+fn summary_bits(s: &Summary) -> [u64; 10] {
+    [
+        s.total_secs.to_bits(),
+        s.host_secs.to_bits(),
+        s.transfer_secs.to_bits(),
+        s.kernel_secs.to_bits(),
+        s.kernels_launched,
+        s.h2d_bytes,
+        s.d2h_bytes,
+        s.transfers,
+        s.global_transactions,
+        s.useful_bytes,
+    ]
+}
+
+#[test]
+fn run_record_is_the_trace_without_evidence() {
+    // SRAD's scalar reductions add `(red)` readback transfers to the record.
+    for (bench, model) in [("jacobi", ModelKind::OpenMpc), ("srad", ModelKind::PgiAccelerator)] {
+        let cfg = MachineConfig::keeneland_node();
+        let b = benchmark_named(bench).expect("benchmark exists");
+        let ds = cached_dataset(b.as_ref(), Scale::Test);
+        let oracle = cached_oracle(b.as_ref(), Scale::Test, &cfg);
+        let compiled = cached_compile(b.as_ref(), model, Scale::Test, None);
+
+        let mut sink = RecordingSink::new();
+        let run = acceval::run_gpu_program_traced(&compiled, &ds, &cfg, &mut sink).expect("gpu run");
+        let timed: Vec<&TraceEvent> = sink
+            .events
+            .iter()
+            .filter(|e| {
+                matches!(e, TraceEvent::Host { .. } | TraceEvent::Transfer { .. } | TraceEvent::KernelLaunch { .. })
+            })
+            .collect();
+        assert_eq!(timed.len(), run.events.len(), "{bench}");
+        assert!(timed.iter().zip(&run.events).all(|(t, r)| *t == r), "{bench}: record and trace differ");
+        assert!(sink.events.len() > run.events.len(), "{bench}: the sink also sees per-site evidence");
+        let secs: f64 = run.events.iter().map(TraceEvent::secs).sum();
+        assert_eq!(run.secs.to_bits(), secs.to_bits(), "{bench}");
+        if bench == "srad" {
+            let red = |e: &TraceEvent| matches!(e, TraceEvent::Transfer { array, .. } if array.ends_with("(red)"));
+            assert!(run.events.iter().any(red), "SRAD/PGI reads its scalar reductions back");
+        }
+
+        let mut sink = RecordingSink::new();
+        let scored = acceval::run_compiled_traced(b.as_ref(), &compiled, &ds, &cfg, &oracle.run, &mut sink);
+        assert!(scored.valid.is_ok(), "{bench}: {:?}", scored.valid);
+        assert_eq!(summary_bits(&scored.summary), summary_bits(&Summary::of(&sink.events)), "{bench}");
+        assert_eq!(summary_bits(&scored.summary), summary_bits(&Summary::of(&run.events)), "{bench}");
+        let hot = scored.kernel_hotspot.expect("the run launched kernels");
+        let want = RunProfile::from_events(bench, model, &sink.events).hotspot().expect("the trace has launches");
+        assert_eq!((&hot.kernel, hot.secs.to_bits(), hot.launches), (&want.kernel, want.secs.to_bits(), want.launches));
+    }
 }
